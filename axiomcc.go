@@ -49,7 +49,6 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/game"
 	"repro/internal/metrics"
-	"repro/internal/multilink"
 	"repro/internal/nettopo"
 	"repro/internal/packetsim"
 	"repro/internal/pareto"
@@ -216,39 +215,11 @@ var (
 	NewRED = packetsim.NewRED
 )
 
-// ---- Network-wide model (§6 extension) ----
-
-// Multilink types: the fluid model generalized to a network of links.
-type (
-	// NetLinkSpec describes one link of a multilink network.
-	NetLinkSpec = multilink.LinkSpec
-	// NetFlowSpec is one flow and its path through the network.
-	NetFlowSpec = multilink.FlowSpec
-	// Network is a multilink fluid network.
-	Network = multilink.Network
-	// NetworkResult is a recorded multilink run.
-	NetworkResult = multilink.Result
-	// NetworkOption tweaks network construction.
-	NetworkOption = multilink.Option
-)
-
-var (
-	// NewNetwork builds a multilink network.
-	NewNetwork = multilink.New
-	// ParkingLot builds the canonical k-hop parking-lot scenario.
-	ParkingLot = multilink.ParkingLot
-	// WithStochasticLoss samples per-flow loss observation (needed for
-	// the parking-lot bias of magnitude-insensitive protocols).
-	WithStochasticLoss = multilink.WithStochasticLoss
-	// WithNetMaxWindow caps windows in a multilink network.
-	WithNetMaxWindow = multilink.WithMaxWindow
-)
-
 // ---- Arbitrary DAG topologies (§6 generalized) ----
 
-// Nettopo types: the multilink model generalized to arbitrary DAG
-// topologies with named endpoints and per-flow extra RTT. A linear
-// chain is bit-identical to the multilink parking lot.
+// Nettopo types: the §2 fluid model generalized to a network of links
+// over any DAG topology, with optional named endpoints and per-flow
+// extra RTT.
 type (
 	// TopoLinkSpec describes one directed link (optional src/dst names).
 	TopoLinkSpec = nettopo.LinkSpec
@@ -276,7 +247,8 @@ var (
 	TopoIncast = nettopo.Incast
 	// TopoFatTreeFanIn builds a leaf/agg/core fan-in tree.
 	TopoFatTreeFanIn = nettopo.FatTreeFanIn
-	// WithTopoStochasticLoss samples per-flow loss observation.
+	// WithTopoStochasticLoss samples per-flow loss observation (needed
+	// for the parking-lot bias of magnitude-insensitive protocols).
 	WithTopoStochasticLoss = nettopo.WithStochasticLoss
 	// WithTopoMaxWindow caps windows in a topology.
 	WithTopoMaxWindow = nettopo.WithMaxWindow
@@ -286,7 +258,7 @@ var (
 
 // The engine runs any of the three simulators behind one interface:
 // build a substrate spec (EngineFluidSpec, EnginePacketSpec,
-// EngineNetSpec), wrap it in an EngineSpec with optional streaming
+// EngineTopoSpec), wrap it in an EngineSpec with optional streaming
 // observers, and call EngineRun. EngineSweep shards independent cells
 // across a worker pool with deterministic per-cell seeds.
 type (
@@ -315,8 +287,6 @@ type (
 	EngineFluidSpec = engine.FluidSpec
 	// EnginePacketSpec adapts the packet-level testbed.
 	EnginePacketSpec = engine.PacketSpec
-	// EngineNetSpec adapts the §6 multilink network.
-	EngineNetSpec = engine.NetSpec
 	// EngineTopoSpec adapts the DAG topology substrate.
 	EngineTopoSpec = engine.TopoSpec
 	// SweepConfig tunes EngineSweep (workers, base seed, progress).

@@ -902,10 +902,10 @@ type benchParetoRecord struct {
 	ObsEnabled     bool     `json:"obs_enabled"`
 }
 
-// BenchmarkMultilinkStep measures the raw cost of one network step on a
+// BenchmarkTopoStep measures the raw cost of one network step on a
 // 4-hop parking lot (5 flows, 4 links).
-func BenchmarkMultilinkStep(b *testing.B) {
-	net, err := axiomcc.ParkingLot(4, axiomcc.NetLinkSpec{
+func BenchmarkTopoStep(b *testing.B) {
+	net, err := axiomcc.TopoParkingLot(4, axiomcc.TopoLinkSpec{
 		Bandwidth: 100 / 0.042, PropDelay: 0.021, Buffer: 20,
 	}, axiomcc.Reno(), 1)
 	if err != nil {

@@ -11,7 +11,7 @@
 //	reproduce -exp theorem1..5   executable checks of Theorems 1-5
 //	reproduce -exp robustness    Metric VI sweep (Table 1's robustness column)
 //	reproduce -exp robustness-chaos  Metric VI extended with bursty-loss and flappy-link columns
-//	reproduce -exp parkinglot    §6 network-wide extension (multilink parking lot)
+//	reproduce -exp parkinglot    §6 network-wide extension (nettopo parking lot)
 //	reproduce -exp topo-axioms   the eight metrics measured on multi-bottleneck DAG topologies
 //	reproduce -exp all           everything above
 //

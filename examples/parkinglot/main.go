@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	link := axiomcc.NetLinkSpec{
+	link := axiomcc.TopoLinkSpec{
 		Bandwidth: 100 / 0.042, // C = 100 MSS per link
 		PropDelay: 0.021,
 		Buffer:    20,
@@ -26,7 +26,7 @@ func main() {
 	fmt.Println("parking lot: one k-hop Reno flow vs one 1-hop Reno flow per link")
 	fmt.Printf("%4s | %18s | %18s | %9s\n", "k", "long/short window", "long/short goodput", "link util")
 	for _, k := range []int{1, 2, 3, 4} {
-		net, err := axiomcc.ParkingLot(k, link, axiomcc.Reno(), 1, axiomcc.WithStochasticLoss(7))
+		net, err := axiomcc.TopoParkingLot(k, link, axiomcc.Reno(), 1, axiomcc.WithTopoStochasticLoss(7))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,6 +52,6 @@ func main() {
 
 	fmt.Println("\nthe long flow pays twice: it sees the union of all links' loss (window")
 	fmt.Println("ratio < 1, worsening with k) AND the sum of their delays (goodput ratio")
-	fmt.Println("falls even faster). Custom topologies: axiomcc.NewNetwork with explicit")
-	fmt.Println("NetLinkSpec / NetFlowSpec lists — any protocol mix, any paths.")
+	fmt.Println("falls even faster). Custom topologies: axiomcc.NewTopology with explicit")
+	fmt.Println("TopoLinkSpec / TopoFlowSpec lists — any protocol mix, any paths.")
 }

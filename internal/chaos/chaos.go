@@ -13,7 +13,7 @@
 // the same (Schedule, seed) pair yields bit-identical perturbations at
 // any sweep worker count, which keeps chaos-enabled grids reproducible.
 //
-// Time is measured in the substrate's own step unit: fluid and multilink
+// Time is measured in the substrate's own step unit: fluid and nettopo
 // steps are RTT-quantized model steps; the packet simulator maps its
 // continuous clock onto steps of one trace tick (Config.Tick) each.
 //

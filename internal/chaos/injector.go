@@ -16,7 +16,7 @@ var eventsApplied = obs.GetCounter("chaos.events.applied")
 // Injector is a compiled Schedule: the deterministic per-step oracle a
 // substrate consults while it runs. Each substrate defines a small
 // structurally-matching Perturber interface (fluid.Perturber,
-// packetsim.Perturber, multilink.Perturber) that Injector satisfies, so
+// packetsim.Perturber, nettopo.Perturber) that Injector satisfies, so
 // the simulators stay free of chaos imports.
 //
 // An Injector is single-use and single-goroutine, like the substrate

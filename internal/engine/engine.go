@@ -1,11 +1,12 @@
 // Package engine unifies the repository's three simulation substrates —
 // the §2 fluid-flow link (internal/fluid), the packet-level testbed
-// (internal/packetsim), and the §6 multilink network (internal/multilink)
-// — behind a single Spec → Run(ctx, spec) entry point.
+// (internal/packetsim), and the §6 conservation-law network over any DAG
+// topology (internal/nettopo) — behind a single Spec → Run(ctx, spec)
+// entry point.
 //
 // A Spec pairs a Substrate (what to simulate) with how to consume it:
 // Record materializes the substrate's native result (a *trace.Trace, a
-// *packetsim.Result, a *multilink.Result), while Observers stream every
+// *packetsim.Result, a *nettopo.Result), while Observers stream every
 // sample as it is produced, so axiom estimators can run online over a
 // fixed-size ring buffer instead of a full trace. The two are independent
 // — a sweep that only needs streaming statistics sets Record to false and
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/multilink"
 	"repro/internal/nettopo"
 	"repro/internal/obs"
 	"repro/internal/packetsim"
@@ -31,20 +31,19 @@ import (
 )
 
 // Step is one streamed sample: the per-sender windows in effect, their
-// sum, and the link feedback for the sampling interval. For the multilink
+// sum, and the link feedback for the sampling interval. For the network
 // substrate RTT and Loss are zero (a network has no single scalar of
-// either) and Net carries the full per-link/per-flow step instead.
+// either) and Topo carries the full per-link/per-flow step instead.
 //
-// Windows (and Net) alias simulator-owned buffers and are valid only for
+// Windows (and Topo) alias simulator-owned buffers and are valid only for
 // the duration of the Observe call; observers must copy what they keep.
 type Step struct {
-	Index   int                   // sample index, 0-based
-	Windows []float64             // per-sender congestion windows
-	Total   float64               // sum of Windows
-	RTT     float64               // link RTT in seconds (single-link substrates)
-	Loss    float64               // link loss rate (single-link substrates)
-	Net     *multilink.StepResult // non-nil for the multilink substrate
-	Topo    *nettopo.StepResult   // non-nil for the nettopo substrate
+	Index   int                 // sample index, 0-based
+	Windows []float64           // per-sender congestion windows
+	Total   float64             // sum of Windows
+	RTT     float64             // link RTT in seconds (single-link substrates)
+	Loss    float64             // link loss rate (single-link substrates)
+	Topo    *nettopo.StepResult // non-nil for the nettopo substrate
 }
 
 // Observer consumes streamed steps during a run.
@@ -60,7 +59,7 @@ func (f ObserverFunc) Observe(s Step) { f(s) }
 
 // Meta describes a substrate before it runs, so observers can size their
 // buffers: the number of senders, the link capacity C and base RTT
-// (zero for multilink, where they are per-link), and the expected number
+// (zero for nettopo, where they are per-link), and the expected number
 // of samples. Horizon is exact for the step-quantized substrates and a
 // ±1 hint for the packet simulator's tick count.
 type Meta struct {
@@ -99,14 +98,13 @@ type Spec struct {
 	ChaosSeed uint64
 }
 
-// Result is the outcome of a run. Exactly one of Trace/Packet/Net/Topo
+// Result is the outcome of a run. Exactly one of Trace/Packet/Topo
 // is populated per substrate kind when Record is set (Packet is populated
 // even without Record — delivery counters are always kept — but its Trace
 // field is then nil).
 type Result struct {
 	Trace  *trace.Trace      // fluid (Record); also aliases Packet.Trace
 	Packet *packetsim.Result // packet substrate
-	Net    *multilink.Result // multilink substrate (Record)
 	Topo   *nettopo.Result   // nettopo substrate (Record)
 	Steps  int               // samples produced
 }
@@ -115,7 +113,6 @@ type Result struct {
 const (
 	kFluid = iota
 	kPacket
-	kNet
 	kTopo
 	kOther
 	numKinds
@@ -133,7 +130,7 @@ type runTel struct {
 
 var runTelByKind = func() [numKinds]runTel {
 	var t [numKinds]runTel
-	for k, name := range [numKinds]string{kFluid: "fluid", kPacket: "packet", kNet: "net", kTopo: "topo", kOther: "other"} {
+	for k, name := range [numKinds]string{kFluid: "fluid", kPacket: "packet", kTopo: "topo", kOther: "other"} {
 		t[k] = runTel{
 			runs:   obs.GetCounter("engine.runs." + name),
 			failed: obs.GetCounter("engine.runs.failed." + name),
@@ -180,8 +177,6 @@ func substrateKind(s Substrate) int {
 		return kFluid
 	case *PacketSpec:
 		return kPacket
-	case *NetSpec:
-		return kNet
 	case *TopoSpec:
 		return kTopo
 	default:

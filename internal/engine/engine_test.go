@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fluid"
-	"repro/internal/multilink"
+	"repro/internal/nettopo"
 	"repro/internal/obs"
 	"repro/internal/packetsim"
 	"repro/internal/protocol"
@@ -169,40 +169,33 @@ func TestPacketNoRecordSkipsTrace(t *testing.T) {
 	}
 }
 
-func parkingLotSpecs(k int) ([]multilink.LinkSpec, []multilink.FlowSpec) {
-	link := multilink.LinkSpec{Bandwidth: 1000, PropDelay: 0.02, Buffer: 25}
-	links := make([]multilink.LinkSpec, k)
-	path := make([]int, k)
-	for i := range links {
-		links[i] = link
-		path[i] = i
-	}
-	flows := []multilink.FlowSpec{{Proto: protocol.Reno(), Init: 2, Path: path}}
-	for i := 0; i < k; i++ {
-		flows = append(flows, multilink.FlowSpec{Proto: protocol.Reno(), Init: 2, Path: []int{i}})
+func parkingLotSpecs(k int) ([]nettopo.LinkSpec, []nettopo.FlowSpec) {
+	links, flows, err := nettopo.ParkingLotSpecs(k, nettopo.LinkSpec{Bandwidth: 1000, PropDelay: 0.02, Buffer: 25}, protocol.Reno(), 2)
+	if err != nil {
+		panic(err)
 	}
 	return links, flows
 }
 
-// TestMultilinkGolden: the multilink adapter with Record reproduces
+// TestTopoGolden: the nettopo adapter with Record reproduces
 // Network.Run exactly.
-func TestMultilinkGolden(t *testing.T) {
+func TestTopoGolden(t *testing.T) {
 	const steps = 600
 	links, flows := parkingLotSpecs(3)
-	n, err := multilink.New(links, flows, multilink.WithStochasticLoss(11))
+	n, err := nettopo.New(links, flows, nettopo.WithStochasticLoss(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := n.Run(steps)
 
 	res, err := Run(context.Background(), Spec{
-		Substrate: &NetSpec{Links: links, Flows: flows, Opts: []multilink.Option{multilink.WithStochasticLoss(11)}, Steps: steps},
+		Substrate: &TopoSpec{Links: links, Flows: flows, Opts: []nettopo.Option{nettopo.WithStochasticLoss(11)}, Steps: steps},
 		Record:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Net
+	got := res.Topo
 	if got.Steps != want.Steps {
 		t.Fatalf("Steps = %d, want %d", got.Steps, want.Steps)
 	}
@@ -227,25 +220,25 @@ func TestMultilinkGolden(t *testing.T) {
 	}
 }
 
-// TestMultilinkObserver: observers receive the network step stream with
-// Net populated, even without Record.
-func TestMultilinkObserver(t *testing.T) {
+// TestTopoObserver: observers receive the network step stream with
+// Topo populated, even without Record.
+func TestTopoObserver(t *testing.T) {
 	const steps = 100
 	links, flows := parkingLotSpecs(2)
 	var seen int
 	var lastLoad float64
 	obs := ObserverFunc(func(s Step) {
-		if s.Net == nil {
-			t.Fatal("multilink step without Net")
+		if s.Topo == nil {
+			t.Fatal("nettopo step without Topo")
 		}
-		if len(s.Net.LinkLoad) != len(links) {
-			t.Fatalf("LinkLoad has %d entries, want %d", len(s.Net.LinkLoad), len(links))
+		if len(s.Topo.LinkLoad) != len(links) {
+			t.Fatalf("LinkLoad has %d entries, want %d", len(s.Topo.LinkLoad), len(links))
 		}
-		lastLoad = s.Net.LinkLoad[0]
+		lastLoad = s.Topo.LinkLoad[0]
 		seen++
 	})
 	res, err := Run(context.Background(), Spec{
-		Substrate: &NetSpec{Links: links, Flows: flows, Steps: steps},
+		Substrate: &TopoSpec{Links: links, Flows: flows, Steps: steps},
 		Observers: []Observer{obs},
 	})
 	if err != nil {
@@ -254,8 +247,8 @@ func TestMultilinkObserver(t *testing.T) {
 	if seen != steps {
 		t.Fatalf("observed %d steps, want %d", seen, steps)
 	}
-	if res.Net != nil {
-		t.Fatal("Net result materialized despite Record=false")
+	if res.Topo != nil {
+		t.Fatal("Topo result materialized despite Record=false")
 	}
 	if lastLoad <= 0 {
 		t.Fatalf("final link load %v, want > 0", lastLoad)
@@ -275,7 +268,7 @@ func TestRunCancellation(t *testing.T) {
 		{Substrate: &PacketSpec{Cfg: packetsim.Config{Bandwidth: 500, PropDelay: 0.02, Buffer: 25}, Flows: []packetsim.Flow{{Proto: protocol.Reno()}}, Duration: 10000}},
 	}
 	nl, nf := parkingLotSpecs(2)
-	specs = append(specs, Spec{Substrate: &NetSpec{Links: nl, Flows: nf, Steps: 1 << 20}})
+	specs = append(specs, Spec{Substrate: &TopoSpec{Links: nl, Flows: nf, Steps: 1 << 20}})
 	for i, spec := range specs {
 		if _, err := Run(ctx, spec); err != context.Canceled {
 			t.Fatalf("spec %d: err = %v, want context.Canceled", i, err)
@@ -296,9 +289,9 @@ func TestMeta(t *testing.T) {
 		t.Fatalf("packet meta = %+v", pm)
 	}
 	nl, nf := parkingLotSpecs(2)
-	nm := (&NetSpec{Links: nl, Flows: nf, Steps: 77}).Meta()
+	nm := (&TopoSpec{Links: nl, Flows: nf, Steps: 77}).Meta()
 	if nm.Flows != 3 || nm.Horizon != 77 {
-		t.Fatalf("net meta = %+v", nm)
+		t.Fatalf("topo meta = %+v", nm)
 	}
 }
 

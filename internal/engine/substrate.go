@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fluid"
-	"repro/internal/multilink"
 	"repro/internal/nettopo"
 	"repro/internal/packetsim"
 	"repro/internal/trace"
@@ -134,53 +133,6 @@ func (s *PacketSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 		steps = len(res.DeliveredSeries[0])
 	}
 	return &Result{Trace: res.Trace, Packet: res, Steps: steps}, nil
-}
-
-// NetSpec runs the §6 multilink network for Steps synchronized steps.
-// With Record set, the Result.Net is identical to
-// multilink.New(Links, Flows, Opts...).Run(Steps). Observers receive the
-// full *multilink.StepResult via Step.Net.
-type NetSpec struct {
-	Links []multilink.LinkSpec
-	Flows []multilink.FlowSpec
-	Opts  []multilink.Option
-	Steps int
-}
-
-// Meta implements Substrate. Capacity and BaseRTT are zero: a network has
-// no single bottleneck; observers needing them consult Step.Net per link.
-func (s *NetSpec) Meta() Meta {
-	return Meta{Flows: len(s.Flows), Horizon: s.Steps}
-}
-
-func (s *NetSpec) run(ctx context.Context, spec Spec) (*Result, error) {
-	opts := s.Opts
-	inj, err := compileChaos(&spec, len(s.Flows), len(s.Links))
-	if err != nil {
-		return nil, err
-	}
-	if inj != nil {
-		opts = append(append([]multilink.Option(nil), s.Opts...), multilink.WithPerturber(inj))
-	}
-	n, err := multilink.New(s.Links, s.Flows, opts...)
-	if err != nil {
-		return nil, err
-	}
-	var obs func(*multilink.StepResult)
-	if len(spec.Observers) > 0 {
-		obs = func(res *multilink.StepResult) {
-			total := 0.0
-			for _, w := range res.Windows {
-				total += w
-			}
-			emit(&spec, Step{Index: res.Step, Windows: res.Windows, Total: total, Net: res})
-		}
-	}
-	res, err := n.RunObserved(ctx, s.Steps, spec.Record, obs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Net: res, Steps: s.Steps}, nil
 }
 
 // TopoSpec runs a conservation-law network over an arbitrary DAG

@@ -135,7 +135,12 @@ func Sweep[T any](ctx context.Context, n int, cfg SweepConfig, cell func(ctx con
 	defer sp.End()
 	h := newHarness[T](n, &cfg)
 	defer h.close()
-	return parallel.MapCtx(ctx, n, cfg.Workers, h.wrap(cell))
+	wrapped := h.wrap(cell)
+	// Cells get the sweep's context, not the pool's per-item one, which
+	// a sibling's failure cancels.
+	return parallel.MapCtx(ctx, n, cfg.Workers, func(_ context.Context, i int) (T, error) {
+		return wrapped(ctx, i)
+	})
 }
 
 // SweepSettled is Sweep without fail-fast: every cell runs to completion

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fluid"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // TestSweepDeterministic: results (including per-cell seeds) are identical
@@ -64,6 +67,43 @@ func TestSweepFailFast(t *testing.T) {
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
+	}
+}
+
+// TestSweepFailFastReturnsCellError: when one cell of a sweep diverges
+// while its siblings are mid-run in engine.Run, Sweep returns the
+// divergence, and the siblings finish instead of being canceled.
+func TestSweepFailFastReturnsCellError(t *testing.T) {
+	var canceled atomic.Int64
+	_, err := Sweep(context.Background(), 8, SweepConfig{Workers: 4},
+		func(ctx context.Context, i int, _ uint64) (int, error) {
+			var proto protocol.Protocol = protocol.MustParse("reno")
+			cfg, init, steps := fluidCfg(), []float64{1, 40}, 20000
+			if i == 1 {
+				// Runaway MIMD with an uncapped window diverges at once.
+				proto, init, steps = protocol.NewMIMD(10, 0.5), []float64{1e300, 1e300}, 300
+				cfg = fluid.Config{Infinite: true, PropDelay: 0.021, MaxWindow: math.Inf(1)}
+			}
+			senders, err := fluid.HomogeneousSenders(proto, 2, init)
+			if err != nil {
+				return 0, err
+			}
+			spec := &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps}
+			res, err := Run(ctx, Spec{Substrate: spec})
+			if errors.Is(err, context.Canceled) {
+				canceled.Add(1)
+			}
+			if err != nil {
+				return 0, err
+			}
+			return res.Steps, nil
+		})
+	var de *fluid.DivergedError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want the diverging cell's DivergedError", err)
+	}
+	if n := canceled.Load(); n != 0 {
+		t.Fatalf("%d sibling cells were canceled; in-flight cells should finish", n)
 	}
 }
 

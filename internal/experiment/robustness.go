@@ -10,7 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
-	"repro/internal/multilink"
+	"repro/internal/nettopo"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/stats"
@@ -210,7 +210,7 @@ func ParkingLotExperiment(hops []int, steps int, seed uint64) ([]ParkingLotEntry
 	if steps == 0 {
 		steps = 6000
 	}
-	link := multilink.LinkSpec{
+	link := nettopo.LinkSpec{
 		Bandwidth: 100 / 0.042,
 		PropDelay: 0.021,
 		Buffer:    20,
@@ -218,24 +218,16 @@ func ParkingLotExperiment(hops []int, steps int, seed uint64) ([]ParkingLotEntry
 	return engine.Sweep(context.Background(), len(hops), engine.Checkpointable(engine.SweepConfig{}),
 		func(ctx context.Context, i int, _ uint64) (ParkingLotEntry, error) {
 			k := hops[i]
-			// Same topology ParkingLot builds: one k-hop flow plus one
-			// single-hop flow per link.
-			links := make([]multilink.LinkSpec, k)
-			path := make([]int, k)
-			for l := range links {
-				links[l] = link
-				path[l] = l
-			}
-			flows := []multilink.FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: path}}
-			for l := 0; l < k; l++ {
-				flows = append(flows, multilink.FlowSpec{Proto: protocol.Reno(), Init: 1, Path: []int{l}})
+			links, flows, err := nettopo.ParkingLotSpecs(k, link, protocol.Reno(), 1)
+			if err != nil {
+				return ParkingLotEntry{}, err
 			}
 			// Hop ratios need full per-flow series, so this substrate records.
 			eres, err := engine.Run(ctx, engine.Spec{
-				Substrate: &engine.NetSpec{
+				Substrate: &engine.TopoSpec{
 					Links: links,
 					Flows: flows,
-					Opts:  []multilink.Option{multilink.WithStochasticLoss(seed)},
+					Opts:  []nettopo.Option{nettopo.WithStochasticLoss(seed)},
 					Steps: steps,
 				},
 				Record: true,
@@ -243,7 +235,7 @@ func ParkingLotExperiment(hops []int, steps int, seed uint64) ([]ParkingLotEntry
 			if err != nil {
 				return ParkingLotEntry{}, err
 			}
-			res := eres.Net
+			res := eres.Topo
 			shortW, shortG := 0.0, 0.0
 			for i := 1; i <= k; i++ {
 				shortW += res.AvgWindow(i, 0.75)

@@ -63,29 +63,42 @@ func (b ScoreBits) Decode() (metrics.Scores, error) {
 	return s, nil
 }
 
-// Display renders the scores as ordinary JSON numbers for human
+// ScoreDisplay is the scores as ordinary JSON numbers for human
 // consumers, with non-finite values (a NaN fairness on a degenerate
-// cell) mapped to null rather than breaking the encoder.
-func (b ScoreBits) Display() (map[string]*float64, error) {
+// cell) as null rather than breaking the encoder. The fields are in
+// alphabetical order of their JSON names, the key order of the
+// equivalent JSON object.
+type ScoreDisplay struct {
+	Convergence      *float64 `json:"convergence"`
+	Efficiency       *float64 `json:"efficiency"`
+	Fairness         *float64 `json:"fairness"`
+	FastUtilization  *float64 `json:"fast_utilization"`
+	LatencyAvoidance *float64 `json:"latency_avoidance"`
+	LossAvoidance    *float64 `json:"loss_avoidance"`
+	Robustness       *float64 `json:"robustness"`
+	TCPFriendliness  *float64 `json:"tcp_friendliness"`
+}
+
+// Display renders the scores as a ScoreDisplay.
+func (b ScoreBits) Display() (*ScoreDisplay, error) {
 	s, err := b.Decode()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*float64, 8)
-	put := func(name string, v float64) {
-		if finite(v) {
-			out[name] = &v
-		} else {
-			out[name] = nil
+	shown := func(v *float64) *float64 {
+		if finite(*v) {
+			return v
 		}
+		return nil
 	}
-	put("efficiency", s.Efficiency)
-	put("fast_utilization", s.FastUtilization)
-	put("loss_avoidance", s.LossAvoidance)
-	put("fairness", s.Fairness)
-	put("convergence", s.Convergence)
-	put("robustness", s.Robustness)
-	put("tcp_friendliness", s.TCPFriendliness)
-	put("latency_avoidance", s.LatencyAvoidance)
-	return out, nil
+	return &ScoreDisplay{
+		Convergence:      shown(&s.Convergence),
+		Efficiency:       shown(&s.Efficiency),
+		Fairness:         shown(&s.Fairness),
+		FastUtilization:  shown(&s.FastUtilization),
+		LatencyAvoidance: shown(&s.LatencyAvoidance),
+		LossAvoidance:    shown(&s.LossAvoidance),
+		Robustness:       shown(&s.Robustness),
+		TCPFriendliness:  shown(&s.TCPFriendliness),
+	}, nil
 }

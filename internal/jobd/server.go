@@ -312,19 +312,19 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // both bit-exact (hex) and human-readable, and how the result was
 // obtained. Rows stream in completion order; Cell is the grid index.
 type ResultRow struct {
-	Cell      int                 `json:"cell"`
-	Proto     string              `json:"proto"`
-	Mbps      float64             `json:"mbps"`
-	RTTms     float64             `json:"rtt_ms"`
-	BufferMSS float64             `json:"buffer_mss"`
-	Key       string              `json:"key,omitempty"`
-	Scores    *ScoreBits          `json:"scores,omitempty"`
-	Display   map[string]*float64 `json:"display,omitempty"`
-	Cached    bool                `json:"cached"`
-	Attempts  int                 `json:"attempts,omitempty"`
-	Retries   int                 `json:"retries,omitempty"`
-	Err       string              `json:"error,omitempty"`
-	ElapsedMS int64               `json:"elapsed_ms"`
+	Cell      int           `json:"cell"`
+	Proto     string        `json:"proto"`
+	Mbps      float64       `json:"mbps"`
+	RTTms     float64       `json:"rtt_ms"`
+	BufferMSS float64       `json:"buffer_mss"`
+	Key       string        `json:"key,omitempty"`
+	Scores    *ScoreBits    `json:"scores,omitempty"`
+	Display   *ScoreDisplay `json:"display,omitempty"`
+	Cached    bool          `json:"cached"`
+	Attempts  int           `json:"attempts,omitempty"`
+	Retries   int           `json:"retries,omitempty"`
+	Err       string        `json:"error,omitempty"`
+	ElapsedMS int64         `json:"elapsed_ms"`
 }
 
 // Summary is the job's trailer line. Simulated + CacheHits + Failed ==
@@ -375,9 +375,11 @@ func (s *Server) runJob(ctx context.Context, sp *Spec, emit func(any)) Summary {
 	return sum
 }
 
-func (s *Server) runCell(ctx context.Context, c Cell, timeout time.Duration) ResultRow {
+func (s *Server) runCell(ctx context.Context, c Cell, timeout time.Duration) (row ResultRow) {
 	start := time.Now()
-	row := ResultRow{Cell: c.Index, Proto: c.Proto, Mbps: c.Mbps, RTTms: c.RTTms, BufferMSS: c.BufferMSS}
+	row = ResultRow{Cell: c.Index, Proto: c.Proto, Mbps: c.Mbps, RTTms: c.RTTms, BufferMSS: c.BufferMSS}
+	// row is the named result, so the deferred elapsed/display fill-in
+	// reaches the returned value on every path.
 	defer func() {
 		row.ElapsedMS = time.Since(start).Milliseconds()
 		if row.Scores != nil {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -197,6 +198,38 @@ func TestJobComputesStreamsAndCaches(t *testing.T) {
 		t.Fatalf("store-warm run simulated %d cells: %+v", third.sum.Simulated, third.sum)
 	}
 	requireSameScores(t, first, third)
+}
+
+// TestRowsCarryDisplay: every streamed row, simulated or served from
+// the cache, ships the human-readable display object next to the bit-exact
+// scores, with the same values Scores.Display renders.
+func TestRowsCarryDisplay(t *testing.T) {
+	_, url := startServer(t, Config{Store: newFakeStore()})
+	for _, run := range []string{"simulated", "cached"} {
+		out := submit(t, url, testSpec)
+		requireComplete(t, out, testSpecCells)
+		for i, row := range out.rows {
+			if row.Display == nil {
+				t.Fatalf("%s cell %d: no display", run, i)
+			}
+			want, err := row.Scores.Display()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(row.Display, want) {
+				t.Errorf("%s cell %d: display %s, want %s", run, i, mustJSON(t, row.Display), mustJSON(t, want))
+			}
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func TestBadSpecsRejected(t *testing.T) {

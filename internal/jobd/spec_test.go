@@ -132,10 +132,10 @@ func TestScoreBitsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if disp["fast_utilization"] != nil {
+	if disp.FastUtilization != nil {
 		t.Fatal("NaN must display as null")
 	}
-	if disp["efficiency"] == nil || *disp["efficiency"] != s.Efficiency {
+	if disp.Efficiency == nil || *disp.Efficiency != s.Efficiency {
 		t.Fatal("finite display value mangled")
 	}
 

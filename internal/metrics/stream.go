@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"math"
-
 	"repro/internal/engine"
 	"repro/internal/stats"
 )
@@ -134,78 +132,39 @@ func (s *Stream) AvgGoodput(i int) float64 {
 	return stats.Mean(s.goodput[i].LastTail(s.tailFrac))
 }
 
-// Efficiency mirrors EfficiencyFromTrace: min over the tail of X(t)/C.
+// Efficiency scores Metric I (see efficiency) on the retained tail.
 func (s *Stream) Efficiency() float64 {
-	if math.IsInf(s.capacity, 1) || s.capacity <= 0 {
-		return 0
-	}
-	return stats.Min(s.TailTotal()) / s.capacity
+	return efficiency(s.TailTotal(), s.capacity)
 }
 
-// LossAvoidance mirrors LossAvoidanceFromTrace: max tail loss rate.
+// LossAvoidance scores Metric III (see lossAvoidance): max tail loss rate.
 func (s *Stream) LossAvoidance() float64 {
-	return stats.Max(s.TailLoss())
+	return lossAvoidance(s.TailLoss())
 }
 
-// Fairness mirrors FairnessFromTrace: min-over-max of mean tail windows.
+// Fairness scores Metric IV (see fairness): min-over-max of mean tail
+// windows.
 func (s *Stream) Fairness() float64 {
 	avgs := make([]float64, len(s.windows))
 	for i := range avgs {
 		avgs[i] = s.AvgWindow(i)
 	}
-	return stats.MinOverMax(avgs)
+	return fairness(avgs)
 }
 
-// Convergence mirrors ConvergenceFromTrace: the largest α such that every
-// tail sample stays within [αx*, (2−α)x*] of its sender's tail mean x*.
+// Convergence scores Metric V (see convergence) over every sender's tail.
 func (s *Stream) Convergence() float64 {
-	alpha := 1.0
-	for i := range s.windows {
-		tail := s.TailWindow(i)
-		star := stats.Mean(tail)
-		if star <= 0 {
-			return 0
-		}
-		for _, x := range tail {
-			r := x / star
-			a := math.Min(r, 2-r)
-			if a < alpha {
-				alpha = a
-			}
-		}
-	}
-	return math.Max(alpha, 0)
+	return convergence(len(s.windows), s.TailWindow)
 }
 
-// LatencyAvoidance mirrors LatencyAvoidanceFromTrace: max tail RTT
-// inflation over the base RTT.
+// LatencyAvoidance scores Metric VIII (see latencyInflation): max tail
+// RTT inflation over the base RTT.
 func (s *Stream) LatencyAvoidance() float64 {
-	if s.baseRTT <= 0 {
-		return math.NaN()
-	}
-	return math.Max(0, stats.Max(s.TailRTT())/s.baseRTT-1)
+	return latencyInflation(s.TailRTT(), s.baseRTT)
 }
 
-// Friendliness mirrors FriendlinessFromTrace: the weakest Q-sender's mean
-// tail window relative to the strongest P-sender's.
+// Friendliness scores Metric VII (see friendliness): the weakest
+// Q-sender's mean tail window relative to the strongest P-sender's.
 func (s *Stream) Friendliness(pIdx, qIdx []int) float64 {
-	if len(pIdx) == 0 || len(qIdx) == 0 {
-		return math.NaN()
-	}
-	worstP := math.Inf(-1)
-	for _, i := range pIdx {
-		if a := s.AvgWindow(i); a > worstP {
-			worstP = a
-		}
-	}
-	worstQ := math.Inf(1)
-	for _, j := range qIdx {
-		if a := s.AvgWindow(j); a < worstQ {
-			worstQ = a
-		}
-	}
-	if worstP <= 0 {
-		return 1
-	}
-	return worstQ / worstP
+	return friendliness(s.AvgWindow, pIdx, qIdx)
 }

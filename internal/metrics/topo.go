@@ -132,7 +132,7 @@ func (s *TopoStream) AvgWindow(f int) float64 {
 }
 
 // AvgGoodput returns flow f's mean tail goodput (MSS/s), computed with
-// the same guarded w·(1−loss)/RTT samples as multilink.Result.AvgGoodput.
+// the same guarded w·(1−loss)/RTT samples as nettopo.Result.AvgGoodput.
 func (s *TopoStream) AvgGoodput(f int) float64 {
 	return stats.Mean(s.goodput[f].LastTail(s.tailFrac))
 }
@@ -165,7 +165,7 @@ func (s *TopoStream) Efficiency() float64 {
 	worst := math.Inf(1)
 	for f := range s.paths {
 		l := s.BottleneckOf(f)
-		if e := stats.Min(s.linkLoad[l].LastTail(s.tailFrac)) / s.linkCap[l]; e < worst {
+		if e := efficiency(s.linkLoad[l].LastTail(s.tailFrac), s.linkCap[l]); e < worst {
 			worst = e
 		}
 	}
@@ -180,7 +180,7 @@ func (s *TopoStream) Efficiency() float64 {
 func (s *TopoStream) LossAvoidance() float64 {
 	worst := 0.0
 	for l := range s.linkLoss {
-		if m := stats.Max(s.linkLoss[l].LastTail(s.tailFrac)); m > worst {
+		if m := lossAvoidance(s.linkLoss[l].LastTail(s.tailFrac)); m > worst {
 			worst = m
 		}
 	}
@@ -219,7 +219,7 @@ func (s *TopoStream) Fairness() float64 {
 		for i, f := range flows {
 			avgs[i] = s.AvgWindow(f)
 		}
-		if r := stats.MinOverMax(avgs); r < worst {
+		if r := fairness(avgs); r < worst {
 			worst = r
 		}
 	}
@@ -230,35 +230,20 @@ func (s *TopoStream) Fairness() float64 {
 // around its own fixed point, exactly as on a single link); the worst
 // flow governs.
 func (s *TopoStream) Convergence() float64 {
-	alpha := 1.0
-	for f := range s.windows {
-		tail := s.TailWindow(f)
-		star := stats.Mean(tail)
-		if star <= 0 {
-			return 0
-		}
-		for _, x := range tail {
-			r := x / star
-			a := math.Min(r, 2-r)
-			if a < alpha {
-				alpha = a
-			}
-		}
-	}
-	return math.Max(alpha, 0)
+	return convergence(len(s.windows), s.TailWindow)
 }
 
 // LatencyAvoidance re-states Metric VIII per flow: each flow's maximum
 // tail RTT inflation over its own base RTT (heterogeneous paths score
 // against heterogeneous baselines); the worst flow governs. Lower is
-// better.
+// better; NaN when any flow's base RTT is not positive.
 func (s *TopoStream) LatencyAvoidance() float64 {
 	worst := 0.0
 	for f := range s.flowRTT {
-		if s.baseRTT[f] <= 0 {
-			return math.NaN()
+		infl := latencyInflation(s.flowRTT[f].LastTail(s.tailFrac), s.baseRTT[f])
+		if math.IsNaN(infl) {
+			return infl
 		}
-		infl := math.Max(0, stats.Max(s.flowRTT[f].LastTail(s.tailFrac))/s.baseRTT[f]-1)
 		if infl > worst {
 			worst = infl
 		}
@@ -282,32 +267,20 @@ func (s *TopoStream) Friendliness(pIdx, qIdx []int) float64 {
 	worst := math.Inf(1)
 	found := false
 	for _, flows := range s.sharedLinks() {
-		worstP, worstQ := math.Inf(-1), math.Inf(1)
-		hasP, hasQ := false, false
+		var p, q []int
 		for _, f := range flows {
-			a := s.AvgWindow(f)
 			if inP[f] {
-				hasP = true
-				if a > worstP {
-					worstP = a
-				}
+				p = append(p, f)
 			}
 			if inQ[f] {
-				hasQ = true
-				if a < worstQ {
-					worstQ = a
-				}
+				q = append(q, f)
 			}
 		}
-		if !hasP || !hasQ {
+		if len(p) == 0 || len(q) == 0 {
 			continue
 		}
 		found = true
-		r := 1.0
-		if worstP > 0 {
-			r = worstQ / worstP
-		}
-		if r < worst {
+		if r := friendliness(s.AvgWindow, p, q); r < worst {
 			worst = r
 		}
 	}

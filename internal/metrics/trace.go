@@ -25,101 +25,45 @@ import (
 // onwards": estimators evaluate the last quarter of the run by default.
 const DefaultTailFrac = 0.75
 
-// EfficiencyFromTrace estimates Metric I (link-utilization) on a finished
-// run: the largest α such that X(t) ≥ αC throughout the tail, i.e.
-// min over the tail of X(t)/C. Returns 0 for an infinite-capacity link.
+// EfficiencyFromTrace scores Metric I (see efficiency) on a finished
+// run's tail. Returns 0 for an infinite-capacity link.
 func EfficiencyFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	c := tr.Capacity()
-	if math.IsInf(c, 1) || c <= 0 {
-		return 0
-	}
-	return stats.Min(stats.Tail(tr.Total(), tailFrac)) / c
+	return efficiency(stats.Tail(tr.Total(), tailFrac), tr.Capacity())
 }
 
-// LossAvoidanceFromTrace estimates Metric III (loss-avoidance) on a
-// finished run: the smallest α such that L(t) ≤ α throughout the tail,
-// i.e. max over the tail of L(t). Lower is better; 0 means "0-loss".
+// LossAvoidanceFromTrace scores Metric III (see lossAvoidance) on a
+// finished run's tail. Lower is better; 0 means "0-loss".
 func LossAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	return stats.Max(stats.Tail(tr.Loss(), tailFrac))
+	return lossAvoidance(stats.Tail(tr.Loss(), tailFrac))
 }
 
-// FairnessFromTrace estimates Metric IV (fairness) on a finished run of a
-// homogeneous sender population: the largest α such that every sender's
-// average tail window is at least an α-fraction of every other sender's,
-// i.e. min over senders of avg window divided by max over senders.
+// FairnessFromTrace scores Metric IV (see fairness) on a finished run of
+// a homogeneous sender population.
 func FairnessFromTrace(tr *trace.Trace, tailFrac float64) float64 {
 	avgs := make([]float64, tr.Senders())
 	for i := range avgs {
 		avgs[i] = tr.AvgWindow(i, tailFrac)
 	}
-	return stats.MinOverMax(avgs)
+	return fairness(avgs)
 }
 
-// ConvergenceFromTrace estimates Metric V (convergence) on a finished run:
-// the largest α ∈ [0, 1] such that, taking x*ᵢ to be sender i's average
-// tail window, every tail sample satisfies αx*ᵢ ≤ xᵢ(t) ≤ (2−α)x*ᵢ. A
-// perfectly constant tail scores 1; wild oscillation around the mean
-// scores near 0.
+// ConvergenceFromTrace scores Metric V (see convergence) on a finished
+// run's per-sender tails.
 func ConvergenceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	alpha := 1.0
-	for i := 0; i < tr.Senders(); i++ {
-		tail := stats.Tail(tr.Window(i), tailFrac)
-		star := stats.Mean(tail)
-		if star <= 0 {
-			return 0
-		}
-		for _, x := range tail {
-			r := x / star
-			// αx* ≤ x ⇒ α ≤ r; x ≤ (2−α)x* ⇒ α ≤ 2−r.
-			a := math.Min(r, 2-r)
-			if a < alpha {
-				alpha = a
-			}
-		}
-	}
-	return math.Max(alpha, 0)
+	return convergence(tr.Senders(), func(i int) []float64 { return stats.Tail(tr.Window(i), tailFrac) })
 }
 
-// FriendlinessFromTrace estimates Metric VII (friendliness) on a finished
-// mixed run: with pIdx the indices of P-senders and qIdx the indices of
-// Q-senders, P is α-friendly to Q for
-//
-//	α = min over (i ∈ P, j ∈ Q) of avgWindow(j) / avgWindow(i)
-//
-// over the tail. A score of 1 means Q-senders keep up with P-senders; 0
-// means P starves Q. The result may exceed 1 if Q outcompetes P.
+// FriendlinessFromTrace scores Metric VII (see friendliness) on a
+// finished mixed run, with pIdx the indices of P-senders and qIdx the
+// indices of Q-senders.
 func FriendlinessFromTrace(tr *trace.Trace, pIdx, qIdx []int, tailFrac float64) float64 {
-	if len(pIdx) == 0 || len(qIdx) == 0 {
-		return math.NaN()
-	}
-	worstP := math.Inf(-1) // largest P window (the strongest competitor)
-	for _, i := range pIdx {
-		if a := tr.AvgWindow(i, tailFrac); a > worstP {
-			worstP = a
-		}
-	}
-	worstQ := math.Inf(1) // smallest Q window (the weakest victim)
-	for _, j := range qIdx {
-		if a := tr.AvgWindow(j, tailFrac); a < worstQ {
-			worstQ = a
-		}
-	}
-	if worstP <= 0 {
-		return 1
-	}
-	return worstQ / worstP
+	return friendliness(func(i int) float64 { return tr.AvgWindow(i, tailFrac) }, pIdx, qIdx)
 }
 
-// LatencyAvoidanceFromTrace estimates Metric VIII (latency-avoidance) on a
-// finished run: the smallest α such that RTT(t) < (1+α)·2Θ throughout the
-// tail, i.e. max over the tail of RTT/2Θ − 1. Lower is better; 0 means the
-// link stays at its propagation delay.
+// LatencyAvoidanceFromTrace scores Metric VIII (see latencyInflation) on
+// a finished run's tail against the link's base RTT 2Θ.
 func LatencyAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	base := tr.BaseRTT()
-	if base <= 0 {
-		return math.NaN()
-	}
-	return math.Max(0, stats.Max(stats.Tail(tr.RTT(), tailFrac))/base-1)
+	return latencyInflation(stats.Tail(tr.RTT(), tailFrac), tr.BaseRTT())
 }
 
 // FastUtilizationFromSeries estimates Metric II (fast-utilization) from a

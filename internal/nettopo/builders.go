@@ -10,8 +10,7 @@ import (
 func nodeName(prefix string, i int) string { return fmt.Sprintf("%s%d", prefix, i) }
 
 // LinearChain returns k copies of link wired in a row through named nodes
-// n0 → n1 → … → nk, the shape on which nettopo is bit-identical to
-// multilink.
+// n0 → n1 → … → nk.
 func LinearChain(k int, link LinkSpec) ([]LinkSpec, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("nettopo: linear chain needs ≥ 1 hop, got %d", k)
@@ -30,9 +29,19 @@ func LinearChain(k int, link LinkSpec) ([]LinkSpec, error) {
 // dedicated "short" flow. Flow 0 is the long flow; flows 1..k are the
 // short flows in link order. All flows run clones of proto.
 func ParkingLot(k int, link LinkSpec, proto protocol.Protocol, init float64, opts ...Option) (*Network, error) {
+	links, flows, err := ParkingLotSpecs(k, link, proto, init)
+	if err != nil {
+		return nil, err
+	}
+	return New(links, flows, opts...)
+}
+
+// ParkingLotSpecs returns the links and flows ParkingLot wires together,
+// for callers that run the topology through the engine.
+func ParkingLotSpecs(k int, link LinkSpec, proto protocol.Protocol, init float64) ([]LinkSpec, []FlowSpec, error) {
 	links, err := LinearChain(k, link)
 	if err != nil {
-		return nil, fmt.Errorf("nettopo: parking lot: %w", err)
+		return nil, nil, fmt.Errorf("nettopo: parking lot: %w", err)
 	}
 	path := make([]int, k)
 	for i := range path {
@@ -42,7 +51,7 @@ func ParkingLot(k int, link LinkSpec, proto protocol.Protocol, init float64, opt
 	for i := 0; i < k; i++ {
 		flows = append(flows, FlowSpec{Proto: proto, Init: init, Path: []int{i}})
 	}
-	return New(links, flows, opts...)
+	return links, flows, nil
 }
 
 // Incast builds the many-to-one fan-in: n sender edges (edge link spec)

@@ -1,13 +1,14 @@
-// Package nettopo generalizes internal/multilink's linear-chain networks
-// to arbitrary DAG topologies, following the modular conservation-law
-// construction of Briat et al. (arXiv:1303.3796, 1208.1230): links,
-// queues, and flows are independent building blocks wired together by a
-// routing matrix R, where R[f][l] says flow f traverses link l.
+// Package nettopo is the §6 network-wide extension of the paper's fluid
+// model ("generalizing our model to capture network-wide protocol
+// interaction") over arbitrary DAG topologies, following the modular
+// conservation-law construction of Briat et al. (arXiv:1303.3796,
+// 1208.1230): links, queues, and flows are independent building blocks
+// wired together by a routing matrix R, where R[f][l] says flow f
+// traverses link l.
 //
 // The per-link dynamics are exactly §2's synchronized, RTT-quantized
-// fluid model (identical to multilink — a nettopo network whose links
-// form a linear chain is bit-identical to the multilink network with the
-// same parameters, enforced by a golden test):
+// fluid model, applied per link and composed along each flow's path (a
+// one-link network reproduces the single-link fluid model):
 //
 //	X_l(t) = Σ_{f: R[f][l]} x_f(t)                    (aggregate load)
 //	L_l(t) = 1 − (C_l+τ_l)/X_l(t)  if X_l > C_l+τ_l   (conservation law:
@@ -15,12 +16,15 @@
 //	loss_f = 1 − Π_{l ∈ P_f} (1 − L_l)                (independent drops)
 //	rtt_f  = Σ_{l ∈ P_f} rtt_l + Δ_f                  (delays add)
 //
-// Beyond multilink, nettopo adds:
+// The classic network-wide phenomena emerge: under stochastic loss a
+// flow crossing k congested links sees k-fold loss and is beaten down
+// below the single-link flows sharing each hop (the "parking lot" bias
+// of loss-based AIMD). Beyond a plain chain of links, nettopo offers:
 //
 //   - Named nodes: links may declare Src/Dst endpoints, in which case the
 //     topology must be a DAG (cycle-free by Kahn's algorithm) and every
 //     flow's path must be contiguous (each hop starts where the previous
-//     ended). Anonymous links keep multilink's free-form path semantics.
+//     ended). Anonymous links accept any free-form path.
 //   - Heterogeneous per-flow RTTs: FlowSpec.ExtraRTT models access-path
 //     propagation outside the shared topology, so flows crossing the same
 //     bottleneck can disagree about their base RTT.
@@ -97,7 +101,6 @@ type FlowSpec struct {
 
 	// ExtraRTT (seconds, ≥ 0) is added to the flow's composed RTT every
 	// step — the access-path propagation outside the modeled topology.
-	// Zero leaves the flow bit-identical to a multilink flow.
 	ExtraRTT float64
 }
 
@@ -150,8 +153,13 @@ func WithMaxWindow(m float64) Option {
 // shared-rate model to per-flow sampling: at a step where flow f's
 // composed path loss rate is L and its window is x, the flow observes a
 // loss event with probability 1 − (1−L)^x and otherwise observes no
-// loss. Runs remain deterministic per seed; the RNG consumption order is
-// identical to multilink's, preserving bit-parity on chain topologies.
+// loss. Runs remain deterministic per seed.
+//
+// In the fully synchronized deterministic model, flows sharing a
+// bottleneck see loss at identical steps, so magnitude-insensitive
+// protocols like AIMD react identically regardless of path length; the
+// parking-lot bias only emerges once loss observation is probabilistic,
+// exactly as on a packet network.
 func WithStochasticLoss(seed uint64) Option {
 	return func(n *Network) { n.rng = rand64.New(seed) }
 }
@@ -382,8 +390,7 @@ func (n *Network) BaseRTT(f int) float64 {
 	return rtt
 }
 
-// StepResult reports one network step. The layout matches multilink's so
-// observers can treat the two substrates uniformly.
+// StepResult reports one network step.
 type StepResult struct {
 	Step     int
 	Windows  []float64 // windows in effect during the step
@@ -394,9 +401,9 @@ type StepResult struct {
 	FlowRTT  []float64 // per-flow composed RTT (including ExtraRTT)
 }
 
-// Step advances the network one synchronized time step. The arithmetic
-// (operation order included) matches multilink.Network.Step exactly, so
-// chain-shaped nettopo networks stay bit-identical to multilink.
+// Step advances the network one synchronized time step. Its arithmetic,
+// operation order included, is pinned bit for bit by the frozen chain
+// trajectories in testdata/multilink_parity.json.
 func (n *Network) Step() StepResult {
 	p := n.perturb
 	if p != nil {

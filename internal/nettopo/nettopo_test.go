@@ -1,10 +1,13 @@
 package nettopo
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
-	"repro/internal/multilink"
 	"repro/internal/protocol"
 )
 
@@ -140,58 +143,62 @@ func TestExtraRTTShiftsBaseRTT(t *testing.T) {
 }
 
 // TestChainMatchesMultilink is the in-package half of the parity anchor:
-// an anonymous-link nettopo network and a multilink network with the same
-// specs produce bit-identical trajectories, stochastic mode included.
+// an anonymous-link chain reproduces the trajectories the retired
+// multilink substrate produced for the same specs, bit for bit and step
+// for step, stochastic mode included (testdata/multilink_parity.json).
 func TestChainMatchesMultilink(t *testing.T) {
 	const hops, steps = 3, 800
-	link := oneLink()
-	mlLinks := make([]multilink.LinkSpec, hops)
-	ntLinks := make([]LinkSpec, hops)
-	for i := 0; i < hops; i++ {
-		mlLinks[i] = multilink.LinkSpec{Bandwidth: link.Bandwidth, PropDelay: link.PropDelay, Buffer: link.Buffer}
-		ntLinks[i] = link
+	fx := LoadParityFixture(t)
+	links := make([]LinkSpec, hops)
+	for i := range links {
+		links[i] = oneLink()
 	}
-	long := []int{0, 1, 2}
-	mlFlows := []multilink.FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: long}}
-	ntFlows := []FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: long}}
+	flows := []FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: []int{0, 1, 2}}}
 	for i := 0; i < hops; i++ {
-		mlFlows = append(mlFlows, multilink.FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
-		ntFlows = append(ntFlows, FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
+		flows = append(flows, FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
 	}
 	for _, seed := range []uint64{0, 7} {
-		var mlOpts []multilink.Option
-		var ntOpts []Option
+		var opts []Option
 		name := "deterministic"
 		if seed != 0 {
-			mlOpts = append(mlOpts, multilink.WithStochasticLoss(seed))
-			ntOpts = append(ntOpts, WithStochasticLoss(seed))
+			opts = append(opts, WithStochasticLoss(seed))
 			name = "stochastic"
 		}
-		ml, err := multilink.New(mlLinks, mlFlows, mlOpts...)
+		want, ok := fx.Chain[name]
+		if !ok {
+			t.Fatalf("fixture has no %s chain", name)
+		}
+		n, err := New(links, flows, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nt, err := New(ntLinks, ntFlows, ntOpts...)
+		h := sha256.New()
+		var buf [8]byte
+		put := func(v float64) {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		res, err := n.RunObserved(context.Background(), steps, true, func(r *StepResult) {
+			for f := range r.Windows {
+				put(r.Windows[f])
+				put(r.FlowLoss[f])
+				put(r.FlowRTT[f])
+			}
+			for l := range r.LinkLoss {
+				put(r.LinkLoss[l])
+				put(r.LinkRTT[l])
+				put(r.LinkLoad[l])
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s := 0; s < steps; s++ {
-			mr := ml.Step()
-			nr := nt.Step()
-			for f := range ntFlows {
-				if mr.Windows[f] != nr.Windows[f] {
-					t.Fatalf("%s: step %d flow %d window diverged: multilink %v, nettopo %v",
-						name, s, f, mr.Windows[f], nr.Windows[f])
-				}
-				if mr.FlowLoss[f] != nr.FlowLoss[f] || mr.FlowRTT[f] != nr.FlowRTT[f] {
-					t.Fatalf("%s: step %d flow %d feedback diverged", name, s, f)
-				}
-			}
-			for l := range ntLinks {
-				if mr.LinkLoss[l] != nr.LinkLoss[l] || mr.LinkLoad[l] != nr.LinkLoad[l] {
-					t.Fatalf("%s: step %d link %d state diverged", name, s, l)
-				}
-			}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want.Trajectory {
+			t.Errorf("%s: trajectory digest %s, fixture %s", name, got, want.Trajectory)
+		}
+		for f := range flows {
+			CheckBits(t, fmt.Sprintf("%s flow %d avg window", name, f), res.AvgWindow(f, 0.75), want.AvgWindow[f])
+			CheckBits(t, fmt.Sprintf("%s flow %d avg goodput", name, f), res.AvgGoodput(f, 0.75), want.AvgGoodput[f])
 		}
 	}
 }

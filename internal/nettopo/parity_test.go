@@ -1,20 +1,24 @@
 package nettopo_test
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
+	"repro/internal/experiment"
+	"repro/internal/nettopo"
 	"repro/internal/scenario"
 )
 
-// TestParkingLotParityGolden is the parity anchor the tentpole promises:
-// the shipped parking-lot scenario, run through the multilink substrate
-// (recorded, uncached) and re-run through nettopo (streamed through the
-// session cache) must agree bit-for-bit on every per-flow summary and on
-// every summary key the two models share. Any drift in nettopo's step
-// arithmetic, the scenario wiring, or the TopoStream ring accounting
-// breaks this test.
+// TestParkingLotParityGolden is the end-to-end parity anchor: the
+// shipped parking-lot scenario ("model": "multilink", now an alias of
+// nettopo) and the same spec run as "nettopo" both reproduce, bit for
+// bit, every per-flow summary and every shared summary key the retired
+// multilink substrate produced (testdata/multilink_parity.json). Any
+// drift in nettopo's step arithmetic, the scenario wiring, or the
+// TopoStream ring accounting breaks this test.
 func TestParkingLotParityGolden(t *testing.T) {
+	fx := nettopo.LoadParityFixture(t)
 	raw, err := os.Open("../../scenarios/parking-lot.json")
 	if err != nil {
 		t.Fatal(err)
@@ -27,47 +31,51 @@ func TestParkingLotParityGolden(t *testing.T) {
 	if spec.Model != "multilink" {
 		t.Fatalf("parking-lot model = %q, want multilink", spec.Model)
 	}
-	ml, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	topo := *spec
 	topo.Model = "nettopo"
-	if err := topo.Validate(); err != nil {
-		t.Fatalf("parking-lot is not a valid nettopo scenario: %v", err)
+	for _, s := range []*scenario.Spec{spec, &topo} {
+		out, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fx.ParkingLotScenario
+		if len(out.Flows) != len(want.Flows) {
+			t.Fatalf("%s: %d flows, fixture %d", s.Model, len(out.Flows), len(want.Flows))
+		}
+		for i, f := range out.Flows {
+			nettopo.CheckBits(t, fmt.Sprintf("%s flow %d avg window", s.Model, i), f.AvgWindow, want.Flows[i].AvgWindow)
+			nettopo.CheckBits(t, fmt.Sprintf("%s flow %d goodput", s.Model, i), f.Goodput, want.Flows[i].Goodput)
+			nettopo.CheckBits(t, fmt.Sprintf("%s flow %d share", s.Model, i), f.Share, want.Flows[i].Share)
+		}
+		for _, k := range []string{"efficiency", "jain_goodput", "tail_loss"} {
+			v, ok := out.Summary[k]
+			if !ok {
+				t.Fatalf("%s summary missing %q", s.Model, k)
+			}
+			nettopo.CheckBits(t, s.Model+" summary "+k, v, want.Summary[k])
+		}
 	}
-	nt, err := topo.Run()
+}
+
+// TestParkingLotExperimentGolden: the §6 parking-lot sweep, now on the
+// nettopo substrate, reproduces the ratios the multilink substrate
+// produced.
+func TestParkingLotExperimentGolden(t *testing.T) {
+	fx := nettopo.LoadParityFixture(t)
+	entries, err := experiment.ParkingLotExperiment([]int{1, 2, 3, 4}, 6000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if len(ml.Flows) != len(nt.Flows) {
-		t.Fatalf("flow count: multilink %d, nettopo %d", len(ml.Flows), len(nt.Flows))
+	if len(entries) != len(fx.ParkingLotExperiment) {
+		t.Fatalf("%d entries, fixture %d", len(entries), len(fx.ParkingLotExperiment))
 	}
-	for i := range ml.Flows {
-		m, n := ml.Flows[i], nt.Flows[i]
-		if m.AvgWindow != n.AvgWindow {
-			t.Errorf("flow %d avg window: multilink %v, nettopo %v", i, m.AvgWindow, n.AvgWindow)
+	for i, e := range entries {
+		want := fx.ParkingLotExperiment[i]
+		if e.Hops != want.Hops {
+			t.Fatalf("entry %d: hops %d, fixture %d", i, e.Hops, want.Hops)
 		}
-		if m.Goodput != n.Goodput {
-			t.Errorf("flow %d goodput: multilink %v, nettopo %v", i, m.Goodput, n.Goodput)
-		}
-		if m.Share != n.Share {
-			t.Errorf("flow %d share: multilink %v, nettopo %v", i, m.Share, n.Share)
-		}
-	}
-	for _, k := range []string{"efficiency", "jain_goodput", "tail_loss"} {
-		mv, ok := ml.Summary[k]
-		if !ok {
-			t.Fatalf("multilink summary missing %q", k)
-		}
-		nv, ok := nt.Summary[k]
-		if !ok {
-			t.Fatalf("nettopo summary missing %q", k)
-		}
-		if mv != nv {
-			t.Errorf("summary %q: multilink %v, nettopo %v", k, mv, nv)
-		}
+		nettopo.CheckBits(t, fmt.Sprintf("%d hops window ratio", e.Hops), e.WindowRatio, want.WindowRatio)
+		nettopo.CheckBits(t, fmt.Sprintf("%d hops goodput ratio", e.Hops), e.GoodputRatio, want.GoodputRatio)
+		nettopo.CheckBits(t, fmt.Sprintf("%d hops link util", e.Hops), e.LinkUtil, want.LinkUtil)
 	}
 }

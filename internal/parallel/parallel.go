@@ -2,14 +2,15 @@
 // sweeps use to exploit multiple cores. Every simulation in this
 // repository is deterministic and cell-independent, so grid sweeps
 // parallelize without affecting results; Map preserves input order and
-// fails fast on the first error.
+// fails fast on the first error, while MapSettled runs every item and
+// reports failures per item. Both share one worker loop.
 //
 // With observability enabled (internal/obs), each pool reports item
 // success/failure counts, a queue-wait histogram (time a worker spends
 // between finishing one item and starting the next, i.e. claim
 // contention plus drain), and a worker-utilization gauge
 // (Σ busy time / (workers × wall time)). Disabled, the instrumentation
-// costs one atomic load per MapCtx call and nothing per item.
+// costs one atomic load per pool and nothing per item.
 package parallel
 
 import (
@@ -60,8 +61,8 @@ var (
 
 // Map applies f to every item index in [0, n), using up to workers
 // goroutines (0 = GOMAXPROCS), and collects the results in input order.
-// The first error cancels the remaining work (in-flight calls finish) and
-// is returned.
+// The first error stops the pool from claiming further items and is
+// returned once in-flight calls finish.
 func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
 	return MapCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
 		return f(i)
@@ -71,126 +72,30 @@ func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
 // MapCtx is Map with cooperative cancellation: once ctx is done, workers
 // stop claiming new items (in-flight calls finish) and the context error
 // is returned unless an item error occurred first. The per-item function
-// receives ctx so long-running cells can also abort mid-call.
+// receives a context derived from ctx, canceled by the first item error,
+// so long-running items can also abort mid-call; the first item error is
+// the one returned, never a sibling's resulting cancellation.
 func MapCtx[T any](ctx context.Context, n, workers int, f func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("parallel: negative item count %d", n)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	instrumented := obs.Enabled()
-	var (
-		poolStart time.Time
-		busyNs    atomic.Int64
-	)
-	if instrumented {
-		poolRuns.Inc()
-		poolStart = time.Now()
-	}
-	finishPool := func() {
-		if !instrumented {
+	itemCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var firstErr error
+	run(itemCtx, n, workers, f, func(i int, v T, err error) {
+		if err != nil {
+			// Only the first failure is reported: items that fail later,
+			// typically with the cancellation this one triggers, are
+			// just settled.
+			if firstErr == nil {
+				firstErr = fmt.Errorf("parallel: item %d: %w", i, err)
+				cancel()
+			}
 			return
 		}
-		wall := time.Since(poolStart)
-		if wall > 0 {
-			poolUtilization.Set(float64(busyNs.Load()) / (float64(workers) * float64(wall.Nanoseconds())))
-		}
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				finishPool()
-				return nil, err
-			}
-			var itemStart time.Time
-			if instrumented {
-				itemStart = time.Now()
-			}
-			v, err := call(ctx, i, f)
-			if instrumented {
-				busyNs.Add(int64(time.Since(itemStart)))
-				if err != nil {
-					poolItemsFailed.Inc()
-				} else {
-					poolItemsOK.Inc()
-				}
-			}
-			if err != nil {
-				finishPool()
-				return nil, err
-			}
-			out[i] = v
-		}
-		finishPool()
-		return out, nil
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= n || ctx.Err() != nil {
-			return -1
-		}
-		i := next
-		next++
-		return i
-	}
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idleSince := poolStart
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				var itemStart time.Time
-				if instrumented {
-					itemStart = time.Now()
-					poolQueueWait.Observe(itemStart.Sub(idleSince))
-				}
-				v, err := call(ctx, i, f)
-				if instrumented {
-					idleSince = time.Now()
-					busyNs.Add(int64(idleSince.Sub(itemStart)))
-					if err != nil {
-						poolItemsFailed.Inc()
-					} else {
-						poolItemsOK.Inc()
-					}
-				}
-				if err != nil {
-					fail(fmt.Errorf("parallel: item %d: %w", i, err))
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	finishPool()
+		out[i] = v
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -210,16 +115,40 @@ func MapSettled[T any](ctx context.Context, n, workers int, f func(ctx context.C
 	if n < 0 {
 		return nil, nil, fmt.Errorf("parallel: negative item count %d", n)
 	}
+	out := make([]T, n)
+	errs := make([]error, n)
+	claimed := run(ctx, n, workers, f, func(i int, v T, err error) {
+		out[i], errs[i] = v, err
+	})
+	if err := ctx.Err(); err != nil {
+		// Workers check ctx when claiming, so exactly the indexes below
+		// claimed ran; everything from there on never started and
+		// carries the context error instead of a zero result.
+		for i := claimed; i < n; i++ {
+			errs[i] = err
+		}
+		return out, errs, err
+	}
+	return out, errs, nil
+}
+
+// run is the worker loop behind MapCtx and MapSettled. It calls f on
+// the indexes [0, n) in order of claim from up to workers goroutines
+// (0 = GOMAXPROCS; with one worker the loop runs inline and spawns
+// nothing) and hands every outcome to settle. Claims and settle calls
+// are serialized under one lock, so settle needs no locking of its own,
+// and once ctx is done no further index is claimed; a caller that wants
+// fail-fast cancels ctx from settle. run returns once every claimed call
+// has settled, reporting how many indexes were claimed.
+func run[T any](ctx context.Context, n, workers int, f func(ctx context.Context, i int) (T, error), settle func(i int, v T, err error)) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	out := make([]T, n)
-	errs := make([]error, n)
 	if n == 0 {
-		return out, errs, nil
+		return 0
 	}
 	instrumented := obs.Enabled()
 	var (
@@ -231,20 +160,20 @@ func MapSettled[T any](ctx context.Context, n, workers int, f func(ctx context.C
 		poolStart = time.Now()
 	}
 	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
+		mu   sync.Mutex
+		next int
 	)
 	worker := func() {
-		defer wg.Done()
 		idleSince := poolStart
 		for {
-			if ctx.Err() != nil {
+			mu.Lock()
+			if next >= n || ctx.Err() != nil {
+				mu.Unlock()
 				return
 			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+			i := next
+			next++
+			mu.Unlock()
 			var itemStart time.Time
 			if instrumented {
 				itemStart = time.Now()
@@ -260,35 +189,28 @@ func MapSettled[T any](ctx context.Context, n, workers int, f func(ctx context.C
 					poolItemsOK.Inc()
 				}
 			}
-			out[i], errs[i] = v, err
+			mu.Lock()
+			settle(i, v, err)
+			mu.Unlock()
 		}
 	}
 	if workers <= 1 {
-		wg.Add(1)
 		worker()
 	} else {
+		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go worker()
+			go func() {
+				defer wg.Done()
+				worker()
+			}()
 		}
 		wg.Wait()
 	}
 	if instrumented {
-		wall := time.Since(poolStart)
-		if wall > 0 {
+		if wall := time.Since(poolStart); wall > 0 {
 			poolUtilization.Set(float64(busyNs.Load()) / (float64(workers) * float64(wall.Nanoseconds())))
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		// Workers check ctx before claiming, so exactly the indexes below
-		// next were handed out and ran; everything from next on never
-		// started and carries the context error instead of a zero result.
-		for i := int(next.Load()); i < n; i++ {
-			if i >= 0 && errs[i] == nil {
-				errs[i] = err
-			}
-		}
-		return out, errs, err
-	}
-	return out, errs, nil
+	return next
 }

@@ -44,22 +44,36 @@ func TestMapNegative(t *testing.T) {
 	}
 }
 
+// TestMapErrorFailsFast: after the first item error is recorded, no
+// further item is claimed, and that error, not a sibling's resulting
+// cancellation, is returned. The test assumes nothing about scheduling:
+// every other item blocks until its context is canceled, which the pool
+// does only once it has recorded item 3's error, then fails with the
+// context error. So the four workers claim exactly items 0–3, and any
+// call that starts with its context already canceled is a claim made
+// after the failure.
 func TestMapErrorFailsFast(t *testing.T) {
 	boom := errors.New("boom")
-	var calls atomic.Int64
-	_, err := Map(1000, 4, func(i int) (int, error) {
+	var calls, late atomic.Int64
+	_, err := MapCtx(context.Background(), 1000, 4, func(ctx context.Context, i int) (int, error) {
 		calls.Add(1)
+		if ctx.Err() != nil {
+			late.Add(1)
+		}
 		if i == 3 {
 			return 0, boom
 		}
-		return i, nil
+		<-ctx.Done()
+		return i, ctx.Err()
 	})
-	if err == nil || !errors.Is(err, boom) {
+	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	// Fail-fast: nowhere near all 1000 items should have run.
-	if calls.Load() > 900 {
-		t.Fatalf("%d calls despite early error", calls.Load())
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d items claimed after the failure was recorded", n)
+	}
+	if n := calls.Load(); n != 4 {
+		t.Fatalf("%d calls, want exactly the 4 claimed before the failure", n)
 	}
 }
 

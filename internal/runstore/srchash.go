@@ -24,7 +24,6 @@ var SimulationPackages = []string{
 	"internal/engine",
 	"internal/fluid",
 	"internal/metrics",
-	"internal/multilink",
 	"internal/nettopo",
 	"internal/packetsim",
 	"internal/protocol",

@@ -1,11 +1,11 @@
 // Package scenario loads and runs experiment descriptions from JSON, so
 // that scenarios are shareable artifacts rather than code: a spec selects
-// one of the four simulators (the §2 fluid model, the packet-level
-// testbed, the §6 multilink chain, or the nettopo DAG substrate),
-// describes the link(s) and flows in the paper's units (Mbps, ms, MSS),
-// and produces a uniform outcome with per-flow shares and link-level
-// metrics. The repository ships a library of canonical specs under
-// scenarios/.
+// one of the three simulators (the §2 fluid model, the packet-level
+// testbed, or the nettopo network substrate; "multilink" is kept as an
+// alias of "nettopo" restricted to anonymous links), describes the
+// link(s) and flows in the paper's units (Mbps, ms, MSS), and produces a
+// uniform outcome with per-flow shares and link-level metrics. The
+// repository ships a library of canonical specs under scenarios/.
 package scenario
 
 import (
@@ -20,7 +20,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
-	"repro/internal/multilink"
 	"repro/internal/nettopo"
 	"repro/internal/packetsim"
 	"repro/internal/protocol"
@@ -67,7 +66,7 @@ type Flow struct {
 // Spec is a complete scenario.
 type Spec struct {
 	Name     string  `json:"name"`
-	Model    string  `json:"model"`              // "fluid" | "packet" | "multilink" | "nettopo"
+	Model    string  `json:"model"`              // "fluid" | "packet" | "nettopo" | "multilink" (alias)
 	Steps    int     `json:"steps,omitempty"`    // fluid/multilink/nettopo horizon (default 4000)
 	Duration float64 `json:"duration,omitempty"` // packet horizon in seconds (default 60)
 	Seed     uint64  `json:"seed,omitempty"`
@@ -142,7 +141,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %q: flow %d: \"extra_rtt_ms\" is for nettopo", s.Name, i)
 		}
 	}
-	if s.Model == "nettopo" {
+	if multi {
 		// Dry-build the network with placeholder protocols so topology
 		// errors — cycles, discontiguous or duplicate-hop paths, half-named
 		// links — surface at load/lint time rather than mid-run.
@@ -213,9 +212,9 @@ type Outcome struct {
 	Name  string        `json:"name"`
 	Model string        `json:"model"`
 	Flows []FlowOutcome `json:"flows"`
-	// Summary carries model-appropriate link metrics: efficiency,
-	// tail loss, fairness (Jain index over goodputs), and, for fluid and
-	// packet runs, latency inflation.
+	// Summary carries model-appropriate link metrics: efficiency, tail
+	// loss, the Jain index over goodputs, latency inflation and, for
+	// network runs with a shared link, per-link fairness.
 	Summary map[string]float64 `json:"summary"`
 }
 
@@ -235,10 +234,8 @@ func (s *Spec) RunContext(ctx context.Context) (*Outcome, error) {
 		return s.runFluid(ctx)
 	case "packet":
 		return s.runPacket(ctx)
-	case "nettopo":
-		return s.runTopo(ctx)
 	default:
-		return s.runMultilink(ctx)
+		return s.runTopo(ctx)
 	}
 }
 
@@ -369,70 +366,6 @@ func (s *Spec) runPacket(ctx context.Context) (*Outcome, error) {
 	return out, nil
 }
 
-func (s *Spec) runMultilink(ctx context.Context) (*Outcome, error) {
-	protos, err := s.parseProtocols()
-	if err != nil {
-		return nil, err
-	}
-	links := make([]multilink.LinkSpec, len(s.Links))
-	for i, l := range s.Links {
-		links[i] = multilink.LinkSpec{
-			Bandwidth: fluid.MbpsToMSSps(l.Mbps),
-			PropDelay: l.RTTms / 1000 / 2,
-			Buffer:    l.BufferMSS,
-		}
-	}
-	flows := make([]multilink.FlowSpec, len(s.Flows))
-	for i, f := range s.Flows {
-		init := f.Init
-		if init == 0 {
-			init = 1
-		}
-		flows[i] = multilink.FlowSpec{Proto: protos[i], Init: init, Path: f.Path}
-	}
-	var opts []multilink.Option
-	if s.StochasticLoss {
-		opts = append(opts, multilink.WithStochasticLoss(s.Seed))
-	}
-	// Per-flow and per-link tail summaries need the full recorded series.
-	eres, err := engine.Run(ctx, engine.Spec{
-		Substrate: &engine.NetSpec{Links: links, Flows: flows, Opts: opts, Steps: s.steps()},
-		Record:    true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := eres.Net
-
-	tail := s.tail()
-	out := &Outcome{Name: s.Name, Model: s.Model, Summary: map[string]float64{}}
-	var goodputs []float64
-	for i := range s.Flows {
-		g := res.AvgGoodput(i, tail)
-		goodputs = append(goodputs, g)
-		out.Flows = append(out.Flows, FlowOutcome{
-			Protocol:  protos[i].Name(),
-			AvgWindow: res.AvgWindow(i, tail),
-			Goodput:   g,
-		})
-	}
-	fillShares(out.Flows, goodputs)
-	util := 0.0
-	for l := range links {
-		util += res.LinkUtilization(l, tail)
-	}
-	out.Summary["efficiency"] = util / float64(len(links))
-	out.Summary["jain_goodput"] = stats.JainIndex(goodputs)
-	worstLoss := 0.0
-	for l := range links {
-		if m := stats.Mean(stats.Tail(res.LinkLoss[l], tail)); m > worstLoss {
-			worstLoss = m
-		}
-	}
-	out.Summary["tail_loss"] = worstLoss
-	return out, nil
-}
-
 func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 	protos, err := s.parseProtocols()
 	if err != nil {
@@ -452,9 +385,9 @@ func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 			ExtraRTT: f.ExtraRTTms / 1000,
 		}
 	}
-	// Unlike runMultilink, all summaries come from tail rings, so the run
-	// streams through a TopoStream and resolves through the session cache:
-	// a warm persistent store serves the whole scenario without simulating.
+	// All summaries come from tail rings, so the run streams through a
+	// TopoStream and resolves through the session cache: a warm persistent
+	// store serves the whole scenario without simulating.
 	tail := s.tail()
 	st, err := metrics.RunTopo(ctx, metrics.TopoRunSpec{
 		Links:      links,
