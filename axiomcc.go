@@ -338,7 +338,7 @@ type (
 	// ChaosInjector is a schedule compiled against a substrate shape.
 	ChaosInjector = chaos.Injector
 	// EngineHardening carries process-wide sweep-hardening defaults
-	// (per-cell timeout, retries, checkpoint/resume).
+	// (per-cell timeout, retries, -nobatch).
 	EngineHardening = engine.Hardening
 )
 
@@ -354,7 +354,7 @@ var (
 	FlappyLinkSchedule = chaos.FlappyLink
 	// SetEngineHardening installs process-wide sweep-hardening defaults.
 	SetEngineHardening = engine.SetHardening
-	// RegisterSweepFlags mounts -cell-timeout/-retries/-checkpoint/-resume.
+	// RegisterSweepFlags mounts -cell-timeout/-retries/-checkpoint/-resume/-nobatch.
 	RegisterSweepFlags = engine.RegisterSweepFlags
 	// RegisterStoreFlags mounts -store/-nostore/-store-max-bytes/-store-stats
 	// (the persistent cross-process run store).
@@ -362,16 +362,13 @@ var (
 	// OpenRunStore opens (or creates) a persistent run store directory.
 	OpenRunStore = runstore.Open
 	// SetDefaultRunStore installs the store every new metric session
-	// inherits; SetCheckpointStore is its sweep-checkpoint counterpart.
+	// inherits; SetCellStore is its keyed-sweep counterpart.
 	SetDefaultRunStore = metrics.SetDefaultStore
-	// SetCheckpointStore externalizes sweep-checkpoint cell payloads.
-	SetCheckpointStore = engine.SetCheckpointStore
+	// SetCellStore installs the store keyed sweeps persist cells in.
+	SetCellStore = engine.SetCellStore
 	// MetricTotalStats aggregates run-cache counters across every metric
 	// session in the process.
 	MetricTotalStats = metrics.TotalStats
-	// EngineCheckpointable opts a sweep config into the process-wide
-	// checkpoint default (the cell result type must round-trip JSON).
-	EngineCheckpointable = engine.Checkpointable
 	// ErrSimulationDiverged matches (errors.Is) the typed error the fluid
 	// stepper returns when a cell's windows blow up to NaN/Inf instead of
 	// silently poisoning axiom scores.

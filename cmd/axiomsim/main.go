@@ -57,6 +57,7 @@ func main() {
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
 	sfl.Apply()
+	stfl.UseCheckpoint(sfl.Checkpoint)
 	defer stfl.Apply("axiomsim")()
 
 	stop, err := ofl.Start("axiomsim")

@@ -17,8 +17,10 @@
 //
 // -quick shrinks grids and horizons for a fast smoke pass. -chaos applies
 // a fault-injection schedule (JSON, see EXPERIMENTS.md) to every
-// metric-estimator run; -cell-timeout, -retries, -checkpoint, and -resume
-// harden the sweep orchestrator.
+// metric-estimator run; -cell-timeout and -retries harden the sweep
+// orchestrator. Completed sweep cells persist in the run store, so
+// rerunning an interrupted command resumes it; -checkpoint names the
+// store directory to use.
 package main
 
 import (
@@ -55,6 +57,7 @@ func main() {
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
 	sfl.Apply()
+	stfl.UseCheckpoint(sfl.Checkpoint)
 	defer stfl.Apply("reproduce")()
 
 	stop, err := ofl.Start("reproduce")

@@ -15,12 +15,11 @@ import (
 // SweepSpecs groups compatible fluid cells of a spec grid and advances
 // each group in lockstep through a fluid.Batch (structure-of-arrays
 // stepping with closed-form protocol kernels), while every other cell —
-// non-fluid substrates, non-kernel protocols, unsynchronized senders,
-// checkpoint-restored cells — takes the ordinary per-cell engine.Run
-// path. Batched and per-cell results are bit-identical by construction
-// (see internal/fluid/batch.go), so callers cannot observe which path a
-// cell took except through the engine.sweep.cells.batched / .fallback
-// counters and wall-clock time.
+// non-fluid substrates, non-kernel protocols, unsynchronized senders —
+// takes the ordinary per-cell engine.Run path. Batched and per-cell
+// results are bit-identical by construction (see internal/fluid/batch.go),
+// so callers cannot observe which path a cell took except through the
+// engine.sweep.cells.batched / .fallback counters and wall-clock time.
 
 // minBatchGroup is the smallest group worth batching: a singleton gains
 // nothing over per-cell stepping, so it falls back (and counts as
@@ -66,8 +65,7 @@ type StripObserver interface {
 // as batched when a fluid.Batch stepped it, and as fallback when it is a
 // fluid-substrate cell that took the per-cell path instead (no kernel,
 // unsynchronized feedback, singleton group, -nobatch, ...). Non-fluid
-// cells count as neither. Checkpoint-restored cells execute nothing and
-// also count as neither (they land in engine.sweep.cells.restored).
+// cells count as neither.
 var (
 	sweepCellsBatched  = obs.GetCounter("engine.sweep.cells.batched")
 	sweepCellsFallback = obs.GetCounter("engine.sweep.cells.fallback")
@@ -86,8 +84,8 @@ type batchOut struct {
 // cells are grouped and stepped in lockstep before the per-cell pass,
 // which then serves their precomputed results. All Sweep semantics are
 // preserved — fail-fast on the first cell error, deterministic results
-// at any worker count, hardening (timeouts, retries, checkpoint/resume)
-// via cfg, and obs instrumentation.
+// at any worker count, hardening (timeouts, retries) via cfg, and obs
+// instrumentation. Spec grids are never persisted: cfg.Key is ignored.
 //
 // Specs must be self-describing: cell seeds come from each spec's
 // Cfg.Seed / ChaosSeed fields, not from CellSeed derivation (the per-cell
@@ -103,6 +101,7 @@ func SweepSpecs(ctx context.Context, specs []Spec, cfg SweepConfig) ([]*Result, 
 	capNestedWorkers(ctx, &cfg)
 	applyHardening(&cfg)
 	routeWorkers(len(specs), &cfg)
+	cfg.Key = ""
 	ctx, sp := obs.StartSpan(ctx, "engine.sweep.specs")
 	sp.SetDetail(strconv.Itoa(len(specs)) + " specs")
 	defer sp.End()
@@ -172,17 +171,8 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 		return nil
 	}
 
-	restored := restoredCells(cfg, len(specs))
 	groups := make(map[batchKey][]int)
 	for i := range specs {
-		if restored[i] {
-			if instrumented {
-				if _, ok := specs[i].Substrate.(*FluidSpec); ok {
-					fluidCells--
-				}
-			}
-			continue
-		}
 		if key, ok := batchKeyFor(&specs[i]); ok {
 			groups[key] = append(groups[key], i)
 		}
@@ -213,27 +203,6 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 		return struct{}{}, nil
 	})
 	return outs
-}
-
-// restoredCells peeks at the checkpoint a resuming sweep will restore
-// from, so batch groups exclude cells whose results will never be
-// recomputed. The peek is read-only; the harness loads the file again
-// itself.
-func restoredCells(cfg *SweepConfig, n int) map[int]bool {
-	if !cfg.Resume || cfg.Checkpoint == "" {
-		return nil
-	}
-	ck := newCheckpointer(cfg, n)
-	if ck == nil {
-		return nil
-	}
-	m := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		if _, ok := ck.cached(i); ok {
-			m[i] = true
-		}
-	}
-	return m
 }
 
 // runBatchGroup steps one group of cells in lockstep and fills their

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -159,54 +158,16 @@ func TestSweepSpecsBitIdentityRandomLoss(t *testing.T) {
 	runBothPaths(t, grid, SweepConfig{Workers: 3})
 }
 
-// TestSweepSpecsCheckpointResume is the checkpoint/resume column: a
-// batched sweep is canceled mid-flight, its checkpoint keeps the
-// completed cells, and the resumed sweep — which must exclude restored
-// cells from batch groups — finishes with results bit-identical to an
-// uninterrupted per-cell run.
-func TestSweepSpecsCheckpointResume(t *testing.T) {
-	ckpath := filepath.Join(t.TempDir(), "sweep.json")
-	grid := func() []Spec { return batchGrid(t, 300, nil) }
-
-	// Phase 1: serial sweep, canceled after two cells completed.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := SweepConfig{
-		Workers:    1,
-		Checkpoint: ckpath,
-		Progress: func(done, total int) {
-			if done == 2 {
-				cancel()
-			}
-		},
-	}
-	if _, err := SweepSpecs(ctx, grid(), cfg); err == nil {
-		t.Fatal("canceled sweep returned nil error")
-	}
-
-	// Phase 2: resume. Restored cells come from the checkpoint, the rest
-	// re-run (batched).
-	obs.Enable()
-	defer obs.Disable()
-	r0 := obs.GetCounter("engine.sweep.cells.restored").Value()
-	resumed, err := SweepSpecs(context.Background(), grid(), SweepConfig{
-		Workers:    2,
-		Checkpoint: ckpath,
-		Resume:     true,
-	})
-	if err != nil {
+// TestSweepSpecsPersistsNothing: spec grids never touch the cell store,
+// even when the config carries a Key.
+func TestSweepSpecsPersistsNothing(t *testing.T) {
+	st := newMemStore()
+	useCellStore(t, st)
+	if _, err := SweepSpecs(context.Background(), batchGrid(t, 300, nil), SweepConfig{Workers: 2, Key: "specs"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.GetCounter("engine.sweep.cells.restored").Value() - r0; got == 0 {
-		t.Fatal("resume restored no cells; cancellation landed before any checkpoint record")
-	}
-
-	scalar, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range resumed {
-		equalTraces(t, resumed[i].Trace, scalar[i].Trace)
+	if st.puts != 0 {
+		t.Fatalf("SweepSpecs wrote %d cells to the store", st.puts)
 	}
 }
 

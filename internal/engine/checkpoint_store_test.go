@@ -2,30 +2,25 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/runstore"
 )
 
-// TestCheckpointExternalizesToStore pins the unified payload format:
-// with a CellStore installed, the checkpoint snapshot carries refs into
-// the store instead of duplicating result JSON, and a resume resolves
-// those refs back to bit-identical cells without re-executing anything.
+// TestCheckpointExternalizesToStore pins the cell key format against the
+// real run store: every completed cell of a keyed sweep lands under
+// sweepcell|Key|seed=CellSeed, and a rerun resolves those entries back
+// to bit-identical cells without re-executing anything.
 func TestCheckpointExternalizesToStore(t *testing.T) {
 	st, err := runstore.Open(t.TempDir(), runstore.Options{Version: "testver"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpointStore(st)
-	defer SetCheckpointStore(nil)
+	useCellStore(t, st)
 
 	const n = 9
-	path := filepath.Join(t.TempDir(), "sweep.json")
 	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
 		return checkpointCellValue(i, seed), nil
 	}
@@ -33,42 +28,18 @@ func TestCheckpointExternalizesToStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, BaseSeed: 11, Checkpoint: path}, cell); err != nil {
+	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, BaseSeed: 11, Key: "ext"}, cell); err != nil {
 		t.Fatal(err)
 	}
-
-	// The snapshot must reference the store, not inline results.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Cells []struct {
-			Index  int             `json:"index"`
-			Result json.RawMessage `json:"result"`
-			Ref    string          `json:"ref"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Cells) != n {
-		t.Fatalf("snapshot has %d cells, want %d", len(snap.Cells), n)
-	}
-	for _, c := range snap.Cells {
-		if len(c.Result) != 0 {
-			t.Fatalf("cell %d inlines its result despite the store", c.Index)
-		}
-		if !strings.HasPrefix(c.Ref, "sweepcell|") {
-			t.Fatalf("cell %d ref = %q, want sweepcell|… store key", c.Index, c.Ref)
-		}
-		if _, ok := st.Get(c.Ref); !ok {
-			t.Fatalf("cell %d ref %q not resolvable in the store", c.Index, c.Ref)
+	for i := 0; i < n; i++ {
+		key := "sweepcell|ext|seed=" + strconv.FormatUint(CellSeed(11, i), 16)
+		if _, ok := st.Get(key); !ok {
+			t.Fatalf("cell %d not in the store under %q", i, key)
 		}
 	}
 
 	var executed atomic.Int64
-	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, BaseSeed: 11, Checkpoint: path, Resume: true},
+	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, BaseSeed: 11, Key: "ext"},
 		func(ctx context.Context, i int, seed uint64) (float64, error) {
 			executed.Add(1)
 			return cell(ctx, i, seed)
@@ -77,7 +48,7 @@ func TestCheckpointExternalizesToStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := executed.Load(); got != 0 {
-		t.Fatalf("resume re-executed %d cells, want 0", got)
+		t.Fatalf("rerun re-executed %d cells, want 0", got)
 	}
 	for i := range clean {
 		if resumed[i] != clean[i] {
@@ -86,7 +57,7 @@ func TestCheckpointExternalizesToStore(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreMissRecomputes: refs that no longer resolve (store
+// TestCheckpointStoreMissRecomputes: cells that no longer resolve (store
 // cleared — same effect as eviction or a source-hash change) degrade to
 // a cold cell, never an error or a wrong value.
 func TestCheckpointStoreMissRecomputes(t *testing.T) {
@@ -94,15 +65,13 @@ func TestCheckpointStoreMissRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpointStore(st)
-	defer SetCheckpointStore(nil)
+	useCellStore(t, st)
 
 	const n = 6
-	path := filepath.Join(t.TempDir(), "sweep.json")
 	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
 		return checkpointCellValue(i, seed), nil
 	}
-	clean, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 5, Checkpoint: path}, cell)
+	clean, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 5, Key: "miss"}, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +79,7 @@ func TestCheckpointStoreMissRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executed atomic.Int64
-	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 5, Checkpoint: path, Resume: true},
+	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 5, Key: "miss"},
 		func(ctx context.Context, i int, seed uint64) (float64, error) {
 			executed.Add(1)
 			return cell(ctx, i, seed)
@@ -119,35 +88,11 @@ func TestCheckpointStoreMissRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := executed.Load(); got != n {
-		t.Fatalf("resume over a cleared store executed %d cells, want all %d", got, n)
+		t.Fatalf("rerun over a cleared store executed %d cells, want all %d", got, n)
 	}
 	for i := range clean {
 		if resumed[i] != clean[i] {
 			t.Fatalf("cell %d: recomputed %v != clean %v", i, resumed[i], clean[i])
 		}
-	}
-}
-
-// TestCheckpointInlineWithoutStore: with no CellStore installed the
-// snapshot keeps inlining results, exactly as before the store existed.
-func TestCheckpointInlineWithoutStore(t *testing.T) {
-	SetCheckpointStore(nil)
-	const n = 4
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 2, Checkpoint: path},
-		func(_ context.Context, i int, seed uint64) (float64, error) {
-			return checkpointCellValue(i, seed), nil
-		}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), `"ref"`) {
-		t.Fatal("storeless snapshot contains refs")
-	}
-	if !strings.Contains(string(data), `"result"`) {
-		t.Fatal("storeless snapshot lost inline results")
 	}
 }

@@ -7,18 +7,21 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/runstore"
 )
 
 // The crash-resume end-to-end test re-execs this test binary as a child
-// that runs a slow checkpointed sweep, SIGKILLs it mid-run — the signal
-// a scheduler or OOM killer actually sends, with no chance to clean up
-// — and asserts a resumed sweep restores the checkpointed cells and
-// produces bit-identical results to an uninterrupted run.
+// that runs a slow keyed sweep against a run store, SIGKILLs it mid-run
+// — the signal a scheduler or OOM killer actually sends, with no chance
+// to clean up — and asserts that rerunning the sweep restores the
+// persisted cells and produces bit-identical results to an uninterrupted
+// run.
 
 const crashChildEnv = "REPRO_ENGINE_CRASH_CHILD"
 
@@ -47,12 +50,26 @@ func crashCell(i int, seed uint64) crashCellValue {
 	return crashCellValue{Cell: i, Seed: seed, V: math.Sin(float64(seed%100003)) * float64(i+1)}
 }
 
-// crashChildSweep is the child process: a serial sweep that flushes the
-// checkpoint after every cell and dawdles long enough for the parent to
-// kill it mid-grid.
-func crashChildSweep(checkpoint string) {
-	_, err := Sweep(context.Background(), crashCells,
-		SweepConfig{BaseSeed: crashSeed, Workers: 1, Checkpoint: checkpoint, CheckpointEvery: 1},
+// crashKey names the crash sweep in the store.
+const crashKey = "crash"
+
+// openCrashStore opens the run store the child and the parent share.
+func openCrashStore(dir string) (*runstore.Store, error) {
+	return runstore.Open(dir, runstore.Options{Version: "testver"})
+}
+
+// crashChildSweep is the child process: a serial keyed sweep, whose
+// cells persist as they complete, that dawdles long enough for the
+// parent to kill it mid-grid.
+func crashChildSweep(dir string) {
+	st, err := openCrashStore(dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crash child:", err)
+		os.Exit(1)
+	}
+	SetCellStore(st)
+	_, err = Sweep(context.Background(), crashCells,
+		SweepConfig{BaseSeed: crashSeed, Workers: 1, Key: crashKey},
 		func(_ context.Context, i int, seed uint64) (crashCellValue, error) {
 			time.Sleep(100 * time.Millisecond)
 			return crashCell(i, seed), nil
@@ -67,28 +84,32 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills a child process")
 	}
-	checkpoint := filepath.Join(t.TempDir(), "sweep.checkpoint")
+	dir := t.TempDir()
+	st, err := openCrashStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), crashChildEnv+"="+checkpoint)
+	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Wait until the child has checkpointed a few cells, then kill -9:
-	// no deferred flush, no signal handler, nothing — whatever made the
-	// last atomic rename is all that survives.
+	// Wait until the child has persisted a few cells, then kill -9: no
+	// deferred flush, no signal handler, nothing — whatever made the last
+	// atomic rename into the store is all that survives.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
-			t.Fatal("child never checkpointed 3 cells")
+			t.Fatal("child never persisted 3 cells")
 		}
-		if n := checkpointedCells(checkpoint); n >= 3 && n < crashCells {
+		if n := persistedCells(st); n >= 3 && n < crashCells {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -97,16 +118,17 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd.Wait() //nolint:errcheck // killed: exit status is expectedly non-zero
-	restorable := checkpointedCells(checkpoint)
+	restorable := persistedCells(st)
 	if restorable == 0 || restorable >= crashCells {
-		t.Fatalf("checkpoint holds %d cells after kill, want mid-run coverage", restorable)
+		t.Fatalf("store holds %d cells after kill, want mid-run coverage", restorable)
 	}
 
-	// Resume against the survivor file. Count what actually executes:
-	// the checkpointed cells must restore, not recompute.
+	// Rerun against the surviving store. Count what actually executes:
+	// the persisted cells must restore, not recompute.
+	useCellStore(t, st)
 	var executed atomic.Int64
 	resumed, err := Sweep(context.Background(), crashCells,
-		SweepConfig{BaseSeed: crashSeed, Workers: 1, Checkpoint: checkpoint, CheckpointEvery: 1, Resume: true},
+		SweepConfig{BaseSeed: crashSeed, Workers: 1, Key: crashKey},
 		func(_ context.Context, i int, seed uint64) (crashCellValue, error) {
 			executed.Add(1)
 			return crashCell(i, seed), nil
@@ -115,7 +137,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := int(executed.Load()); got != crashCells-restorable {
-		t.Fatalf("resume executed %d cells with %d checkpointed, want %d", got, restorable, crashCells-restorable)
+		t.Fatalf("rerun executed %d cells with %d persisted, want %d", got, restorable, crashCells-restorable)
 	}
 
 	// An uninterrupted run is the ground truth; the resumed run must
@@ -136,56 +158,13 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFlushCheckpointsSnapshotsLiveSweeps is the signal-handler path in
-// miniature: a sweep with a lazy flush interval has completed cells only
-// in memory; FlushCheckpoints (what lifecycle.Drain calls on SIGTERM)
-// must force them to disk mid-flight.
-func TestFlushCheckpointsSnapshotsLiveSweeps(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.checkpoint")
-	reached := make(chan struct{})
-	unblock := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := Sweep(context.Background(), 4,
-			SweepConfig{BaseSeed: 9, Workers: 1, Checkpoint: path, CheckpointEvery: 100},
-			func(_ context.Context, i int, seed uint64) (crashCellValue, error) {
-				if i == 2 {
-					close(reached)
-					<-unblock
-				}
-				return crashCell(i, seed), nil
-			})
-		done <- err
-	}()
-	<-reached
-	if n := checkpointedCells(path); n != 0 {
-		t.Fatalf("flush interval ignored: %d cells on disk before FlushCheckpoints", n)
+// persistedCells counts the crash sweep's cells the store holds.
+func persistedCells(st *runstore.Store) int {
+	n := 0
+	for i := 0; i < crashCells; i++ {
+		if _, ok := st.Get("sweepcell|" + crashKey + "|seed=" + strconv.FormatUint(CellSeed(crashSeed, i), 16)); ok {
+			n++
+		}
 	}
-	FlushCheckpoints()
-	if n := checkpointedCells(path); n < 2 {
-		t.Fatalf("FlushCheckpoints wrote %d cells, want the 2 completed ones", n)
-	}
-	close(unblock)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// checkpointedCells reads how many cells a snapshot currently holds
-// (0 for a missing or torn file — the atomic rename makes torn
-// impossible, but the test should not depend on that here).
-func checkpointedCells(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	var snap struct {
-		Cells []struct {
-			Index int `json:"index"`
-		} `json:"cells"`
-	}
-	if json.Unmarshal(data, &snap) != nil {
-		return 0
-	}
-	return len(snap.Cells)
+	return n
 }

@@ -6,8 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,17 +166,59 @@ func TestSweepDivergedNotRetried(t *testing.T) {
 	}
 }
 
-// checkpointCell computes a seed-dependent float64 with a long mantissa,
-// so any checkpoint round-trip imprecision would show as inequality.
+// checkpointCellValue computes a seed-dependent float64 with a long
+// mantissa, so any store round-trip imprecision would show as inequality.
 func checkpointCellValue(i int, seed uint64) float64 {
 	return float64(seed)*0x1p-64 + math.Sqrt(float64(i)+0.5)
 }
 
-// A resumed sweep returns bit-identical results to an uninterrupted one
-// and does not re-execute checkpointed cells.
+// memStore is an in-memory CellStore that counts its writes.
+type memStore struct {
+	mu   sync.Mutex
+	m    map[string][]byte
+	puts int
+}
+
+func newMemStore() *memStore { return &memStore{m: map[string][]byte{}} }
+
+func (s *memStore) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[key]
+	return v, ok
+}
+
+func (s *memStore) Put(key string, payload []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[key] = append([]byte(nil), payload...)
+	s.puts++
+	return nil
+}
+
+func (s *memStore) keys() map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]bool, len(s.m))
+	for k := range s.m {
+		out[k] = true
+	}
+	return out
+}
+
+// useCellStore installs cs as the process-wide cell store for the rest
+// of the test.
+func useCellStore(t *testing.T, cs CellStore) {
+	t.Helper()
+	SetCellStore(cs)
+	t.Cleanup(func() { SetCellStore(nil) })
+}
+
+// A rerun of a keyed sweep returns bit-identical results to an
+// uninterrupted one and does not re-execute stored cells.
 func TestSweepCheckpointResumeBitIdentical(t *testing.T) {
+	useCellStore(t, newMemStore())
 	const n = 12
-	path := filepath.Join(t.TempDir(), "sweep.json")
 	run := func(cfg SweepConfig, executed *atomic.Int64) []float64 {
 		cfg.Workers = 4
 		cfg.BaseSeed = 7
@@ -194,11 +235,11 @@ func TestSweepCheckpointResumeBitIdentical(t *testing.T) {
 		return out
 	}
 	clean := run(SweepConfig{}, nil)
-	run(SweepConfig{Checkpoint: path}, nil)
+	run(SweepConfig{Key: "resume"}, nil)
 	var executed atomic.Int64
-	resumed := run(SweepConfig{Checkpoint: path, Resume: true}, &executed)
+	resumed := run(SweepConfig{Key: "resume"}, &executed)
 	if got := executed.Load(); got != 0 {
-		t.Fatalf("resume re-executed %d cells, want 0", got)
+		t.Fatalf("rerun re-executed %d cells, want 0", got)
 	}
 	for i := range clean {
 		if resumed[i] != clean[i] {
@@ -207,12 +248,12 @@ func TestSweepCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// An interrupted (fail-fast aborted) sweep leaves a usable checkpoint:
-// the resume run recomputes only the missing cells and matches a clean
-// run bit for bit.
+// An interrupted (fail-fast aborted) sweep leaves its completed cells in
+// the store: the rerun recomputes only the missing cells and matches a
+// clean run bit for bit.
 func TestSweepCheckpointSurvivesAbort(t *testing.T) {
+	useCellStore(t, newMemStore())
 	const n = 10
-	path := filepath.Join(t.TempDir(), "sweep.json")
 	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
 		return checkpointCellValue(i, seed), nil
 	}
@@ -220,9 +261,9 @@ func TestSweepCheckpointSurvivesAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First run: serial, cell 7 fails — cells 0..6 land in the checkpoint.
+	// First run: serial, cell 7 fails — cells 0..6 land in the store.
 	boom := errors.New("boom")
-	_, err = Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3, Checkpoint: path},
+	_, err = Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3, Key: "abort"},
 		func(ctx context.Context, i int, seed uint64) (float64, error) {
 			if i == 7 {
 				return 0, boom
@@ -233,7 +274,7 @@ func TestSweepCheckpointSurvivesAbort(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	var executed atomic.Int64
-	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3, Checkpoint: path, Resume: true},
+	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3, Key: "abort"},
 		func(ctx context.Context, i int, seed uint64) (float64, error) {
 			executed.Add(1)
 			return cell(ctx, i, seed)
@@ -242,7 +283,7 @@ func TestSweepCheckpointSurvivesAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := executed.Load(); got != 3 {
-		t.Fatalf("resume executed %d cells, want 3 (cells 7, 8, 9)", got)
+		t.Fatalf("rerun executed %d cells, want 3 (cells 7, 8, 9)", got)
 	}
 	for i := range clean {
 		if resumed[i] != clean[i] {
@@ -251,19 +292,19 @@ func TestSweepCheckpointSurvivesAbort(t *testing.T) {
 	}
 }
 
-// A checkpoint from a different BaseSeed (or grid size) is ignored, not
-// replayed.
+// Stored cells of another BaseSeed are not replayed: the cell seed is
+// part of every cell's key.
 func TestSweepResumeRejectsMismatchedCheckpoint(t *testing.T) {
+	useCellStore(t, newMemStore())
 	const n = 6
-	path := filepath.Join(t.TempDir(), "sweep.json")
 	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
 		return checkpointCellValue(i, seed), nil
 	}
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 1, Checkpoint: path}, cell); err != nil {
+	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 1, Key: "k"}, cell); err != nil {
 		t.Fatal(err)
 	}
 	var executed atomic.Int64
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 2, Checkpoint: path, Resume: true},
+	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 2, Key: "k"},
 		func(ctx context.Context, i int, seed uint64) (float64, error) {
 			executed.Add(1)
 			return cell(ctx, i, seed)
@@ -271,18 +312,82 @@ func TestSweepResumeRejectsMismatchedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := executed.Load(); got != n {
-		t.Fatalf("mismatched checkpoint skipped cells: executed %d, want %d", got, n)
+		t.Fatalf("another BaseSeed's cells were replayed: executed %d, want %d", got, n)
+	}
+}
+
+// Two sweeps with equal BaseSeed and size but different Keys share no
+// cell: each executes its whole grid and gets its own results back.
+func TestSweepKeysIsolateCells(t *testing.T) {
+	st := newMemStore()
+	useCellStore(t, st)
+	const n = 4
+	sweep := func(key string, offset float64) ([]float64, int64) {
+		var executed atomic.Int64
+		out, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, Key: key},
+			func(_ context.Context, i int, seed uint64) (float64, error) {
+				executed.Add(1)
+				return offset + checkpointCellValue(i, seed), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, executed.Load()
+	}
+	a, ranA := sweep("a", 0)
+	b, ranB := sweep("b", 100)
+	if ranA != n || ranB != n {
+		t.Fatalf("executed %d and %d cells, want %d each", ranA, ranB, n)
+	}
+	for i := range a {
+		if b[i] != a[i]+100 {
+			t.Fatalf("cell %d of sweep b = %v, want its own result %v", i, b[i], a[i]+100)
+		}
+	}
+	if got := len(st.keys()); got != 2*n {
+		t.Fatalf("store holds %d cells, want %d", got, 2*n)
+	}
+	again, ranA2 := sweep("a", 0)
+	if ranA2 != 0 {
+		t.Fatalf("rerun of sweep a executed %d cells, want 0", ranA2)
+	}
+	for i := range a {
+		if again[i] != a[i] {
+			t.Fatalf("cell %d of the rerun = %v, want %v", i, again[i], a[i])
+		}
+	}
+}
+
+// An unkeyed sweep neither reads nor writes the store.
+func TestSweepWithoutKeyPersistsNothing(t *testing.T) {
+	st := newMemStore()
+	useCellStore(t, st)
+	for run := 0; run < 2; run++ {
+		var executed atomic.Int64
+		if _, err := Sweep(context.Background(), 4, SweepConfig{Workers: 1},
+			func(_ context.Context, i int, seed uint64) (float64, error) {
+				executed.Add(1)
+				return checkpointCellValue(i, seed), nil
+			}); err != nil {
+			t.Fatal(err)
+		}
+		if executed.Load() != 4 {
+			t.Fatalf("run %d executed %d cells, want 4", run, executed.Load())
+		}
+	}
+	if st.puts != 0 {
+		t.Fatalf("unkeyed sweep wrote %d cells", st.puts)
 	}
 }
 
 // Restored cells still count toward progress and the restored counter.
 func TestSweepResumeProgressAndCounter(t *testing.T) {
+	useCellStore(t, newMemStore())
 	const n = 8
-	path := filepath.Join(t.TempDir(), "sweep.json")
 	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
 		return checkpointCellValue(i, seed), nil
 	}
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, Checkpoint: path}, cell); err != nil {
+	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, Key: "progress"}, cell); err != nil {
 		t.Fatal(err)
 	}
 	obs.Enable()
@@ -293,10 +398,9 @@ func TestSweepResumeProgressAndCounter(t *testing.T) {
 	}()
 	var calls atomic.Int64
 	if _, err := Sweep(context.Background(), n, SweepConfig{
-		Workers:    2,
-		Checkpoint: path,
-		Resume:     true,
-		Progress:   func(done, total int) { calls.Add(1) },
+		Workers:  2,
+		Key:      "progress",
+		Progress: func(done, total int) { calls.Add(1) },
 	}, cell); err != nil {
 		t.Fatal(err)
 	}
@@ -326,40 +430,23 @@ func TestHardeningDefaultsApplied(t *testing.T) {
 	}
 }
 
-// The second sweep adopting the default checkpoint path writes to an
-// ordinal variant instead of clobbering the first.
-func TestHardeningCheckpointOrdinal(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "ck.json")
-	SetHardening(Hardening{Checkpoint: base})
-	defer SetHardening(Hardening{})
-	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
-		return checkpointCellValue(i, seed), nil
-	}
-	for run := 0; run < 2; run++ {
-		if _, err := Sweep(context.Background(), 4, Checkpointable(SweepConfig{Workers: 1}), cell); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []string{base, filepath.Join(dir, "ck.2.json")} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("expected checkpoint %s: %v", p, err)
-		}
-	}
-}
-
+// -checkpoint is kept for the store flags to read; -resume is accepted
+// and does nothing.
 func TestRegisterSweepFlags(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	f := RegisterSweepFlags(fs)
-	if err := fs.Parse([]string{"-cell-timeout", "2s", "-retries", "3", "-checkpoint", "x.json", "-resume"}); err != nil {
+	if err := fs.Parse([]string{"-cell-timeout", "2s", "-retries", "3", "-checkpoint", "ckdir", "-resume", "-nobatch"}); err != nil {
 		t.Fatal(err)
 	}
 	f.Apply()
 	defer SetHardening(Hardening{})
-	cfg := Checkpointable(SweepConfig{})
+	cfg := SweepConfig{}
 	applyHardening(&cfg)
-	if cfg.CellTimeout != 2*time.Second || cfg.Retries != 3 || cfg.Checkpoint != "x.json" || !cfg.Resume {
+	if cfg.CellTimeout != 2*time.Second || cfg.Retries != 3 || !cfg.NoBatch {
 		t.Fatalf("flags not applied: %+v", cfg)
+	}
+	if f.Checkpoint != "ckdir" {
+		t.Fatalf("-checkpoint = %q, want ckdir", f.Checkpoint)
 	}
 }
 
@@ -408,9 +495,9 @@ func TestChaosSweepDeterminism(t *testing.T) {
 			t.Fatalf("cell %d: workers=1 %v != workers=8 %v", i, serial[i], parallel8[i])
 		}
 	}
-	path := filepath.Join(t.TempDir(), "chaos.json")
-	run(SweepConfig{Workers: 8, Checkpoint: path})
-	resumed := run(SweepConfig{Workers: 8, Checkpoint: path, Resume: true})
+	useCellStore(t, newMemStore())
+	run(SweepConfig{Workers: 8, Key: "chaos"})
+	resumed := run(SweepConfig{Workers: 8, Key: "chaos"})
 	for i := range serial {
 		if resumed[i] != serial[i] {
 			t.Fatalf("cell %d: resumed %v != uninterrupted %v", i, resumed[i], serial[i])

@@ -2,58 +2,38 @@ package engine
 
 import (
 	"flag"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Hardening is the process-wide default for the SweepConfig hardening
 // fields, so CLI tools can mount one flag set and have the sweeps in the
 // process honor it. CellTimeout and Retries apply to every sweep whose
-// config leaves them zero; the checkpoint fields apply only to sweeps
-// that opt in via Checkpointable (restore requires a JSON-faithful cell
-// result type, which the engine cannot verify generically).
+// config leaves them zero.
 type Hardening struct {
 	// CellTimeout bounds each cell attempt (0 = none).
 	CellTimeout time.Duration
 	// Retries is the per-cell transient-failure retry budget.
 	Retries int
-	// Checkpoint is the snapshot file path. When more than one opted-in
-	// sweep runs in a process, the second and later sweeps write to an
-	// ordinal variant (foo.json → foo.2.json) so they don't clobber each
-	// other.
-	Checkpoint string
-	// Resume loads the checkpoint before sweeping.
-	Resume bool
 	// NoBatch disables the grid-batch fast path process-wide (the
 	// -nobatch escape hatch).
 	NoBatch bool
 }
 
 var (
-	hardeningMu  sync.Mutex
-	hardening    Hardening
-	checkpointed atomic.Int64 // sweeps that adopted the default checkpoint path
+	hardeningMu sync.Mutex
+	hardening   Hardening
 )
 
-// SetHardening installs the process-wide defaults and resets the
-// checkpoint-path ordinal.
+// SetHardening installs the process-wide defaults.
 func SetHardening(h Hardening) {
 	hardeningMu.Lock()
 	hardening = h
 	hardeningMu.Unlock()
-	checkpointed.Store(0)
 }
 
 // applyHardening fills zero-valued timeout/retry fields of cfg from the
-// process-wide defaults. The checkpoint default is deliberately NOT
-// applied here: restore requires the cell result type to round-trip
-// encoding/json faithfully (a type with unexported fields marshals as
-// "{}" and would silently restore empty), and the engine cannot verify
-// that generically — sweeps opt in via Checkpointable.
+// process-wide defaults.
 func applyHardening(cfg *SweepConfig) {
 	hardeningMu.Lock()
 	h := hardening
@@ -69,54 +49,30 @@ func applyHardening(cfg *SweepConfig) {
 	}
 }
 
-// Checkpointable returns cfg with the process-wide checkpoint defaults
-// applied (explicit per-sweep values win). Call it only for sweeps whose
-// cell result type round-trips encoding/json faithfully — i.e. all state
-// lives in exported fields — since that is what restore replays. When
-// several opted-in sweeps run in one process, the second and later
-// adopters write to ordinal variants of the default path (foo.json →
-// foo.2.json) so they don't clobber each other.
-func Checkpointable(cfg SweepConfig) SweepConfig {
-	hardeningMu.Lock()
-	h := hardening
-	hardeningMu.Unlock()
-	if cfg.Checkpoint == "" && h.Checkpoint != "" {
-		cfg.Checkpoint = h.Checkpoint
-		cfg.Resume = cfg.Resume || h.Resume
-		if seq := checkpointed.Add(1); seq > 1 {
-			cfg.Checkpoint = ordinalPath(h.Checkpoint, int(seq))
-		}
-	}
-	return cfg
-}
-
-// ordinalPath inserts the sweep ordinal before the extension:
-// sweep.json → sweep.2.json (extension-less paths get a plain suffix).
-func ordinalPath(path string, seq int) string {
-	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + "." + strconv.Itoa(seq) + ext
-}
-
 // SweepFlags holds the parsed values of the shared sweep-hardening
 // flags. Mount with RegisterSweepFlags before flag.Parse, then call
 // Apply once parsing is done.
 type SweepFlags struct {
 	CellTimeout time.Duration
 	Retries     int
-	Checkpoint  string
-	Resume      bool
-	NoBatch     bool
+	// Checkpoint is the -checkpoint path: a run store directory the tool
+	// uses in place of -store, even under -nostore (see storeflags).
+	Checkpoint string
+	NoBatch    bool
 }
 
 // RegisterSweepFlags mounts -cell-timeout, -retries, -checkpoint,
 // -resume, and -nobatch on fs (typically flag.CommandLine) and returns
-// the holder to Apply after parsing.
+// the holder to Apply after parsing. -resume is accepted for
+// compatibility and does nothing: completed cells of a keyed sweep are
+// in the store the moment they finish, so resuming is running the same
+// command again.
 func RegisterSweepFlags(fs *flag.FlagSet) *SweepFlags {
 	f := &SweepFlags{}
 	fs.DurationVar(&f.CellTimeout, "cell-timeout", 0, "per-cell attempt deadline for sweeps (0 = none)")
 	fs.IntVar(&f.Retries, "retries", 0, "extra attempts for transiently failing sweep cells")
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "periodically snapshot completed sweep cells to this JSON file")
-	fs.BoolVar(&f.Resume, "resume", false, "resume from -checkpoint, skipping already-completed cells")
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "use the run store at this directory (overrides -store and -nostore); rerunning a command resumes it")
+	fs.Bool("resume", false, "deprecated, does nothing: rerunning a command against the same store resumes it")
 	fs.BoolVar(&f.NoBatch, "nobatch", false, "disable batched grid stepping; run every sweep cell individually")
 	return f
 }
@@ -127,8 +83,6 @@ func (f *SweepFlags) Apply() {
 	SetHardening(Hardening{
 		CellTimeout: f.CellTimeout,
 		Retries:     f.Retries,
-		Checkpoint:  f.Checkpoint,
-		Resume:      f.Resume,
 		NoBatch:     f.NoBatch,
 	})
 }

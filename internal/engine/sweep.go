@@ -58,18 +58,15 @@ type SweepConfig struct {
 	// with the reseeded CellSeed(cellSeed, k) after a short deterministic
 	// backoff.
 	Retries int
-	// Checkpoint, when non-empty, is a JSON file that periodically
-	// snapshots completed-cell results keyed by CellSeed. The cell result
-	// type must round-trip encoding/json (floats do so bit-exactly);
-	// cells whose results don't marshal are silently not checkpointed.
-	Checkpoint string
-	// CheckpointEvery is the number of newly completed cells between
-	// checkpoint writes (default 8).
-	CheckpointEvery int
-	// Resume loads Checkpoint before sweeping and skips every cell whose
-	// (index, seed) matches, returning the stored result instead. A
-	// checkpoint from a different grid shape or BaseSeed is ignored.
-	Resume bool
+	// Key names the sweep for the cell store: the sweep's name plus every
+	// input that can change a cell's result. With a store installed (see
+	// SetCellStore), each cell is looked up under
+	// sweepcell|Key|seed=CellSeed(BaseSeed, i) before it runs and written
+	// there once it succeeds, so a rerun of the same sweep executes only
+	// the cells that never completed. The cell result type must round-trip
+	// encoding/json (floats do so bit-exactly); results that don't marshal
+	// are not stored. Empty Key persists nothing.
+	Key string
 	// NoBatch disables the grid-batch fast path of SweepSpecs, forcing
 	// every cell through the per-cell engine (the -nobatch escape hatch).
 	// Results are bit-identical either way; this is for isolating
@@ -118,9 +115,10 @@ var (
 // ctx.Err(). A panicking cell is recovered into a per-cell
 // *parallel.PanicError instead of killing the process.
 //
-// Per-cell deadlines, bounded retries, and checkpoint/resume are
-// governed by the SweepConfig hardening fields (process-wide defaults
-// via SetHardening / RegisterSweepFlags).
+// Per-cell deadlines and bounded retries are governed by the SweepConfig
+// hardening fields (process-wide defaults via SetHardening /
+// RegisterSweepFlags); a keyed sweep also resolves its cells through the
+// installed cell store (see SweepConfig.Key).
 //
 // With observability enabled, every cell's latency lands in the
 // engine.sweep.cell.duration histogram with completed/failed counters
@@ -134,7 +132,6 @@ func Sweep[T any](ctx context.Context, n int, cfg SweepConfig, cell func(ctx con
 	sp.SetDetail(strconv.Itoa(n) + " cells")
 	defer sp.End()
 	h := newHarness[T](n, &cfg)
-	defer h.close()
 	wrapped := h.wrap(cell)
 	// Cells get the sweep's context, not the pool's per-item one, which
 	// a sibling's failure cancels.
@@ -155,7 +152,6 @@ func SweepSettled[T any](ctx context.Context, n int, cfg SweepConfig, cell func(
 	sp.SetDetail(strconv.Itoa(n) + " cells")
 	defer sp.End()
 	h := newHarness[T](n, &cfg)
-	defer h.close()
 	return parallel.MapSettled(ctx, n, cfg.Workers, h.wrap(cell))
 }
 
@@ -201,15 +197,38 @@ func routeWorkers(n int, cfg *SweepConfig) {
 	cfg.Workers = w
 }
 
+// CellStore is the narrow view of a persistent content-addressed store
+// that keyed sweeps persist their cells through (the run store in
+// internal/runstore satisfies it). The store prefixes every key with its
+// schema version and source hash, so stored cells invalidate exactly
+// when cached runs do.
+type CellStore interface {
+	Get(key string) ([]byte, bool)
+	Put(key string, payload []byte) error
+}
+
+var (
+	cellStoreMu sync.Mutex
+	cellStore   CellStore
+)
+
+// SetCellStore installs (or, with nil, removes) the process-wide store
+// that keyed sweeps resolve their cells through.
+func SetCellStore(cs CellStore) {
+	cellStoreMu.Lock()
+	cellStore = cs
+	cellStoreMu.Unlock()
+}
+
 // harness carries the per-sweep state shared by Sweep and SweepSettled:
-// the chained progress sink, the instrumentation flag, and the optional
-// checkpointer.
+// the chained progress sink, the instrumentation flag, and — for a keyed
+// sweep — the cell store.
 type harness[T any] struct {
 	cfg          *SweepConfig
 	n            int
 	instrumented bool
 	progress     func(done, total int)
-	ck           *checkpointer
+	store        CellStore
 	mu           sync.Mutex
 	done         int
 }
@@ -241,17 +260,40 @@ func newHarness[T any](n int, cfg *SweepConfig) *harness[T] {
 			h.progress = obs.ReportProgress
 		}
 	}
-	h.ck = newCheckpointer(cfg, n)
-	registerCheckpointer(h.ck)
+	if cfg.Key != "" {
+		cellStoreMu.Lock()
+		h.store = cellStore
+		cellStoreMu.Unlock()
+	}
 	return h
 }
 
-// close flushes any pending checkpoint state, including after a
-// fail-fast abort, so a -resume rerun picks up the completed cells.
-func (h *harness[T]) close() {
-	if h.ck != nil {
-		unregisterCheckpointer(h.ck)
-		h.ck.flush()
+// cellKey is the store key of the cell with the given seed.
+func (h *harness[T]) cellKey(seed uint64) string {
+	return "sweepcell|" + h.cfg.Key + "|seed=" + strconv.FormatUint(seed, 16)
+}
+
+// restore returns the stored result of the cell with the given seed. A
+// miss, or a payload that doesn't decode, means the cell runs.
+func (h *harness[T]) restore(seed uint64) (v T, ok bool) {
+	if h.store == nil {
+		return v, false
+	}
+	raw, ok := h.store.Get(h.cellKey(seed))
+	if !ok || json.Unmarshal(raw, &v) != nil {
+		return v, false
+	}
+	return v, true
+}
+
+// persist writes a completed cell to the store. A result that doesn't
+// marshal, or a failed write, costs persistence, never the sweep.
+func (h *harness[T]) persist(seed uint64, v T) {
+	if h.store == nil {
+		return
+	}
+	if raw, err := json.Marshal(v); err == nil {
+		_ = h.store.Put(h.cellKey(seed), raw)
 	}
 }
 
@@ -267,26 +309,21 @@ func (h *harness[T]) tick() {
 	h.mu.Unlock()
 }
 
-// wrap builds the per-item function the worker pool runs: checkpoint
-// restore, the deadline+retry attempt loop, instrumentation, checkpoint
-// recording, and progress.
+// wrap builds the per-item function the worker pool runs: store lookup,
+// the deadline+retry attempt loop, instrumentation, store write, and
+// progress.
 func (h *harness[T]) wrap(cell func(ctx context.Context, i int, seed uint64) (T, error)) func(ctx context.Context, i int) (T, error) {
 	return func(ctx context.Context, i int) (T, error) {
 		// Mark the cell's context so nested sweeps default to serial
 		// (see capNestedWorkers).
 		ctx = context.WithValue(ctx, nestedSweepKey{}, true)
 		seed := CellSeed(h.cfg.BaseSeed, i)
-		if h.ck != nil {
-			if raw, ok := h.ck.cached(i); ok {
-				var v T
-				if json.Unmarshal(raw, &v) == nil {
-					if h.instrumented {
-						sweepCellsRestored.Inc()
-					}
-					h.tick()
-					return v, nil
-				}
+		if v, ok := h.restore(seed); ok {
+			if h.instrumented {
+				sweepCellsRestored.Inc()
 			}
+			h.tick()
+			return v, nil
 		}
 		var start time.Time
 		var csp *obs.Span
@@ -305,8 +342,8 @@ func (h *harness[T]) wrap(cell func(ctx context.Context, i int, seed uint64) (T,
 				sweepCellsCompleted.Inc()
 			}
 		}
-		if err == nil && h.ck != nil {
-			h.ck.record(i, v)
+		if err == nil {
+			h.persist(seed, v)
 		}
 		// Completions count toward progress whether or not the cell
 		// errored: on a failing grid the bar keeps moving while in-flight

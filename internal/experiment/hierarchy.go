@@ -249,12 +249,8 @@ func (r *HierarchyResult) Render() string {
 	}
 	w.Flush()
 	sb.WriteString("\nordering agreement with theory:\n")
-	for metric, frac := range map[string]float64{
-		"efficiency":  r.Agreement["efficiency"],
-		"convergence": r.Agreement["convergence"],
-		"fairness":    r.Agreement["fairness"],
-	} {
-		fmt.Fprintf(&sb, "  %-12s %.0f%%\n", metric, frac*100)
+	for _, metric := range []string{"efficiency", "convergence", "fairness"} {
+		fmt.Fprintf(&sb, "  %-12s %.0f%%\n", metric, r.Agreement[metric]*100)
 	}
 	return sb.String()
 }

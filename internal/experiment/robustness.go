@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -22,6 +23,28 @@ func optSteps(o metrics.Options) int {
 		return 4000
 	}
 	return o.Steps
+}
+
+// sweepKey builds the engine.SweepConfig.Key of a persisted experiment
+// sweep: its name, the fields of opt that change what a cell computes,
+// and the sweep's own inputs. The experiment code is part of the run
+// store's source hash, so only runtime inputs belong here. Inputs that
+// don't marshal (a NaN parameter) yield "", and the sweep then persists
+// nothing.
+func sweepKey(name string, opt metrics.Options, inputs ...any) string {
+	raw, err := json.Marshal(struct {
+		Steps       int
+		TailFrac    float64
+		PropDelay   float64
+		InitConfigs [][]float64
+		Chaos       *chaos.Schedule
+		ChaosSeed   uint64
+		Inputs      []any
+	}{opt.Steps, opt.TailFrac, opt.PropDelay, opt.InitConfigs, opt.Chaos, opt.ChaosSeed, inputs})
+	if err != nil {
+		return ""
+	}
+	return name + "|" + string(raw)
 }
 
 // RobustnessEntry is one protocol's Metric VI score alongside its lossy-
@@ -101,7 +124,7 @@ func RobustnessSweep(opt metrics.Options) ([]RobustnessEntry, error) {
 	defer obs.StartPhase("robustness")()
 	protos := robustnessProtocols()
 	cellOpt := serialCell(opt)
-	return engine.Sweep(context.Background(), len(protos), engine.Checkpointable(engine.SweepConfig{Workers: opt.Workers}),
+	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers, Key: sweepKey("robustness", opt)},
 		func(ctx context.Context, i int, _ uint64) (RobustnessEntry, error) {
 			return robustnessCell(ctx, protos[i], opt, cellOpt)
 		})
@@ -140,7 +163,7 @@ func ChaosRobustnessSweep(opt metrics.Options, chaosSeed uint64) ([]ChaosRobustn
 			return nil, err
 		}
 	}
-	return engine.Sweep(context.Background(), len(protos), engine.Checkpointable(engine.SweepConfig{Workers: opt.Workers, BaseSeed: chaosSeed}),
+	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers, BaseSeed: chaosSeed, Key: sweepKey("robustness-chaos", opt, chaosSeed)},
 		func(ctx context.Context, i int, seed uint64) (ChaosRobustnessEntry, error) {
 			p := protos[i]
 			base, err := robustnessCell(ctx, p, opt, cellOpt)
@@ -215,7 +238,7 @@ func ParkingLotExperiment(hops []int, steps int, seed uint64) ([]ParkingLotEntry
 		PropDelay: 0.021,
 		Buffer:    20,
 	}
-	return engine.Sweep(context.Background(), len(hops), engine.Checkpointable(engine.SweepConfig{}),
+	return engine.Sweep(context.Background(), len(hops), engine.SweepConfig{Key: sweepKey("parkinglot", metrics.Options{Steps: steps}, hops, seed)},
 		func(ctx context.Context, i int, _ uint64) (ParkingLotEntry, error) {
 			k := hops[i]
 			links, flows, err := nettopo.ParkingLotSpecs(k, link, protocol.Reno(), 1)

@@ -130,7 +130,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops admitting new jobs, waits for in-flight ones to finish
 // streaming (bounded by ctx), then stops the shard pool. Because every
-// completed cell was checkpointed to the store under its canonical key,
+// completed cell was written to the store under its canonical key,
 // a drain that runs out of ctx loses no finished work: resubmitting the
 // same spec resumes from the store bit-identically.
 func (s *Server) Drain(ctx context.Context) error {

@@ -1,10 +1,10 @@
 // Package lifecycle gives every CLI one clean-exit story for SIGINT
 // and SIGTERM. Batch schedulers, CI harnesses, and the axiomd daemon's
 // shard supervisor all stop tools with SIGTERM; before this package,
-// that path lost everything SIGINT's Ctrl-C path would have lost too —
-// unflushed sweep checkpoints and the run record. Install makes both
-// signals equivalent: checkpoint what's in flight, flush observability
-// artifacts, exit with the conventional 128+signo status.
+// that path lost the run record. Install makes both signals equivalent:
+// flush observability artifacts, exit with the conventional 128+signo
+// status. Completed sweep cells need no flush: a keyed sweep writes each
+// one to the run store as it finishes.
 package lifecycle
 
 import (
@@ -13,7 +13,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -21,10 +20,8 @@ import (
 var exit = os.Exit
 
 // Install arms a process-wide handler for SIGINT and SIGTERM. On the
-// first signal it snapshots every in-flight sweep checkpoint (so a
-// `-checkpoint ... -resume` rerun loses at most the cells that were
-// mid-simulation), runs stop — the obs flag-set's stop func, which
-// writes runrecord.json and closes any profiles — and exits 128+signo.
+// first signal it runs stop — the obs flag-set's stop func, which writes
+// runrecord.json and closes any profiles — and exits 128+signo.
 // A second signal during cleanup force-exits immediately, so a wedged
 // flush can never make the process unkillable.
 //
@@ -40,19 +37,18 @@ func Install(tool string, stop func() error) {
 			<-ch
 			exit(exitCode(sig))
 		}()
-		fmt.Fprintf(os.Stderr, "%s: %v: flushing checkpoints and run record\n", tool, sig)
+		fmt.Fprintf(os.Stderr, "%s: %v: flushing run record\n", tool, sig)
 		Drain(tool, sig.String(), stop)
 		exit(exitCode(sig))
 	}()
 }
 
 // Drain performs the cleanup half of Install without exiting: note the
-// trigger in the flight recorder, snapshot in-flight sweep checkpoints,
-// then run stop. The axiomd daemon reuses it on graceful drain, where
-// the process keeps serving /healthz while jobs wind down.
+// trigger in the flight recorder, then run stop. The axiomd daemon
+// reuses it on graceful drain, where the process keeps serving /healthz
+// while jobs wind down.
 func Drain(tool, reason string, stop func() error) {
 	obs.NoteEvent("signal", "lifecycle.drain", tool+" "+reason)
-	engine.FlushCheckpoints()
 	if stop != nil {
 		if err := stop(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)

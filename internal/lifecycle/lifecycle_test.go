@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"os"
+	"os/signal"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -39,6 +40,10 @@ func TestInstallHandlesSIGTERM(t *testing.T) {
 		select {}
 	}
 	defer func() { exit = orig }()
+	// Stop delivering to this Install's channel afterwards: its handler
+	// stays parked on a second signal, and under -count=N the next
+	// run's SIGTERM would otherwise reach it and exit early.
+	defer signal.Reset(os.Interrupt, syscall.SIGTERM)
 
 	stopped := make(chan struct{})
 	Install("testtool", func() error {

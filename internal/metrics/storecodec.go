@@ -22,6 +22,15 @@ const (
 	codecKindTopo   byte = 3
 )
 
+// maxDecodeLen bounds every length the decoder allocates by that the
+// payload's own size does not: flow, hop and sender counts and ring
+// capacities. Store entries are checksummed, but the decoder still
+// rejects what no encoder writes instead of trusting a length field —
+// an unbounded ring capacity read from 41 bytes would otherwise
+// allocate gigabytes. A run whose tail ring needs more than 2^20 samples
+// decodes as a miss and is simulated again.
+const maxDecodeLen = 1 << 20
+
 func putU32(b []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
 }
@@ -100,6 +109,8 @@ func encodeRing(b []byte, r *stats.Ring) []byte {
 	return putF64s(b, r.Dump())
 }
 
+// ring reverses encodeRing. Dump retains exactly min(count, capacity)
+// samples, so any other retained length is malformed.
 func (d *decoder) ring() *stats.Ring {
 	capacity := d.u32()
 	count := d.u64()
@@ -107,7 +118,7 @@ func (d *decoder) ring() *stats.Ring {
 	if d.err != nil {
 		return nil
 	}
-	if len(retained) > capacity {
+	if capacity > maxDecodeLen || count > math.MaxInt64 || len(retained) != min(int(count), capacity) {
 		d.fail()
 		return nil
 	}
@@ -190,7 +201,7 @@ func decodeTopoRun(payload []byte) (*TopoStream, error) {
 		linkCap:  d.f64s(),
 	}
 	flows := d.u32()
-	if d.err != nil || flows < 0 || flows > 1<<20 {
+	if d.err != nil || flows < 0 || flows > maxDecodeLen {
 		d.fail()
 		return nil, d.err
 	}
@@ -199,7 +210,7 @@ func decodeTopoRun(payload []byte) (*TopoStream, error) {
 	for f := 0; f < flows; f++ {
 		s.baseRTT[f] = d.f64()
 		hops := d.u32()
-		if d.err != nil || hops < 0 || hops > 1<<20 {
+		if d.err != nil || hops < 0 || hops > maxDecodeLen {
 			d.fail()
 			return nil, d.err
 		}
@@ -256,7 +267,7 @@ func decodeRun(payload []byte, wantRecorded bool) (*Stream, *trace.Trace, error)
 			baseRTT:  d.f64(),
 		}
 		flows := d.u32()
-		if d.err != nil || flows < 0 || flows > 1<<20 {
+		if d.err != nil || flows < 0 || flows > maxDecodeLen {
 			d.fail()
 			return nil, nil, d.err
 		}
@@ -283,7 +294,7 @@ func decodeRun(payload []byte, wantRecorded bool) (*Stream, *trace.Trace, error)
 		capacity := d.f64()
 		baseRTT := d.f64()
 		n := d.u32()
-		if d.err != nil || n < 0 || n > 1<<20 {
+		if d.err != nil || n < 0 || n > maxDecodeLen {
 			d.fail()
 			return nil, nil, d.err
 		}

@@ -5,8 +5,9 @@
 // (extended with the store schema version and a content hash of the
 // simulation-relevant source packages, so any change to the simulators
 // automatically invalidates stale entries), values are opaque payloads
-// the caller serializes (metrics encodes Stream/Trace runs, the engine
-// checkpoints sweep-cell results).
+// the caller serializes (metrics encodes Stream/Trace runs, keyed engine
+// sweeps store their cell results as JSON, so rerunning an interrupted
+// sweep executes only the cells it never finished).
 //
 // Entries are written atomically (temp file + rename) with a per-entry
 // SHA-256 checksum, verified — and deleted when corrupt — on every read.

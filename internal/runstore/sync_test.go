@@ -34,9 +34,10 @@ var exemptPackages = map[string]bool{
 }
 
 // simulationRoots are the packages whose import closure defines "can
-// affect a simulated value": every substrate runs through
-// internal/engine, and every cached payload is built by internal/metrics.
-var simulationRoots = []string{"internal/engine", "internal/metrics"}
+// affect a stored value": every substrate runs through internal/engine,
+// every cached run is built by internal/metrics, and the keyed sweeps
+// whose cells the store persists live in internal/experiment.
+var simulationRoots = []string{"internal/engine", "internal/metrics", "internal/experiment"}
 
 // internalImportClosure walks non-test imports from the roots, restricted
 // to repro/internal packages.

@@ -1,7 +1,8 @@
 // Package storeflags is the CLI glue for the persistent run store: every
 // cmd/* tool mounts one flag set and gets a disk-backed second tier under
-// its metric sessions and sweep checkpoints, with a greppable stats line
-// for CI.
+// its metric sessions and keyed sweeps, with a greppable stats line for
+// CI. Because every completed sweep cell is stored as it finishes,
+// rerunning an interrupted command resumes it.
 //
 //	-store dir             store directory (default: user cache dir)
 //	-nostore               disable the persistent store for this run
@@ -11,7 +12,9 @@
 //
 // The store is on by default: simulation runs are deterministic and
 // content-addressed (including a hash of the simulation source), so
-// persistence is always safe — it changes cost, never scores.
+// persistence is always safe — it changes cost, never scores. The
+// -checkpoint flag of the sweep tools names a store directory too (see
+// UseCheckpoint).
 package storeflags
 
 import (
@@ -49,9 +52,18 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
+// UseCheckpoint points the store at dir, the value of a sweep tool's
+// -checkpoint flag, overriding -store and -nostore. An empty dir changes
+// nothing. Call it before Apply.
+func (f *Flags) UseCheckpoint(dir string) {
+	if dir != "" {
+		f.Dir, f.NoStore = dir, false
+	}
+}
+
 // Apply opens the store and installs it process-wide: metric sessions
 // (including the private ones experiments create) gain a disk tier, and
-// sweep checkpoints externalize their cell payloads to it. It returns a
+// keyed sweeps persist their cells in it. It returns a
 // report func to run at tool exit — with -store-stats it prints the
 // counters line CI greps for (`simulated=0` on a warm pass). A store
 // that cannot open (no writable cache dir, binary running away from its
@@ -66,7 +78,7 @@ func (f *Flags) Apply(tool string) (report func()) {
 			fmt.Fprintf(os.Stderr, "%s: persistent run store disabled: %v\n", tool, err)
 		} else {
 			metrics.SetDefaultStore(st)
-			engine.SetCheckpointStore(st)
+			engine.SetCellStore(st)
 		}
 	}
 	// Register the cache tiers as run-record stat groups. The record's

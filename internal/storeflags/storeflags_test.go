@@ -64,7 +64,7 @@ func TestApplyNoStore(t *testing.T) {
 // store into the metrics layer process-wide.
 func TestApplyInstallsDefaultStore(t *testing.T) {
 	defer metrics.SetDefaultStore(nil)
-	defer engine.SetCheckpointStore(nil)
+	defer engine.SetCellStore(nil)
 	f := &Flags{Dir: t.TempDir()}
 	f.Apply("tool")
 	if metrics.DefaultStore() == nil {
@@ -79,7 +79,7 @@ func TestApplyRegistersStatsSources(t *testing.T) {
 	metrics.ResetTotalStats()
 	defer func() {
 		metrics.SetDefaultStore(nil)
-		engine.SetCheckpointStore(nil)
+		engine.SetCellStore(nil)
 		obs.RegisterStatsSource("run_cache", nil)
 		obs.RegisterStatsSource("run_store", nil)
 	}()
@@ -122,5 +122,20 @@ func TestApplyRegistersStatsSources(t *testing.T) {
 	// still meaningful: "nothing was simulated").
 	if _, ok := groups["run_cache"]; !ok {
 		t.Fatalf("record stats missing run_cache group: %v", groups)
+	}
+}
+
+// TestUseCheckpointOverridesNoStore: a sweep tool's -checkpoint names the
+// store directory and wins over -store and -nostore; an empty value
+// leaves the flags alone.
+func TestUseCheckpointOverridesNoStore(t *testing.T) {
+	f := &Flags{Dir: "other", NoStore: true}
+	f.UseCheckpoint("")
+	if f.Dir != "other" || !f.NoStore {
+		t.Fatalf("empty -checkpoint changed the flags: %+v", f)
+	}
+	f.UseCheckpoint("ckdir")
+	if f.Dir != "ckdir" || f.NoStore {
+		t.Fatalf("-checkpoint did not take over the store: %+v", f)
 	}
 }

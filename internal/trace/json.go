@@ -6,9 +6,9 @@ import (
 	"math"
 )
 
-// JSON codec for traces, so results that embed a *Trace (notably the
-// engine's sweep-cell results) round-trip through encoding/json-based
-// checkpoints bit-exactly. Floats are serialized as their IEEE-754 bit
+// JSON codec for traces, so results that embed a *Trace (such as the
+// engine's Result) round-trip through encoding/json bit-exactly — the
+// encoding keyed sweeps persist their cells in. Floats are serialized as their IEEE-754 bit
 // patterns (decimal uint64s, which encoding/json reads and writes
 // exactly): this survives ±Inf capacities — an infinite link is a
 // routine configuration — and NaN payloads, neither of which plain JSON
@@ -57,8 +57,8 @@ func (tr *Trace) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler. Mismatched series lengths
-// are reported as errors rather than panicking, so a corrupt checkpoint
-// degrades to a recomputed cell.
+// are reported as errors rather than panicking, so a corrupt stored
+// cell degrades to a recomputed one.
 func (tr *Trace) UnmarshalJSON(data []byte) error {
 	var w traceJSON
 	if err := json.Unmarshal(data, &w); err != nil {
