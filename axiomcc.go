@@ -442,8 +442,6 @@ type (
 	TopoMetricStream = metrics.TopoStream
 	// TopoRunSpec is one cacheable topology run.
 	TopoRunSpec = metrics.TopoRunSpec
-	// TopoMetricScores bundles the eight multi-bottleneck scores.
-	TopoMetricScores = metrics.TopoScores
 )
 
 var (
@@ -451,7 +449,8 @@ var (
 	NewTopoMetricStream = metrics.NewTopoStream
 	// RunTopo executes (or replays from cache) one topology run.
 	RunTopo = metrics.RunTopo
-	// CharacterizeTopo measures all eight metrics on a topology.
+	// CharacterizeTopo measures all eight metrics on a topology, as
+	// MetricScores.
 	CharacterizeTopo = metrics.CharacterizeTopo
 )
 

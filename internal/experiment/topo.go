@@ -117,7 +117,7 @@ func pathFromRow(links []nettopo.LinkSpec, row []bool) ([]int, error) {
 type TopoAxiomRow struct {
 	Protocol string
 	Topology string
-	Scores   metrics.TopoScores
+	Scores   metrics.Scores
 }
 
 // TopoAxioms measures every Table 1 protocol's eight axiom metrics on

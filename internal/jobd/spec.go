@@ -125,7 +125,14 @@ func (sp *Spec) validate() error {
 			return fmt.Errorf("jobd: spec: buffer_mss %v must be finite and non-negative", v)
 		}
 	}
-	n := len(sp.Protocols) * len(sp.Link.Mbps) * len(sp.Link.RTTms) * len(sp.Link.BufferMSS)
+	// Multiply axis by axis and stop once over the limit, so the product
+	// cannot overflow and wrap back under it.
+	n := len(sp.Protocols)
+	for _, axis := range []int{len(sp.Link.Mbps), len(sp.Link.RTTms), len(sp.Link.BufferMSS)} {
+		if n <= maxCellsPerJob {
+			n *= axis
+		}
+	}
 	if n > maxCellsPerJob {
 		return fmt.Errorf("jobd: spec: grid of %d cells exceeds the %d-cell limit", n, maxCellsPerJob)
 	}

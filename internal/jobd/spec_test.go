@@ -9,30 +9,72 @@ import (
 	"repro/internal/metrics"
 )
 
+// goodSpec and badSpecs are the spec-validation cases; they also seed
+// FuzzParseSpec.
+const goodSpec = `{"protocols":["reno","cubic"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`
+
+var badSpecs = []string{
+	`{"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,                               // no protocols
+	`{"protocols":["reno"],"senders":1,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,          // 1 sender
+	`{"protocols":["reno"],"senders":2,"link":{"mbps":[],"rtt_ms":[42],"buffer_mss":[100]}}`,            // empty axis
+	`{"protocols":["reno"],"senders":2,"link":{"mbps":[-5],"rtt_ms":[42],"buffer_mss":[100]}}`,          // negative mbps
+	`{"protocols":["nosuch"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,        // unknown protocol
+	`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"x":true}`, // unknown field
+	`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"chaos":{"events":[{"kind":"bogus","at":1}]}}`,
+}
+
 func TestParseSpecValidates(t *testing.T) {
-	good := `{"protocols":["reno","cubic"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`
-	sp, err := ParseSpec([]byte(good))
+	sp, err := ParseSpec([]byte(goodSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sp.Expand()); got != 2 {
 		t.Fatalf("expanded to %d cells, want 2", got)
 	}
-
-	bad := []string{
-		`{"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,                               // no protocols
-		`{"protocols":["reno"],"senders":1,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,          // 1 sender
-		`{"protocols":["reno"],"senders":2,"link":{"mbps":[],"rtt_ms":[42],"buffer_mss":[100]}}`,            // empty axis
-		`{"protocols":["reno"],"senders":2,"link":{"mbps":[-5],"rtt_ms":[42],"buffer_mss":[100]}}`,          // negative mbps
-		`{"protocols":["nosuch"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,        // unknown protocol
-		`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"x":true}`, // unknown field
-		`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"chaos":{"events":[{"kind":"bogus","at":1}]}}`,
-	}
-	for _, b := range bad {
+	for _, b := range badSpecs {
 		if _, err := ParseSpec([]byte(b)); err == nil {
 			t.Errorf("spec accepted, want error: %s", b)
 		}
 	}
+}
+
+// TestParseSpecRejectsOverflowingGrid: four axes of 2^16 entries each
+// multiply to 2^64 cells, which wraps a plain int product to 0. The
+// spec (under 1 MB, well inside the server's body limit) must be
+// rejected, not expanded.
+func TestParseSpecRejectsOverflowingGrid(t *testing.T) {
+	axis := func(v string) string { return "[" + strings.Repeat(v+",", 1<<16-1) + v + "]" }
+	spec := `{"protocols":` + axis(`"reno"`) + `,"senders":2,"link":{"mbps":` + axis("1") +
+		`,"rtt_ms":` + axis("1") + `,"buffer_mss":` + axis("1") + `}}`
+	if _, err := ParseSpec([]byte(spec)); err == nil {
+		t.Fatal("a 2^64-cell grid was accepted")
+	}
+}
+
+// FuzzParseSpec: ParseSpec never panics on arbitrary bytes, and every
+// spec it accepts expands to between 1 and maxCellsPerJob cells, each
+// with a canonical store key.
+func FuzzParseSpec(f *testing.F) {
+	f.Add([]byte(goodSpec))
+	for _, b := range badSpecs {
+		f.Add([]byte(b))
+	}
+	f.Add([]byte(`{"protocols":["reno","aimd:1,0.875"],"senders":3,"link":{"mbps":[10,20],"rtt_ms":[42],"buffer_mss":[0,50]},"steps":800,"tail_frac":0.5,"chaos":{"events":[{"kind":"ge-loss","at":0,"p_good_bad":0.02,"p_bad_good":0.3,"loss_bad":0.08,"flow":-1,"link":-1}]},"chaos_seed":7}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		cells := sp.Expand()
+		if len(cells) < 1 || len(cells) > maxCellsPerJob {
+			t.Fatalf("accepted spec expanded to %d cells", len(cells))
+		}
+		for i := range cells {
+			if _, err := cells[i].Key(); err != nil {
+				t.Fatalf("cell %d of an accepted spec has no key: %v", i, err)
+			}
+		}
+	})
 }
 
 func TestExpandDeterministicOrder(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/protocol"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // ConvergenceTime estimates how quickly the protocol reaches its long-run
@@ -28,7 +29,7 @@ func ConvergenceTime(cfg fluid.Config, p protocol.Protocol, n int, band float64,
 	}
 	o := opt.withDefaults()
 	worst := 0
-	for _, init := range o.initConfigs(cfg, n) {
+	for _, init := range o.initConfigs(cfg.Capacity(), n) {
 		tr, err := runRecorded(cfg, p, n, init, o)
 		if err != nil {
 			return 0, err
@@ -79,12 +80,16 @@ func convergenceStep(window func(int) []float64, senders, length int, band, tail
 // protocols that only ever decrease gently. Lower is smoother.
 func Smoothness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
 	o := opt.withDefaults()
-	worst := 0.0
-	for _, init := range o.initConfigs(cfg, n) {
+	var traces []*trace.Trace
+	for _, init := range o.initConfigs(cfg.Capacity(), n) {
 		tr, err := runRecorded(cfg, p, n, init, o)
 		if err != nil {
 			return 0, err
 		}
+		traces = append(traces, tr)
+	}
+	return worstCase(traces, lowerBetter, func(tr *trace.Trace) float64 {
+		worst := 0.0
 		for i := 0; i < tr.Senders(); i++ {
 			w := stats.Tail(tr.Window(i), o.TailFrac)
 			for t := 0; t+1 < len(w); t++ {
@@ -96,8 +101,8 @@ func Smoothness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (floa
 				}
 			}
 		}
-	}
-	return worst, nil
+		return worst
+	}), nil
 }
 
 // Responsiveness measures adaptation to a capacity *increase*: the link's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/fluid"
@@ -42,44 +43,19 @@ func Prefetch(sets []RunSet, opt Options) (simulated []bool, err error) {
 		return nil, errors.New("metrics: Prefetch requires Options.Session")
 	}
 	var (
-		subs      []*engine.FluidSpec
-		keys      []string
-		cacheable []bool
-		owner     []int
+		g     streamGrid
+		owner []int
 	)
 	for si, set := range sets {
 		if len(set.Protos) == 0 {
 			return nil, fmt.Errorf("metrics: run-set %d has no protocols", si)
 		}
-		inits := o.initConfigs(set.Cfg, len(set.Protos))
-		for _, init := range inits {
-			// Sender slices are built serially up front, like streamRuns:
-			// protocol cloning is not required to be goroutine-safe.
-			subs = append(subs, &engine.FluidSpec{Cfg: set.Cfg, Senders: fluid.MixedSenders(set.Protos, init), Steps: o.Steps})
-			k, c := runKey(set.Cfg, set.Protos, init, o, false)
-			keys = append(keys, k)
-			cacheable = append(cacheable, c)
+		g.add(set.Cfg, set.Protos, o)
+		for len(owner) < len(g.keys) {
 			owner = append(owner, si)
 		}
 	}
-	exec := func(miss []int) ([]*Stream, error) {
-		specs := make([]engine.Spec, len(miss))
-		streams := make([]*Stream, len(miss))
-		for j, i := range miss {
-			streams[j] = NewStream(subs[i].Meta(), o.TailFrac)
-			specs[j] = engine.Spec{
-				Substrate: subs[i],
-				Observers: []engine.Observer{streams[j]},
-				Chaos:     o.Chaos,
-				ChaosSeed: o.ChaosSeed,
-			}
-		}
-		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: o.Workers}); err != nil {
-			return nil, err
-		}
-		return streams, nil
-	}
-	_, flags, err := o.Session.doBatch(keys, cacheable, o.Steps, exec)
+	_, flags, err := g.resolve(o)
 	if err != nil {
 		return nil, err
 	}
@@ -90,4 +66,64 @@ func Prefetch(sets []RunSet, opt Options) (simulated []bool, err error) {
 		}
 	}
 	return simulated, nil
+}
+
+// streamGrid is a batch of streamed fluid runs: one cell per (run-set,
+// initial configuration), with its content key. Sender slices are built
+// serially up front (protocol cloning is not required to be
+// goroutine-safe).
+type streamGrid struct {
+	subs      []*engine.FluidSpec
+	keys      []string
+	cacheable []bool
+}
+
+// add appends one cell per initial configuration of len(protos) senders
+// running protos on cfg.
+func (g *streamGrid) add(cfg fluid.Config, protos []protocol.Protocol, o Options) {
+	inits := o.initConfigs(cfg.Capacity(), len(protos))
+	g.subs = slices.Grow(g.subs, len(inits))
+	g.keys = slices.Grow(g.keys, len(inits))
+	g.cacheable = slices.Grow(g.cacheable, len(inits))
+	for _, init := range inits {
+		g.subs = append(g.subs, &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: o.Steps})
+		k, c := runKey(cfg, protos, init, o, false)
+		g.keys = append(g.keys, k)
+		g.cacheable = append(g.cacheable, c)
+	}
+}
+
+// resolve returns every cell's stream. The cells that actually need
+// simulating go through engine.SweepSpecs as one grid, so kernel-steppable
+// cells advance in lockstep (the SoA batch path) while the rest shard
+// across the worker pool per cell; when o.Session is set, cached cells
+// are skipped first (see Session.doBatch, whose simulated flags are the
+// second return). Results are bit-identical on every path.
+func (g *streamGrid) resolve(o Options) ([]*Stream, []bool, error) {
+	exec := func(miss []int) ([]*Stream, error) {
+		specs := make([]engine.Spec, len(miss))
+		streams := make([]*Stream, len(miss))
+		for j, i := range miss {
+			streams[j] = NewStream(g.subs[i].Meta(), o.TailFrac)
+			specs[j] = engine.Spec{
+				Substrate: g.subs[i],
+				Observers: []engine.Observer{streams[j]},
+				Chaos:     o.Chaos,
+				ChaosSeed: o.ChaosSeed,
+			}
+		}
+		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: o.Workers}); err != nil {
+			return nil, err
+		}
+		return streams, nil
+	}
+	if o.Session == nil {
+		all := make([]int, len(g.keys))
+		for i := range all {
+			all[i] = i
+		}
+		streams, err := exec(all)
+		return streams, nil, err
+	}
+	return o.Session.doBatch(g.keys, g.cacheable, o.Steps, exec)
 }

@@ -22,8 +22,9 @@ type Options struct {
 	// (default DefaultTailFrac).
 	TailFrac float64
 	// InitConfigs are the initial window vectors over which worst cases
-	// are taken. Vectors shorter than the sender count are cycled. When
-	// empty, DefaultInitConfigs supplies them from the link capacity.
+	// are taken, on one link and on a topology alike. Vectors shorter than
+	// the sender count are cycled. When empty, DefaultInitConfigs supplies
+	// them from the link capacity (on a topology, the largest link's).
 	InitConfigs [][]float64
 	// Workers caps the concurrency of the per-init-config runs
 	// (0 = GOMAXPROCS, 1 = serial). Results are identical at any worker
@@ -82,15 +83,17 @@ func (o Options) withDefaults() Options {
 // *converge* to fairness from protocols that merely *preserve* an equal
 // start (MIMD preserves ratios, so it only looks fair from equal starts).
 func DefaultInitConfigs(cfg fluid.Config, n int) [][]float64 {
-	c := cfg.Capacity()
+	return defaultInits(cfg.Capacity(), n)
+}
+
+// defaultInits builds the DefaultInitConfigs starts for n senders sharing
+// capacity c; an infinite link stands in as 1000 MSS.
+func defaultInits(c float64, n int) [][]float64 {
 	if math.IsInf(c, 1) {
 		c = 1000
 	}
 	fair := math.Max(c/float64(n), protocol.MinWindow)
-	skew := make([]float64, n)
-	for i := range skew {
-		skew[i] = protocol.MinWindow
-	}
+	skew := allOf(n, protocol.MinWindow)
 	skew[0] = c
 	return [][]float64{
 		allOf(n, protocol.MinWindow),
@@ -107,104 +110,81 @@ func allOf(n int, v float64) []float64 {
 	return out
 }
 
-func (o Options) initConfigs(cfg fluid.Config, n int) [][]float64 {
+// initConfigs returns o.InitConfigs, or else the default starts for n
+// senders sharing capacity c.
+func (o Options) initConfigs(c float64, n int) [][]float64 {
 	if len(o.InitConfigs) > 0 {
 		return o.InitConfigs
 	}
-	return DefaultInitConfigs(cfg, n)
+	return defaultInits(c, n)
+}
+
+// better orients a worst-case fold: the worst value of a higher-is-better
+// metric is its minimum, that of a lower-is-better metric its maximum.
+type better bool
+
+const (
+	higherBetter better = true
+	lowerBetter  better = false
+)
+
+// worstCase is the axioms' "for every initial configuration" quantifier,
+// the one place every estimator on every substrate takes its worst case:
+// it scores each run and keeps the worst score. NaN scores (the metric is
+// undefined on that run) are skipped; with no defined score the result is
+// NaN.
+func worstCase[R any](runs []R, b better, score func(R) float64) float64 {
+	worst := math.NaN()
+	for _, r := range runs {
+		v := score(r)
+		if math.IsNaN(v) {
+			continue
+		}
+		if math.IsNaN(worst) || (b == higherBetter && v < worst) || (b == lowerBetter && v > worst) {
+			worst = v
+		}
+	}
+	return worst
 }
 
 // streamRuns runs one streaming-observed engine run per initial
 // configuration — no trace is materialized — for the given per-sender
 // protocol slice (homogeneous estimators pass n copies of one protocol;
-// Friendliness passes its mix). Sender slices are built serially up front
-// (protocol cloning is not required to be goroutine-safe); the cells that
-// actually need simulating then go through engine.SweepSpecs as one grid,
-// so kernel-steppable cells advance in lockstep (the SoA batch path)
-// while the rest shard across the worker pool per cell. When o.Session is
-// set, identical runs are deduplicated through it before the grid is
-// built. Results are bit-identical on every path.
-func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options, inits [][]float64) ([]*Stream, error) {
-	subs := make([]*engine.FluidSpec, len(inits))
-	keys := make([]string, len(inits))
-	cacheable := make([]bool, len(inits))
-	for i, init := range inits {
-		subs[i] = &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: o.Steps}
-		keys[i], cacheable[i] = runKey(cfg, protos, init, o, false)
-	}
-	exec := func(miss []int) ([]*Stream, error) {
-		specs := make([]engine.Spec, len(miss))
-		streams := make([]*Stream, len(miss))
-		for j, i := range miss {
-			streams[j] = NewStream(subs[i].Meta(), o.TailFrac)
-			specs[j] = engine.Spec{
-				Substrate: subs[i],
-				Observers: []engine.Observer{streams[j]},
-				Chaos:     o.Chaos,
-				ChaosSeed: o.ChaosSeed,
-			}
-		}
-		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: o.Workers}); err != nil {
-			return nil, err
-		}
-		return streams, nil
-	}
-	if o.Session == nil {
-		all := make([]int, len(inits))
-		for i := range all {
-			all[i] = i
-		}
-		return exec(all)
-	}
-	streams, _, err := o.Session.doBatch(keys, cacheable, o.Steps, exec)
+// Friendliness passes its mix), through a streamGrid.
+func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options) ([]*Stream, error) {
+	var g streamGrid
+	g.add(cfg, protos, o)
+	streams, _, err := g.resolve(o)
 	return streams, err
 }
 
-// runStreams is streamRuns for n homogeneous p-senders over the default
-// (or configured) initial configurations.
-func runStreams(cfg fluid.Config, p protocol.Protocol, n int, o Options) ([]*Stream, error) {
+// homogeneousWorst runs n p-senders on cfg from every initial
+// configuration and folds score over the runs into its worst case.
+func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options, b better, score func(*Stream) float64) (float64, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("fluid: need at least one sender, got %d", n)
+		return 0, fmt.Errorf("fluid: need at least one sender, got %d", n)
 	}
 	protos := make([]protocol.Protocol, n)
 	for i := range protos {
 		protos[i] = p
 	}
-	return streamRuns(cfg, protos, o, o.initConfigs(cfg, n))
+	streams, err := streamRuns(cfg, protos, opt.withDefaults())
+	if err != nil {
+		return 0, err
+	}
+	return worstCase(streams, b, score), nil
 }
 
 // Efficiency estimates Metric I for n senders all running p on cfg: the
 // worst case over initial configurations of the tail's minimum X(t)/C.
 func Efficiency(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
-	if err != nil {
-		return 0, err
-	}
-	worst := math.Inf(1)
-	for _, s := range streams {
-		if e := s.Efficiency(); e < worst {
-			worst = e
-		}
-	}
-	return worst, nil
+	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*Stream).Efficiency)
 }
 
 // LossAvoidance estimates Metric III: the worst case over initial
 // configurations of the tail's maximum loss rate. Lower is better.
 func LossAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for _, s := range streams {
-		if l := s.LossAvoidance(); l > worst {
-			worst = l
-		}
-	}
-	return worst, nil
+	return homogeneousWorst(cfg, p, n, opt, lowerBetter, (*Stream).LossAvoidance)
 }
 
 // Fairness estimates Metric IV: the worst case over initial configurations
@@ -213,36 +193,14 @@ func Fairness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float6
 	if n < 2 {
 		return 0, fmt.Errorf("metrics: fairness needs ≥ 2 senders, got %d", n)
 	}
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
-	if err != nil {
-		return 0, err
-	}
-	worst := math.Inf(1)
-	for _, s := range streams {
-		if f := s.Fairness(); f < worst {
-			worst = f
-		}
-	}
-	return worst, nil
+	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*Stream).Fairness)
 }
 
 // Convergence estimates Metric V: the worst case over initial
 // configurations of the tail's containment around each sender's fixed
 // point.
 func Convergence(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
-	if err != nil {
-		return 0, err
-	}
-	worst := math.Inf(1)
-	for _, s := range streams {
-		if c := s.Convergence(); c < worst {
-			worst = c
-		}
-	}
-	return worst, nil
+	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*Stream).Convergence)
 }
 
 // FastUtilization estimates Metric II by running a single p-sender on an
@@ -284,26 +242,12 @@ func runRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float64, o
 		}
 		return res.Trace, nil
 	}
-	if o.Session == nil {
-		return exec()
-	}
 	protos := make([]protocol.Protocol, n)
 	for i := range protos {
 		protos[i] = p
 	}
 	key, cacheable := runKey(cfg, protos, init, o, true)
-	if !cacheable {
-		tr, err := exec()
-		if err == nil {
-			o.Session.noteUncacheable(o.Steps)
-		}
-		return tr, err
-	}
-	_, tr, err := o.Session.do(key, o.Steps, func() (*Stream, *trace.Trace, error) {
-		tr, err := exec()
-		return nil, tr, err
-	})
-	return tr, err
+	return do(o.Session, key, cacheable, o.Steps, traceCodec, exec)
 }
 
 // RobustTo reports whether p is robust to constant non-congestion loss of
@@ -400,17 +344,11 @@ func Friendliness(cfg fluid.Config, p, q protocol.Protocol, nP, nQ int, opt Opti
 		qIdx = append(qIdx, len(protos))
 		protos = append(protos, q)
 	}
-	streams, err := streamRuns(cfg, protos, o, o.initConfigs(cfg, n))
+	streams, err := streamRuns(cfg, protos, o)
 	if err != nil {
 		return 0, err
 	}
-	worst := math.Inf(1)
-	for _, st := range streams {
-		if f := st.Friendliness(pIdx, qIdx); f < worst {
-			worst = f
-		}
-	}
-	return worst, nil
+	return worstCase(streams, higherBetter, func(st *Stream) float64 { return st.Friendliness(pIdx, qIdx) }), nil
 }
 
 // TCPFriendliness estimates the paper's Metric VII specialization: p's
@@ -424,18 +362,7 @@ func TCPFriendliness(cfg fluid.Config, p protocol.Protocol, nP, nReno int, opt O
 // definition asks for "sufficiently large link capacity and buffer"; pass
 // a suitably provisioned cfg. Lower is better.
 func LatencyAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	streams, err := runStreams(cfg, p, n, o)
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for _, s := range streams {
-		if l := s.LatencyAvoidance(); l > worst {
-			worst = l
-		}
-	}
-	return worst, nil
+	return homogeneousWorst(cfg, p, n, opt, lowerBetter, (*Stream).LatencyAvoidance)
 }
 
 // Scores is a protocol's empirical position in the paper's 8-dimensional

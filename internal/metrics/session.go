@@ -45,14 +45,13 @@ type Session struct {
 }
 
 // sessionEntry is one single-flighted run: done closes when the claimant
-// finishes, after which exactly one of stream/tr/topo (on success) or err
-// is set.
+// finishes, after which exactly one of val (on success) or err is set.
+// val holds the payload type of the key's prefix: *Stream for
+// "v1|stream|", *trace.Trace for "v1|trace|", *TopoStream for "v1|topo|".
 type sessionEntry struct {
-	done   chan struct{}
-	stream *Stream
-	tr     *trace.Trace
-	topo   *TopoStream
-	err    error
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // NewSession returns an empty run cache. A zero-value Session is not
@@ -124,10 +123,14 @@ var (
 	totalStats SessionStats
 )
 
-func addTotals(f func(*SessionStats)) {
-	totalMu.Lock()
-	f(&totalStats)
-	totalMu.Unlock()
+// add accumulates the delta d.
+func (st *SessionStats) add(d SessionStats) {
+	st.Hits += d.Hits
+	st.DiskHits += d.DiskHits
+	st.Misses += d.Misses
+	st.Uncacheable += d.Uncacheable
+	st.StepsSimulated += d.StepsSimulated
+	st.StepsSaved += d.StepsSaved
 }
 
 // TotalStats returns the aggregated counters of every session in this
@@ -159,27 +162,83 @@ var (
 // harness recovers it into a per-cell PanicError).
 var errSessionPanicked = errors.New("metrics: cached run panicked in another goroutine")
 
-// noteUncacheable records a run that executed outside the cache.
-func (s *Session) noteUncacheable(steps int) {
+// record adds one outcome to the session's counters, the process-wide
+// totals and, while obs is enabled, the telemetry counters.
+func (s *Session) record(d SessionStats) {
 	s.mu.Lock()
-	s.stats.Uncacheable++
-	s.stats.StepsSimulated += int64(steps)
+	s.stats.add(d)
 	s.mu.Unlock()
-	addTotals(func(t *SessionStats) {
-		t.Uncacheable++
-		t.StepsSimulated += int64(steps)
-	})
+	totalMu.Lock()
+	totalStats.add(d)
+	totalMu.Unlock()
 	if obs.Enabled() {
-		sessionUncacheable.Inc()
+		sessionHits.Add(uint64(d.Hits))
+		sessionDiskHits.Add(uint64(d.DiskHits))
+		sessionMisses.Add(uint64(d.Misses))
+		sessionUncacheable.Add(uint64(d.Uncacheable))
 	}
 }
 
-// do returns the cached result for key, or claims the key and runs exec
-// exactly once while concurrent callers wait. Errors are returned to the
-// claimant and any current waiters but never cached: the claim is evicted
-// so later calls retry (a canceled context must not poison the session —
-// and runs are deterministic, so a genuine failure simply reproduces).
-func (s *Session) do(key string, steps int, exec func() (*Stream, *trace.Trace, error)) (*Stream, *trace.Trace, error) {
+// evict releases a claim that will not be filled: the key leaves the map
+// so later calls claim it afresh, and current waiters wake with err.
+func (s *Session) evict(key string, e *sessionEntry, err error) {
+	s.mu.Lock()
+	delete(s.entries, key)
+	s.mu.Unlock()
+	e.err = err
+	close(e.done)
+}
+
+// runCodec is the store encoding of one cached payload type.
+type runCodec[T any] struct {
+	encode func(T) []byte
+	decode func([]byte) (T, error)
+}
+
+var (
+	streamCodec = runCodec[*Stream]{
+		encode: func(st *Stream) []byte { return encodeRun(st, nil) },
+		decode: func(b []byte) (*Stream, error) { st, _, err := decodeRun(b, false); return st, err },
+	}
+	traceCodec = runCodec[*trace.Trace]{
+		encode: func(tr *trace.Trace) []byte { return encodeRun(nil, tr) },
+		decode: func(b []byte) (*trace.Trace, error) { _, tr, err := decodeRun(b, true); return tr, err },
+	}
+	topoCodec = runCodec[*TopoStream]{encode: encodeTopoRun, decode: decodeTopoRun}
+)
+
+// load returns key's payload from st if it is present and decodes.
+func (c runCodec[T]) load(st *runstore.Store, key string) (T, bool) {
+	if payload, ok := st.Get(key); ok {
+		if v, err := c.decode(payload); err == nil {
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// do resolves one run of steps steps through s. With a nil session it
+// just executes; a run whose key has no canonical identity (cacheable
+// false) executes uncached and counts as Uncacheable. Otherwise do
+// returns the cached result for key, or claims the key and resolves it
+// exactly once (see fetch) while concurrent callers wait. Errors are
+// returned to the claimant and any current waiters but never cached: the
+// claim is evicted so later calls retry (a canceled context must not
+// poison the session — and runs are deterministic, so a genuine failure
+// simply reproduces). If exec panics, waiters get errSessionPanicked and
+// the panic keeps unwinding on the claimant's goroutine.
+func do[T any](s *Session, key string, cacheable bool, steps int, c runCodec[T], exec func() (T, error)) (T, error) {
+	if s == nil {
+		return exec()
+	}
+	if !cacheable {
+		v, err := exec()
+		if err == nil {
+			s.record(SessionStats{Uncacheable: 1, StepsSimulated: int64(steps)})
+		}
+		return v, err
+	}
 	for {
 		s.mu.Lock()
 		if e, ok := s.entries[key]; ok {
@@ -187,24 +246,15 @@ func (s *Session) do(key string, steps int, exec func() (*Stream, *trace.Trace, 
 			wsp := obs.StartLeafSpan("metrics.session.wait")
 			<-e.done
 			wsp.End()
+			if e.err == errSessionPanicked {
+				var zero T
+				return zero, e.err
+			}
 			if e.err != nil {
-				if e.err == errSessionPanicked {
-					return nil, nil, e.err
-				}
 				continue // claim was evicted; retry (bounded: we claim next)
 			}
-			s.mu.Lock()
-			s.stats.Hits++
-			s.stats.StepsSaved += int64(steps)
-			s.mu.Unlock()
-			addTotals(func(t *SessionStats) {
-				t.Hits++
-				t.StepsSaved += int64(steps)
-			})
-			if obs.Enabled() {
-				sessionHits.Inc()
-			}
-			return e.stream, e.tr, nil
+			s.record(SessionStats{Hits: 1, StepsSaved: int64(steps)})
+			return e.val.(T), nil
 		}
 		e := &sessionEntry{done: make(chan struct{})}
 		s.entries[key] = e
@@ -213,171 +263,61 @@ func (s *Session) do(key string, steps int, exec func() (*Stream, *trace.Trace, 
 		finished := false
 		defer func() {
 			if !finished {
-				// exec panicked. Evict the claim and release waiters with
-				// a sentinel error so nobody blocks forever; the panic
-				// keeps unwinding on this goroutine.
-				s.mu.Lock()
-				delete(s.entries, key)
-				s.mu.Unlock()
-				e.err = errSessionPanicked
-				close(e.done)
+				s.evict(key, e, errSessionPanicked)
 			}
 		}()
-		var fromDisk bool
-		e.stream, e.tr, fromDisk, e.err = s.runOrFetch(key, exec)
+		v, fromDisk, err := fetch(s, key, c, exec)
 		finished = true
-		s.mu.Lock()
-		if e.err != nil {
-			delete(s.entries, key)
-		} else if fromDisk {
-			s.stats.DiskHits++
-			s.stats.StepsSaved += int64(steps)
+		if err != nil {
+			s.evict(key, e, err)
+			return v, err
+		}
+		if fromDisk {
+			s.record(SessionStats{DiskHits: 1, StepsSaved: int64(steps)})
 		} else {
-			s.stats.Misses++
-			s.stats.StepsSimulated += int64(steps)
+			s.record(SessionStats{Misses: 1, StepsSimulated: int64(steps)})
 		}
-		s.mu.Unlock()
-		if e.err == nil {
-			if fromDisk {
-				addTotals(func(t *SessionStats) {
-					t.DiskHits++
-					t.StepsSaved += int64(steps)
-				})
-				if obs.Enabled() {
-					sessionDiskHits.Inc()
-				}
-			} else {
-				addTotals(func(t *SessionStats) {
-					t.Misses++
-					t.StepsSimulated += int64(steps)
-				})
-				if obs.Enabled() {
-					sessionMisses.Inc()
-				}
-			}
-		}
+		e.val = v
 		close(e.done)
-		return e.stream, e.tr, e.err
+		return v, nil
 	}
 }
 
-// doTopo is do for the nettopo substrate: the same single-flight claim/
-// wait/evict protocol over the shared entry map (a "v1|topo|" key can
-// never collide with the fluid prefixes), resolving through
-// runOrFetchTopo so warm stores serve topology runs without simulating.
-func (s *Session) doTopo(key string, steps int, exec func() (*TopoStream, error)) (*TopoStream, error) {
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			s.mu.Unlock()
-			wsp := obs.StartLeafSpan("metrics.session.wait")
-			<-e.done
-			wsp.End()
-			if e.err != nil {
-				if e.err == errSessionPanicked {
-					return nil, e.err
-				}
-				continue // claim was evicted; retry (bounded: we claim next)
-			}
-			s.mu.Lock()
-			s.stats.Hits++
-			s.stats.StepsSaved += int64(steps)
-			s.mu.Unlock()
-			addTotals(func(t *SessionStats) {
-				t.Hits++
-				t.StepsSaved += int64(steps)
-			})
-			if obs.Enabled() {
-				sessionHits.Inc()
-			}
-			return e.topo, nil
-		}
-		e := &sessionEntry{done: make(chan struct{})}
-		s.entries[key] = e
-		s.mu.Unlock()
-
-		finished := false
-		defer func() {
-			if !finished {
-				s.mu.Lock()
-				delete(s.entries, key)
-				s.mu.Unlock()
-				e.err = errSessionPanicked
-				close(e.done)
-			}
-		}()
-		var fromDisk bool
-		e.topo, fromDisk, e.err = s.runOrFetchTopo(key, exec)
-		finished = true
-		s.mu.Lock()
-		if e.err != nil {
-			delete(s.entries, key)
-		} else if fromDisk {
-			s.stats.DiskHits++
-			s.stats.StepsSaved += int64(steps)
-		} else {
-			s.stats.Misses++
-			s.stats.StepsSimulated += int64(steps)
-		}
-		s.mu.Unlock()
-		if e.err == nil {
-			if fromDisk {
-				addTotals(func(t *SessionStats) {
-					t.DiskHits++
-					t.StepsSaved += int64(steps)
-				})
-				if obs.Enabled() {
-					sessionDiskHits.Inc()
-				}
-			} else {
-				addTotals(func(t *SessionStats) {
-					t.Misses++
-					t.StepsSimulated += int64(steps)
-				})
-				if obs.Enabled() {
-					sessionMisses.Inc()
-				}
-			}
-		}
-		close(e.done)
-		return e.topo, e.err
-	}
-}
-
-// runOrFetchTopo is runOrFetch for TopoStream payloads: store check,
-// cross-process key lock, re-check, then simulate and write back.
-func (s *Session) runOrFetchTopo(key string, exec func() (*TopoStream, error)) (*TopoStream, bool, error) {
-	if s.store == nil {
+// fetch resolves a claimed key through the persistent tier: try the
+// store, then take the key's cross-process lock, re-check the store (a
+// concurrent process may have just finished the same run), and only then
+// simulate and write back. With no store attached, or when the lock
+// cannot be taken, it simply executes. The flock makes concurrent
+// processes single-flight the same cell the way the in-memory map
+// single-flights goroutines.
+func fetch[T any](s *Session, key string, c runCodec[T], exec func() (T, error)) (v T, fromDisk bool, err error) {
+	simulate := func() (T, error) {
 		sp := obs.StartLeafSpan("metrics.session.simulate")
-		st, err := exec()
-		sp.End()
-		return st, false, err
+		defer sp.End()
+		return exec()
 	}
-	if payload, ok := s.store.Get(key); ok {
-		if st, derr := decodeTopoRun(payload); derr == nil {
-			return st, true, nil
-		}
+	if s.store == nil {
+		v, err = simulate()
+		return v, false, err
+	}
+	if v, ok := c.load(s.store, key); ok {
+		return v, true, nil
 	}
 	unlock, lerr := s.store.LockKey(key)
 	if lerr != nil {
-		sp := obs.StartLeafSpan("metrics.session.simulate")
-		st, err := exec()
-		sp.End()
-		return st, false, err
+		v, err = simulate()
+		return v, false, err
 	}
 	defer unlock()
-	if payload, ok := s.store.Get(key); ok {
-		if st, derr := decodeTopoRun(payload); derr == nil {
-			return st, true, nil
-		}
+	if v, ok := c.load(s.store, key); ok {
+		return v, true, nil
 	}
-	sp := obs.StartLeafSpan("metrics.session.simulate")
-	st, err := exec()
-	sp.End()
-	if err == nil {
-		_ = s.store.Put(key, encodeTopoRun(st))
+	if v, err = simulate(); err == nil {
+		// A write failure (disk full, permissions) costs persistence,
+		// not correctness — the result still serves this process.
+		_ = s.store.Put(key, c.encode(v))
 	}
-	return st, false, err
+	return v, false, err
 }
 
 // doBatch resolves a whole grid of streaming runs through the cache in
@@ -398,7 +338,7 @@ func (s *Session) runOrFetchTopo(key string, exec func() (*TopoStream, error)) (
 // Cross-process single-flight holds for the batch path too: the store
 // locks of all claimed keys are taken up front in sorted key order — a
 // global total order, so two batches can never deadlock on each other,
-// and runOrFetch only ever holds one of these at a time — and held
+// and fetch only ever holds one of these at a time — and held
 // across the store check and the simulation, so another process either
 // finds each cell on disk or blocks until this batch writes it.
 //
@@ -433,7 +373,7 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 
 	// Take the claimed keys' cross-process locks in sorted key order (see
 	// the doc comment); a lock that cannot be acquired degrades that key
-	// to lock-free idempotent behavior, like runOrFetch.
+	// to lock-free idempotent behavior, like fetch.
 	var unlocks []func()
 	if s.store != nil && len(claimed) > 0 {
 		order := append([]int(nil), claimed...)
@@ -459,48 +399,29 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 	diskHits := 0
 	for _, i := range claimed {
 		if s.store != nil {
-			if payload, ok := s.store.Get(keys[i]); ok {
-				if st, _, derr := decodeRun(payload, false); derr == nil {
-					entries[i].stream = st
-					close(entries[i].done)
-					out[i] = st
-					diskHits++
-					continue
-				}
+			if st, ok := streamCodec.load(s.store, keys[i]); ok {
+				entries[i].val = st
+				close(entries[i].done)
+				out[i] = st
+				diskHits++
+				continue
 			}
 		}
 		open = append(open, i)
 		miss = append(miss, i)
 	}
 	if diskHits > 0 {
-		s.mu.Lock()
-		s.stats.DiskHits += int64(diskHits)
-		s.stats.StepsSaved += int64(diskHits) * int64(steps)
-		s.mu.Unlock()
-		addTotals(func(t *SessionStats) {
-			t.DiskHits += int64(diskHits)
-			t.StepsSaved += int64(diskHits) * int64(steps)
-		})
-		if obs.Enabled() {
-			sessionDiskHits.Add(uint64(diskHits))
-		}
+		s.record(SessionStats{DiskHits: int64(diskHits), StepsSaved: int64(diskHits) * int64(steps)})
 	}
 	sort.Ints(miss)
 
 	if len(miss) > 0 {
 		// evict releases the still-open claims on failure so other callers
 		// retry rather than block; the deferred arm covers an exec panic
-		// (mirroring do), with the panic itself unwinding on this
-		// goroutine.
+		// (as in do), with the panic itself unwinding on this goroutine.
 		evict := func(err error) {
-			s.mu.Lock()
 			for _, i := range open {
-				delete(s.entries, keys[i])
-			}
-			s.mu.Unlock()
-			for _, i := range open {
-				entries[i].err = err
-				close(entries[i].done)
+				s.evict(keys[i], entries[i], err)
 			}
 		}
 		finished := false
@@ -532,26 +453,17 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 			simulated++
 			if s.store != nil {
 				// A write failure costs persistence, not correctness.
-				_ = s.store.Put(keys[i], encodeRun(streams[j], nil))
+				_ = s.store.Put(keys[i], streamCodec.encode(streams[j]))
 			}
-			entries[i].stream = streams[j]
+			entries[i].val = streams[j]
 			close(entries[i].done)
 		}
 		finished = true
-		s.mu.Lock()
-		s.stats.Misses += int64(simulated)
-		s.stats.Uncacheable += int64(uncached)
-		s.stats.StepsSimulated += int64(simulated+uncached) * int64(steps)
-		s.mu.Unlock()
-		addTotals(func(t *SessionStats) {
-			t.Misses += int64(simulated)
-			t.Uncacheable += int64(uncached)
-			t.StepsSimulated += int64(simulated+uncached) * int64(steps)
+		s.record(SessionStats{
+			Misses:         int64(simulated),
+			Uncacheable:    int64(uncached),
+			StepsSimulated: int64(simulated+uncached) * int64(steps),
 		})
-		if obs.Enabled() {
-			sessionMisses.Add(uint64(simulated))
-			sessionUncacheable.Add(uint64(uncached))
-		}
 	}
 
 	// Every claimed cell is resolved (filled or evicted) by this point,
@@ -566,13 +478,12 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 	// if that claim was evicted by a failure, do re-claims and simulates
 	// the cell individually.
 	for _, i := range waiters {
-		idx := i
-		st, _, err := s.do(keys[i], steps, func() (*Stream, *trace.Trace, error) {
-			sts, err := exec([]int{idx})
+		st, err := do(s, keys[i], true, steps, streamCodec, func() (*Stream, error) {
+			sts, err := exec([]int{i})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			return sts[0], nil, nil
+			return sts[0], nil
 		})
 		if err != nil {
 			return nil, nil, err
@@ -580,49 +491,6 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 		out[i] = st
 	}
 	return out, sim, nil
-}
-
-// runOrFetch resolves a claimed key through the persistent tier: try the
-// store, then take the key's cross-process lock, re-check the store (a
-// concurrent process may have just finished the same run), and only then
-// simulate and write back. With no store attached it simply executes.
-// The flock makes concurrent processes single-flight the same cell the
-// way the in-memory map single-flights goroutines.
-func (s *Session) runOrFetch(key string, exec func() (*Stream, *trace.Trace, error)) (*Stream, *trace.Trace, bool, error) {
-	if s.store == nil {
-		sp := obs.StartLeafSpan("metrics.session.simulate")
-		st, tr, err := exec()
-		sp.End()
-		return st, tr, false, err
-	}
-	recorded := strings.HasPrefix(key, "v1|trace|")
-	if payload, ok := s.store.Get(key); ok {
-		if st, tr, derr := decodeRun(payload, recorded); derr == nil {
-			return st, tr, true, nil
-		}
-	}
-	unlock, lerr := s.store.LockKey(key)
-	if lerr != nil {
-		sp := obs.StartLeafSpan("metrics.session.simulate")
-		st, tr, err := exec()
-		sp.End()
-		return st, tr, false, err
-	}
-	defer unlock()
-	if payload, ok := s.store.Get(key); ok {
-		if st, tr, derr := decodeRun(payload, recorded); derr == nil {
-			return st, tr, true, nil
-		}
-	}
-	sp := obs.StartLeafSpan("metrics.session.simulate")
-	st, tr, err := exec()
-	sp.End()
-	if err == nil {
-		// A write failure (disk full, permissions) costs persistence,
-		// not correctness — the result still serves this process.
-		_ = s.store.Put(key, encodeRun(st, tr))
-	}
-	return st, tr, false, err
 }
 
 // lossFingerprinter is the optional contract the builtin fluid loss

@@ -3,7 +3,7 @@ package metrics
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -400,166 +400,98 @@ func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoStream, error) {
 		}
 		return st, nil
 	}
-	if t.Session == nil {
-		return exec()
-	}
 	key, cacheable := topoKey(&t)
-	if !cacheable {
-		st, err := exec()
-		if err == nil {
-			t.Session.noteUncacheable(t.Steps)
-		}
-		return st, err
-	}
-	return t.Session.doTopo(key, t.Steps, exec)
-}
-
-// TopoScores is a protocol's empirical position in the metric space,
-// measured on a multi-bottleneck topology. Efficiency, LossAvoidance,
-// Fairness, Convergence, TCPFriendliness, and LatencyAvoidance are the
-// per-link/per-bottleneck re-statements computed by TopoStream;
-// FastUtilization and Robustness are single-sender probes on the
-// metric-specific infinite link (Metrics II and VI isolate the protocol
-// from any topology, so their values are inherited unchanged).
-type TopoScores struct {
-	Efficiency       float64
-	FastUtilization  float64
-	LossAvoidance    float64
-	Fairness         float64
-	Convergence      float64
-	Robustness       float64
-	TCPFriendliness  float64
-	LatencyAvoidance float64
-}
-
-// String renders the 8-tuple compactly.
-func (s TopoScores) String() string {
-	return fmt.Sprintf("eff=%.3f fast=%.3f loss=%.4f fair=%.3f conv=%.3f robust=%.3f tcpf=%.3f lat=%.3f",
-		s.Efficiency, s.FastUtilization, s.LossAvoidance, s.Fairness,
-		s.Convergence, s.Robustness, s.TCPFriendliness, s.LatencyAvoidance)
-}
-
-// topoInitConfigs mirrors DefaultInitConfigs on a topology: everyone at
-// the floor, everyone at an equal share of the largest link, and a skewed
-// start with flow 0 holding that whole capacity.
-func topoInitConfigs(links []nettopo.LinkSpec, n int) [][]float64 {
-	c := 0.0
-	for _, l := range links {
-		if lc := l.Capacity(); lc > c {
-			c = lc
-		}
-	}
-	fair := math.Max(c/float64(n), protocol.MinWindow)
-	skew := make([]float64, n)
-	for i := range skew {
-		skew[i] = protocol.MinWindow
-	}
-	skew[0] = c
-	return [][]float64{
-		allOf(n, protocol.MinWindow),
-		allOf(n, fair),
-		skew,
-	}
+	return do(t.Session, key, cacheable, t.Steps, topoCodec, exec)
 }
 
 // CharacterizeTopo measures all eight metrics for a homogeneous
 // population of p-flows over the given topology — one multi-bottleneck
-// row of the paper's Table 1. Worst cases are taken over the same three
-// initial configurations the single-link estimators use (floor, fair
-// share, maximally skewed). TCP-friendliness re-runs the topology with
+// row of the paper's Table 1. Efficiency, LossAvoidance, Fairness,
+// Convergence, TCPFriendliness, and LatencyAvoidance are the
+// per-link/per-bottleneck re-statements computed by TopoStream, with
+// worst cases taken over the same initial configurations the single-link
+// estimators use (o.InitConfigs, else floor, fair share of the largest
+// link, and maximally skewed). TCP-friendliness re-runs the topology with
 // every flow but the first replaced by Reno and scores flow 0 against
-// them per shared link.
-func CharacterizeTopo(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, p protocol.Protocol, opt Options) (TopoScores, error) {
+// them per shared link. FastUtilization and Robustness are single-sender
+// probes on the metric-specific infinite link (Metrics II and VI isolate
+// the protocol from any topology, so their values are inherited
+// unchanged).
+func CharacterizeTopo(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, p protocol.Protocol, opt Options) (Scores, error) {
+	if len(flows) == 0 {
+		return Scores{}, errors.New("metrics: CharacterizeTopo needs at least one flow")
+	}
 	o := opt.withDefaults()
 	if opt.Session == nil && !opt.NoCache {
 		o.Session = NewSession()
 	}
-	var s TopoScores
-	run := func(fl []nettopo.FlowSpec, init []float64) (*TopoStream, error) {
-		withInit := make([]nettopo.FlowSpec, len(fl))
-		for i := range fl {
-			withInit[i] = fl[i]
-			withInit[i].Init = init[i%len(init)]
-		}
-		return RunTopo(context.Background(), TopoRunSpec{
-			Links:     links,
-			Flows:     withInit,
-			Steps:     o.Steps,
-			TailFrac:  o.TailFrac,
-			Chaos:     o.Chaos,
-			ChaosSeed: o.ChaosSeed,
-			Session:   o.Session,
-		})
+	c := 0.0
+	for _, l := range links {
+		c = math.Max(c, l.Capacity())
 	}
-	homogeneous := make([]nettopo.FlowSpec, len(flows))
-	for i := range flows {
-		homogeneous[i] = flows[i]
-		homogeneous[i].Proto = p
+	inits := o.initConfigs(c, len(flows))
+	// runs streams the topology once per initial configuration, with flow
+	// i running protos(i).
+	runs := func(protos func(i int) protocol.Protocol) ([]*TopoStream, error) {
+		out := make([]*TopoStream, len(inits))
+		for k, init := range inits {
+			fl := make([]nettopo.FlowSpec, len(flows))
+			for i := range flows {
+				fl[i] = flows[i]
+				fl[i].Proto = protos(i)
+				fl[i].Init = protocol.MinWindow
+				if len(init) > 0 {
+					fl[i].Init = init[i%len(init)]
+				}
+			}
+			st, err := RunTopo(context.Background(), TopoRunSpec{
+				Links:     links,
+				Flows:     fl,
+				Steps:     o.Steps,
+				TailFrac:  o.TailFrac,
+				Chaos:     o.Chaos,
+				ChaosSeed: o.ChaosSeed,
+				Session:   o.Session,
+			})
+			if err != nil {
+				return nil, err
+			}
+			out[k] = st
+		}
+		return out, nil
 	}
-	inits := topoInitConfigs(links, len(flows))
-	s.Efficiency = math.Inf(1)
-	s.Fairness = math.Inf(1)
-	s.Convergence = math.Inf(1)
-	for _, init := range inits {
-		st, err := run(homogeneous, init)
-		if err != nil {
-			return s, err
-		}
-		if e := st.Efficiency(); e < s.Efficiency {
-			s.Efficiency = e
-		}
-		if l := st.LossAvoidance(); l > s.LossAvoidance {
-			s.LossAvoidance = l
-		}
-		if f := st.Fairness(); !math.IsNaN(f) && f < s.Fairness {
-			s.Fairness = f
-		}
-		if c := st.Convergence(); c < s.Convergence {
-			s.Convergence = c
-		}
-		if l := st.LatencyAvoidance(); l > s.LatencyAvoidance {
-			s.LatencyAvoidance = l
-		}
+	hom, err := runs(func(int) protocol.Protocol { return p })
+	if err != nil {
+		return Scores{}, err
 	}
-	if math.IsInf(s.Fairness, 1) {
-		s.Fairness = math.NaN()
-	}
-
 	// Friendliness: flow 0 keeps p, the cross traffic becomes Reno.
-	mixed := make([]nettopo.FlowSpec, len(flows))
-	pIdx, qIdx := []int{0}, make([]int, 0, len(flows)-1)
 	reno := protocol.Reno()
-	for i := range flows {
-		mixed[i] = flows[i]
+	mix, err := runs(func(i int) protocol.Protocol {
 		if i == 0 {
-			mixed[i].Proto = p
-		} else {
-			mixed[i].Proto = reno
-			qIdx = append(qIdx, i)
+			return p
 		}
+		return reno
+	})
+	if err != nil {
+		return Scores{}, err
 	}
-	s.TCPFriendliness = math.Inf(1)
-	for _, init := range inits {
-		st, err := run(mixed, init)
-		if err != nil {
-			return s, err
-		}
-		if f := st.Friendliness(pIdx, qIdx); !math.IsNaN(f) && f < s.TCPFriendliness {
-			s.TCPFriendliness = f
-		}
+	qIdx := make([]int, 0, len(flows)-1)
+	for i := 1; i < len(flows); i++ {
+		qIdx = append(qIdx, i)
 	}
-	if math.IsInf(s.TCPFriendliness, 1) {
-		s.TCPFriendliness = math.NaN()
+	s := Scores{
+		Efficiency:       worstCase(hom, higherBetter, (*TopoStream).Efficiency),
+		LossAvoidance:    worstCase(hom, lowerBetter, (*TopoStream).LossAvoidance),
+		Fairness:         worstCase(hom, higherBetter, (*TopoStream).Fairness),
+		Convergence:      worstCase(hom, higherBetter, (*TopoStream).Convergence),
+		TCPFriendliness:  worstCase(mix, higherBetter, func(st *TopoStream) float64 { return st.Friendliness([]int{0}, qIdx) }),
+		LatencyAvoidance: worstCase(hom, lowerBetter, (*TopoStream).LatencyAvoidance),
 	}
-
-	// Metrics II and VI isolate a single sender on an infinite link; the
-	// topology cannot influence them, so the fluid probes apply verbatim.
-	var err error
 	if s.FastUtilization, err = FastUtilization(p, o); err != nil {
-		return s, err
+		return Scores{}, err
 	}
 	if s.Robustness, err = Robustness(p, 0.5, 1e-3, o); err != nil {
-		return s, err
+		return Scores{}, err
 	}
 	return s, nil
 }
