@@ -294,6 +294,9 @@ type (
 	// MetricStream is the streaming observer computing the axiom
 	// estimators online (no recorded trace needed).
 	MetricStream = metrics.Stream
+	// MetricSummary is a finished MetricStream frozen into the scalars
+	// its axiom scores read (MetricStream.Summary).
+	MetricSummary = metrics.StreamSummary
 )
 
 var (
@@ -440,6 +443,9 @@ type (
 	// TopoMetricStream streams a topology run into tail rings for the
 	// multi-bottleneck estimators.
 	TopoMetricStream = metrics.TopoStream
+	// TopoMetricSummary is a finished topology run frozen into what its
+	// multi-bottleneck scores read; RunTopo returns it.
+	TopoMetricSummary = metrics.TopoSummary
 	// TopoRunSpec is one cacheable topology run.
 	TopoRunSpec = metrics.TopoRunSpec
 )
@@ -447,7 +453,8 @@ type (
 var (
 	// NewTopoMetricStream sizes a TopoMetricStream for a topology run.
 	NewTopoMetricStream = metrics.NewTopoStream
-	// RunTopo executes (or replays from cache) one topology run.
+	// RunTopo executes (or replays from cache) one topology run and
+	// returns its TopoMetricSummary.
 	RunTopo = metrics.RunTopo
 	// CharacterizeTopo measures all eight metrics on a topology, as
 	// MetricScores.

@@ -70,9 +70,10 @@ func CheckClaim1(opt metrics.Options) (*Claim1Evidence, error) {
 	if _, err := engine.Run(context.Background(), engine.Spec{Substrate: sub, Observers: []engine.Observer{st}}); err != nil {
 		return nil, err
 	}
+	sum := st.Summary()
 	ev := &Claim1Evidence{
-		TailLoss:   st.LossAvoidance(),
-		Efficiency: st.Efficiency(),
+		TailLoss:   sum.LossAvoidance,
+		Efficiency: sum.Efficiency,
 		FastUtil:   metrics.FastUtilizationFromSeries(st.TailWindow(0)),
 	}
 	ev.Holds = axioms.Claim1Holds(true, ev.TailLoss, ev.FastUtil, 1e-9)
@@ -224,7 +225,8 @@ func CheckTheorem3(epsilons []float64, opt metrics.Options, tol float64) ([]Theo
 			if err != nil {
 				return Theorem3Check{}, err
 			}
-			measured := st.AvgWindow(1) / st.AvgWindow(0)
+			avg := st.Summary().AvgWindows
+			measured := avg[1] / avg[0]
 			bound := axioms.Theorem3Bound(1, 0.8, eps, lp.C, lp.Tau)
 			ceiling := axioms.Theorem2Bound(1, 0.8)
 			return Theorem3Check{
@@ -255,7 +257,8 @@ func MoreAggressive(cfg fluid.Config, p, q protocol.Protocol, opt metrics.Option
 			if err != nil {
 				return false, err
 			}
-			return st.AvgGoodput(0) > st.AvgGoodput(1), nil
+			g := st.Summary().AvgGoodputs
+			return g[0] > g[1], nil
 		})
 	if err != nil {
 		return false, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/nettopo"
 )
 
 // TestStreamObserveAllocFree pins the observer half of the hot-loop
@@ -50,5 +51,28 @@ func TestStreamObserveStripAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.ObserveStrip(strip) }); avg != 0 {
 		t.Fatalf("Stream.ObserveStrip allocates %.2f times per strip, want 0", avg)
+	}
+}
+
+// TestTopoStreamObserveAllocFree pins the same contract for topology
+// ingest: per-flow and per-link ring pushes must not allocate per step,
+// even after the rings wrap.
+func TestTopoStreamObserveAllocFree(t *testing.T) {
+	links, flows := topoFixture()
+	s := NewTopoStream(links, flows, 1000, DefaultTailFrac)
+	res := &nettopo.StepResult{
+		Windows:  []float64{10, 20},
+		FlowRTT:  []float64{0.05, 0.06},
+		FlowLoss: []float64{0.01, 0.02},
+		LinkLoad: []float64{0.5, 0.6, 0.9},
+		LinkLoss: []float64{0, 0, 0.01},
+	}
+	step := engine.Step{Windows: res.Windows, Topo: res}
+	// Fill beyond ring capacity so the wrap-around path is what's measured.
+	for i := 0; i < 2000; i++ {
+		s.Observe(step)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.Observe(step) }); avg != 0 {
+		t.Fatalf("TopoStream.Observe allocates %.2f times per step, want 0", avg)
 	}
 }

@@ -12,6 +12,24 @@ import (
 	"repro/internal/rand64"
 )
 
+// protocolFamilies are the seeded protocol generators the randomized
+// bit-identity tests draw from, one per family of the paper's Table 1.
+var protocolFamilies = []struct {
+	name string
+	make func(rng *rand64.Source) protocol.Protocol
+}{
+	{"reno", func(*rand64.Source) protocol.Protocol { return protocol.Reno() }},
+	{"cubic", func(*rand64.Source) protocol.Protocol { return protocol.CubicLinux() }},
+	{"aimd", func(rng *rand64.Source) protocol.Protocol {
+		return protocol.NewAIMD(rng.Range(0.5, 4), rng.Range(0.3, 0.9))
+	}},
+	{"mimd", func(*rand64.Source) protocol.Protocol { return protocol.Scalable() }},
+	{"binomial", func(*rand64.Source) protocol.Protocol { return protocol.SQRT() }},
+	{"robust-aimd", func(rng *rand64.Source) protocol.Protocol {
+		return protocol.NewRobustAIMD(1, rng.Range(0.5, 0.9), 0.01)
+	}},
+}
+
 // TestOneLinkTopoMatchesFluid pins "the multi-bottleneck axioms reduce
 // to the paper's on one link" as a checked fact: a seeded random
 // single-bottleneck configuration (C, τ, n, protocol family, initial
@@ -20,25 +38,10 @@ import (
 // TopoStream, agree bit for bit on all six shared estimators and on
 // every flow's tail window and goodput.
 func TestOneLinkTopoMatchesFluid(t *testing.T) {
-	families := []struct {
-		name string
-		make func(rng *rand64.Source) protocol.Protocol
-	}{
-		{"reno", func(*rand64.Source) protocol.Protocol { return protocol.Reno() }},
-		{"cubic", func(*rand64.Source) protocol.Protocol { return protocol.CubicLinux() }},
-		{"aimd", func(rng *rand64.Source) protocol.Protocol {
-			return protocol.NewAIMD(rng.Range(0.5, 4), rng.Range(0.3, 0.9))
-		}},
-		{"mimd", func(*rand64.Source) protocol.Protocol { return protocol.Scalable() }},
-		{"binomial", func(*rand64.Source) protocol.Protocol { return protocol.SQRT() }},
-		{"robust-aimd", func(rng *rand64.Source) protocol.Protocol {
-			return protocol.NewRobustAIMD(1, rng.Range(0.5, 0.9), 0.01)
-		}},
-	}
 	const steps, tail = 1500, DefaultTailFrac
 	rng := rand64.New(20171130)
 	for trial := 0; trial < 24; trial++ {
-		fam := families[trial%len(families)]
+		fam := protocolFamilies[trial%len(protocolFamilies)]
 		theta := rng.Range(0.005, 0.05)
 		capacity := rng.Range(20, 400) // C = B·2Θ, MSS
 		cfg := fluid.Config{
@@ -70,6 +73,7 @@ func TestOneLinkTopoMatchesFluid(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		ss, tsum := st.Summary(), ts.Summary()
 		q := make([]int, n-1)
 		for i := range q {
 			q[i] = i + 1
@@ -78,23 +82,23 @@ func TestOneLinkTopoMatchesFluid(t *testing.T) {
 			name        string
 			fluid, topo float64
 		}{
-			{"efficiency", st.Efficiency(), ts.Efficiency()},
-			{"loss", st.LossAvoidance(), ts.LossAvoidance()},
-			{"fairness", st.Fairness(), ts.Fairness()},
-			{"convergence", st.Convergence(), ts.Convergence()},
-			{"friendliness", st.Friendliness([]int{0}, q), ts.Friendliness([]int{0}, q)},
-			{"latency", st.LatencyAvoidance(), ts.LatencyAvoidance()},
+			{"efficiency", ss.Efficiency, tsum.Efficiency()},
+			{"loss", ss.LossAvoidance, tsum.LossAvoidance()},
+			{"fairness", ss.Fairness(), tsum.Fairness()},
+			{"convergence", ss.Convergence, tsum.Convergence},
+			{"friendliness", ss.Friendliness([]int{0}, q), tsum.Friendliness([]int{0}, q)},
+			{"latency", ss.LatencyAvoidance, tsum.LatencyAvoidance()},
 		}
 		for i := 0; i < n; i++ {
 			pairs = append(pairs,
 				struct {
 					name        string
 					fluid, topo float64
-				}{"avg window", st.AvgWindow(i), ts.AvgWindow(i)},
+				}{"avg window", ss.AvgWindows[i], tsum.AvgWindows[i]},
 				struct {
 					name        string
 					fluid, topo float64
-				}{"avg goodput", st.AvgGoodput(i), ts.AvgGoodput(i)})
+				}{"avg goodput", ss.AvgGoodputs[i], tsum.AvgGoodputs[i]})
 		}
 		for _, p := range pairs {
 			if math.Float64bits(p.fluid) != math.Float64bits(p.topo) {

@@ -87,20 +87,20 @@ func (g *streamGrid) add(cfg fluid.Config, protos []protocol.Protocol, o Options
 	g.cacheable = slices.Grow(g.cacheable, len(inits))
 	for _, init := range inits {
 		g.subs = append(g.subs, &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: o.Steps})
-		k, c := runKey(cfg, protos, init, o, false)
+		k, c := runKey(cfg, protos, init, o, keyStream)
 		g.keys = append(g.keys, k)
 		g.cacheable = append(g.cacheable, c)
 	}
 }
 
-// resolve returns every cell's stream. The cells that actually need
-// simulating go through engine.SweepSpecs as one grid, so kernel-steppable
-// cells advance in lockstep (the SoA batch path) while the rest shard
-// across the worker pool per cell; when o.Session is set, cached cells
-// are skipped first (see Session.doBatch, whose simulated flags are the
-// second return). Results are bit-identical on every path.
-func (g *streamGrid) resolve(o Options) ([]*Stream, []bool, error) {
-	exec := func(miss []int) ([]*Stream, error) {
+// resolve returns every cell's frozen summary. The cells that actually
+// need simulating go through engine.SweepSpecs as one grid, so
+// kernel-steppable cells advance in lockstep (the SoA batch path) while
+// the rest shard across the worker pool per cell; when o.Session is set,
+// cached cells are skipped first (see Session.doBatch, whose simulated
+// flags are the second return). Results are bit-identical on every path.
+func (g *streamGrid) resolve(o Options) ([]*StreamSummary, []bool, error) {
+	exec := func(miss []int) ([]*StreamSummary, error) {
 		specs := make([]engine.Spec, len(miss))
 		streams := make([]*Stream, len(miss))
 		for j, i := range miss {
@@ -115,15 +115,19 @@ func (g *streamGrid) resolve(o Options) ([]*Stream, []bool, error) {
 		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: o.Workers}); err != nil {
 			return nil, err
 		}
-		return streams, nil
+		sums := make([]*StreamSummary, len(streams))
+		for j, st := range streams {
+			sums[j] = st.Summary()
+		}
+		return sums, nil
 	}
 	if o.Session == nil {
 		all := make([]int, len(g.keys))
 		for i := range all {
 			all[i] = i
 		}
-		streams, err := exec(all)
-		return streams, nil, err
+		sums, err := exec(all)
+		return sums, nil, err
 	}
 	return o.Session.doBatch(g.keys, g.cacheable, o.Steps, exec)
 }

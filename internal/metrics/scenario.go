@@ -147,20 +147,20 @@ func worstCase[R any](runs []R, b better, score func(R) float64) float64 {
 	return worst
 }
 
-// streamRuns runs one streaming-observed engine run per initial
-// configuration — no trace is materialized — for the given per-sender
-// protocol slice (homogeneous estimators pass n copies of one protocol;
-// Friendliness passes its mix), through a streamGrid.
-func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options) ([]*Stream, error) {
+// streamRuns resolves the summary of one streaming-observed engine run
+// per initial configuration — no trace is materialized — for the given
+// per-sender protocol slice (homogeneous estimators pass n copies of one
+// protocol; Friendliness passes its mix), through a streamGrid.
+func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options) ([]*StreamSummary, error) {
 	var g streamGrid
 	g.add(cfg, protos, o)
-	streams, _, err := g.resolve(o)
-	return streams, err
+	sums, _, err := g.resolve(o)
+	return sums, err
 }
 
 // homogeneousWorst runs n p-senders on cfg from every initial
 // configuration and folds score over the runs into its worst case.
-func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options, b better, score func(*Stream) float64) (float64, error) {
+func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options, b better, score func(*StreamSummary) float64) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("fluid: need at least one sender, got %d", n)
 	}
@@ -168,23 +168,23 @@ func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options,
 	for i := range protos {
 		protos[i] = p
 	}
-	streams, err := streamRuns(cfg, protos, opt.withDefaults())
+	sums, err := streamRuns(cfg, protos, opt.withDefaults())
 	if err != nil {
 		return 0, err
 	}
-	return worstCase(streams, b, score), nil
+	return worstCase(sums, b, score), nil
 }
 
 // Efficiency estimates Metric I for n senders all running p on cfg: the
 // worst case over initial configurations of the tail's minimum X(t)/C.
 func Efficiency(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*Stream).Efficiency)
+	return homogeneousWorst(cfg, p, n, opt, higherBetter, func(s *StreamSummary) float64 { return s.Efficiency })
 }
 
 // LossAvoidance estimates Metric III: the worst case over initial
 // configurations of the tail's maximum loss rate. Lower is better.
 func LossAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, lowerBetter, (*Stream).LossAvoidance)
+	return homogeneousWorst(cfg, p, n, opt, lowerBetter, func(s *StreamSummary) float64 { return s.LossAvoidance })
 }
 
 // Fairness estimates Metric IV: the worst case over initial configurations
@@ -193,14 +193,14 @@ func Fairness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float6
 	if n < 2 {
 		return 0, fmt.Errorf("metrics: fairness needs ≥ 2 senders, got %d", n)
 	}
-	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*Stream).Fairness)
+	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*StreamSummary).Fairness)
 }
 
 // Convergence estimates Metric V: the worst case over initial
 // configurations of the tail's containment around each sender's fixed
 // point.
 func Convergence(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*Stream).Convergence)
+	return homogeneousWorst(cfg, p, n, opt, higherBetter, func(s *StreamSummary) float64 { return s.Convergence })
 }
 
 // FastUtilization estimates Metric II by running a single p-sender on an
@@ -208,53 +208,75 @@ func Convergence(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (flo
 // isolates ("does not experience loss, nor increased RTT") — and scoring
 // the window-growth sums per FastUtilizationFromSeries. The link's
 // propagation delay comes from Options.PropDelay (default
-// DefaultPropDelay, the paper's 42 ms reference RTT).
+// DefaultPropDelay, the paper's 42 ms reference RTT). The Session caches
+// the score itself, not the trace: no other estimator reads this run.
 func FastUtilization(p protocol.Protocol, opt Options) (float64, error) {
 	o := opt.withDefaults()
 	cfg := fluid.Config{Infinite: true, PropDelay: o.PropDelay, MaxWindow: math.Inf(1)}
-	tr, err := runRecorded(cfg, p, 1, []float64{protocol.MinWindow}, o)
-	if err != nil {
-		return 0, err
-	}
-	return FastUtilizationFromSeries(tr.Window(0)), nil
+	return probeRecorded(cfg, p, o, keyFastUtil, floatCodec, func(tr *trace.Trace) float64 {
+		return FastUtilizationFromSeries(tr.Window(0))
+	})
 }
 
-// runRecorded runs n homogeneous senders through the engine with trace
-// recording — used by the metrics that need the full window series
-// (fast-utilization's growth sums, robustness's slope fit, the extension
-// metrics' settle scans) rather than a tail summary. o supplies the
-// horizon, the optional chaos schedule, and the optional run-dedup
-// Session; cached traces are shared read-only between callers.
-func runRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float64, o Options) (*trace.Trace, error) {
+// probeRecorded resolves a single-sender recorded probe through
+// o.Session under its own key kind, caching only what score derives from
+// the trace.
+func probeRecorded[T any](cfg fluid.Config, p protocol.Protocol, o Options, kind runKind, c runCodec[T], score func(*trace.Trace) T) (T, error) {
+	init := []float64{protocol.MinWindow}
+	exec := func() (T, error) {
+		tr, err := simulateRecorded(cfg, p, 1, init, o)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return score(tr), nil
+	}
+	key, cacheable := runKey(cfg, []protocol.Protocol{p}, init, o, kind)
+	return do(o.Session, key, cacheable, o.Steps, c, exec)
+}
+
+// simulateRecorded runs n homogeneous senders through the engine with
+// trace recording, uncached.
+func simulateRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float64, o Options) (*trace.Trace, error) {
 	senders, err := fluid.HomogeneousSenders(p, n, init)
 	if err != nil {
 		return nil, err
 	}
-	exec := func() (*trace.Trace, error) {
-		res, err := engine.Run(context.Background(), engine.Spec{
-			Substrate: &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: o.Steps},
-			Record:    true,
-			Chaos:     o.Chaos,
-			ChaosSeed: o.ChaosSeed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Trace, nil
+	res, err := engine.Run(context.Background(), engine.Spec{
+		Substrate: &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: o.Steps},
+		Record:    true,
+		Chaos:     o.Chaos,
+		ChaosSeed: o.ChaosSeed,
+	})
+	if err != nil {
+		return nil, err
 	}
+	return res.Trace, nil
+}
+
+// runRecorded runs n homogeneous senders through the engine with trace
+// recording — used by the extension metrics that scan the full window
+// series (convergence time's settle scan, smoothness's per-step drops)
+// rather than a tail summary. o supplies the horizon, the optional chaos
+// schedule, and the optional run-dedup Session; cached traces are shared
+// read-only between callers.
+func runRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float64, o Options) (*trace.Trace, error) {
 	protos := make([]protocol.Protocol, n)
 	for i := range protos {
 		protos[i] = p
 	}
-	key, cacheable := runKey(cfg, protos, init, o, true)
-	return do(o.Session, key, cacheable, o.Steps, traceCodec, exec)
+	key, cacheable := runKey(cfg, protos, init, o, keyTrace)
+	return do(o.Session, key, cacheable, o.Steps, traceCodec, func() (*trace.Trace, error) {
+		return simulateRecorded(cfg, p, n, init, o)
+	})
 }
 
 // RobustTo reports whether p is robust to constant non-congestion loss of
 // rate r (Metric VI): on an infinite-capacity link with loss rate r, the
 // window must keep growing past any bound — detected as the final window
 // reaching at least half of the loss-free additive growth a 1-MSS/RTT
-// prober would achieve, and the last quarter trending upward.
+// prober would achieve, and the last quarter trending upward. The
+// Session caches the verdict, not the trace.
 func RobustTo(p protocol.Protocol, r float64, opt Options) (bool, error) {
 	o := opt.withDefaults()
 	// A finite (huge) cap keeps multiplicative growers — BBRish's startup
@@ -267,22 +289,20 @@ func RobustTo(p protocol.Protocol, r float64, opt Options) (bool, error) {
 		MaxWindow: cap,
 		Loss:      fluid.NewConstantLoss(r),
 	}
-	tr, err := runRecorded(cfg, p, 1, []float64{protocol.MinWindow}, o)
-	if err != nil {
-		return false, err
-	}
-	w := tr.Window(0)
-	last := w[len(w)-1]
-	if last < float64(o.Steps)/20 {
-		return false, nil
-	}
-	// Saturating the cap is unambiguous growth; otherwise require an
-	// upward trend in the tail.
-	if last >= cap/2 {
-		return true, nil
-	}
-	slope, _ := stats.LinearFit(stats.Tail(w, 0.75))
-	return slope > 0, nil
+	return probeRecorded(cfg, p, o, keyRobust, boolCodec, func(tr *trace.Trace) bool {
+		w := tr.Window(0)
+		last := w[len(w)-1]
+		if last < float64(o.Steps)/20 {
+			return false
+		}
+		// Saturating the cap is unambiguous growth; otherwise require an
+		// upward trend in the tail.
+		if last >= cap/2 {
+			return true
+		}
+		slope, _ := stats.LinearFit(stats.Tail(w, 0.75))
+		return slope > 0
+	})
 }
 
 // Robustness estimates Metric VI's α: the largest constant loss rate the
@@ -344,11 +364,11 @@ func Friendliness(cfg fluid.Config, p, q protocol.Protocol, nP, nQ int, opt Opti
 		qIdx = append(qIdx, len(protos))
 		protos = append(protos, q)
 	}
-	streams, err := streamRuns(cfg, protos, o)
+	sums, err := streamRuns(cfg, protos, o)
 	if err != nil {
 		return 0, err
 	}
-	return worstCase(streams, higherBetter, func(st *Stream) float64 { return st.Friendliness(pIdx, qIdx) }), nil
+	return worstCase(sums, higherBetter, func(s *StreamSummary) float64 { return s.Friendliness(pIdx, qIdx) }), nil
 }
 
 // TCPFriendliness estimates the paper's Metric VII specialization: p's
@@ -362,7 +382,7 @@ func TCPFriendliness(cfg fluid.Config, p protocol.Protocol, nP, nReno int, opt O
 // definition asks for "sufficiently large link capacity and buffer"; pass
 // a suitably provisioned cfg. Lower is better.
 func LatencyAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, lowerBetter, (*Stream).LatencyAvoidance)
+	return homogeneousWorst(cfg, p, n, opt, lowerBetter, func(s *StreamSummary) float64 { return s.LatencyAvoidance })
 }
 
 // Scores is a protocol's empirical position in the paper's 8-dimensional

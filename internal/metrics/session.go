@@ -29,9 +29,12 @@ import (
 // Runs are deterministic, so a cached result is bit-identical to a fresh
 // simulation; the cache changes cost, never scores. Concurrent lookups of
 // the same key are single-flighted: one goroutine simulates, the rest
-// wait and share. Cached *Stream/*trace.Trace values are returned to
-// multiple callers and must be treated as read-only, which every
-// estimator accessor already guarantees.
+// wait and share. What a key caches is the frozen result its readers
+// score from — a *StreamSummary or *TopoSummary for streamed runs, the
+// score itself for the fast-utilization and robustness probes, a whole
+// *trace.Trace only for the extension metrics that scan full series —
+// so a warm hit is a lookup of a few hundred bytes. Cached values are
+// returned to multiple callers and must be treated as read-only.
 //
 // Inputs without a canonical identity — a protocol or loss process that
 // doesn't implement Fingerprint, a Perturb or BandwidthSchedule closure —
@@ -46,8 +49,9 @@ type Session struct {
 
 // sessionEntry is one single-flighted run: done closes when the claimant
 // finishes, after which exactly one of val (on success) or err is set.
-// val holds the payload type of the key's prefix: *Stream for
-// "v1|stream|", *trace.Trace for "v1|trace|", *TopoStream for "v1|topo|".
+// val holds the payload type of the key's prefix: *StreamSummary for
+// "v1|stream|", *trace.Trace for "v1|trace|", float64 for
+// "v1|fastutil|", bool for "v1|robust|", *TopoSummary for "v1|topo|".
 type sessionEntry struct {
 	done chan struct{}
 	val  any
@@ -196,15 +200,11 @@ type runCodec[T any] struct {
 }
 
 var (
-	streamCodec = runCodec[*Stream]{
-		encode: func(st *Stream) []byte { return encodeRun(st, nil) },
-		decode: func(b []byte) (*Stream, error) { st, _, err := decodeRun(b, false); return st, err },
-	}
-	traceCodec = runCodec[*trace.Trace]{
-		encode: func(tr *trace.Trace) []byte { return encodeRun(nil, tr) },
-		decode: func(b []byte) (*trace.Trace, error) { _, tr, err := decodeRun(b, true); return tr, err },
-	}
-	topoCodec = runCodec[*TopoStream]{encode: encodeTopoRun, decode: decodeTopoRun}
+	streamCodec = runCodec[*StreamSummary]{encode: encodeStreamSummary, decode: decodeStreamSummary}
+	traceCodec  = runCodec[*trace.Trace]{encode: encodeTrace, decode: decodeTrace}
+	topoCodec   = runCodec[*TopoSummary]{encode: encodeTopoSummary, decode: decodeTopoSummary}
+	floatCodec  = runCodec[float64]{encode: encodeFloat, decode: decodeFloat}
+	boolCodec   = runCodec[bool]{encode: encodeBool, decode: decodeBool}
 )
 
 // load returns key's payload from st if it is present and decodes.
@@ -325,7 +325,7 @@ func fetch[T any](s *Session, key string, c runCodec[T], exec func() (T, error))
 // together and can take its grid-batch path (engine.SweepSpecs steps
 // compatible cells in lockstep). keys/cacheable are parallel to the
 // grid; exec simulates exactly the cells whose indices it is given and
-// returns their streams in that order.
+// returns their summaries in that order.
 //
 // Classification happens under one lock: uncacheable cells always
 // simulate; cacheable cells whose key is already in flight (including a
@@ -347,9 +347,9 @@ func fetch[T any](s *Session, key string, c runCodec[T], exec func() (T, error))
 // for memory/disk hits and for waiters served by another claimant.
 // Explore's incremental accounting is built on it — a warm store makes
 // every flag false.
-func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(miss []int) ([]*Stream, error)) ([]*Stream, []bool, error) {
+func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(miss []int) ([]*StreamSummary, error)) ([]*StreamSummary, []bool, error) {
 	n := len(keys)
-	out := make([]*Stream, n)
+	out := make([]*StreamSummary, n)
 	sim := make([]bool, n)
 	entries := make([]*sessionEntry, n)
 	var claimed, waiters, miss []int
@@ -432,9 +432,9 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 		}()
 		bsp := obs.StartLeafSpan("metrics.session.simulate.batch")
 		bsp.SetDetail(strconv.Itoa(len(miss)) + " cells")
-		streams, err := exec(miss)
+		sums, err := exec(miss)
 		bsp.End()
-		if err == nil && len(streams) != len(miss) {
+		if err == nil && len(sums) != len(miss) {
 			err = errors.New("metrics: batch exec returned wrong cell count")
 		}
 		if err != nil {
@@ -444,7 +444,7 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 		}
 		simulated, uncached := 0, 0
 		for j, i := range miss {
-			out[i] = streams[j]
+			out[i] = sums[j]
 			sim[i] = true
 			if entries[i] == nil {
 				uncached++
@@ -453,9 +453,9 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 			simulated++
 			if s.store != nil {
 				// A write failure costs persistence, not correctness.
-				_ = s.store.Put(keys[i], streamCodec.encode(streams[j]))
+				_ = s.store.Put(keys[i], streamCodec.encode(sums[j]))
 			}
-			entries[i].val = streams[j]
+			entries[i].val = sums[j]
 			close(entries[i].done)
 		}
 		finished = true
@@ -478,12 +478,12 @@ func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(
 	// if that claim was evicted by a failure, do re-claims and simulates
 	// the cell individually.
 	for _, i := range waiters {
-		st, err := do(s, keys[i], true, steps, streamCodec, func() (*Stream, error) {
-			sts, err := exec([]int{i})
+		st, err := do(s, keys[i], true, steps, streamCodec, func() (*StreamSummary, error) {
+			sums, err := exec([]int{i})
 			if err != nil {
 				return nil, err
 			}
-			return sts[0], nil
+			return sums[0], nil
 		})
 		if err != nil {
 			return nil, nil, err
@@ -503,21 +503,34 @@ func hexBits(sb *strings.Builder, v float64) {
 	sb.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
 }
 
+// runKind names what a cached fluid run's entry holds. It heads the
+// run's key, so two kinds never share an entry even for the same inputs.
+type runKind string
+
+const (
+	keyStream   runKind = "stream"   // *StreamSummary
+	keyTrace    runKind = "trace"    // *trace.Trace
+	keyFastUtil runKind = "fastutil" // FastUtilization's score
+	keyRobust   runKind = "robust"   // RobustTo's verdict
+)
+
 // runKey builds the canonical content address of one simulated run: the
-// defaulted link config, the per-sender protocol fingerprints and initial
-// windows (init cycled exactly as the sender builders cycle it), the
-// horizon, the chaos schedule + seed, and — for streamed runs — the tail
-// fraction baked into the Stream's rings. ok is false when any input
-// lacks a canonical identity; such runs must execute uncached.
-func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Options, recorded bool) (key string, ok bool) {
+// payload kind, the defaulted link config, the per-sender protocol
+// fingerprints and initial windows (init cycled exactly as the sender
+// builders cycle it), the horizon, the chaos schedule + seed, and — for
+// streamed runs — the tail fraction the summary was frozen over. ok is
+// false when any input lacks a canonical identity; such runs must
+// execute uncached.
+func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Options, kind runKind) (key string, ok bool) {
 	if cfg.Perturb != nil || cfg.BandwidthSchedule != nil {
 		return "", false // opaque closures have no canonical identity
 	}
 	var sb strings.Builder
-	if recorded {
-		sb.WriteString("v1|trace|")
-	} else {
-		sb.WriteString("v1|stream|tf=")
+	sb.WriteString("v1|")
+	sb.WriteString(string(kind))
+	sb.WriteByte('|')
+	if kind == keyStream {
+		sb.WriteString("tf=")
 		hexBits(&sb, o.TailFrac)
 		sb.WriteByte('|')
 	}

@@ -113,12 +113,12 @@ func TestSessionPanicReleasesWaiters(t *testing.T) {
 	t.Run("stream-batch", func(t *testing.T) {
 		s, gate := NewSession(), newPanicGate()
 		checkPanicReleasesWaiters(t, s, gate, func() error {
-			out, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func(miss []int) ([]*Stream, error) {
+			out, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func(miss []int) ([]*StreamSummary, error) {
 				gate.fire()
-				return []*Stream{{}}, nil
+				return []*StreamSummary{{}}, nil
 			})
 			if err == nil && out[0] == nil {
-				t.Error("batch returned no stream")
+				t.Error("batch returned no summary")
 			}
 			return err
 		})
@@ -141,8 +141,8 @@ func TestSessionPanicReleasesWaiters(t *testing.T) {
 		flows[0].Proto = panicProto{protocol.Reno(), gate}
 		checkPanicReleasesWaiters(t, s, gate, func() error {
 			st, err := RunTopo(context.Background(), TopoRunSpec{Links: links, Flows: flows, Steps: 50, Session: s})
-			if err == nil && st.Steps() != 50 {
-				t.Errorf("topology stream has %d steps, want 50", st.Steps())
+			if err == nil && len(st.AvgWindows) != len(flows) {
+				t.Errorf("topology summary has %d flows, want %d", len(st.AvgWindows), len(flows))
 			}
 			return err
 		})

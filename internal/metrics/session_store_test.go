@@ -258,14 +258,43 @@ func TestStoreDecodeRejectsGarbage(t *testing.T) {
 		{codecKindStream, 1, 2, 3},
 		{codecKindTrace},
 	} {
-		if _, _, err := decodeRun(payload, false); err == nil {
-			t.Fatalf("payload %d decoded without error", i)
+		if _, err := decodeStreamSummary(payload); err == nil {
+			t.Fatalf("payload %d decoded as a stream summary without error", i)
+		}
+		if _, err := decodeTrace(payload); err == nil {
+			t.Fatalf("payload %d decoded as a trace without error", i)
 		}
 	}
 	// Kind mismatch both ways.
 	s := NewStream(engine.Meta{Flows: 2, Capacity: 100, BaseRTT: 0.1, Horizon: 100}, 0.75)
-	enc := encodeRun(s, nil)
-	if _, _, err := decodeRun(enc, true); err == nil {
-		t.Fatal("stream payload decoded as trace")
+	if _, err := decodeTrace(encodeStreamSummary(s.Summary())); err == nil {
+		t.Fatal("stream summary payload decoded as trace")
+	}
+	if _, err := decodeStreamSummary(encodeFloat(1)); err == nil {
+		t.Fatal("probe payload decoded as stream summary")
+	}
+
+	// End to end: a checksummed entry that fails to decode is a miss.
+	cfg := cap100()
+	st := testStore(t)
+	o := Options{Steps: 200, Session: storeSession(t, st)}
+	want, err := Efficiency(cfg, protocol.Reno(), 2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := runKey(cfg, []protocol.Protocol{protocol.Reno(), protocol.Reno()}, DefaultInitConfigs(cfg, 2)[0], o.withDefaults(), keyStream)
+	if err := st.Put(key, []byte{codecKindStream, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	o.Session = storeSession(t, st)
+	got, err := Efficiency(cfg, protocol.Reno(), 2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("efficiency after a garbage entry = %v, want %v", got, want)
+	}
+	if s := o.Session.Stats(); s.Misses != 1 {
+		t.Fatalf("garbage entry was not re-simulated: %+v", s)
 	}
 }

@@ -210,10 +210,10 @@ func TestSessionDoBatchClassification(t *testing.T) {
 	// plus the uncacheable cell, in index order.
 	s := NewSession()
 	var calls [][]int
-	streams := map[int]*Stream{0: {}, 2: {}, 3: {}}
-	exec := func(miss []int) ([]*Stream, error) {
+	streams := map[int]*StreamSummary{0: {}, 2: {}, 3: {}}
+	exec := func(miss []int) ([]*StreamSummary, error) {
 		calls = append(calls, append([]int(nil), miss...))
-		out := make([]*Stream, len(miss))
+		out := make([]*StreamSummary, len(miss))
 		for j, i := range miss {
 			out[j] = streams[i]
 		}
@@ -243,7 +243,7 @@ func TestSessionDoBatchClassification(t *testing.T) {
 	}
 
 	// A second batch over the same cacheable keys is all hits.
-	out2, sim2, err := s.doBatch([]string{"a", "b"}, []bool{true, true}, 100, func(miss []int) ([]*Stream, error) {
+	out2, sim2, err := s.doBatch([]string{"a", "b"}, []bool{true, true}, 100, func(miss []int) ([]*StreamSummary, error) {
 		t.Fatalf("warm batch simulated %v", miss)
 		return nil, nil
 	})
@@ -251,7 +251,7 @@ func TestSessionDoBatchClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out2[0] != streams[0] || out2[1] != streams[2] {
-		t.Fatal("warm batch returned wrong streams")
+		t.Fatal("warm batch returned wrong summaries")
 	}
 	if sim2[0] || sim2[1] {
 		t.Fatalf("warm batch simulated flags = %v, want all false", sim2)
@@ -266,14 +266,14 @@ func TestSessionDoBatchErrorEvicts(t *testing.T) {
 	// so a retry re-simulates and succeeds.
 	s := NewSession()
 	boom := errors.New("boom")
-	if _, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func([]int) ([]*Stream, error) {
+	if _, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func([]int) ([]*StreamSummary, error) {
 		return nil, boom
 	}); err != boom {
 		t.Fatalf("got %v, want the exec error", err)
 	}
-	want := &Stream{}
-	out, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func(miss []int) ([]*Stream, error) {
-		return []*Stream{want}, nil
+	want := &StreamSummary{}
+	out, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func(miss []int) ([]*StreamSummary, error) {
+		return []*StreamSummary{want}, nil
 	})
 	if err != nil || out[0] != want {
 		t.Fatalf("retry after failure: out=%v err=%v", out, err)
@@ -287,46 +287,50 @@ func TestRunKeyDistinguishesInputs(t *testing.T) {
 	base := cap100()
 	protos := []protocol.Protocol{protocol.Reno(), protocol.Reno()}
 	o := Options{Steps: 800, TailFrac: 0.75}
-	key := func(cfg fluid.Config, init []float64, o Options, recorded bool) string {
-		k, ok := runKey(cfg, protos, init, o, recorded)
+	key := func(cfg fluid.Config, init []float64, o Options, kind runKind) string {
+		k, ok := runKey(cfg, protos, init, o, kind)
 		if !ok {
 			t.Fatalf("expected cacheable key for %+v", cfg)
 		}
 		return k
 	}
-	ref := key(base, []float64{1, 50}, o, false)
-	if key(base, []float64{1, 50}, o, false) != ref {
+	ref := key(base, []float64{1, 50}, o, keyStream)
+	if key(base, []float64{1, 50}, o, keyStream) != ref {
 		t.Fatal("identical inputs produced different keys")
 	}
 	distinct := map[string]string{
-		"init":     key(base, []float64{1, 51}, o, false),
-		"recorded": key(base, []float64{1, 50}, o, true),
+		"init":     key(base, []float64{1, 51}, o, keyStream),
+		"recorded": key(base, []float64{1, 50}, o, keyTrace),
+		"fastutil": key(base, []float64{1, 50}, o, keyFastUtil),
+		"robust":   key(base, []float64{1, 50}, o, keyRobust),
 	}
 	o2 := o
 	o2.Steps = 801
-	distinct["steps"] = key(base, []float64{1, 50}, o2, false)
+	distinct["steps"] = key(base, []float64{1, 50}, o2, keyStream)
 	o3 := o
 	o3.TailFrac = 0.8
-	distinct["tailfrac"] = key(base, []float64{1, 50}, o3, false)
+	distinct["tailfrac"] = key(base, []float64{1, 50}, o3, keyStream)
 	cfg2 := base
 	cfg2.Bandwidth++
-	distinct["bandwidth"] = key(cfg2, []float64{1, 50}, o, false)
+	distinct["bandwidth"] = key(cfg2, []float64{1, 50}, o, keyStream)
 	cfg3 := base
 	cfg3.Loss = fluid.NewConstantLoss(0.01)
-	distinct["loss"] = key(cfg3, []float64{1, 50}, o, false)
+	distinct["loss"] = key(cfg3, []float64{1, 50}, o, keyStream)
+	seen := map[string]string{ref: "reference"}
 	for what, k := range distinct {
-		if k == ref {
-			t.Fatalf("changing %s did not change the run key", what)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("changing %s gave the same run key as %s", what, prev)
 		}
+		seen[k] = what
 	}
 
 	// Closures kill cacheability.
 	cfgSched := base
 	cfgSched.BandwidthSchedule = func(int) float64 { return base.Bandwidth }
-	if _, ok := runKey(cfgSched, protos, nil, o, false); ok {
+	if _, ok := runKey(cfgSched, protos, nil, o, keyStream); ok {
 		t.Fatal("BandwidthSchedule runs must be uncacheable")
 	}
-	if _, ok := runKey(base, []protocol.Protocol{&protocol.Func{Fn: func(fb protocol.Feedback) float64 { return fb.Window }}}, nil, o, false); ok {
+	if _, ok := runKey(base, []protocol.Protocol{&protocol.Func{Fn: func(fb protocol.Feedback) float64 { return fb.Window }}}, nil, o, keyStream); ok {
 		t.Fatal("protocol.Func runs must be uncacheable")
 	}
 }

@@ -5,38 +5,30 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // Binary codec for persisted run results. Floats are serialized as their
-// IEEE-754 bit patterns (little-endian uint64), so a decoded run is bit-
-// identical to the simulation that produced it — the persistent store
+// IEEE-754 bit patterns (little-endian uint64), so a decoded result is
+// bit-identical to the simulation that produced it — the persistent store
 // changes cost, never scores. The layout carries no version field of its
 // own: the store's canonical key already folds in a schema version and a
 // source hash, so any change here must bump runstore.SchemaVersion.
+//
+// Streamed runs persist their frozen summaries (a few hundred bytes),
+// the fast-utilization and robustness probes persist their one result,
+// and only the extension metrics' recorded runs persist whole series.
 
 const (
-	codecKindStream byte = 1
-	codecKindTrace  byte = 2
-	codecKindTopo   byte = 3
+	codecKindStream byte = 1 // *StreamSummary
+	codecKindTrace  byte = 2 // *trace.Trace
+	codecKindTopo   byte = 3 // *TopoSummary
+	codecKindFloat  byte = 4 // one float64 score
+	codecKindBool   byte = 5 // one bool verdict
 )
-
-// maxDecodeLen bounds every length the decoder allocates by that the
-// payload's own size does not: flow, hop and sender counts and ring
-// capacities. Store entries are checksummed, but the decoder still
-// rejects what no encoder writes instead of trusting a length field —
-// an unbounded ring capacity read from 41 bytes would otherwise
-// allocate gigabytes. A run whose tail ring needs more than 2^20 samples
-// decodes as a miss and is simulated again.
-const maxDecodeLen = 1 << 20
 
 func putU32(b []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
-}
-
-func putU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
 }
 
 func putF64(b []byte, v float64) []byte {
@@ -53,11 +45,22 @@ func putF64s(b []byte, vs []float64) []byte {
 
 // decoder is a cursor over an encoded payload; the first decode error
 // sticks and every later read returns zero values, so call sites check
-// err once at the end.
+// err once at the end (see finish).
 type decoder struct {
 	b   []byte
 	off int
 	err error
+}
+
+// newDecoder checks payload's kind byte and positions a decoder after it.
+func newDecoder(payload []byte, kind byte) (*decoder, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("metrics: empty store payload")
+	}
+	if payload[0] != kind {
+		return nil, fmt.Errorf("metrics: store payload kind %d, want %d", payload[0], kind)
+	}
+	return &decoder{b: payload, off: 1}, nil
 }
 
 func (d *decoder) u32() int {
@@ -70,24 +73,31 @@ func (d *decoder) u32() int {
 	return int(v)
 }
 
-func (d *decoder) u64() uint64 {
+// count reads a length field for elements of at least size bytes each
+// and rejects one the rest of the payload cannot hold, so no length
+// field can make the decoder allocate more than the payload's own size.
+func (d *decoder) count(size int) int {
+	n := d.u32()
+	if d.err != nil || n < 0 || n > (len(d.b)-d.off)/size {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) f64() float64 {
 	if d.err != nil || d.off+8 > len(d.b) {
 		d.fail()
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
-	return v
-}
-
-func (d *decoder) f64() float64 {
-	return math.Float64frombits(d.u64())
+	return math.Float64frombits(v)
 }
 
 func (d *decoder) f64s() []float64 {
-	n := d.u32()
-	if d.err != nil || n < 0 || d.off+8*n > len(d.b) {
-		d.fail()
+	n := d.count(8)
+	if d.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
@@ -97,53 +107,133 @@ func (d *decoder) f64s() []float64 {
 	return out
 }
 
+// sameLen fails unless every slice in vs has length n.
+func (d *decoder) sameLen(n int, vs ...[]float64) {
+	for _, v := range vs {
+		if len(v) != n {
+			d.fail()
+		}
+	}
+}
+
 func (d *decoder) fail() {
 	if d.err == nil {
 		d.err = fmt.Errorf("metrics: truncated or malformed store payload")
 	}
 }
 
-func encodeRing(b []byte, r *stats.Ring) []byte {
-	b = putU32(b, r.Cap())
-	b = putU64(b, uint64(r.Count()))
-	return putF64s(b, r.Dump())
-}
-
-// ring reverses encodeRing. Dump retains exactly min(count, capacity)
-// samples, so any other retained length is malformed.
-func (d *decoder) ring() *stats.Ring {
-	capacity := d.u32()
-	count := d.u64()
-	retained := d.f64s()
+// finish reports the sticky error, or an error if bytes remain unread.
+func (d *decoder) finish() error {
 	if d.err != nil {
-		return nil
+		return d.err
 	}
-	if capacity > maxDecodeLen || count > math.MaxInt64 || len(retained) != min(int(count), capacity) {
-		d.fail()
-		return nil
+	if d.off != len(d.b) {
+		return fmt.Errorf("metrics: %d trailing bytes in store payload", len(d.b)-d.off)
 	}
-	return stats.RestoreRing(capacity, int(count), retained)
+	return nil
 }
 
-// encodeRun serializes exactly one of stream or tr (whichever is
-// non-nil) into a store payload.
-func encodeRun(stream *Stream, tr *trace.Trace) []byte {
-	if stream != nil {
-		b := make([]byte, 0, 64+8*stream.total.Cap()*(3+2*len(stream.windows)))
-		b = append(b, codecKindStream)
-		b = putF64(b, stream.tailFrac)
-		b = putF64(b, stream.capacity)
-		b = putF64(b, stream.baseRTT)
-		b = putU32(b, len(stream.windows))
-		for i := range stream.windows {
-			b = encodeRing(b, stream.windows[i])
-			b = encodeRing(b, stream.goodput[i])
-		}
-		b = encodeRing(b, stream.total)
-		b = encodeRing(b, stream.rtt)
-		b = encodeRing(b, stream.loss)
-		return b
+// encodeStreamSummary serializes a fluid run's frozen summary.
+func encodeStreamSummary(s *StreamSummary) []byte {
+	b := make([]byte, 0, 1+4*8+2*(4+8*len(s.AvgWindows)))
+	b = append(b, codecKindStream)
+	b = putF64(b, s.Efficiency)
+	b = putF64(b, s.LossAvoidance)
+	b = putF64(b, s.Convergence)
+	b = putF64(b, s.LatencyAvoidance)
+	b = putF64s(b, s.AvgWindows)
+	return putF64s(b, s.AvgGoodputs)
+}
+
+// decodeStreamSummary reverses encodeStreamSummary.
+func decodeStreamSummary(payload []byte) (*StreamSummary, error) {
+	d, err := newDecoder(payload, codecKindStream)
+	if err != nil {
+		return nil, err
 	}
+	s := &StreamSummary{
+		Efficiency:       d.f64(),
+		LossAvoidance:    d.f64(),
+		Convergence:      d.f64(),
+		LatencyAvoidance: d.f64(),
+		AvgWindows:       d.f64s(),
+		AvgGoodputs:      d.f64s(),
+	}
+	d.sameLen(len(s.AvgWindows), s.AvgGoodputs)
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// encodeTopoSummary serializes a nettopo run's frozen summary: the
+// per-link arrays first (their length is the link count every path index
+// is checked against), then the per-flow arrays and paths.
+func encodeTopoSummary(s *TopoSummary) []byte {
+	b := make([]byte, 0, 64+8*(4*len(s.LinkUtil)+5*len(s.Paths)))
+	b = append(b, codecKindTopo)
+	for _, v := range [][]float64{s.LinkUtil, s.LinkEff, s.LinkMaxLoss, s.LinkMeanLoss,
+		s.BaseRTT, s.AvgWindows, s.AvgGoodputs, s.RTTInflations} {
+		b = putF64s(b, v)
+	}
+	for _, path := range s.Paths {
+		b = putU32(b, len(path))
+		for _, l := range path {
+			b = putU32(b, l)
+		}
+	}
+	return putF64(b, s.Convergence)
+}
+
+// decodeTopoSummary reverses encodeTopoSummary. Every path must be
+// non-empty and name only links the summary carries.
+func decodeTopoSummary(payload []byte) (*TopoSummary, error) {
+	d, err := newDecoder(payload, codecKindTopo)
+	if err != nil {
+		return nil, err
+	}
+	s := &TopoSummary{
+		LinkUtil:      d.f64s(),
+		LinkEff:       d.f64s(),
+		LinkMaxLoss:   d.f64s(),
+		LinkMeanLoss:  d.f64s(),
+		BaseRTT:       d.f64s(),
+		AvgWindows:    d.f64s(),
+		AvgGoodputs:   d.f64s(),
+		RTTInflations: d.f64s(),
+	}
+	links, flows := len(s.LinkUtil), len(s.BaseRTT)
+	d.sameLen(links, s.LinkEff, s.LinkMaxLoss, s.LinkMeanLoss)
+	d.sameLen(flows, s.AvgWindows, s.AvgGoodputs, s.RTTInflations)
+	if d.err != nil {
+		return nil, d.err
+	}
+	s.Paths = make([][]int, flows)
+	for f := range s.Paths {
+		hops := d.count(4)
+		if d.err != nil || hops == 0 {
+			d.fail()
+			return nil, d.err
+		}
+		s.Paths[f] = make([]int, hops)
+		for i := range s.Paths[f] {
+			l := d.u32()
+			if l < 0 || l >= links {
+				d.fail()
+				return nil, d.err
+			}
+			s.Paths[f][i] = l
+		}
+	}
+	s.Convergence = d.f64()
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// encodeTrace serializes a recorded run's full series.
+func encodeTrace(tr *trace.Trace) []byte {
 	b := make([]byte, 0, 64+8*tr.Len()*(3+tr.Senders()))
 	b = append(b, codecKindTrace)
 	b = putF64(b, tr.Capacity())
@@ -154,173 +244,57 @@ func encodeRun(stream *Stream, tr *trace.Trace) []byte {
 	}
 	b = putF64s(b, tr.RTT())
 	b = putF64s(b, tr.Loss())
-	b = putF64s(b, tr.Total())
-	return b
+	return putF64s(b, tr.Total())
 }
 
-// encodeTopoRun serializes a TopoStream into a store payload. Alongside
-// the rings it carries the scoring geometry — link capacities, per-flow
-// paths, and base RTTs — so a decoded stream answers every estimator
-// without re-deriving the topology.
-func encodeTopoRun(s *TopoStream) []byte {
-	b := make([]byte, 0, 128)
-	b = append(b, codecKindTopo)
-	b = putF64(b, s.tailFrac)
-	b = putF64s(b, s.linkCap)
-	b = putU32(b, len(s.paths))
-	for f := range s.paths {
-		b = putF64(b, s.baseRTT[f])
-		b = putU32(b, len(s.paths[f]))
-		for _, l := range s.paths[f] {
-			b = putU32(b, l)
-		}
+// decodeTrace reverses encodeTrace.
+func decodeTrace(payload []byte) (*trace.Trace, error) {
+	d, err := newDecoder(payload, codecKindTrace)
+	if err != nil {
+		return nil, err
 	}
-	for f := range s.windows {
-		b = encodeRing(b, s.windows[f])
-		b = encodeRing(b, s.goodput[f])
-		b = encodeRing(b, s.flowRTT[f])
+	capacity := d.f64()
+	baseRTT := d.f64()
+	windows := make([][]float64, d.count(4))
+	for i := range windows {
+		windows[i] = d.f64s()
 	}
-	for l := range s.linkLoad {
-		b = encodeRing(b, s.linkLoad[l])
-		b = encodeRing(b, s.linkLoss[l])
+	rtt := d.f64s()
+	loss := d.f64s()
+	total := d.f64s()
+	d.sameLen(len(total), rtt, loss)
+	d.sameLen(len(total), windows...)
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
-	return b
+	return trace.Restore(windows, rtt, loss, total, capacity, baseRTT), nil
 }
 
-// decodeTopoRun reverses encodeTopoRun.
-func decodeTopoRun(payload []byte) (*TopoStream, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("metrics: empty store payload")
+// encodeFloat serializes a probe's one float64 score.
+func encodeFloat(v float64) []byte { return putF64([]byte{codecKindFloat}, v) }
+
+// decodeFloat reverses encodeFloat.
+func decodeFloat(payload []byte) (float64, error) {
+	d, err := newDecoder(payload, codecKindFloat)
+	if err != nil {
+		return 0, err
 	}
-	if payload[0] != codecKindTopo {
-		return nil, fmt.Errorf("metrics: store payload kind mismatch")
-	}
-	d := &decoder{b: payload, off: 1}
-	s := &TopoStream{
-		tailFrac: d.f64(),
-		linkCap:  d.f64s(),
-	}
-	flows := d.u32()
-	if d.err != nil || flows < 0 || flows > maxDecodeLen {
-		d.fail()
-		return nil, d.err
-	}
-	s.paths = make([][]int, flows)
-	s.baseRTT = make([]float64, flows)
-	for f := 0; f < flows; f++ {
-		s.baseRTT[f] = d.f64()
-		hops := d.u32()
-		if d.err != nil || hops < 0 || hops > maxDecodeLen {
-			d.fail()
-			return nil, d.err
-		}
-		s.paths[f] = make([]int, hops)
-		for i := range s.paths[f] {
-			l := d.u32()
-			if l < 0 || l >= len(s.linkCap) {
-				d.fail()
-				return nil, d.err
-			}
-			s.paths[f][i] = l
-		}
-	}
-	s.windows = make([]*stats.Ring, flows)
-	s.goodput = make([]*stats.Ring, flows)
-	s.flowRTT = make([]*stats.Ring, flows)
-	for f := 0; f < flows; f++ {
-		s.windows[f] = d.ring()
-		s.goodput[f] = d.ring()
-		s.flowRTT[f] = d.ring()
-	}
-	s.linkLoad = make([]*stats.Ring, len(s.linkCap))
-	s.linkLoss = make([]*stats.Ring, len(s.linkCap))
-	for l := range s.linkCap {
-		s.linkLoad[l] = d.ring()
-		s.linkLoss[l] = d.ring()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("metrics: %d trailing bytes in store payload", len(payload)-d.off)
-	}
-	return s, nil
+	v := d.f64()
+	return v, d.finish()
 }
 
-// decodeRun reverses encodeRun. wantRecorded guards against a key-scheme
-// collision ever serving a stream where a trace was asked for (or vice
-// versa); in practice the "stream|"/"trace|" key prefixes make the kinds
-// disjoint.
-func decodeRun(payload []byte, wantRecorded bool) (*Stream, *trace.Trace, error) {
-	if len(payload) == 0 {
-		return nil, nil, fmt.Errorf("metrics: empty store payload")
+// encodeBool serializes a probe's one bool verdict as a 0/1 byte.
+func encodeBool(v bool) []byte {
+	if v {
+		return []byte{codecKindBool, 1}
 	}
-	d := &decoder{b: payload, off: 1}
-	switch payload[0] {
-	case codecKindStream:
-		if wantRecorded {
-			return nil, nil, fmt.Errorf("metrics: store payload kind mismatch")
-		}
-		s := &Stream{
-			tailFrac: d.f64(),
-			capacity: d.f64(),
-			baseRTT:  d.f64(),
-		}
-		flows := d.u32()
-		if d.err != nil || flows < 0 || flows > maxDecodeLen {
-			d.fail()
-			return nil, nil, d.err
-		}
-		s.windows = make([]*stats.Ring, flows)
-		s.goodput = make([]*stats.Ring, flows)
-		for i := 0; i < flows; i++ {
-			s.windows[i] = d.ring()
-			s.goodput[i] = d.ring()
-		}
-		s.total = d.ring()
-		s.rtt = d.ring()
-		s.loss = d.ring()
-		if d.err != nil {
-			return nil, nil, d.err
-		}
-		if d.off != len(payload) {
-			return nil, nil, fmt.Errorf("metrics: %d trailing bytes in store payload", len(payload)-d.off)
-		}
-		return s, nil, nil
-	case codecKindTrace:
-		if !wantRecorded {
-			return nil, nil, fmt.Errorf("metrics: store payload kind mismatch")
-		}
-		capacity := d.f64()
-		baseRTT := d.f64()
-		n := d.u32()
-		if d.err != nil || n < 0 || n > maxDecodeLen {
-			d.fail()
-			return nil, nil, d.err
-		}
-		windows := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			windows[i] = d.f64s()
-		}
-		rtt := d.f64s()
-		loss := d.f64s()
-		total := d.f64s()
-		if d.err != nil {
-			return nil, nil, d.err
-		}
-		if d.off != len(payload) {
-			return nil, nil, fmt.Errorf("metrics: %d trailing bytes in store payload", len(payload)-d.off)
-		}
-		if len(rtt) != len(total) || len(loss) != len(total) {
-			return nil, nil, fmt.Errorf("metrics: store payload series length mismatch")
-		}
-		for _, w := range windows {
-			if len(w) != len(total) {
-				return nil, nil, fmt.Errorf("metrics: store payload series length mismatch")
-			}
-		}
-		return nil, trace.Restore(windows, rtt, loss, total, capacity, baseRTT), nil
-	default:
-		return nil, nil, fmt.Errorf("metrics: unknown store payload kind %d", payload[0])
+	return []byte{codecKindBool, 0}
+}
+
+// decodeBool reverses encodeBool; any byte but 0 or 1 is malformed.
+func decodeBool(payload []byte) (bool, error) {
+	if len(payload) != 2 || payload[0] != codecKindBool || payload[1] > 1 {
+		return false, fmt.Errorf("metrics: malformed bool store payload")
 	}
+	return payload[1] == 1, nil
 }

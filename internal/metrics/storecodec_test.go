@@ -10,36 +10,22 @@ import (
 	"repro/internal/protocol"
 )
 
-// oversizedRing is a payload of the given kind whose first ring claims a
-// capacity of 0xFFFFFFF0 samples while retaining none: 41 bytes for a
-// one-link topo stream, 45 for a flowless stream. Decoding it used to
-// allocate 32 GiB and kill the process.
-func oversizedRing(kind byte) []byte {
+// oversizedLength is a payload of the given kind whose first length
+// field claims 0xFFFFFFF0 elements while the payload holds none: the
+// decoder must reject it without allocating for the claimed length.
+func oversizedLength(kind byte) []byte {
 	b := []byte{kind}
-	if kind == codecKindTopo {
-		b = putF64(b, 0.75)           // tailFrac
-		b = putF64s(b, []float64{10}) // one link
-		b = putU32(b, 0)              // no flows
-	} else {
-		b = putF64(b, 0.75) // tailFrac
-		b = putF64(b, 100)  // capacity
-		b = putF64(b, 0.1)  // baseRTT
-		b = putU32(b, 0)    // no flows
+	if kind == codecKindStream {
+		for i := 0; i < 4; i++ { // the four scalars
+			b = putF64(b, 0.5)
+		}
 	}
-	b = binaryRing(b, 0xFFFFFFF0, 0, nil)
-	return b
+	return putU32(b, 0xFFFFFFF0)
 }
 
-// binaryRing writes a ring header and samples exactly as encodeRing
-// lays them out, with no consistency between the fields.
-func binaryRing(b []byte, capacity uint32, count uint64, retained []float64) []byte {
-	b = putU32(b, int(capacity))
-	b = putU64(b, count)
-	return putF64s(b, retained)
-}
-
-// codecSeeds returns real encodes of a streamed, a recorded, an empty
-// and a topology run.
+// codecSeeds returns real encodes of a streamed summary, a recorded
+// trace, a flowless summary and the two probe results, and of a topology
+// summary.
 func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 	tb.Helper()
 	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 2, []float64{1, 8})
@@ -52,88 +38,120 @@ func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	empty := NewStream(engine.Meta{Flows: 1, Capacity: 100, BaseRTT: 0.1, Horizon: 100}, 0.75)
+	empty := NewStream(engine.Meta{Flows: 0, Capacity: 100, BaseRTT: 0.1, Horizon: 100}, 0.75)
 	links, flows := topoFixture()
 	ts, err := RunTopo(context.Background(), TopoRunSpec{Links: links, Flows: flows, Steps: 40})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{encodeRun(st, nil), encodeRun(nil, res.Trace), encodeRun(empty, nil)}, encodeTopoRun(ts)
+	return [][]byte{
+		encodeStreamSummary(st.Summary()),
+		encodeTrace(res.Trace),
+		encodeStreamSummary(empty.Summary()),
+		encodeFloat(0.75),
+		encodeBool(true),
+	}, encodeTopoSummary(ts)
 }
 
-// TestDecodeRejectsInconsistentRings: a ring must retain exactly
-// min(count, capacity) samples and its capacity is bounded.
-func TestDecodeRejectsInconsistentRings(t *testing.T) {
-	if _, _, err := decodeRun(oversizedRing(codecKindStream), false); err == nil {
-		t.Error("stream payload with a 0xFFFFFFF0-sample ring decoded")
+// TestDecodeRejectsInconsistentSummaries: length fields are bounded by
+// the payload, parallel arrays must agree in length, and every path must
+// be a non-empty list of links the summary carries.
+func TestDecodeRejectsInconsistentSummaries(t *testing.T) {
+	if _, err := decodeStreamSummary(oversizedLength(codecKindStream)); err == nil {
+		t.Error("stream summary claiming 0xFFFFFFF0 senders decoded")
 	}
-	if _, err := decodeTopoRun(oversizedRing(codecKindTopo)); err == nil {
-		t.Error("topo payload with a 0xFFFFFFF0-sample ring decoded")
+	if _, err := decodeTopoSummary(oversizedLength(codecKindTopo)); err == nil {
+		t.Error("topo summary claiming 0xFFFFFFF0 links decoded")
+	}
+	if _, err := decodeTrace(oversizedLength(codecKindTrace)); err == nil {
+		t.Error("trace claiming 0xFFFFFFF0 senders decoded")
+	}
+
+	stream := func(windows, goodputs []float64) []byte {
+		return encodeStreamSummary(&StreamSummary{AvgWindows: windows, AvgGoodputs: goodputs})
+	}
+	topo := func(paths [][]int) []byte {
+		return encodeTopoSummary(&TopoSummary{
+			Paths:         paths,
+			BaseRTT:       make([]float64, len(paths)),
+			LinkUtil:      []float64{0.5, 0.9},
+			LinkEff:       []float64{0.4, 0.8},
+			LinkMaxLoss:   []float64{0, 0.01},
+			LinkMeanLoss:  []float64{0, 0.005},
+			AvgWindows:    make([]float64, len(paths)),
+			AvgGoodputs:   make([]float64, len(paths)),
+			RTTInflations: make([]float64, len(paths)),
+		})
 	}
 	for _, c := range []struct {
-		name     string
-		capacity uint32
-		count    uint64
-		retained []float64
-		ok       bool
+		name    string
+		payload []byte
+		decode  func([]byte) error
+		ok      bool
 	}{
-		{"full ring", 2, 5, []float64{1, 2}, true},
-		{"partial ring", 4, 1, []float64{1}, true},
-		{"too few samples", 4, 3, []float64{1}, false},
-		{"too many samples", 2, 1, []float64{1, 2}, false},
-		{"negative count", 2, 1 << 63, []float64{1, 2}, false},
-		{"capacity over bound", maxDecodeLen + 1, 1, []float64{1}, false},
+		{"stream", stream([]float64{1, 2}, []float64{3, 4}), streamDecodes, true},
+		{"stream goodputs short", stream([]float64{1, 2}, []float64{3}), streamDecodes, false},
+		{"topo", topo([][]int{{0, 1}, {1}}), topoDecodes, true},
+		{"topo empty path", topo([][]int{{0, 1}, {}}), topoDecodes, false},
+		{"topo unknown link", topo([][]int{{0, 2}}), topoDecodes, false},
+		{"bool 2", []byte{codecKindBool, 2}, boolDecodes, false},
+		{"float short", []byte{codecKindFloat, 1, 2, 3}, floatDecodes, false},
 	} {
-		b := []byte{codecKindStream}
-		b = putF64(b, 0.75)
-		b = putF64(b, 100)
-		b = putF64(b, 0.1)
-		b = putU32(b, 0)
-		for r := 0; r < 3; r++ { // total, rtt, loss
-			b = binaryRing(b, c.capacity, c.count, c.retained)
-		}
-		if _, _, err := decodeRun(b, false); (err == nil) != c.ok {
+		if err := c.decode(c.payload); (err == nil) != c.ok {
 			t.Errorf("%s: decode error %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }
 
-// FuzzDecodeRun: decodeRun must reject malformed payloads with an error,
-// never panic or allocate without bound, and every payload it accepts
-// must re-encode to the same bytes.
+func streamDecodes(b []byte) error { _, err := decodeStreamSummary(b); return err }
+func topoDecodes(b []byte) error   { _, err := decodeTopoSummary(b); return err }
+func boolDecodes(b []byte) error   { _, err := decodeBool(b); return err }
+func floatDecodes(b []byte) error  { _, err := decodeFloat(b); return err }
+
+// reencodes decodes data with c and, if accepted, reports whether it
+// re-encodes to exactly the same bytes.
+func reencodes[T any](c runCodec[T], data []byte) (accepted, same bool) {
+	v, err := c.decode(data)
+	if err != nil {
+		return false, false
+	}
+	return true, bytes.Equal(c.encode(v), data)
+}
+
+// FuzzDecodeRun: the fluid run decoders (summary, trace, probe float and
+// bool) must reject malformed payloads with an error, never panic or
+// allocate beyond the payload's size, and every payload one of them
+// accepts must re-encode to the same bytes.
 func FuzzDecodeRun(f *testing.F) {
 	runs, _ := codecSeeds(f)
 	for _, p := range runs {
 		f.Add(p)
 	}
-	f.Add(oversizedRing(codecKindStream))
-	f.Add(oversizedRing(codecKindTopo))
+	f.Add(oversizedLength(codecKindStream))
+	f.Add(oversizedLength(codecKindTrace))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, recorded := range []bool{false, true} {
-			st, tr, err := decodeRun(data, recorded)
-			if err != nil {
-				continue
-			}
-			if again := encodeRun(st, tr); !bytes.Equal(again, data) {
-				t.Fatalf("accepted payload re-encodes differently:\n%x\n%x", data, again)
+		for name, check := range map[string]func([]byte) (bool, bool){
+			"stream": func(b []byte) (bool, bool) { return reencodes(streamCodec, b) },
+			"trace":  func(b []byte) (bool, bool) { return reencodes(traceCodec, b) },
+			"float":  func(b []byte) (bool, bool) { return reencodes(floatCodec, b) },
+			"bool":   func(b []byte) (bool, bool) { return reencodes(boolCodec, b) },
+		} {
+			if accepted, same := check(data); accepted && !same {
+				t.Fatalf("%s decoder accepted a payload that re-encodes differently:\n%x", name, data)
 			}
 		}
 	})
 }
 
-// FuzzDecodeTopoRun is FuzzDecodeRun for topology streams.
+// FuzzDecodeTopoRun is FuzzDecodeRun for topology summaries.
 func FuzzDecodeTopoRun(f *testing.F) {
 	runs, topo := codecSeeds(f)
 	f.Add(topo)
 	f.Add(runs[0])
-	f.Add(oversizedRing(codecKindTopo))
+	f.Add(oversizedLength(codecKindTopo))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeTopoRun(data)
-		if err != nil {
-			return
-		}
-		if again := encodeTopoRun(s); !bytes.Equal(again, data) {
-			t.Fatalf("accepted payload re-encodes differently:\n%x\n%x", data, again)
+		if accepted, same := reencodes(topoCodec, data); accepted && !same {
+			t.Fatalf("accepted payload re-encodes differently:\n%x", data)
 		}
 	})
 }

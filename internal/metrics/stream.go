@@ -9,10 +9,10 @@ import (
 // score the tail-window axiom estimators, without materializing a full
 // *trace.Trace: per-sender window and goodput rings, plus aggregate
 // window, RTT, and loss rings, each sized to the run's tail. As long as
-// the substrate's Horizon hint was within the ring slack, every accessor
-// returns bit-identical values to its *FromTrace counterpart on a
-// recorded trace, because the retained tail and the summation order are
-// the same.
+// the substrate's Horizon hint was within the ring slack, the tail
+// accessors return exactly stats.Tail of the recorded series and Summary
+// is bit-identical to the *FromTrace estimators, because the retained
+// tail and the summation order are the same.
 type Stream struct {
 	tailFrac float64
 	capacity float64
@@ -122,49 +122,57 @@ func (s *Stream) TailRTT() []float64 { return s.rtt.LastTail(s.tailFrac) }
 // TailLoss returns the retained tail of the loss-rate series.
 func (s *Stream) TailLoss() []float64 { return s.loss.LastTail(s.tailFrac) }
 
-// AvgWindow returns sender i's mean tail window, as trace.AvgWindow.
-func (s *Stream) AvgWindow(i int) float64 {
-	return stats.Mean(s.windows[i].LastTail(s.tailFrac))
+// Summary freezes the finished run into the handful of scalars the
+// axiom estimators need. Call it once the run has ended; the Session
+// caches, persists and folds over summaries, never over the rings. Every
+// field is computed by the same formula body, over the same retained
+// tail samples in the same order, as its *FromTrace counterpart on a
+// recorded trace of the same run.
+func (s *Stream) Summary() *StreamSummary {
+	n := len(s.windows)
+	sum := &StreamSummary{
+		AvgWindows:  make([]float64, n),
+		AvgGoodputs: make([]float64, n),
+	}
+	// One buffer serves every tail in turn: each is fully consumed before
+	// the next is read.
+	var buf []float64
+	tail := func(r *stats.Ring) []float64 {
+		buf = r.AppendTail(buf[:0], s.tailFrac)
+		return buf
+	}
+	for i := 0; i < n; i++ {
+		sum.AvgWindows[i] = stats.Mean(tail(s.windows[i]))
+		sum.AvgGoodputs[i] = stats.Mean(tail(s.goodput[i]))
+	}
+	sum.Efficiency = efficiency(tail(s.total), s.capacity)
+	sum.LossAvoidance = lossAvoidance(tail(s.loss))
+	sum.Convergence = convergence(n, func(i int) []float64 { return tail(s.windows[i]) })
+	sum.LatencyAvoidance = latencyInflation(tail(s.rtt), s.baseRTT)
+	return sum
 }
 
-// AvgGoodput returns sender i's mean tail goodput, as trace.AvgGoodput.
-func (s *Stream) AvgGoodput(i int) float64 {
-	return stats.Mean(s.goodput[i].LastTail(s.tailFrac))
-}
+// StreamSummary is one finished single-link run reduced to what its
+// axiom scores read: four tail scalars and each sender's tail means. It
+// is what the Session caches and the run store persists, a few hundred
+// bytes whatever the horizon. Cached summaries are shared between
+// callers and must be treated as read-only.
+type StreamSummary struct {
+	Efficiency       float64 // Metric I (see efficiency): min tail X(t)/C
+	LossAvoidance    float64 // Metric III (see lossAvoidance): max tail loss rate
+	Convergence      float64 // Metric V (see convergence), worst sender
+	LatencyAvoidance float64 // Metric VIII (see latencyInflation): max tail RTT inflation
 
-// Efficiency scores Metric I (see efficiency) on the retained tail.
-func (s *Stream) Efficiency() float64 {
-	return efficiency(s.TailTotal(), s.capacity)
-}
-
-// LossAvoidance scores Metric III (see lossAvoidance): max tail loss rate.
-func (s *Stream) LossAvoidance() float64 {
-	return lossAvoidance(s.TailLoss())
+	AvgWindows  []float64 // per sender: mean tail window, as trace.AvgWindow
+	AvgGoodputs []float64 // per sender: mean tail goodput, as trace.AvgGoodput
 }
 
 // Fairness scores Metric IV (see fairness): min-over-max of mean tail
 // windows.
-func (s *Stream) Fairness() float64 {
-	avgs := make([]float64, len(s.windows))
-	for i := range avgs {
-		avgs[i] = s.AvgWindow(i)
-	}
-	return fairness(avgs)
-}
-
-// Convergence scores Metric V (see convergence) over every sender's tail.
-func (s *Stream) Convergence() float64 {
-	return convergence(len(s.windows), s.TailWindow)
-}
-
-// LatencyAvoidance scores Metric VIII (see latencyInflation): max tail
-// RTT inflation over the base RTT.
-func (s *Stream) LatencyAvoidance() float64 {
-	return latencyInflation(s.TailRTT(), s.baseRTT)
-}
+func (s *StreamSummary) Fairness() float64 { return fairness(s.AvgWindows) }
 
 // Friendliness scores Metric VII (see friendliness): the weakest
 // Q-sender's mean tail window relative to the strongest P-sender's.
-func (s *Stream) Friendliness(pIdx, qIdx []int) float64 {
-	return friendliness(s.AvgWindow, pIdx, qIdx)
+func (s *StreamSummary) Friendliness(pIdx, qIdx []int) float64 {
+	return friendliness(func(i int) float64 { return s.AvgWindows[i] }, pIdx, qIdx)
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,24 +10,45 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/packetsim"
 	"repro/internal/protocol"
+	"repro/internal/rand64"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
-// within asserts |got−want| ≤ 1e-12 (the ISSUE's streaming-equivalence
-// budget; in practice the values are bit-identical).
-func within(t *testing.T, name string, got, want float64) {
+// sameBits asserts that a summary field equals its trace estimator bit
+// for bit (NaN payloads included).
+func sameBits(t *testing.T, name string, got, want float64) {
 	t.Helper()
-	if math.IsNaN(got) && math.IsNaN(want) {
-		return
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: summary %v vs trace %v", name, got, want)
 	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("%s: stream %v vs trace %v (Δ=%g)", name, got, want, got-want)
+}
+
+// checkSummaryMatchesTrace compares every field of st.Summary() — and
+// the scores derived from it — with the *FromTrace estimators on tr, a
+// recording of the same run. pIdx/qIdx split the senders for
+// Friendliness.
+func checkSummaryMatchesTrace(t *testing.T, st *Stream, tr *trace.Trace, tailFrac float64, pIdx, qIdx []int) {
+	t.Helper()
+	sum := st.Summary()
+	sameBits(t, "efficiency", sum.Efficiency, EfficiencyFromTrace(tr, tailFrac))
+	sameBits(t, "loss avoidance", sum.LossAvoidance, LossAvoidanceFromTrace(tr, tailFrac))
+	sameBits(t, "fairness", sum.Fairness(), FairnessFromTrace(tr, tailFrac))
+	sameBits(t, "convergence", sum.Convergence, ConvergenceFromTrace(tr, tailFrac))
+	sameBits(t, "latency avoidance", sum.LatencyAvoidance, LatencyAvoidanceFromTrace(tr, tailFrac))
+	sameBits(t, "friendliness", sum.Friendliness(pIdx, qIdx), FriendlinessFromTrace(tr, pIdx, qIdx, tailFrac))
+	if len(sum.AvgWindows) != tr.Senders() || len(sum.AvgGoodputs) != tr.Senders() {
+		t.Fatalf("summary covers %d/%d senders, trace %d", len(sum.AvgWindows), len(sum.AvgGoodputs), tr.Senders())
+	}
+	for i := 0; i < tr.Senders(); i++ {
+		sameBits(t, "avg window", sum.AvgWindows[i], tr.AvgWindow(i, tailFrac))
+		sameBits(t, "avg goodput", sum.AvgGoodputs[i], tr.AvgGoodput(i, tailFrac))
 	}
 }
 
 // TestStreamMatchesTraceEstimatorsFluid runs one fluid simulation with both
-// a recording trace and a streaming observer and checks every estimator
-// pair agrees.
+// a recording trace and a streaming observer and checks every summary
+// field agrees with its trace estimator.
 func TestStreamMatchesTraceEstimatorsFluid(t *testing.T) {
 	const steps = 2000
 	cfg := fluid.Config{Bandwidth: 1200, PropDelay: 0.05, Buffer: 60}
@@ -42,17 +64,7 @@ func TestStreamMatchesTraceEstimatorsFluid(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-
-	within(t, "efficiency", st.Efficiency(), EfficiencyFromTrace(tr, DefaultTailFrac))
-	within(t, "loss avoidance", st.LossAvoidance(), LossAvoidanceFromTrace(tr, DefaultTailFrac))
-	within(t, "fairness", st.Fairness(), FairnessFromTrace(tr, DefaultTailFrac))
-	within(t, "convergence", st.Convergence(), ConvergenceFromTrace(tr, DefaultTailFrac))
-	within(t, "latency avoidance", st.LatencyAvoidance(), LatencyAvoidanceFromTrace(tr, DefaultTailFrac))
-	within(t, "friendliness", st.Friendliness([]int{2}, []int{0, 1}), FriendlinessFromTrace(tr, []int{2}, []int{0, 1}, DefaultTailFrac))
-	for i := range protos {
-		within(t, "avg window", st.AvgWindow(i), tr.AvgWindow(i, DefaultTailFrac))
-		within(t, "avg goodput", st.AvgGoodput(i), tr.AvgGoodput(i, DefaultTailFrac))
-	}
+	checkSummaryMatchesTrace(t, st, tr, DefaultTailFrac, []int{2}, []int{0, 1})
 
 	// The retained tails must equal stats.Tail of the recorded series.
 	wantTail := stats.Tail(tr.Window(0), DefaultTailFrac)
@@ -87,25 +99,67 @@ func TestStreamMatchesTraceEstimatorsPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Packet.Trace
-
-	within(t, "efficiency", st.Efficiency(), EfficiencyFromTrace(tr, DefaultTailFrac))
-	within(t, "loss avoidance", st.LossAvoidance(), LossAvoidanceFromTrace(tr, DefaultTailFrac))
-	within(t, "fairness", st.Fairness(), FairnessFromTrace(tr, DefaultTailFrac))
-	within(t, "convergence", st.Convergence(), ConvergenceFromTrace(tr, DefaultTailFrac))
-	within(t, "latency avoidance", st.LatencyAvoidance(), LatencyAvoidanceFromTrace(tr, DefaultTailFrac))
-	for i := range flows {
-		within(t, "avg window", st.AvgWindow(i), tr.AvgWindow(i, DefaultTailFrac))
-	}
+	checkSummaryMatchesTrace(t, st, tr, DefaultTailFrac, []int{0}, []int{1})
 	if st.Steps() != tr.Len() {
 		t.Fatalf("Steps = %d, want %d", st.Steps(), tr.Len())
+	}
+}
+
+// TestStreamSummaryMatchesTraceEstimatorsRandom is the property behind
+// caching summaries instead of rings: on seeded random single-link runs
+// (C, τ, n, protocol family, initial windows, tail fraction) every field
+// of Stream.Summary() equals the *FromTrace estimator on a recorded
+// trace of the same run, bit for bit.
+func TestStreamSummaryMatchesTraceEstimatorsRandom(t *testing.T) {
+	const steps = 1200
+	rng := rand64.New(20171130)
+	for trial := 0; trial < 30; trial++ {
+		fam := protocolFamilies[trial%len(protocolFamilies)]
+		theta := rng.Range(0.005, 0.05)
+		capacity := rng.Range(20, 400) // C = B·2Θ, MSS
+		cfg := fluid.Config{
+			Bandwidth: capacity / (2 * theta),
+			PropDelay: theta,
+			Buffer:    math.Floor(rng.Range(0, 2*capacity)),
+		}
+		n := 1 + rng.Intn(4)
+		tailFrac := []float64{0.5, DefaultTailFrac, 0.9}[rng.Intn(3)]
+		protos := make([]protocol.Protocol, n)
+		init := make([]float64, n)
+		for i := range protos {
+			protos[i] = fam.make(rng)
+			init[i] = math.Floor(rng.Range(1, capacity))
+		}
+		sub := &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: steps}
+		st := NewStream(sub.Meta(), tailFrac)
+		res, err := engine.Run(context.Background(), engine.Spec{
+			Substrate: sub,
+			Record:    true,
+			Observers: []engine.Observer{st},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := (n + 1) / 2
+		pIdx, qIdx := make([]int, split), make([]int, n-split)
+		for i := range pIdx {
+			pIdx[i] = i
+		}
+		for i := range qIdx {
+			qIdx[i] = split + i
+		}
+		t.Run(fmt.Sprintf("%d-%s-n%d", trial, fam.name, n), func(t *testing.T) {
+			checkSummaryMatchesTrace(t, st, res.Trace, tailFrac, pIdx, qIdx)
+		})
 	}
 }
 
 // TestStreamBatchedMatchesPerCell runs one spec grid through the batched
 // sweep path — where Streams ingest whole flow-major strips via
 // ObserveStrip and bulk ring copies — and the per-cell path, where the
-// same Streams get one Observe per step, and checks every estimator and
-// retained tail is bit-identical. 300 steps leaves a partial final strip.
+// same Streams get one Observe per step, and checks every summary field
+// and retained tail is bit-identical. 300 steps leaves a partial final
+// strip.
 func TestStreamBatchedMatchesPerCell(t *testing.T) {
 	build := func() ([]engine.Spec, []*Stream) {
 		cfg := fluid.Config{Bandwidth: 1200, PropDelay: 0.05, Buffer: 60}
@@ -147,19 +201,20 @@ func TestStreamBatchedMatchesPerCell(t *testing.T) {
 		if b.Steps() != p.Steps() {
 			t.Fatalf("cell %d: steps %d != %d", c, b.Steps(), p.Steps())
 		}
-		same(c, "efficiency", b.Efficiency(), p.Efficiency())
-		same(c, "loss avoidance", b.LossAvoidance(), p.LossAvoidance())
-		same(c, "fairness", b.Fairness(), p.Fairness())
-		same(c, "convergence", b.Convergence(), p.Convergence())
-		same(c, "latency avoidance", b.LatencyAvoidance(), p.LatencyAvoidance())
+		bs, ps := b.Summary(), p.Summary()
+		same(c, "efficiency", bs.Efficiency, ps.Efficiency)
+		same(c, "loss avoidance", bs.LossAvoidance, ps.LossAvoidance)
+		same(c, "fairness", bs.Fairness(), ps.Fairness())
+		same(c, "convergence", bs.Convergence, ps.Convergence)
+		same(c, "latency avoidance", bs.LatencyAvoidance, ps.LatencyAvoidance)
 		tails := [][2][]float64{
 			{b.TailTotal(), p.TailTotal()},
 			{b.TailRTT(), p.TailRTT()},
 			{b.TailLoss(), p.TailLoss()},
 		}
 		for i := 0; i < len(specsB[c].Substrate.(*engine.FluidSpec).Senders); i++ {
-			same(c, "avg window", b.AvgWindow(i), p.AvgWindow(i))
-			same(c, "avg goodput", b.AvgGoodput(i), p.AvgGoodput(i))
+			same(c, "avg window", bs.AvgWindows[i], ps.AvgWindows[i])
+			same(c, "avg goodput", bs.AvgGoodputs[i], ps.AvgGoodputs[i])
 			tails = append(tails, [2][]float64{b.TailWindow(i), p.TailWindow(i)})
 		}
 		for j, pair := range tails {

@@ -15,22 +15,14 @@ import (
 	"repro/internal/stats"
 )
 
-// TopoStream is the engine.Observer that re-states the tail-window axiom
+// TopoStream is the engine.Observer that feeds the tail-window axiom
 // estimators over multi-bottleneck paths. Where Stream scores against
 // the one link every sender shares, a nettopo run has no single C or
-// base RTT, so the estimators decompose:
-//
-//   - Efficiency and Convergence attribute each flow to its own
-//     bottleneck — the most-utilized link on its path — and score there.
-//   - Fairness and Friendliness are computed per shared link, over
-//     exactly the flows that meet on it, and the worst link governs.
-//   - LossAvoidance is the worst instantaneous tail loss on any link.
-//   - LatencyAvoidance scores each flow's RTT inflation against its own
-//     heterogeneous base RTT (path propagation plus ExtraRTT).
+// base RTT, so the estimators decompose per link and per flow (see
+// TopoSummary, which a finished stream freezes into).
 //
 // State is O(tail): per-flow window/goodput/RTT rings and per-link
-// load/loss rings. Like Stream, a TopoStream restored from the
-// persistent store is bit-identical to the one the simulation filled.
+// load/loss rings.
 type TopoStream struct {
 	tailFrac float64
 	linkCap  []float64 // C_l per link
@@ -114,43 +106,83 @@ func (s *TopoStream) Steps() int {
 // TailFrac returns the tail fraction the stream scores over.
 func (s *TopoStream) TailFrac() float64 { return s.tailFrac }
 
-// Flows returns the number of flows observed.
-func (s *TopoStream) Flows() int { return len(s.windows) }
-
-// Links returns the number of links observed.
-func (s *TopoStream) Links() int { return len(s.linkLoad) }
-
-// TailWindow returns flow f's retained tail-window series.
-func (s *TopoStream) TailWindow(f int) []float64 { return s.windows[f].LastTail(s.tailFrac) }
-
-// TailLinkLoss returns link l's retained tail loss-rate series.
-func (s *TopoStream) TailLinkLoss(l int) []float64 { return s.linkLoss[l].LastTail(s.tailFrac) }
-
-// AvgWindow returns flow f's mean tail window.
-func (s *TopoStream) AvgWindow(f int) float64 {
-	return stats.Mean(s.windows[f].LastTail(s.tailFrac))
+// Summary freezes the finished run into its TopoSummary. Call it once
+// the run has ended; every field is computed with the same formula
+// bodies over the same retained tail samples the estimators always
+// used, so scores derived from the summary are bit-identical.
+func (s *TopoStream) Summary() *TopoSummary {
+	// One buffer serves every tail in turn: each is fully consumed before
+	// the next is read.
+	var buf []float64
+	tail := func(r *stats.Ring) []float64 {
+		buf = r.AppendTail(buf[:0], s.tailFrac)
+		return buf
+	}
+	sum := &TopoSummary{
+		Paths:         s.paths,
+		BaseRTT:       s.baseRTT,
+		LinkUtil:      make([]float64, len(s.linkLoad)),
+		LinkEff:       make([]float64, len(s.linkLoad)),
+		LinkMaxLoss:   make([]float64, len(s.linkLoad)),
+		LinkMeanLoss:  make([]float64, len(s.linkLoad)),
+		AvgWindows:    make([]float64, len(s.windows)),
+		AvgGoodputs:   make([]float64, len(s.windows)),
+		RTTInflations: make([]float64, len(s.windows)),
+		Convergence:   convergence(len(s.windows), func(f int) []float64 { return tail(s.windows[f]) }),
+	}
+	for l := range s.linkLoad {
+		load := tail(s.linkLoad[l])
+		sum.LinkUtil[l] = stats.Mean(load) / s.linkCap[l]
+		sum.LinkEff[l] = efficiency(load, s.linkCap[l])
+		loss := tail(s.linkLoss[l])
+		sum.LinkMaxLoss[l] = lossAvoidance(loss)
+		sum.LinkMeanLoss[l] = stats.Mean(loss)
+	}
+	for f := range s.windows {
+		sum.AvgWindows[f] = stats.Mean(tail(s.windows[f]))
+		sum.AvgGoodputs[f] = stats.Mean(tail(s.goodput[f]))
+		sum.RTTInflations[f] = latencyInflation(tail(s.flowRTT[f]), s.baseRTT[f])
+	}
+	return sum
 }
 
-// AvgGoodput returns flow f's mean tail goodput (MSS/s), computed with
-// the same guarded w·(1−loss)/RTT samples as nettopo.Result.AvgGoodput.
-func (s *TopoStream) AvgGoodput(f int) float64 {
-	return stats.Mean(s.goodput[f].LastTail(s.tailFrac))
-}
+// TopoSummary is one finished nettopo run reduced to what its
+// multi-bottleneck scores read: the scoring geometry, per-link and
+// per-flow tail quantities, and the convergence scalar. The estimators
+// re-derive every score from these fields:
+//
+//   - Efficiency and Convergence attribute each flow to its own
+//     bottleneck — the most-utilized link on its path — and score there.
+//   - Fairness and Friendliness are computed per shared link, over
+//     exactly the flows that meet on it, and the worst link governs.
+//   - LossAvoidance is the worst instantaneous tail loss on any link.
+//   - LatencyAvoidance scores each flow's RTT inflation against its own
+//     heterogeneous base RTT (path propagation plus ExtraRTT).
+//
+// It is what the Session caches and the run store persists. Cached
+// summaries are shared between callers and must be treated as read-only.
+type TopoSummary struct {
+	Paths   [][]int   // link indices per flow
+	BaseRTT []float64 // unloaded RTT per flow (path 2Θ sum + ExtraRTT)
 
-// BaseRTT returns flow f's unloaded round-trip time.
-func (s *TopoStream) BaseRTT(f int) float64 { return s.baseRTT[f] }
+	LinkUtil     []float64 // per link: mean tail load over C_l
+	LinkEff      []float64 // per link: min tail load over C_l (see efficiency)
+	LinkMaxLoss  []float64 // per link: max tail loss rate (see lossAvoidance)
+	LinkMeanLoss []float64 // per link: mean tail loss rate
 
-// LinkUtilization returns link l's mean tail load over its capacity.
-func (s *TopoStream) LinkUtilization(l int) float64 {
-	return stats.Mean(s.linkLoad[l].LastTail(s.tailFrac)) / s.linkCap[l]
+	AvgWindows    []float64 // per flow: mean tail window
+	AvgGoodputs   []float64 // per flow: mean tail goodput (MSS/s), as nettopo.Result.AvgGoodput
+	RTTInflations []float64 // per flow: max tail RTT inflation over BaseRTT (see latencyInflation)
+
+	Convergence float64 // Metric V per flow (see convergence), worst flow
 }
 
 // BottleneckOf returns flow f's bottleneck: the link on its path with
 // the highest mean tail utilization (ties resolve to the earliest hop).
-func (s *TopoStream) BottleneckOf(f int) int {
-	best, bestUtil := s.paths[f][0], math.Inf(-1)
-	for _, l := range s.paths[f] {
-		if u := s.LinkUtilization(l); u > bestUtil {
+func (s *TopoSummary) BottleneckOf(f int) int {
+	best, bestUtil := s.Paths[f][0], math.Inf(-1)
+	for _, l := range s.Paths[f] {
+		if u := s.LinkUtil[l]; u > bestUtil {
 			best, bestUtil = l, u
 		}
 	}
@@ -161,11 +193,10 @@ func (s *TopoStream) BottleneckOf(f int) int {
 // bottleneck link as the tail minimum of that link's aggregate load over
 // capacity (the multi-bottleneck analogue of min X(t)/C), and the worst
 // flow governs.
-func (s *TopoStream) Efficiency() float64 {
+func (s *TopoSummary) Efficiency() float64 {
 	worst := math.Inf(1)
-	for f := range s.paths {
-		l := s.BottleneckOf(f)
-		if e := efficiency(s.linkLoad[l].LastTail(s.tailFrac), s.linkCap[l]); e < worst {
+	for f := range s.Paths {
+		if e := s.LinkEff[s.BottleneckOf(f)]; e < worst {
 			worst = e
 		}
 	}
@@ -177,10 +208,10 @@ func (s *TopoStream) Efficiency() float64 {
 
 // LossAvoidance re-states Metric III: the maximum instantaneous tail
 // loss rate on any link of the topology. Lower is better.
-func (s *TopoStream) LossAvoidance() float64 {
+func (s *TopoSummary) LossAvoidance() float64 {
 	worst := 0.0
-	for l := range s.linkLoss {
-		if m := lossAvoidance(s.linkLoss[l].LastTail(s.tailFrac)); m > worst {
+	for _, m := range s.LinkMaxLoss {
+		if m > worst {
 			worst = m
 		}
 	}
@@ -189,9 +220,9 @@ func (s *TopoStream) LossAvoidance() float64 {
 
 // sharedLinks returns the links traversed by at least two flows,
 // together with the flows on each.
-func (s *TopoStream) sharedLinks() map[int][]int {
+func (s *TopoSummary) sharedLinks() map[int][]int {
 	on := make(map[int][]int)
-	for f, path := range s.paths {
+	for f, path := range s.Paths {
 		for _, l := range path {
 			on[l] = append(on[l], f)
 		}
@@ -208,7 +239,7 @@ func (s *TopoStream) sharedLinks() map[int][]int {
 // two or more flows, the min-over-max ratio of the mean tail windows of
 // exactly those flows; the worst shared link governs. NaN when no link
 // is shared (fairness is then undefined, as with one sender).
-func (s *TopoStream) Fairness() float64 {
+func (s *TopoSummary) Fairness() float64 {
 	shared := s.sharedLinks()
 	if len(shared) == 0 {
 		return math.NaN()
@@ -217,7 +248,7 @@ func (s *TopoStream) Fairness() float64 {
 	for _, flows := range shared {
 		avgs := make([]float64, len(flows))
 		for i, f := range flows {
-			avgs[i] = s.AvgWindow(f)
+			avgs[i] = s.AvgWindows[f]
 		}
 		if r := fairness(avgs); r < worst {
 			worst = r
@@ -226,21 +257,13 @@ func (s *TopoStream) Fairness() float64 {
 	return worst
 }
 
-// Convergence re-states Metric V per flow (each flow's tail containment
-// around its own fixed point, exactly as on a single link); the worst
-// flow governs.
-func (s *TopoStream) Convergence() float64 {
-	return convergence(len(s.windows), s.TailWindow)
-}
-
 // LatencyAvoidance re-states Metric VIII per flow: each flow's maximum
 // tail RTT inflation over its own base RTT (heterogeneous paths score
 // against heterogeneous baselines); the worst flow governs. Lower is
 // better; NaN when any flow's base RTT is not positive.
-func (s *TopoStream) LatencyAvoidance() float64 {
+func (s *TopoSummary) LatencyAvoidance() float64 {
 	worst := 0.0
-	for f := range s.flowRTT {
-		infl := latencyInflation(s.flowRTT[f].LastTail(s.tailFrac), s.baseRTT[f])
+	for _, infl := range s.RTTInflations {
 		if math.IsNaN(infl) {
 			return infl
 		}
@@ -255,7 +278,7 @@ func (s *TopoStream) LatencyAvoidance() float64 {
 // at least one P-flow meets at least one Q-flow, the weakest Q's mean
 // tail window relative to the strongest P's there; the worst such link
 // governs. NaN when P and Q never share a link.
-func (s *TopoStream) Friendliness(pIdx, qIdx []int) float64 {
+func (s *TopoSummary) Friendliness(pIdx, qIdx []int) float64 {
 	inP := make(map[int]bool, len(pIdx))
 	for _, f := range pIdx {
 		inP[f] = true
@@ -264,6 +287,7 @@ func (s *TopoStream) Friendliness(pIdx, qIdx []int) float64 {
 	for _, f := range qIdx {
 		inQ[f] = true
 	}
+	avg := func(f int) float64 { return s.AvgWindows[f] }
 	worst := math.Inf(1)
 	found := false
 	for _, flows := range s.sharedLinks() {
@@ -280,7 +304,7 @@ func (s *TopoStream) Friendliness(pIdx, qIdx []int) float64 {
 			continue
 		}
 		found = true
-		if r := friendliness(s.AvgWindow, p, q); r < worst {
+		if r := friendliness(avg, p, q); r < worst {
 			worst = r
 		}
 	}
@@ -377,13 +401,14 @@ func topoKey(t *TopoRunSpec) (string, bool) {
 }
 
 // RunTopo executes (or resolves from cache) one streaming-observed
-// nettopo run and returns its TopoStream. With a Session set, runs with
-// identical canonical fingerprints are single-flighted in memory and
-// persisted to the run store, exactly like the fluid substrate's
-// streamed runs: a warm store serves the stream without simulating.
-func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoStream, error) {
+// nettopo run and returns its frozen TopoSummary. With a Session set,
+// runs with identical canonical fingerprints are single-flighted in
+// memory and persisted to the run store, exactly like the fluid
+// substrate's streamed runs: a warm store serves the summary without
+// simulating.
+func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoSummary, error) {
 	t.withDefaults()
-	exec := func() (*TopoStream, error) {
+	exec := func() (*TopoSummary, error) {
 		var opts []nettopo.Option
 		if t.Stochastic {
 			opts = append(opts, nettopo.WithStochasticLoss(t.Seed))
@@ -398,7 +423,7 @@ func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoStream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return st, nil
+		return st.Summary(), nil
 	}
 	key, cacheable := topoKey(&t)
 	return do(t.Session, key, cacheable, t.Steps, topoCodec, exec)
@@ -408,7 +433,7 @@ func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoStream, error) {
 // population of p-flows over the given topology — one multi-bottleneck
 // row of the paper's Table 1. Efficiency, LossAvoidance, Fairness,
 // Convergence, TCPFriendliness, and LatencyAvoidance are the
-// per-link/per-bottleneck re-statements computed by TopoStream, with
+// per-link/per-bottleneck re-statements computed by TopoSummary, with
 // worst cases taken over the same initial configurations the single-link
 // estimators use (o.InitConfigs, else floor, fair share of the largest
 // link, and maximally skewed). TCP-friendliness re-runs the topology with
@@ -432,8 +457,8 @@ func CharacterizeTopo(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, p prot
 	inits := o.initConfigs(c, len(flows))
 	// runs streams the topology once per initial configuration, with flow
 	// i running protos(i).
-	runs := func(protos func(i int) protocol.Protocol) ([]*TopoStream, error) {
-		out := make([]*TopoStream, len(inits))
+	runs := func(protos func(i int) protocol.Protocol) ([]*TopoSummary, error) {
+		out := make([]*TopoSummary, len(inits))
 		for k, init := range inits {
 			fl := make([]nettopo.FlowSpec, len(flows))
 			for i := range flows {
@@ -480,12 +505,12 @@ func CharacterizeTopo(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, p prot
 		qIdx = append(qIdx, i)
 	}
 	s := Scores{
-		Efficiency:       worstCase(hom, higherBetter, (*TopoStream).Efficiency),
-		LossAvoidance:    worstCase(hom, lowerBetter, (*TopoStream).LossAvoidance),
-		Fairness:         worstCase(hom, higherBetter, (*TopoStream).Fairness),
-		Convergence:      worstCase(hom, higherBetter, (*TopoStream).Convergence),
-		TCPFriendliness:  worstCase(mix, higherBetter, func(st *TopoStream) float64 { return st.Friendliness([]int{0}, qIdx) }),
-		LatencyAvoidance: worstCase(hom, lowerBetter, (*TopoStream).LatencyAvoidance),
+		Efficiency:       worstCase(hom, higherBetter, (*TopoSummary).Efficiency),
+		LossAvoidance:    worstCase(hom, lowerBetter, (*TopoSummary).LossAvoidance),
+		Fairness:         worstCase(hom, higherBetter, (*TopoSummary).Fairness),
+		Convergence:      worstCase(hom, higherBetter, func(st *TopoSummary) float64 { return st.Convergence }),
+		TCPFriendliness:  worstCase(mix, higherBetter, func(st *TopoSummary) float64 { return st.Friendliness([]int{0}, qIdx) }),
+		LatencyAvoidance: worstCase(hom, lowerBetter, (*TopoSummary).LatencyAvoidance),
 	}
 	if s.FastUtilization, err = FastUtilization(p, o); err != nil {
 		return Scores{}, err

@@ -18,7 +18,7 @@ func TestCharacterizeTopoHonorsInitConfigs(t *testing.T) {
 	links := []nettopo.LinkSpec{{Bandwidth: 100 / (2 * theta), PropDelay: theta, Buffer: 20}}
 	flows := []nettopo.FlowSpec{{Path: []int{0}}, {Path: []int{0}}}
 	p := protocol.NewMIMD(1.01, 0.5)
-	run := func(protos []protocol.Protocol, init []float64, o Options) *TopoStream {
+	run := func(protos []protocol.Protocol, init []float64, o Options) *TopoSummary {
 		fl := make([]nettopo.FlowSpec, len(flows))
 		for i := range fl {
 			fl[i] = flows[i]
@@ -45,7 +45,7 @@ func TestCharacterizeTopoHonorsInitConfigs(t *testing.T) {
 			Efficiency:       hom.Efficiency(),
 			LossAvoidance:    hom.LossAvoidance(),
 			Fairness:         hom.Fairness(),
-			Convergence:      hom.Convergence(),
+			Convergence:      hom.Convergence,
 			TCPFriendliness:  mix.Friendliness([]int{0}, []int{1}),
 			LatencyAvoidance: hom.LatencyAvoidance(),
 		}

@@ -3,8 +3,10 @@ package metrics
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/nettopo"
 	"repro/internal/protocol"
 	"repro/internal/runstore"
@@ -26,7 +28,7 @@ func topoFixture() ([]nettopo.LinkSpec, []nettopo.FlowSpec) {
 	return links, flows
 }
 
-func runTopoFixture(t *testing.T, s *Session) *TopoStream {
+func runTopoFixture(t *testing.T, s *Session) *TopoSummary {
 	t.Helper()
 	links, flows := topoFixture()
 	st, err := RunTopo(context.Background(), TopoRunSpec{
@@ -39,9 +41,20 @@ func runTopoFixture(t *testing.T, s *Session) *TopoStream {
 }
 
 func TestTopoStreamEstimators(t *testing.T) {
-	st := runTopoFixture(t, nil)
-	if st.Steps() != 1200 {
-		t.Fatalf("observed %d steps, want 1200", st.Steps())
+	links, flows := topoFixture()
+	ts := NewTopoStream(links, flows, 1200, 0)
+	if _, err := engine.Run(context.Background(), engine.Spec{
+		Substrate: &engine.TopoSpec{Links: links, Flows: flows, Steps: 1200},
+		Observers: []engine.Observer{ts},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ts.Steps() != 1200 {
+		t.Fatalf("observed %d steps, want 1200", ts.Steps())
+	}
+	st := ts.Summary()
+	if !topoSummariesBitEqual(st, runTopoFixture(t, nil)) {
+		t.Fatal("RunTopo's summary differs from the stream's")
 	}
 	// Both flows bottleneck on the shared core (index 2): it is half the
 	// edge bandwidth and carries both windows.
@@ -56,7 +69,7 @@ func TestTopoStreamEstimators(t *testing.T) {
 	if f := st.Fairness(); math.IsNaN(f) || f <= 0 || f > 1 {
 		t.Errorf("fairness %v, want (0,1] for two Renos on a shared core", f)
 	}
-	if c := st.Convergence(); c < 0 || c > 1 {
+	if c := st.Convergence; c < 0 || c > 1 {
 		t.Errorf("convergence %v out of [0,1]", c)
 	}
 	if l := st.LossAvoidance(); l < 0 || l >= 1 {
@@ -94,14 +107,35 @@ func TestTopoFairnessUndefinedWithoutSharing(t *testing.T) {
 	}
 }
 
+// topoSummariesBitEqual reports whether two summaries agree field by
+// field, floats compared by bit pattern.
+func topoSummariesBitEqual(a, b *TopoSummary) bool {
+	if len(a.Paths) != len(b.Paths) {
+		return false
+	}
+	for f := range a.Paths {
+		if !slices.Equal(a.Paths[f], b.Paths[f]) {
+			return false
+		}
+	}
+	bits := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+	}
+	return bits(a.BaseRTT, b.BaseRTT) && bits(a.LinkUtil, b.LinkUtil) && bits(a.LinkEff, b.LinkEff) &&
+		bits(a.LinkMaxLoss, b.LinkMaxLoss) && bits(a.LinkMeanLoss, b.LinkMeanLoss) &&
+		bits(a.AvgWindows, b.AvgWindows) && bits(a.AvgGoodputs, b.AvgGoodputs) &&
+		bits(a.RTTInflations, b.RTTInflations) &&
+		math.Float64bits(a.Convergence) == math.Float64bits(b.Convergence)
+}
+
 // TestTopoSessionMemoryHit: the second identical run must be served from
-// the session without simulating, and hand back the very same stream.
+// the session without simulating, and hand back the very same summary.
 func TestTopoSessionMemoryHit(t *testing.T) {
 	s := NewSession()
 	a := runTopoFixture(t, s)
 	b := runTopoFixture(t, s)
 	if a != b {
-		t.Fatal("second run did not share the cached stream")
+		t.Fatal("second run did not share the cached summary")
 	}
 	st := s.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
@@ -110,8 +144,8 @@ func TestTopoSessionMemoryHit(t *testing.T) {
 }
 
 // TestTopoStoreRoundTrip: a warm persistent store serves the run in a
-// fresh session with zero simulations, and every estimator answers
-// bit-identically on the decoded stream.
+// fresh session with zero simulations, and the decoded summary — and so
+// every estimator — is bit-identical to the simulated one.
 func TestTopoStoreRoundTrip(t *testing.T) {
 	store, err := runstore.Open(t.TempDir(), runstore.Options{Version: "testver"})
 	if err != nil {
@@ -132,47 +166,65 @@ func TestTopoStoreRoundTrip(t *testing.T) {
 		t.Fatalf("warm stats = %+v, want 1 disk hit and 0 simulated", st)
 	}
 
-	if a.Steps() != b.Steps() || a.Flows() != b.Flows() || a.Links() != b.Links() {
-		t.Fatal("decoded stream shape differs")
+	if !topoSummariesBitEqual(a, b) {
+		t.Fatalf("decoded summary differs from the simulated one:\n%+v\n%+v", a, b)
 	}
 	if a.Efficiency() != b.Efficiency() ||
 		a.Fairness() != b.Fairness() ||
-		a.Convergence() != b.Convergence() ||
 		a.LossAvoidance() != b.LossAvoidance() ||
 		a.LatencyAvoidance() != b.LatencyAvoidance() ||
 		a.Friendliness([]int{0}, []int{1}) != b.Friendliness([]int{0}, []int{1}) {
-		t.Fatal("decoded stream estimators differ from the simulated stream")
+		t.Fatal("decoded summary estimators differ from the simulated summary")
 	}
-	for f := 0; f < a.Flows(); f++ {
-		if a.AvgWindow(f) != b.AvgWindow(f) || a.AvgGoodput(f) != b.AvgGoodput(f) || a.BaseRTT(f) != b.BaseRTT(f) {
-			t.Fatalf("flow %d decoded accessors differ", f)
-		}
+}
+
+// TestCharacterizeTopoStoreBitIdentical: CharacterizeTopo scored from
+// summaries decoded out of a warm store — a fresh session, so memory
+// cannot mask the codec — equals an uncached run bit for bit.
+func TestCharacterizeTopoStoreBitIdentical(t *testing.T) {
+	links, flows := topoFixture()
+	o := Options{Steps: 600}
+	plain, err := CharacterizeTopo(links, flows, protocol.Reno(), Options{Steps: 600, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for l := 0; l < a.Links(); l++ {
-		if a.LinkUtilization(l) != b.LinkUtilization(l) {
-			t.Fatalf("link %d decoded utilization differs", l)
-		}
+	store := testStore(t)
+	o.Session = storeSession(t, store)
+	cold, err := CharacterizeTopo(links, flows, protocol.Reno(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Session = storeSession(t, store)
+	warm, err := CharacterizeTopo(links, flows, protocol.Reno(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := o.Session.Stats(); st.Simulated() != 0 || st.DiskHits == 0 {
+		t.Fatalf("warm CharacterizeTopo did not run from the store: %+v", st)
+	}
+	if !scoresBitsEqual(plain, cold) || !scoresBitsEqual(plain, warm) {
+		t.Fatalf("topology scores differ through the store:\n  uncached %v\n  cold     %v\n  warm     %v", plain, cold, warm)
 	}
 }
 
 func TestTopoCodecRejectsCorruption(t *testing.T) {
 	st := runTopoFixture(t, nil)
-	payload := encodeTopoRun(st)
-	if _, err := decodeTopoRun(payload); err != nil {
+	payload := encodeTopoSummary(st)
+	if got, err := decodeTopoSummary(payload); err != nil || !topoSummariesBitEqual(got, st) {
 		t.Fatalf("roundtrip failed: %v", err)
 	}
-	if _, err := decodeTopoRun(nil); err == nil {
+	if _, err := decodeTopoSummary(nil); err == nil {
 		t.Error("empty payload accepted")
 	}
-	if _, err := decodeTopoRun(payload[:len(payload)-3]); err == nil {
+	if _, err := decodeTopoSummary(payload[:len(payload)-3]); err == nil {
 		t.Error("truncated payload accepted")
 	}
-	if _, err := decodeTopoRun(append(payload, 0)); err == nil {
+	if _, err := decodeTopoSummary(append(payload, 0)); err == nil {
 		t.Error("payload with trailing bytes accepted")
 	}
 	bad := append([]byte(nil), payload...)
 	bad[0] = codecKindStream
-	if _, err := decodeTopoRun(bad); err == nil {
+	if _, err := decodeTopoSummary(bad); err == nil {
 		t.Error("wrong payload kind accepted")
 	}
 }

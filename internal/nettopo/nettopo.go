@@ -405,6 +405,26 @@ type StepResult struct {
 // operation order included, is pinned bit for bit by the frozen chain
 // trajectories in testdata/multilink_parity.json.
 func (n *Network) Step() StepResult {
+	res := n.newStepResult()
+	n.stepInto(&res)
+	return res
+}
+
+// newStepResult allocates a StepResult sized for n's flows and links.
+func (n *Network) newStepResult() StepResult {
+	return StepResult{
+		Windows:  make([]float64, len(n.flows)),
+		LinkLoss: make([]float64, len(n.links)),
+		LinkRTT:  make([]float64, len(n.links)),
+		LinkLoad: make([]float64, len(n.links)),
+		FlowLoss: make([]float64, len(n.flows)),
+		FlowRTT:  make([]float64, len(n.flows)),
+	}
+}
+
+// stepInto is Step writing into res, whose slices newStepResult sized;
+// every field is overwritten, so one res serves a whole run.
+func (n *Network) stepInto(res *StepResult) {
 	p := n.perturb
 	if p != nil {
 		for f := range n.flows {
@@ -416,15 +436,12 @@ func (n *Network) Step() StepResult {
 			n.active[f] = on
 		}
 	}
-	res := StepResult{
-		Step:     n.step,
-		Windows:  append([]float64(nil), n.x...),
-		LinkLoss: make([]float64, len(n.links)),
-		LinkRTT:  make([]float64, len(n.links)),
-		LinkLoad: make([]float64, len(n.links)),
-		FlowLoss: make([]float64, len(n.flows)),
-		FlowRTT:  make([]float64, len(n.flows)),
-	}
+	res.Step = n.step
+	copy(res.Windows, n.x)
+	// Only overloaded links and active flows set these below.
+	clear(res.LinkLoss)
+	clear(res.FlowLoss)
+	clear(res.FlowRTT)
 	for l, spec := range n.links {
 		load := 0.0
 		for _, f := range n.flowsOn[l] {
@@ -501,7 +518,6 @@ func (n *Network) Step() StepResult {
 		n.x[f] = protocol.Clamp(next, n.maxWindow)
 	}
 	n.step++
-	return res
 }
 
 // Result is a recorded nettopo run, column-oriented per flow and link.
@@ -544,13 +560,14 @@ func (n *Network) RunObserved(ctx context.Context, steps int, record bool, obs f
 			r.paths = append(r.paths, append([]int(nil), n.flows[f].Path...))
 		}
 	}
+	res := n.newStepResult()
 	for s := 0; s < steps; s++ {
 		if s&0xff == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		res := n.Step()
+		n.stepInto(&res)
 		if record {
 			for f := range n.flows {
 				r.Windows[f] = append(r.Windows[f], res.Windows[f])

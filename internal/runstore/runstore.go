@@ -5,9 +5,10 @@
 // (extended with the store schema version and a content hash of the
 // simulation-relevant source packages, so any change to the simulators
 // automatically invalidates stale entries), values are opaque payloads
-// the caller serializes (metrics encodes Stream/Trace runs, keyed engine
-// sweeps store their cell results as JSON, so rerunning an interrupted
-// sweep executes only the cells it never finished).
+// the caller serializes (metrics encodes runs' score summaries and
+// traces, keyed engine sweeps store their cell results as JSON, so
+// rerunning an interrupted sweep executes only the cells it never
+// finished).
 //
 // Entries are written atomically (temp file + rename) with a per-entry
 // SHA-256 checksum, verified — and deleted when corrupt — on every read.
@@ -37,7 +38,7 @@ import (
 // SchemaVersion is baked into every canonical key. Bump it whenever the
 // entry layout or any payload codec changes incompatibly; old entries
 // then simply never match and age out via LRU eviction.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // DefaultMaxBytes caps the store at 1 GiB unless configured otherwise.
 const DefaultMaxBytes = 1 << 30

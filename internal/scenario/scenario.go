@@ -288,22 +288,23 @@ func (s *Spec) runFluid(ctx context.Context) (*Outcome, error) {
 		return nil, err
 	}
 
+	sum := st.Summary()
 	out := &Outcome{Name: s.Name, Model: s.Model, Summary: map[string]float64{}}
 	var goodputs []float64
 	for i := range s.Flows {
-		g := st.AvgGoodput(i)
+		g := sum.AvgGoodputs[i]
 		goodputs = append(goodputs, g)
 		out.Flows = append(out.Flows, FlowOutcome{
 			Protocol:  protos[i].Name(),
-			AvgWindow: st.AvgWindow(i),
+			AvgWindow: sum.AvgWindows[i],
 			Goodput:   g,
 		})
 	}
 	fillShares(out.Flows, goodputs)
-	out.Summary["efficiency"] = st.Efficiency()
-	out.Summary["tail_loss"] = st.LossAvoidance()
+	out.Summary["efficiency"] = sum.Efficiency
+	out.Summary["tail_loss"] = sum.LossAvoidance
 	out.Summary["jain_goodput"] = stats.JainIndex(goodputs)
-	out.Summary["latency_inflation"] = st.LatencyAvoidance()
+	out.Summary["latency_inflation"] = sum.LatencyAvoidance
 	return out, nil
 }
 
@@ -343,6 +344,7 @@ func (s *Spec) runPacket(ctx context.Context) (*Outcome, error) {
 		return nil, err
 	}
 	res := eres.Packet
+	avgWindows := st.Summary().AvgWindows
 
 	out := &Outcome{Name: s.Name, Model: s.Model, Summary: map[string]float64{}}
 	var goodputs []float64
@@ -353,7 +355,7 @@ func (s *Spec) runPacket(ctx context.Context) (*Outcome, error) {
 		total += g
 		out.Flows = append(out.Flows, FlowOutcome{
 			Protocol:  protos[i].Name(),
-			AvgWindow: st.AvgWindow(i),
+			AvgWindow: avgWindows[i],
 			Goodput:   g,
 		})
 	}
@@ -385,9 +387,9 @@ func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 			ExtraRTT: f.ExtraRTTms / 1000,
 		}
 	}
-	// All summaries come from tail rings, so the run streams through a
-	// TopoStream and resolves through the session cache: a warm persistent
-	// store serves the whole scenario without simulating.
+	// All summaries come from the run's frozen TopoSummary, which
+	// resolves through the session cache: a warm persistent store serves
+	// the whole scenario without simulating.
 	tail := s.tail()
 	st, err := metrics.RunTopo(ctx, metrics.TopoRunSpec{
 		Links:      links,
@@ -405,24 +407,24 @@ func (s *Spec) runTopo(ctx context.Context) (*Outcome, error) {
 	out := &Outcome{Name: s.Name, Model: s.Model, Summary: map[string]float64{}}
 	var goodputs []float64
 	for i := range s.Flows {
-		g := st.AvgGoodput(i)
+		g := st.AvgGoodputs[i]
 		goodputs = append(goodputs, g)
 		out.Flows = append(out.Flows, FlowOutcome{
 			Protocol:  protos[i].Name(),
-			AvgWindow: st.AvgWindow(i),
+			AvgWindow: st.AvgWindows[i],
 			Goodput:   g,
 		})
 	}
 	fillShares(out.Flows, goodputs)
 	util := 0.0
 	for l := range links {
-		util += st.LinkUtilization(l)
+		util += st.LinkUtil[l]
 	}
 	out.Summary["efficiency"] = util / float64(len(links))
 	out.Summary["jain_goodput"] = stats.JainIndex(goodputs)
 	worstLoss := 0.0
-	for l := range links {
-		if m := stats.Mean(st.TailLinkLoss(l)); m > worstLoss {
+	for _, m := range st.LinkMeanLoss {
+		if m > worstLoss {
 			worstLoss = m
 		}
 	}

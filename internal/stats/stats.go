@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -322,26 +323,21 @@ func (r *Ring) Count() int { return r.count }
 
 // Last returns a fresh slice of the most recent k samples in push order.
 // k is clamped to the number of samples still retained.
-func (r *Ring) Last(k int) []float64 {
-	retained := r.count
-	if retained > len(r.buf) {
-		retained = len(r.buf)
-	}
-	if k > retained {
-		k = retained
-	}
+func (r *Ring) Last(k int) []float64 { return r.appendLast(nil, k) }
+
+// appendLast appends the most recent k samples, in push order, to dst.
+func (r *Ring) appendLast(dst []float64, k int) []float64 {
+	k = min(k, r.count, len(r.buf))
 	if k <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]float64, k)
+	dst = slices.Grow(dst, k)
 	start := r.next - k
 	if start < 0 {
-		start += len(r.buf)
+		dst = append(dst, r.buf[start+len(r.buf):]...)
+		start = 0
 	}
-	for i := 0; i < k; i++ {
-		out[i] = r.buf[(start+i)%len(r.buf)]
-	}
-	return out
+	return append(dst, r.buf[start:r.next]...)
 }
 
 // TailLen returns the length of the f-tail of a series with n samples,
@@ -362,31 +358,10 @@ func TailLen(n int, f float64) int {
 
 // LastTail returns the f-tail of the pushed series, identical to
 // Tail(series, f) as long as the ring's capacity covered it.
-func (r *Ring) LastTail(f float64) []float64 {
-	return r.Last(TailLen(r.count, f))
-}
+func (r *Ring) LastTail(f float64) []float64 { return r.AppendTail(nil, f) }
 
-// Cap returns the ring's retention capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
-// Dump returns every retained sample in push order, for serialization.
-func (r *Ring) Dump() []float64 {
-	retained := r.count
-	if retained > len(r.buf) {
-		retained = len(r.buf)
-	}
-	return r.Last(retained)
-}
-
-// RestoreRing reconstructs a ring from Cap/Count/Dump output. The result
-// is observationally identical to the original: Count, Last, and
-// LastTail all return the same values bit for bit.
-func RestoreRing(capacity, count int, retained []float64) *Ring {
-	r := NewRing(capacity)
-	copy(r.buf, retained)
-	if len(r.buf) > 0 {
-		r.next = len(retained) % len(r.buf)
-	}
-	r.count = count
-	return r
+// AppendTail appends LastTail(f) to dst, so a caller scanning several
+// tails one at a time can reuse one buffer.
+func (r *Ring) AppendTail(dst []float64, f float64) []float64 {
+	return r.appendLast(dst, TailLen(r.count, f))
 }
