@@ -305,7 +305,7 @@ var (
 	// EngineSweepSpecs runs one EngineSpec per grid cell, stepping
 	// lockstep-compatible fluid cells as structure-of-arrays batches and
 	// falling back per-cell everywhere else; results are bit-identical
-	// either way (cfg.NoBatch forces the per-cell path).
+	// either way.
 	EngineSweepSpecs = engine.SweepSpecs
 	// EngineCellSeed derives the deterministic seed of sweep cell i.
 	EngineCellSeed = engine.CellSeed
@@ -341,7 +341,7 @@ type (
 	// ChaosInjector is a schedule compiled against a substrate shape.
 	ChaosInjector = chaos.Injector
 	// EngineHardening carries process-wide sweep-hardening defaults
-	// (per-cell timeout, retries, -nobatch).
+	// (per-cell timeout, retries).
 	EngineHardening = engine.Hardening
 )
 
@@ -357,7 +357,7 @@ var (
 	FlappyLinkSchedule = chaos.FlappyLink
 	// SetEngineHardening installs process-wide sweep-hardening defaults.
 	SetEngineHardening = engine.SetHardening
-	// RegisterSweepFlags mounts -cell-timeout/-retries/-checkpoint/-resume/-nobatch.
+	// RegisterSweepFlags mounts -cell-timeout/-retries.
 	RegisterSweepFlags = engine.RegisterSweepFlags
 	// RegisterStoreFlags mounts -store/-nostore/-store-max-bytes/-store-stats
 	// (the persistent cross-process run store).

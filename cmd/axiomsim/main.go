@@ -57,7 +57,6 @@ func main() {
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
 	sfl.Apply()
-	stfl.UseCheckpoint(sfl.Checkpoint)
 	defer stfl.Apply("axiomsim")()
 
 	stop, err := ofl.Start("axiomsim")

@@ -67,7 +67,6 @@ func main() {
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
 	sfl.Apply()
-	stfl.UseCheckpoint(sfl.Checkpoint)
 	defer stfl.Apply("paretoexplore")()
 
 	stop, err := ofl.Start("paretoexplore")

@@ -19,8 +19,7 @@
 // a fault-injection schedule (JSON, see EXPERIMENTS.md) to every
 // metric-estimator run; -cell-timeout and -retries harden the sweep
 // orchestrator. Completed sweep cells persist in the run store, so
-// rerunning an interrupted command resumes it; -checkpoint names the
-// store directory to use.
+// rerunning an interrupted command against the same -store resumes it.
 package main
 
 import (
@@ -57,7 +56,6 @@ func main() {
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
 	sfl.Apply()
-	stfl.UseCheckpoint(sfl.Checkpoint)
 	defer stfl.Apply("reproduce")()
 
 	stop, err := ofl.Start("reproduce")

@@ -64,7 +64,7 @@ type StripObserver interface {
 // Batch-path telemetry, recorded only while obs is enabled. A cell counts
 // as batched when a fluid.Batch stepped it, and as fallback when it is a
 // fluid-substrate cell that took the per-cell path instead (no kernel,
-// unsynchronized feedback, singleton group, -nobatch, ...). Non-fluid
+// unsynchronized feedback, singleton group, ...). Non-fluid
 // cells count as neither.
 var (
 	sweepCellsBatched  = obs.GetCounter("engine.sweep.cells.batched")
@@ -164,7 +164,7 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 			}
 		}
 	}
-	if cfg.NoBatch || len(specs) < minBatchGroup {
+	if len(specs) < minBatchGroup {
 		if instrumented {
 			sweepCellsFallback.Add(uint64(fluidCells))
 		}

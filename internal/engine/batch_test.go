@@ -48,8 +48,23 @@ func batchGrid(t *testing.T, steps int, mutate func(i int, spec *Spec)) []Spec {
 	return specs
 }
 
-// runBothPaths evaluates the same grid through the batched path and the
-// per-cell (-nobatch) path and asserts bit-identical traces. The grid is
+// runPerCell runs each spec on its own through Run, the per-cell
+// reference the batched path must reproduce.
+func runPerCell(t *testing.T, specs []Spec) []*Result {
+	t.Helper()
+	out := make([]*Result, len(specs))
+	for i := range specs {
+		res, err := Run(context.Background(), specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// runBothPaths evaluates the same grid through SweepSpecs and through
+// Run on each spec and asserts bit-identical traces. The grid is
 // regenerated per run because substrates are single-use.
 func runBothPaths(t *testing.T, grid func() []Spec, cfg SweepConfig) []*Result {
 	t.Helper()
@@ -57,15 +72,7 @@ func runBothPaths(t *testing.T, grid func() []Spec, cfg SweepConfig) []*Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb := cfg
-	nb.NoBatch = true
-	scalar, err := SweepSpecs(context.Background(), grid(), nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != len(scalar) {
-		t.Fatalf("result count %d != %d", len(batched), len(scalar))
-	}
+	scalar := runPerCell(t, grid())
 	for i := range batched {
 		if batched[i].Steps != scalar[i].Steps {
 			t.Fatalf("cell %d: steps %d != %d", i, batched[i].Steps, scalar[i].Steps)
@@ -87,9 +94,8 @@ func TestSweepSpecsBitIdentityPlain(t *testing.T) {
 	if got := sweepCellsBatched.Value() - b0; got != n {
 		t.Errorf("batched counter advanced %d, want %d", got, n)
 	}
-	// The -nobatch leg routed every fluid cell per-cell.
-	if got := sweepCellsFallback.Value() - f0; got != n {
-		t.Errorf("fallback counter advanced %d, want %d", got, n)
+	if got := sweepCellsFallback.Value() - f0; got != 0 {
+		t.Errorf("fallback counter advanced %d, want 0", got)
 	}
 }
 
@@ -174,7 +180,7 @@ func TestSweepSpecsPersistsNothing(t *testing.T) {
 // TestSweepSpecsFallbackCoverage is the fallback column: non-batchable
 // families (PCC, BBRish, Func, Vegas), stateful instances with live state
 // (a primed Cubic), and unsynchronized senders silently take the per-cell
-// path inside a mixed grid, with results bit-identical to -nobatch, and
+// path inside a mixed grid, with results bit-identical to Run, and
 // the telemetry splits the grid into batched + fallback exactly.
 func TestSweepSpecsFallbackCoverage(t *testing.T) {
 	nonBatchable := []func() fluid.Sender{
@@ -221,12 +227,10 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
 	res := runBothPaths(t, grid, SweepConfig{Workers: 2})
 	batchable := uint64(len(res) - len(nonBatchable))
-	// Counter deltas include both legs: the batched leg splits the grid,
-	// the -nobatch leg routes everything to fallback.
 	if got := sweepCellsBatched.Value() - b0; got != batchable {
 		t.Errorf("batched counter advanced %d, want %d", got, batchable)
 	}
-	wantFallback := uint64(len(nonBatchable)) + uint64(len(res))
+	wantFallback := uint64(len(nonBatchable))
 	if got := sweepCellsFallback.Value() - f0; got != wantFallback {
 		t.Errorf("fallback counter advanced %d, want %d", got, wantFallback)
 	}
@@ -248,13 +252,13 @@ func TestSweepSpecsSingletonGroupFallsBack(t *testing.T) {
 	if got := sweepCellsBatched.Value() - b0; got != 0 {
 		t.Errorf("batched counter advanced %d, want 0", got)
 	}
-	if got := sweepCellsFallback.Value() - f0; got != 4 {
-		t.Errorf("fallback counter advanced %d, want 4 (both cells, both legs)", got)
+	if got := sweepCellsFallback.Value() - f0; got != 2 {
+		t.Errorf("fallback counter advanced %d, want 2 (both cells)", got)
 	}
 }
 
 // TestSweepSpecsDivergenceFailsFast asserts a diverging batched cell
-// surfaces the same ErrDiverged failure the per-cell path produces.
+// surfaces the same DivergedError that Run produces for it alone.
 func TestSweepSpecsDivergenceFailsFast(t *testing.T) {
 	grid := func() []Spec {
 		specs := batchGrid(t, 300, nil)
@@ -271,15 +275,18 @@ func TestSweepSpecsDivergenceFailsFast(t *testing.T) {
 		})
 		return specs
 	}
-	for _, nobatch := range []bool{false, true} {
-		_, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1, NoBatch: nobatch})
-		if err == nil {
-			t.Fatalf("nobatch=%v: diverging grid returned nil error", nobatch)
-		}
-		var de *fluid.DivergedError
-		if !errors.As(err, &de) {
-			t.Fatalf("nobatch=%v: error %v is not a DivergedError", nobatch, err)
-		}
+	_, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1})
+	if err == nil {
+		t.Fatal("diverging grid returned nil error")
+	}
+	var de *fluid.DivergedError
+	if !errors.As(err, &de) {
+		t.Fatalf("error %v is not a DivergedError", err)
+	}
+	specs := grid()
+	_, err = Run(context.Background(), specs[len(specs)-1])
+	if !errors.As(err, &de) {
+		t.Fatalf("Run on the diverging cell: error %v is not a DivergedError", err)
 	}
 }
 
@@ -325,13 +332,13 @@ func (c *stripCollector) ObserveStrip(s Strip) {
 // TestSweepSpecsStripObserverEquivalence is the observer column of the
 // golden matrix: the batched path must deliver the same step sequence
 // whether an observer takes whole strips (flow-major columns), takes the
-// per-step fallback, or runs on the per-cell path. 300 steps is not a
+// per-step fallback, or watches Run on each spec alone. 300 steps is not a
 // multiple of emitStrip, so the final partial strip — column compaction
 // and all — is exercised too, and the grid includes 3-sender cells so
 // column strides differ across the group.
 func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 	const steps = 300
-	run := func(nobatch, strip bool) ([][]Step, int) {
+	run := func(perCell, strip bool) ([][]Step, int) {
 		specs := batchGrid(t, steps, nil)
 		for _, n := range []int{3, 3} {
 			senders, err := fluid.HomogeneousSenders(protocol.Reno(), n, []float64{1, 20, 40})
@@ -352,7 +359,9 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 				specs[i].Observers = []Observer{&collectors[i].stepCollector}
 			}
 		}
-		if _, err := SweepSpecs(context.Background(), specs, SweepConfig{Workers: 2, NoBatch: nobatch}); err != nil {
+		if perCell {
+			runPerCell(t, specs)
+		} else if _, err := SweepSpecs(context.Background(), specs, SweepConfig{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		out := make([][]Step, len(specs))
@@ -364,7 +373,7 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 		return out, strips
 	}
 
-	base, _ := run(true, false) // per-cell path: one Observe per step
+	base, _ := run(true, false) // Run per spec: one Observe per step
 	for _, leg := range []struct {
 		name  string
 		strip bool

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fluid"
@@ -272,6 +273,32 @@ func TestRunCancellation(t *testing.T) {
 	for i, spec := range specs {
 		if _, err := Run(ctx, spec); err != context.Canceled {
 			t.Fatalf("spec %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// TestRunRejectsNegativeHorizon: a negative step count is an error on
+// the fluid and topology substrates, recorded or streamed, not a
+// makeslice panic or a "successful" run of -5 steps.
+func TestRunRejectsNegativeHorizon(t *testing.T) {
+	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, nf := parkingLotSpecs(2)
+	for _, sub := range []Substrate{
+		&FluidSpec{Cfg: fluidCfg(), Senders: senders, Steps: -5},
+		&TopoSpec{Links: nl, Flows: nf, Steps: -5},
+	} {
+		for _, record := range []bool{true, false} {
+			spec := Spec{Substrate: sub, Record: record}
+			if !record {
+				spec.Observers = []Observer{ObserverFunc(func(Step) {})}
+			}
+			res, err := Run(context.Background(), spec)
+			if err == nil || !strings.Contains(err.Error(), "non-negative") {
+				t.Errorf("%T record=%v: result %+v, err %v; want a horizon error", sub, record, res, err)
+			}
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -430,23 +432,29 @@ func TestHardeningDefaultsApplied(t *testing.T) {
 	}
 }
 
-// -checkpoint is kept for the store flags to read; -resume is accepted
-// and does nothing.
+// TestRegisterSweepFlags: -cell-timeout and -retries reach every sweep's
+// config; the retired -checkpoint, -resume and -nobatch are undefined.
 func TestRegisterSweepFlags(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	f := RegisterSweepFlags(fs)
-	if err := fs.Parse([]string{"-cell-timeout", "2s", "-retries", "3", "-checkpoint", "ckdir", "-resume", "-nobatch"}); err != nil {
+	if err := fs.Parse([]string{"-cell-timeout", "2s", "-retries", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	f.Apply()
 	defer SetHardening(Hardening{})
 	cfg := SweepConfig{}
 	applyHardening(&cfg)
-	if cfg.CellTimeout != 2*time.Second || cfg.Retries != 3 || !cfg.NoBatch {
+	if cfg.CellTimeout != 2*time.Second || cfg.Retries != 3 {
 		t.Fatalf("flags not applied: %+v", cfg)
 	}
-	if f.Checkpoint != "ckdir" {
-		t.Fatalf("-checkpoint = %q, want ckdir", f.Checkpoint)
+	for _, args := range [][]string{{"-checkpoint", "ckdir"}, {"-resume"}, {"-nobatch"}} {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		RegisterSweepFlags(fs)
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", args[0], err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/chaos"
 	"repro/internal/fluid"
@@ -39,6 +40,9 @@ func (s *FluidSpec) Meta() Meta {
 }
 
 func (s *FluidSpec) run(ctx context.Context, spec Spec) (*Result, error) {
+	if s.Steps < 0 {
+		return nil, fmt.Errorf("engine: fluid run of %d steps: horizon must be non-negative", s.Steps)
+	}
 	cfg := s.Cfg
 	inj, err := compileChaos(&spec, len(s.Senders), 1)
 	if err != nil {
@@ -155,6 +159,9 @@ func (s *TopoSpec) Meta() Meta {
 }
 
 func (s *TopoSpec) run(ctx context.Context, spec Spec) (*Result, error) {
+	if s.Steps < 0 {
+		return nil, fmt.Errorf("engine: topology run of %d steps: horizon must be non-negative", s.Steps)
+	}
 	opts := s.Opts
 	inj, err := compileChaos(&spec, len(s.Flows), len(s.Links))
 	if err != nil {

@@ -67,11 +67,6 @@ type SweepConfig struct {
 	// encoding/json (floats do so bit-exactly); results that don't marshal
 	// are not stored. Empty Key persists nothing.
 	Key string
-	// NoBatch disables the grid-batch fast path of SweepSpecs, forcing
-	// every cell through the per-cell engine (the -nobatch escape hatch).
-	// Results are bit-identical either way; this is for isolating
-	// suspected batching bugs and for benchmarking the scalar path.
-	NoBatch bool
 }
 
 // CellSeed derives the deterministic seed for cell i from base by
@@ -179,8 +174,7 @@ func capNestedWorkers(ctx context.Context, cfg *SweepConfig) {
 // shape for an n-cell grid: serial for degenerate grids (n ≤ 1 — the
 // pool then runs inline, spawning no goroutines), and min(GOMAXPROCS, n)
 // workers otherwise, so a small grid never pays for idle workers. An
-// explicit cfg.Workers is an override and is honored as-is; cfg.NoBatch
-// likewise overrides the third tier, SweepSpecs' batched path. This
+// explicit cfg.Workers is an override and is honored as-is. This
 // makes the routing decision explicit and testable instead of a side
 // effect of the worker pool's internal capping.
 func routeWorkers(n int, cfg *SweepConfig) {

@@ -1,6 +1,7 @@
 package jobd
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"syscall"
@@ -55,6 +56,43 @@ func TestWorkerProtocol(t *testing.T) {
 	taskW.Close()
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker exit: %v", err)
+	}
+}
+
+// TestWorkerSurvivesNegativeHorizon: a cell with a negative step count
+// (which Spec.validate never lets the parent send) comes back as an
+// in-band error, and the worker goes on to score the next frame.
+func TestWorkerSurvivesNegativeHorizon(t *testing.T) {
+	good := Cell{Index: 1, Proto: "reno", Senders: 2, Mbps: 10, RTTms: 42, BufferMSS: 50, Steps: 120}
+	bad := good
+	bad.Index, bad.Steps = 0, -5
+	var in, out bytes.Buffer
+	enc := json.NewEncoder(&in)
+	for i, c := range []Cell{bad, good} {
+		if err := enc.Encode(wireTask{ID: int64(i), Cell: c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WorkerMain(&in, &out); err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	dec := json.NewDecoder(&out)
+	var first, second wireResult
+	if err := dec.Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&second); err != nil {
+		t.Fatalf("no reply to the second frame: %v", err)
+	}
+	if first.ID != 0 || first.Err == "" || first.Scores != nil {
+		t.Fatalf("negative-horizon cell did not error in-band: %+v", first)
+	}
+	want, err := computeCell(good, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID != 1 || second.Err != "" || second.Scores == nil || *second.Scores != EncodeScores(want) {
+		t.Fatalf("second frame not scored: %+v", second)
 	}
 }
 

@@ -9,11 +9,12 @@ package metrics
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/fluid"
 	"repro/internal/protocol"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ConvergenceTime estimates how quickly the protocol reaches its long-run
@@ -30,16 +31,15 @@ func ConvergenceTime(cfg fluid.Config, p protocol.Protocol, n int, band float64,
 	o := opt.withDefaults()
 	worst := 0
 	for _, init := range o.initConfigs(cfg.Capacity(), n) {
-		tr, err := runRecorded(cfg, p, n, init, o)
+		s, err := extRun(cfg, p, n, init, band, o)
 		if err != nil {
 			return 0, err
 		}
-		t := convergenceStep(tr.Window, tr.Senders(), tr.Len(), band, o.TailFrac)
-		if t < 0 {
+		if s.settle < 0 {
 			return -1, nil
 		}
-		if t > worst {
-			worst = t
+		if s.settle > worst {
+			worst = s.settle
 		}
 	}
 	return worst, nil
@@ -80,29 +80,59 @@ func convergenceStep(window func(int) []float64, senders, length int, band, tail
 // protocols that only ever decrease gently. Lower is smoother.
 func Smoothness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
 	o := opt.withDefaults()
-	var traces []*trace.Trace
+	var sums []extSummary
 	for _, init := range o.initConfigs(cfg.Capacity(), n) {
-		tr, err := runRecorded(cfg, p, n, init, o)
+		s, err := extRun(cfg, p, n, init, extBand, o)
 		if err != nil {
 			return 0, err
 		}
-		traces = append(traces, tr)
+		sums = append(sums, s)
 	}
-	return worstCase(traces, lowerBetter, func(tr *trace.Trace) float64 {
-		worst := 0.0
+	return worstCase(sums, lowerBetter, func(s extSummary) float64 { return s.smooth }), nil
+}
+
+// extBand is the settle band CharacterizeExt measures ConvergenceTime at.
+// Smoothness resolves its runs at the same band, so the two share one
+// cached summary per start.
+const extBand = 0.25
+
+// extSummary is all the extension metrics read from one recorded run:
+// the settle step at a band (convergenceStep; -1 = never settled) and
+// the largest relative single-step window drop over the tail.
+type extSummary struct {
+	settle int
+	smooth float64
+}
+
+// extRun resolves the extSummary of n p-senders started from init
+// through o.Session. The key carries the band and the tail fraction the
+// summary was taken at.
+func extRun(cfg fluid.Config, p protocol.Protocol, n int, init []float64, band float64, o Options) (extSummary, error) {
+	protos := make([]protocol.Protocol, n)
+	for i := range protos {
+		protos[i] = p
+	}
+	key, cacheable := runKey(cfg, protos, init, o, keyExt)
+	key += "band=" + strconv.FormatUint(math.Float64bits(band), 16)
+	return do(o.Session, key, cacheable, o.Steps, extCodec, func() (extSummary, error) {
+		tr, err := simulateRecorded(cfg, p, n, init, o)
+		if err != nil {
+			return extSummary{}, err
+		}
+		s := extSummary{settle: convergenceStep(tr.Window, tr.Senders(), tr.Len(), band, o.TailFrac)}
 		for i := 0; i < tr.Senders(); i++ {
 			w := stats.Tail(tr.Window(i), o.TailFrac)
 			for t := 0; t+1 < len(w); t++ {
 				if w[t] <= 0 {
 					continue
 				}
-				if drop := (w[t] - w[t+1]) / w[t]; drop > worst {
-					worst = drop
+				if drop := (w[t] - w[t+1]) / w[t]; drop > s.smooth {
+					s.smooth = drop
 				}
 			}
 		}
-		return worst
-	}), nil
+		return s, nil
+	})
 }
 
 // Responsiveness measures adaptation to a capacity *increase*: the link's
@@ -128,17 +158,21 @@ func Responsiveness(cfg fluid.Config, p protocol.Protocol, n int, frac float64, 
 		}
 		return base
 	}
-	tr, err := runRecorded(sched, p, n, nil, o)
-	if err != nil {
-		return 0, err
-	}
-	target := frac * 2 * base * 2 * cfg.PropDelay // frac of the new C
-	for t := jump; t < tr.Len(); t++ {
-		if tr.Total()[t] >= target {
-			return t - jump, nil
+	// The schedule is a closure with no canonical identity, so the run is
+	// never cached and counts as Uncacheable.
+	return do(o.Session, "", false, o.Steps, runCodec[int]{}, func() (int, error) {
+		tr, err := simulateRecorded(sched, p, n, nil, o)
+		if err != nil {
+			return 0, err
 		}
-	}
-	return -1, nil
+		target := frac * 2 * base * 2 * cfg.PropDelay // frac of the new C
+		for t := jump; t < tr.Len(); t++ {
+			if tr.Total()[t] >= target {
+				return t - jump, nil
+			}
+		}
+		return -1, nil
+	})
 }
 
 // ExtScores bundles the extension metrics alongside the standard 8-tuple.
@@ -154,7 +188,7 @@ type ExtScores struct {
 //
 // Like Characterize, the call deduplicates runs through opt.Session
 // (installing a private one unless opt.NoCache is set): ConvergenceTime
-// and Smoothness record the same traces, so they simulate once.
+// and Smoothness read the same per-start summaries, so they simulate once.
 // Responsiveness attaches a bandwidth-schedule closure and is therefore
 // uncacheable by design. Scores are bit-identical with caching on or off.
 func CharacterizeExt(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (ExtScores, error) {
@@ -163,7 +197,7 @@ func CharacterizeExt(cfg fluid.Config, p protocol.Protocol, n int, opt Options) 
 	}
 	var out ExtScores
 	var err error
-	if out.ConvergenceTime, err = ConvergenceTime(cfg, p, n, 0.25, opt); err != nil {
+	if out.ConvergenceTime, err = ConvergenceTime(cfg, p, n, extBand, opt); err != nil {
 		return out, err
 	}
 	if out.Smoothness, err = Smoothness(cfg, p, n, opt); err != nil {

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/fluid"
 	"repro/internal/protocol"
+	"repro/internal/rand64"
+	"repro/internal/stats"
 )
 
 func TestConvergenceTimeAIMDFinite(t *testing.T) {
@@ -50,6 +52,76 @@ func TestConvergenceTimeValidation(t *testing.T) {
 	}
 	if _, err := ConvergenceTime(cap100(), protocol.Reno(), 1, 1, fastOpt); err == nil {
 		t.Fatal("band=1 accepted")
+	}
+}
+
+// TestExtSummaryMatchesTraceRandom is the property behind caching one
+// ext summary per run instead of its recorded trace: on seeded random
+// single-link runs (C, τ, n, protocol family, initial windows, band,
+// tail fraction) the summary extRun resolves — simulated, then decoded
+// from the store — equals convergenceStep and the smoothness scan over a
+// fresh recorded trace of the same run, bit for bit. The band is part of
+// the key: the same run at another band is a miss.
+func TestExtSummaryMatchesTraceRandom(t *testing.T) {
+	const steps = 1200
+	rng := rand64.New(20171201)
+	st := testStore(t)
+	for trial := 0; trial < 30; trial++ {
+		fam := protocolFamilies[trial%len(protocolFamilies)]
+		theta := rng.Range(0.005, 0.05)
+		capacity := rng.Range(20, 400) // C = B·2Θ, MSS
+		cfg := fluid.Config{
+			Bandwidth: capacity / (2 * theta),
+			PropDelay: theta,
+			Buffer:    math.Floor(rng.Range(0, 2*capacity)),
+		}
+		n := 1 + rng.Intn(4)
+		p := fam.make(rng)
+		init := make([]float64, n)
+		for i := range init {
+			init[i] = math.Floor(rng.Range(1, capacity))
+		}
+		band := rng.Range(0.02, 0.6)
+		o := Options{Steps: steps, TailFrac: []float64{0.5, DefaultTailFrac, 0.9}[rng.Intn(3)]}.withDefaults()
+
+		tr, err := simulateRecorded(cfg, p, n, init, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSettle := convergenceStep(tr.Window, tr.Senders(), tr.Len(), band, o.TailFrac)
+		wantSmooth := 0.0
+		for i := 0; i < tr.Senders(); i++ {
+			w := stats.Tail(tr.Window(i), o.TailFrac)
+			for k := 0; k+1 < len(w); k++ {
+				if w[k] <= 0 {
+					continue
+				}
+				if drop := (w[k] - w[k+1]) / w[k]; drop > wantSmooth {
+					wantSmooth = drop
+				}
+			}
+		}
+
+		for _, pass := range []struct {
+			name   string
+			band   float64
+			misses int64
+		}{{"cold", band, 1}, {"disk", band, 0}, {"other band", band / 2, 1}} {
+			o.Session = storeSession(t, st)
+			got, err := extRun(cfg, p, n, init, pass.band, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := o.Session.Stats(); s.Misses != pass.misses || s.DiskHits != 1-pass.misses {
+				t.Fatalf("trial %d (%s) %s: %+v, want %d misses", trial, fam.name, pass.name, s, pass.misses)
+			}
+			if pass.band != band {
+				continue
+			}
+			if got.settle != wantSettle || math.Float64bits(got.smooth) != math.Float64bits(wantSmooth) {
+				t.Fatalf("trial %d (%s) %s: summary {%d %v}, trace {%d %v}", trial, fam.name, pass.name, got.settle, got.smooth, wantSettle, wantSmooth)
+			}
+		}
 	}
 }
 

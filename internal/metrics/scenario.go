@@ -254,23 +254,6 @@ func simulateRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float
 	return res.Trace, nil
 }
 
-// runRecorded runs n homogeneous senders through the engine with trace
-// recording — used by the extension metrics that scan the full window
-// series (convergence time's settle scan, smoothness's per-step drops)
-// rather than a tail summary. o supplies the horizon, the optional chaos
-// schedule, and the optional run-dedup Session; cached traces are shared
-// read-only between callers.
-func runRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float64, o Options) (*trace.Trace, error) {
-	protos := make([]protocol.Protocol, n)
-	for i := range protos {
-		protos[i] = p
-	}
-	key, cacheable := runKey(cfg, protos, init, o, keyTrace)
-	return do(o.Session, key, cacheable, o.Steps, traceCodec, func() (*trace.Trace, error) {
-		return simulateRecorded(cfg, p, n, init, o)
-	})
-}
-
 // RobustTo reports whether p is robust to constant non-congestion loss of
 // rate r (Metric VI): on an infinite-capacity link with loss rate r, the
 // window must keep growing past any bound — detected as the final window

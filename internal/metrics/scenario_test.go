@@ -320,6 +320,18 @@ func TestCharacterizeSingleSenderFairnessNaN(t *testing.T) {
 	}
 }
 
+// TestNegativeHorizonIsAnError: Steps < 0 reaches the engine, which
+// rejects it; no estimator may panic allocating a negative-length trace.
+func TestNegativeHorizonIsAnError(t *testing.T) {
+	opt := Options{Steps: -5}
+	if _, err := Characterize(cap100(), protocol.Reno(), 2, opt); err == nil {
+		t.Error("Characterize accepted Steps -5")
+	}
+	if _, err := ConvergenceTime(cap100(), protocol.Reno(), 2, 0.25, opt); err == nil {
+		t.Error("ConvergenceTime accepted Steps -5")
+	}
+}
+
 func TestDefaultInitConfigs(t *testing.T) {
 	cfgs := DefaultInitConfigs(cap100(), 3)
 	if len(cfgs) != 3 {

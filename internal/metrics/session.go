@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/runstore"
-	"repro/internal/trace"
 )
 
 // Session is a content-addressed cache of simulation runs shared by the
@@ -31,9 +30,9 @@ import (
 // the same key are single-flighted: one goroutine simulates, the rest
 // wait and share. What a key caches is the frozen result its readers
 // score from — a *StreamSummary or *TopoSummary for streamed runs, the
-// score itself for the fast-utilization and robustness probes, a whole
-// *trace.Trace only for the extension metrics that scan full series —
-// so a warm hit is a lookup of a few hundred bytes. Cached values are
+// score itself for the fast-utilization and robustness probes, and an
+// extSummary (settle step and smoothness) for the extension metrics — so
+// a warm hit is a lookup of a few hundred bytes at most. Cached values are
 // returned to multiple callers and must be treated as read-only.
 //
 // Inputs without a canonical identity — a protocol or loss process that
@@ -50,8 +49,8 @@ type Session struct {
 // sessionEntry is one single-flighted run: done closes when the claimant
 // finishes, after which exactly one of val (on success) or err is set.
 // val holds the payload type of the key's prefix: *StreamSummary for
-// "v1|stream|", *trace.Trace for "v1|trace|", float64 for
-// "v1|fastutil|", bool for "v1|robust|", *TopoSummary for "v1|topo|".
+// "v1|stream|", extSummary for "v1|ext|", float64 for "v1|fastutil|",
+// bool for "v1|robust|", *TopoSummary for "v1|topo|".
 type sessionEntry struct {
 	done chan struct{}
 	val  any
@@ -201,7 +200,7 @@ type runCodec[T any] struct {
 
 var (
 	streamCodec = runCodec[*StreamSummary]{encode: encodeStreamSummary, decode: decodeStreamSummary}
-	traceCodec  = runCodec[*trace.Trace]{encode: encodeTrace, decode: decodeTrace}
+	extCodec    = runCodec[extSummary]{encode: encodeExt, decode: decodeExt}
 	topoCodec   = runCodec[*TopoSummary]{encode: encodeTopoSummary, decode: decodeTopoSummary}
 	floatCodec  = runCodec[float64]{encode: encodeFloat, decode: decodeFloat}
 	boolCodec   = runCodec[bool]{encode: encodeBool, decode: decodeBool}
@@ -509,7 +508,7 @@ type runKind string
 
 const (
 	keyStream   runKind = "stream"   // *StreamSummary
-	keyTrace    runKind = "trace"    // *trace.Trace
+	keyExt      runKind = "ext"      // extSummary
 	keyFastUtil runKind = "fastutil" // FastUtilization's score
 	keyRobust   runKind = "robust"   // RobustTo's verdict
 )
@@ -518,9 +517,9 @@ const (
 // payload kind, the defaulted link config, the per-sender protocol
 // fingerprints and initial windows (init cycled exactly as the sender
 // builders cycle it), the horizon, the chaos schedule + seed, and — for
-// streamed runs — the tail fraction the summary was frozen over. ok is
-// false when any input lacks a canonical identity; such runs must
-// execute uncached.
+// streamed runs and ext summaries — the tail fraction the summary was
+// taken over. ok is false when any input lacks a canonical identity;
+// such runs must execute uncached.
 func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Options, kind runKind) (key string, ok bool) {
 	if cfg.Perturb != nil || cfg.BandwidthSchedule != nil {
 		return "", false // opaque closures have no canonical identity
@@ -529,7 +528,7 @@ func runKey(cfg fluid.Config, protos []protocol.Protocol, init []float64, o Opti
 	sb.WriteString("v1|")
 	sb.WriteString(string(kind))
 	sb.WriteByte('|')
-	if kind == keyStream {
+	if kind == keyStream || kind == keyExt {
 		sb.WriteString("tf=")
 		hexBits(&sb, o.TailFrac)
 		sb.WriteByte('|')

@@ -107,8 +107,8 @@ func checkPanicReleasesWaiters(t *testing.T, s *Session, gate *panicGate, call f
 }
 
 // TestSessionPanicReleasesWaiters covers the claim-eviction-on-panic
-// path of every payload the session caches: a streamed batch, a
-// recorded trace, and a topology run.
+// path of every payload the session caches: a streamed batch, an ext
+// summary of a recorded run, and a topology run.
 func TestSessionPanicReleasesWaiters(t *testing.T) {
 	t.Run("stream-batch", func(t *testing.T) {
 		s, gate := NewSession(), newPanicGate()
@@ -128,10 +128,7 @@ func TestSessionPanicReleasesWaiters(t *testing.T) {
 		cfg := fluid.Config{Bandwidth: 100 / 0.042, PropDelay: 0.021, Buffer: 20}
 		p := panicProto{protocol.Reno(), gate}
 		checkPanicReleasesWaiters(t, s, gate, func() error {
-			tr, err := runRecorded(cfg, p, 2, nil, Options{Steps: 50, Session: s})
-			if err == nil && tr.Len() != 50 {
-				t.Errorf("trace has %d steps, want 50", tr.Len())
-			}
+			_, err := extRun(cfg, p, 2, nil, extBand, Options{Steps: 50, Session: s}.withDefaults())
 			return err
 		})
 	})

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -181,45 +182,40 @@ func TestStoreCrossProcessContention(t *testing.T) {
 	}
 }
 
-// TestStoreCodecRoundTrip checks the trace path (recorded runs) through
-// the store as well: recorded traces must round-trip bit-identically.
+// TestStoreCodecRoundTrip checks the ext summary path through the store:
+// ConvergenceTime's and Smoothness's per-start summaries, "never settled"
+// (-1) included, round-trip bit-identically in at most 32 bytes.
 func TestStoreCodecRoundTrip(t *testing.T) {
 	cfg := cap100()
 	st := testStore(t)
-	cold := storeSession(t, st)
-	init := []float64{protocol.MinWindow}
-	opt := Options{Steps: 400, Session: cold}
-	tr1, err := runRecorded(cfg, protocol.Reno(), 2, init, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := storeSession(t, st)
-	opt.Session = warm
-	tr2, err := runRecorded(cfg, protocol.Reno(), 2, init, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := warm.Stats(); s.DiskHits != 1 || s.Misses != 0 {
-		t.Fatalf("recorded run not served from disk: %+v", s)
-	}
-	if tr1.Len() != tr2.Len() || tr1.Senders() != tr2.Senders() {
-		t.Fatalf("restored trace shape differs: %d/%d steps, %d/%d senders", tr1.Len(), tr2.Len(), tr1.Senders(), tr2.Senders())
-	}
-	for _, pair := range [][2][]float64{
-		{tr1.Total(), tr2.Total()},
-		{tr1.RTT(), tr2.RTT()},
-		{tr1.Loss(), tr2.Loss()},
-		{tr1.Window(0), tr2.Window(0)},
-		{tr1.Window(1), tr2.Window(1)},
-	} {
-		for i := range pair[0] {
-			if pair[0][i] != pair[1][i] {
-				t.Fatalf("restored trace differs at sample %d: %v vs %v", i, pair[0][i], pair[1][i])
-			}
+	// Reno's halving sawtooth settles into a ±40% band, and its last step
+	// lies outside a ±5% one.
+	for _, c := range []struct {
+		band    float64
+		settled bool
+	}{{0.4, true}, {0.05, false}} {
+		o := Options{Steps: 400, Session: storeSession(t, st)}.withDefaults()
+		cold, err := extRun(cfg, protocol.Reno(), 1, nil, c.band, o)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tr1.Capacity() != tr2.Capacity() || tr1.BaseRTT() != tr2.BaseRTT() {
-		t.Fatal("restored trace metadata differs")
+		if (cold.settle >= 0) != c.settled || cold.settle < -1 {
+			t.Fatalf("band %v: settle %d, want settled=%v", c.band, cold.settle, c.settled)
+		}
+		if n := len(encodeExt(cold)); n > 32 {
+			t.Fatalf("ext payload is %d bytes, want ≤ 32", n)
+		}
+		o.Session = storeSession(t, st)
+		warm, err := extRun(cfg, protocol.Reno(), 1, nil, c.band, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := o.Session.Stats(); s.DiskHits != 1 || s.Misses != 0 {
+			t.Fatalf("band %v: ext summary not served from disk: %+v", c.band, s)
+		}
+		if warm.settle != cold.settle || math.Float64bits(warm.smooth) != math.Float64bits(cold.smooth) {
+			t.Fatalf("band %v: restored summary %+v, want %+v", c.band, warm, cold)
+		}
 	}
 }
 
@@ -256,19 +252,19 @@ func TestStoreDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		{99},
 		{codecKindStream, 1, 2, 3},
-		{codecKindTrace},
+		{codecKindExt},
 	} {
 		if _, err := decodeStreamSummary(payload); err == nil {
 			t.Fatalf("payload %d decoded as a stream summary without error", i)
 		}
-		if _, err := decodeTrace(payload); err == nil {
-			t.Fatalf("payload %d decoded as a trace without error", i)
+		if _, err := decodeExt(payload); err == nil {
+			t.Fatalf("payload %d decoded as an ext summary without error", i)
 		}
 	}
 	// Kind mismatch both ways.
 	s := NewStream(engine.Meta{Flows: 2, Capacity: 100, BaseRTT: 0.1, Horizon: 100}, 0.75)
-	if _, err := decodeTrace(encodeStreamSummary(s.Summary())); err == nil {
-		t.Fatal("stream summary payload decoded as trace")
+	if _, err := decodeExt(encodeStreamSummary(s.Summary())); err == nil {
+		t.Fatal("stream summary payload decoded as ext summary")
 	}
 	if _, err := decodeStreamSummary(encodeFloat(1)); err == nil {
 		t.Fatal("probe payload decoded as stream summary")

@@ -300,7 +300,7 @@ func TestRunKeyDistinguishesInputs(t *testing.T) {
 	}
 	distinct := map[string]string{
 		"init":     key(base, []float64{1, 51}, o, keyStream),
-		"recorded": key(base, []float64{1, 50}, o, keyTrace),
+		"ext":      key(base, []float64{1, 50}, o, keyExt),
 		"fastutil": key(base, []float64{1, 50}, o, keyFastUtil),
 		"robust":   key(base, []float64{1, 50}, o, keyRobust),
 	}
@@ -310,6 +310,7 @@ func TestRunKeyDistinguishesInputs(t *testing.T) {
 	o3 := o
 	o3.TailFrac = 0.8
 	distinct["tailfrac"] = key(base, []float64{1, 50}, o3, keyStream)
+	distinct["ext tailfrac"] = key(base, []float64{1, 50}, o3, keyExt)
 	cfg2 := base
 	cfg2.Bandwidth++
 	distinct["bandwidth"] = key(cfg2, []float64{1, 50}, o, keyStream)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/trace"
 )
 
 // Binary codec for persisted run results. Floats are serialized as their
@@ -17,11 +15,11 @@ import (
 //
 // Streamed runs persist their frozen summaries (a few hundred bytes),
 // the fast-utilization and robustness probes persist their one result,
-// and only the extension metrics' recorded runs persist whole series.
+// and the extension metrics persist a fixed 17-byte summary per run.
 
 const (
 	codecKindStream byte = 1 // *StreamSummary
-	codecKindTrace  byte = 2 // *trace.Trace
+	codecKindExt    byte = 2 // extSummary
 	codecKindTopo   byte = 3 // *TopoSummary
 	codecKindFloat  byte = 4 // one float64 score
 	codecKindBool   byte = 5 // one bool verdict
@@ -31,9 +29,11 @@ func putU32(b []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(v))
 }
 
-func putF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+func putU64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
 }
+
+func putF64(b []byte, v float64) []byte { return putU64(b, math.Float64bits(v)) }
 
 func putF64s(b []byte, vs []float64) []byte {
 	b = putU32(b, len(vs))
@@ -85,15 +85,17 @@ func (d *decoder) count(size int) int {
 	return n
 }
 
-func (d *decoder) f64() float64 {
+func (d *decoder) u64() uint64 {
 	if d.err != nil || d.off+8 > len(d.b) {
 		d.fail()
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
-	return math.Float64frombits(v)
+	return v
 }
+
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
 func (d *decoder) f64s() []float64 {
 	n := d.count(8)
@@ -232,42 +234,28 @@ func decodeTopoSummary(payload []byte) (*TopoSummary, error) {
 	return s, nil
 }
 
-// encodeTrace serializes a recorded run's full series.
-func encodeTrace(tr *trace.Trace) []byte {
-	b := make([]byte, 0, 64+8*tr.Len()*(3+tr.Senders()))
-	b = append(b, codecKindTrace)
-	b = putF64(b, tr.Capacity())
-	b = putF64(b, tr.BaseRTT())
-	b = putU32(b, tr.Senders())
-	for i := 0; i < tr.Senders(); i++ {
-		b = putF64s(b, tr.Window(i))
-	}
-	b = putF64s(b, tr.RTT())
-	b = putF64s(b, tr.Loss())
-	return putF64s(b, tr.Total())
+// encodeExt serializes an extension summary: the settle step as a
+// two's-complement int64 (so -1, "never settled", round-trips), then the
+// smoothness bits.
+func encodeExt(s extSummary) []byte {
+	b := putU64([]byte{codecKindExt}, uint64(int64(s.settle)))
+	return putF64(b, s.smooth)
 }
 
-// decodeTrace reverses encodeTrace.
-func decodeTrace(payload []byte) (*trace.Trace, error) {
-	d, err := newDecoder(payload, codecKindTrace)
+// decodeExt reverses encodeExt; a settle step below -1 is malformed.
+func decodeExt(payload []byte) (extSummary, error) {
+	d, err := newDecoder(payload, codecKindExt)
 	if err != nil {
-		return nil, err
+		return extSummary{}, err
 	}
-	capacity := d.f64()
-	baseRTT := d.f64()
-	windows := make([][]float64, d.count(4))
-	for i := range windows {
-		windows[i] = d.f64s()
+	s := extSummary{settle: int(int64(d.u64())), smooth: d.f64()}
+	if s.settle < -1 {
+		d.fail()
 	}
-	rtt := d.f64s()
-	loss := d.f64s()
-	total := d.f64s()
-	d.sameLen(len(total), rtt, loss)
-	d.sameLen(len(total), windows...)
 	if err := d.finish(); err != nil {
-		return nil, err
+		return extSummary{}, err
 	}
-	return trace.Restore(windows, rtt, loss, total, capacity, baseRTT), nil
+	return s, nil
 }
 
 // encodeFloat serializes a probe's one float64 score.

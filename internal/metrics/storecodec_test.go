@@ -23,9 +23,9 @@ func oversizedLength(kind byte) []byte {
 	return putU32(b, 0xFFFFFFF0)
 }
 
-// codecSeeds returns real encodes of a streamed summary, a recorded
-// trace, a flowless summary and the two probe results, and of a topology
-// summary.
+// codecSeeds returns real encodes of a streamed summary, a settled and a
+// never-settled (-1) ext summary, a flowless summary and the two probe
+// results, and of a topology summary.
 func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 	tb.Helper()
 	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 2, []float64{1, 8})
@@ -34,9 +34,22 @@ func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 	}
 	sub := &engine.FluidSpec{Cfg: cap100(), Senders: senders, Steps: 40}
 	st := NewStream(sub.Meta(), 0.75)
-	res, err := engine.Run(context.Background(), engine.Spec{Substrate: sub, Observers: []engine.Observer{st}, Record: true})
+	if _, err := engine.Run(context.Background(), engine.Spec{Substrate: sub, Observers: []engine.Observer{st}}); err != nil {
+		tb.Fatal(err)
+	}
+	// Reno's halving sawtooth settles into a ±40% band, and its last step
+	// lies outside a ±5% one.
+	o := Options{Steps: 400}.withDefaults()
+	settled, err := extRun(cap100(), protocol.Reno(), 1, nil, 0.4, o)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	never, err := extRun(cap100(), protocol.Reno(), 1, nil, 0.05, o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if settled.settle < 0 || never.settle != -1 {
+		tb.Fatalf("ext seeds settle at %d and %d, want ≥ 0 and -1", settled.settle, never.settle)
 	}
 	empty := NewStream(engine.Meta{Flows: 0, Capacity: 100, BaseRTT: 0.1, Horizon: 100}, 0.75)
 	links, flows := topoFixture()
@@ -46,7 +59,8 @@ func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 	}
 	return [][]byte{
 		encodeStreamSummary(st.Summary()),
-		encodeTrace(res.Trace),
+		encodeExt(settled),
+		encodeExt(never),
 		encodeStreamSummary(empty.Summary()),
 		encodeFloat(0.75),
 		encodeBool(true),
@@ -62,9 +76,6 @@ func TestDecodeRejectsInconsistentSummaries(t *testing.T) {
 	}
 	if _, err := decodeTopoSummary(oversizedLength(codecKindTopo)); err == nil {
 		t.Error("topo summary claiming 0xFFFFFFF0 links decoded")
-	}
-	if _, err := decodeTrace(oversizedLength(codecKindTrace)); err == nil {
-		t.Error("trace claiming 0xFFFFFFF0 senders decoded")
 	}
 
 	stream := func(windows, goodputs []float64) []byte {
@@ -96,6 +107,8 @@ func TestDecodeRejectsInconsistentSummaries(t *testing.T) {
 		{"topo unknown link", topo([][]int{{0, 2}}), topoDecodes, false},
 		{"bool 2", []byte{codecKindBool, 2}, boolDecodes, false},
 		{"float short", []byte{codecKindFloat, 1, 2, 3}, floatDecodes, false},
+		{"ext settle -2", encodeExt(extSummary{settle: -2}), extDecodes, false},
+		{"ext short", encodeExt(extSummary{settle: 3})[:16], extDecodes, false},
 	} {
 		if err := c.decode(c.payload); (err == nil) != c.ok {
 			t.Errorf("%s: decode error %v, want ok=%v", c.name, err, c.ok)
@@ -107,6 +120,7 @@ func streamDecodes(b []byte) error { _, err := decodeStreamSummary(b); return er
 func topoDecodes(b []byte) error   { _, err := decodeTopoSummary(b); return err }
 func boolDecodes(b []byte) error   { _, err := decodeBool(b); return err }
 func floatDecodes(b []byte) error  { _, err := decodeFloat(b); return err }
+func extDecodes(b []byte) error    { _, err := decodeExt(b); return err }
 
 // reencodes decodes data with c and, if accepted, reports whether it
 // re-encodes to exactly the same bytes.
@@ -118,8 +132,8 @@ func reencodes[T any](c runCodec[T], data []byte) (accepted, same bool) {
 	return true, bytes.Equal(c.encode(v), data)
 }
 
-// FuzzDecodeRun: the fluid run decoders (summary, trace, probe float and
-// bool) must reject malformed payloads with an error, never panic or
+// FuzzDecodeRun: the fluid run decoders (summary, ext summary, probe
+// float and bool) must reject malformed payloads with an error, never panic or
 // allocate beyond the payload's size, and every payload one of them
 // accepts must re-encode to the same bytes.
 func FuzzDecodeRun(f *testing.F) {
@@ -128,11 +142,10 @@ func FuzzDecodeRun(f *testing.F) {
 		f.Add(p)
 	}
 	f.Add(oversizedLength(codecKindStream))
-	f.Add(oversizedLength(codecKindTrace))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, check := range map[string]func([]byte) (bool, bool){
 			"stream": func(b []byte) (bool, bool) { return reencodes(streamCodec, b) },
-			"trace":  func(b []byte) (bool, bool) { return reencodes(traceCodec, b) },
+			"ext":    func(b []byte) (bool, bool) { return reencodes(extCodec, b) },
 			"float":  func(b []byte) (bool, bool) { return reencodes(floatCodec, b) },
 			"bool":   func(b []byte) (bool, bool) { return reencodes(boolCodec, b) },
 		} {

@@ -156,10 +156,10 @@ func TestStreamSummaryMatchesTraceEstimatorsRandom(t *testing.T) {
 
 // TestStreamBatchedMatchesPerCell runs one spec grid through the batched
 // sweep path — where Streams ingest whole flow-major strips via
-// ObserveStrip and bulk ring copies — and the per-cell path, where the
-// same Streams get one Observe per step, and checks every summary field
-// and retained tail is bit-identical. 300 steps leaves a partial final
-// strip.
+// ObserveStrip and bulk ring copies — and through engine.Run on each
+// spec, where the same Streams get one Observe per step, and checks
+// every summary field and retained tail is bit-identical. 300 steps
+// leaves a partial final strip.
 func TestStreamBatchedMatchesPerCell(t *testing.T) {
 	build := func() ([]engine.Spec, []*Stream) {
 		cfg := fluid.Config{Bandwidth: 1200, PropDelay: 0.05, Buffer: 60}
@@ -186,8 +186,10 @@ func TestStreamBatchedMatchesPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	specsP, percell := build()
-	if _, err := engine.SweepSpecs(context.Background(), specsP, engine.SweepConfig{Workers: 2, NoBatch: true}); err != nil {
-		t.Fatal(err)
+	for i := range specsP {
+		if _, err := engine.Run(context.Background(), specsP[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	same := func(cell int, name string, got, want float64) {

@@ -11,8 +11,7 @@ import (
 )
 
 // TestParkingLotParityGolden is the end-to-end parity anchor: the
-// shipped parking-lot scenario ("model": "multilink", now an alias of
-// nettopo) and the same spec run as "nettopo" both reproduce, bit for
+// shipped parking-lot scenario, run as "nettopo", reproduces, bit for
 // bit, every per-flow summary and every shared summary key the retired
 // multilink substrate produced (testdata/multilink_parity.json). Any
 // drift in nettopo's step arithmetic, the scenario wiring, or the
@@ -28,32 +27,28 @@ func TestParkingLotParityGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Model != "multilink" {
-		t.Fatalf("parking-lot model = %q, want multilink", spec.Model)
+	if spec.Model != "nettopo" {
+		t.Fatalf("parking-lot model = %q, want nettopo", spec.Model)
 	}
-	topo := *spec
-	topo.Model = "nettopo"
-	for _, s := range []*scenario.Spec{spec, &topo} {
-		out, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
+	out, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fx.ParkingLotScenario
+	if len(out.Flows) != len(want.Flows) {
+		t.Fatalf("%d flows, fixture %d", len(out.Flows), len(want.Flows))
+	}
+	for i, f := range out.Flows {
+		nettopo.CheckBits(t, fmt.Sprintf("flow %d avg window", i), f.AvgWindow, want.Flows[i].AvgWindow)
+		nettopo.CheckBits(t, fmt.Sprintf("flow %d goodput", i), f.Goodput, want.Flows[i].Goodput)
+		nettopo.CheckBits(t, fmt.Sprintf("flow %d share", i), f.Share, want.Flows[i].Share)
+	}
+	for _, k := range []string{"efficiency", "jain_goodput", "tail_loss"} {
+		v, ok := out.Summary[k]
+		if !ok {
+			t.Fatalf("summary missing %q", k)
 		}
-		want := fx.ParkingLotScenario
-		if len(out.Flows) != len(want.Flows) {
-			t.Fatalf("%s: %d flows, fixture %d", s.Model, len(out.Flows), len(want.Flows))
-		}
-		for i, f := range out.Flows {
-			nettopo.CheckBits(t, fmt.Sprintf("%s flow %d avg window", s.Model, i), f.AvgWindow, want.Flows[i].AvgWindow)
-			nettopo.CheckBits(t, fmt.Sprintf("%s flow %d goodput", s.Model, i), f.Goodput, want.Flows[i].Goodput)
-			nettopo.CheckBits(t, fmt.Sprintf("%s flow %d share", s.Model, i), f.Share, want.Flows[i].Share)
-		}
-		for _, k := range []string{"efficiency", "jain_goodput", "tail_loss"} {
-			v, ok := out.Summary[k]
-			if !ok {
-				t.Fatalf("%s summary missing %q", s.Model, k)
-			}
-			nettopo.CheckBits(t, s.Model+" summary "+k, v, want.Summary[k])
-		}
+		nettopo.CheckBits(t, "summary "+k, v, want.Summary[k])
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 func FuzzLoad(f *testing.F) {
 	f.Add(fluidSpec)
 	f.Add(`{"name":"x","model":"packet","duration":1,"link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno"}]}`)
-	f.Add(`{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0]}]}`)
+	f.Add(`{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0]}]}`)
 	f.Add(`{`)
 	f.Add(``)
 	f.Add(`{"model": 7}`)

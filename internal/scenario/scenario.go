@@ -1,9 +1,7 @@
 // Package scenario loads and runs experiment descriptions from JSON, so
 // that scenarios are shareable artifacts rather than code: a spec selects
 // one of the three simulators (the §2 fluid model, the packet-level
-// testbed, or the nettopo network substrate; "multilink" is kept as an
-// alias of "nettopo" restricted to anonymous links), describes the
-// link(s) and flows in the paper's units (Mbps, ms, MSS), and produces a
+// testbed, or the nettopo network substrate), describes the link(s) and flows in the paper's units (Mbps, ms, MSS), and produces a
 // uniform outcome with per-flow shares and link-level metrics. The
 // repository ships a library of canonical specs under scenarios/.
 package scenario
@@ -57,7 +55,7 @@ type Flow struct {
 	Init         float64 `json:"init,omitempty"`           // initial window (MSS)
 	Start        float64 `json:"start,omitempty"`          // packet: start time (s)
 	ExtraDelayMs float64 `json:"extra_delay_ms,omitempty"` // packet: one-way extra delay
-	Path         []int   `json:"path,omitempty"`           // multilink/nettopo: link indices
+	Path         []int   `json:"path,omitempty"`           // nettopo: link indices
 	ExtraRTTms   float64 `json:"extra_rtt_ms,omitempty"`   // nettopo: fixed extra round-trip delay
 	Period       int     `json:"period,omitempty"`         // fluid: update period (unsync)
 	Phase        int     `json:"phase,omitempty"`          // fluid: update phase
@@ -66,18 +64,17 @@ type Flow struct {
 // Spec is a complete scenario.
 type Spec struct {
 	Name     string  `json:"name"`
-	Model    string  `json:"model"`              // "fluid" | "packet" | "nettopo" | "multilink" (alias)
-	Steps    int     `json:"steps,omitempty"`    // fluid/multilink/nettopo horizon (default 4000)
+	Model    string  `json:"model"`              // "fluid" | "packet" | "nettopo"
+	Steps    int     `json:"steps,omitempty"`    // fluid/nettopo horizon (default 4000)
 	Duration float64 `json:"duration,omitempty"` // packet horizon in seconds (default 60)
 	Seed     uint64  `json:"seed,omitempty"`
 	TailFrac float64 `json:"tail_frac,omitempty"` // summary window (default 0.75)
 
 	Link  *Link  `json:"link,omitempty"`  // fluid/packet
-	Links []Link `json:"links,omitempty"` // multilink/nettopo
+	Links []Link `json:"links,omitempty"` // nettopo
 	Flows []Flow `json:"flows"`
 
-	// StochasticLoss enables per-flow loss sampling in multilink and
-	// nettopo runs.
+	// StochasticLoss enables per-flow loss sampling in nettopo runs.
 	StochasticLoss bool `json:"stochastic_loss,omitempty"`
 }
 
@@ -104,9 +101,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %q: model %q needs a \"link\"", s.Name, s.Model)
 		}
 		if len(s.Links) > 0 {
-			return fmt.Errorf("scenario %q: \"links\" is for the multilink model", s.Name)
+			return fmt.Errorf("scenario %q: \"links\" is for the nettopo model", s.Name)
 		}
-	case "multilink", "nettopo":
+	case "nettopo":
 		if len(s.Links) == 0 {
 			return fmt.Errorf("scenario %q: %s needs \"links\"", s.Name, s.Model)
 		}
@@ -116,14 +113,7 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %q: unknown model %q", s.Name, s.Model)
 	}
-	multi := s.Model == "multilink" || s.Model == "nettopo"
-	if s.Model != "nettopo" {
-		for i, l := range s.Links {
-			if l.Src != "" || l.Dst != "" {
-				return fmt.Errorf("scenario %q: link %d: \"src\"/\"dst\" are for nettopo", s.Name, i)
-			}
-		}
-	}
+	topo := s.Model == "nettopo"
 	if len(s.Flows) == 0 {
 		return fmt.Errorf("scenario %q: at least one flow required", s.Name)
 	}
@@ -131,17 +121,17 @@ func (s *Spec) Validate() error {
 		if f.Protocol == "" {
 			return fmt.Errorf("scenario %q: flow %d has no protocol", s.Name, i)
 		}
-		if multi && len(f.Path) == 0 {
+		if topo && len(f.Path) == 0 {
 			return fmt.Errorf("scenario %q: flow %d needs a path", s.Name, i)
 		}
-		if !multi && len(f.Path) > 0 {
-			return fmt.Errorf("scenario %q: flow %d: \"path\" is for multilink/nettopo", s.Name, i)
+		if !topo && len(f.Path) > 0 {
+			return fmt.Errorf("scenario %q: flow %d: \"path\" is for nettopo", s.Name, i)
 		}
-		if s.Model != "nettopo" && f.ExtraRTTms != 0 {
+		if !topo && f.ExtraRTTms != 0 {
 			return fmt.Errorf("scenario %q: flow %d: \"extra_rtt_ms\" is for nettopo", s.Name, i)
 		}
 	}
-	if multi {
+	if topo {
 		// Dry-build the network with placeholder protocols so topology
 		// errors — cycles, discontiguous or duplicate-hop paths, half-named
 		// links — surface at load/lint time rather than mid-run.

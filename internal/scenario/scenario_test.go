@@ -74,10 +74,10 @@ func TestRunPacketWithREDAndDelays(t *testing.T) {
 	}
 }
 
-func TestRunMultilinkParkingLot(t *testing.T) {
+func TestRunNettopoParkingLot(t *testing.T) {
 	spec := `{
 	  "name": "lot",
-	  "model": "multilink",
+	  "model": "nettopo",
 	  "steps": 2000,
 	  "stochastic_loss": true,
 	  "seed": 7,
@@ -154,15 +154,15 @@ func TestValidationErrors(t *testing.T) {
 	}{
 		{"unknown model", `{"name":"x","model":"ns3","flows":[{"protocol":"reno"}]}`, "unknown model"},
 		{"fluid without link", `{"name":"x","model":"fluid","flows":[{"protocol":"reno"}]}`, `needs a "link"`},
-		{"multilink without links", `{"name":"x","model":"multilink","flows":[{"protocol":"reno","path":[0]}]}`, `needs "links"`},
+		{"unknown model multilink", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0]}]}`, "unknown model"},
+		{"nettopo without links", `{"name":"x","model":"nettopo","flows":[{"protocol":"reno","path":[0]}]}`, `needs "links"`},
 		{"no flows", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[]}`, "at least one flow"},
 		{"missing protocol", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{}]}`, "no protocol"},
-		{"path on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno","path":[0]}]}`, "multilink"},
-		{"multilink flow without path", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno"}]}`, "needs a path"},
+		{"path on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno","path":[0]}]}`, "nettopo"},
+		{"nettopo flow without path", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno"}]}`, "needs a path"},
 		{"unknown field", `{"name":"x","model":"fluid","bogus":1,"link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno"}]}`, "bogus"},
-		{"links on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno"}]}`, "multilink"},
-		{"src/dst on multilink", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"}],"flows":[{"protocol":"reno","path":[0]}]}`, "nettopo"},
-		{"extra_rtt_ms on multilink", `{"name":"x","model":"multilink","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0],"extra_rtt_ms":5}]}`, "nettopo"},
+		{"links on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno"}]}`, "nettopo"},
+		{"extra_rtt_ms on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno","extra_rtt_ms":5}]}`, "nettopo"},
 		{"cyclic nettopo", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"b","dst":"a"}],"flows":[{"protocol":"reno","path":[0]}]}`, "cycle"},
 		{"discontiguous nettopo path", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"c","dst":"d"}],"flows":[{"protocol":"reno","path":[0,1]}]}`, "contiguous"},
 	}

@@ -12,9 +12,7 @@
 //
 // The store is on by default: simulation runs are deterministic and
 // content-addressed (including a hash of the simulation source), so
-// persistence is always safe — it changes cost, never scores. The
-// -checkpoint flag of the sweep tools names a store directory too (see
-// UseCheckpoint).
+// persistence is always safe — it changes cost, never scores.
 package storeflags
 
 import (
@@ -50,15 +48,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.LockTimeout, "store-lock-timeout", 0, "max wait for a per-key store lock before degrading to lock-free simulation (0 = wait forever)")
 	fs.BoolVar(&f.Stats, "store-stats", false, "print run-store and session counters on stderr at exit")
 	return f
-}
-
-// UseCheckpoint points the store at dir, the value of a sweep tool's
-// -checkpoint flag, overriding -store and -nostore. An empty dir changes
-// nothing. Call it before Apply.
-func (f *Flags) UseCheckpoint(dir string) {
-	if dir != "" {
-		f.Dir, f.NoStore = dir, false
-	}
 }
 
 // Apply opens the store and installs it process-wide: metric sessions

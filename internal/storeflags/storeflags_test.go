@@ -124,18 +124,3 @@ func TestApplyRegistersStatsSources(t *testing.T) {
 		t.Fatalf("record stats missing run_cache group: %v", groups)
 	}
 }
-
-// TestUseCheckpointOverridesNoStore: a sweep tool's -checkpoint names the
-// store directory and wins over -store and -nostore; an empty value
-// leaves the flags alone.
-func TestUseCheckpointOverridesNoStore(t *testing.T) {
-	f := &Flags{Dir: "other", NoStore: true}
-	f.UseCheckpoint("")
-	if f.Dir != "other" || !f.NoStore {
-		t.Fatalf("empty -checkpoint changed the flags: %+v", f)
-	}
-	f.UseCheckpoint("ckdir")
-	if f.Dir != "ckdir" || f.NoStore {
-		t.Fatalf("-checkpoint did not take over the store: %+v", f)
-	}
-}
