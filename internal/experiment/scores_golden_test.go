@@ -15,7 +15,7 @@ import (
 	"repro/internal/protocol"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/scores_golden.json")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden fixtures of the tests that run")
 
 // scoreBits renders an 8-tuple as the hex of each metric's IEEE-754 bit
 // pattern, in Table 1's column order.
