@@ -365,10 +365,8 @@ var (
 	// OpenRunStore opens (or creates) a persistent run store directory.
 	OpenRunStore = runstore.Open
 	// SetDefaultRunStore installs the store every new metric session
-	// inherits; SetCellStore is its keyed-sweep counterpart.
+	// inherits.
 	SetDefaultRunStore = metrics.SetDefaultStore
-	// SetCellStore installs the store keyed sweeps persist cells in.
-	SetCellStore = engine.SetCellStore
 	// MetricTotalStats aggregates run-cache counters across every metric
 	// session in the process.
 	MetricTotalStats = metrics.TotalStats

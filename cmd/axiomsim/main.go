@@ -90,6 +90,9 @@ func main() {
 		return
 	}
 
+	if !(*tailFrac >= 0 && *tailFrac < 1) {
+		fatal(fmt.Errorf("-tail %v outside [0, 1)", *tailFrac))
+	}
 	protos, err := parseProtocols(*protoSpecs)
 	if err != nil {
 		fatal(err)

@@ -85,7 +85,7 @@ type batchOut struct {
 // which then serves their precomputed results. All Sweep semantics are
 // preserved — fail-fast on the first cell error, deterministic results
 // at any worker count, hardening (timeouts, retries) via cfg, and obs
-// instrumentation. Spec grids are never persisted: cfg.Key is ignored.
+// instrumentation.
 //
 // Specs must be self-describing: cell seeds come from each spec's
 // Cfg.Seed / ChaosSeed fields, not from CellSeed derivation (the per-cell
@@ -101,7 +101,6 @@ func SweepSpecs(ctx context.Context, specs []Spec, cfg SweepConfig) ([]*Result, 
 	capNestedWorkers(ctx, &cfg)
 	applyHardening(&cfg)
 	routeWorkers(len(specs), &cfg)
-	cfg.Key = ""
 	ctx, sp := obs.StartSpan(ctx, "engine.sweep.specs")
 	sp.SetDetail(strconv.Itoa(len(specs)) + " specs")
 	defer sp.End()

@@ -164,19 +164,6 @@ func TestSweepSpecsBitIdentityRandomLoss(t *testing.T) {
 	runBothPaths(t, grid, SweepConfig{Workers: 3})
 }
 
-// TestSweepSpecsPersistsNothing: spec grids never touch the cell store,
-// even when the config carries a Key.
-func TestSweepSpecsPersistsNothing(t *testing.T) {
-	st := newMemStore()
-	useCellStore(t, st)
-	if _, err := SweepSpecs(context.Background(), batchGrid(t, 300, nil), SweepConfig{Workers: 2, Key: "specs"}); err != nil {
-		t.Fatal(err)
-	}
-	if st.puts != 0 {
-		t.Fatalf("SweepSpecs wrote %d cells to the store", st.puts)
-	}
-}
-
 // TestSweepSpecsFallbackCoverage is the fallback column: non-batchable
 // families (PCC, BBRish, Func, Vegas), stateful instances with live state
 // (a primed Cubic), and unsynchronized senders silently take the per-cell

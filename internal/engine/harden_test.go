@@ -6,9 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,253 +166,6 @@ func TestSweepDivergedNotRetried(t *testing.T) {
 	}
 }
 
-// checkpointCellValue computes a seed-dependent float64 with a long
-// mantissa, so any store round-trip imprecision would show as inequality.
-func checkpointCellValue(i int, seed uint64) float64 {
-	return float64(seed)*0x1p-64 + math.Sqrt(float64(i)+0.5)
-}
-
-// memStore is an in-memory CellStore that counts its writes.
-type memStore struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	puts int
-}
-
-func newMemStore() *memStore { return &memStore{m: map[string][]byte{}} }
-
-func (s *memStore) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
-func (s *memStore) Put(key string, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = append([]byte(nil), payload...)
-	s.puts++
-	return nil
-}
-
-func (s *memStore) keys() map[string]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]bool, len(s.m))
-	for k := range s.m {
-		out[k] = true
-	}
-	return out
-}
-
-// useCellStore installs cs as the process-wide cell store for the rest
-// of the test.
-func useCellStore(t *testing.T, cs CellStore) {
-	t.Helper()
-	SetCellStore(cs)
-	t.Cleanup(func() { SetCellStore(nil) })
-}
-
-// A rerun of a keyed sweep returns bit-identical results to an
-// uninterrupted one and does not re-execute stored cells.
-func TestSweepCheckpointResumeBitIdentical(t *testing.T) {
-	useCellStore(t, newMemStore())
-	const n = 12
-	run := func(cfg SweepConfig, executed *atomic.Int64) []float64 {
-		cfg.Workers = 4
-		cfg.BaseSeed = 7
-		out, err := Sweep(context.Background(), n, cfg,
-			func(_ context.Context, i int, seed uint64) (float64, error) {
-				if executed != nil {
-					executed.Add(1)
-				}
-				return checkpointCellValue(i, seed), nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	clean := run(SweepConfig{}, nil)
-	run(SweepConfig{Key: "resume"}, nil)
-	var executed atomic.Int64
-	resumed := run(SweepConfig{Key: "resume"}, &executed)
-	if got := executed.Load(); got != 0 {
-		t.Fatalf("rerun re-executed %d cells, want 0", got)
-	}
-	for i := range clean {
-		if resumed[i] != clean[i] {
-			t.Fatalf("cell %d: resumed %v != uninterrupted %v", i, resumed[i], clean[i])
-		}
-	}
-}
-
-// An interrupted (fail-fast aborted) sweep leaves its completed cells in
-// the store: the rerun recomputes only the missing cells and matches a
-// clean run bit for bit.
-func TestSweepCheckpointSurvivesAbort(t *testing.T) {
-	useCellStore(t, newMemStore())
-	const n = 10
-	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
-		return checkpointCellValue(i, seed), nil
-	}
-	clean, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3}, cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First run: serial, cell 7 fails — cells 0..6 land in the store.
-	boom := errors.New("boom")
-	_, err = Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3, Key: "abort"},
-		func(ctx context.Context, i int, seed uint64) (float64, error) {
-			if i == 7 {
-				return 0, boom
-			}
-			return cell(ctx, i, seed)
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	var executed atomic.Int64
-	resumed, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 3, Key: "abort"},
-		func(ctx context.Context, i int, seed uint64) (float64, error) {
-			executed.Add(1)
-			return cell(ctx, i, seed)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := executed.Load(); got != 3 {
-		t.Fatalf("rerun executed %d cells, want 3 (cells 7, 8, 9)", got)
-	}
-	for i := range clean {
-		if resumed[i] != clean[i] {
-			t.Fatalf("cell %d: resumed %v != clean %v", i, resumed[i], clean[i])
-		}
-	}
-}
-
-// Stored cells of another BaseSeed are not replayed: the cell seed is
-// part of every cell's key.
-func TestSweepResumeRejectsMismatchedCheckpoint(t *testing.T) {
-	useCellStore(t, newMemStore())
-	const n = 6
-	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
-		return checkpointCellValue(i, seed), nil
-	}
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 1, Key: "k"}, cell); err != nil {
-		t.Fatal(err)
-	}
-	var executed atomic.Int64
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 1, BaseSeed: 2, Key: "k"},
-		func(ctx context.Context, i int, seed uint64) (float64, error) {
-			executed.Add(1)
-			return cell(ctx, i, seed)
-		}); err != nil {
-		t.Fatal(err)
-	}
-	if got := executed.Load(); got != n {
-		t.Fatalf("another BaseSeed's cells were replayed: executed %d, want %d", got, n)
-	}
-}
-
-// Two sweeps with equal BaseSeed and size but different Keys share no
-// cell: each executes its whole grid and gets its own results back.
-func TestSweepKeysIsolateCells(t *testing.T) {
-	st := newMemStore()
-	useCellStore(t, st)
-	const n = 4
-	sweep := func(key string, offset float64) ([]float64, int64) {
-		var executed atomic.Int64
-		out, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, Key: key},
-			func(_ context.Context, i int, seed uint64) (float64, error) {
-				executed.Add(1)
-				return offset + checkpointCellValue(i, seed), nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, executed.Load()
-	}
-	a, ranA := sweep("a", 0)
-	b, ranB := sweep("b", 100)
-	if ranA != n || ranB != n {
-		t.Fatalf("executed %d and %d cells, want %d each", ranA, ranB, n)
-	}
-	for i := range a {
-		if b[i] != a[i]+100 {
-			t.Fatalf("cell %d of sweep b = %v, want its own result %v", i, b[i], a[i]+100)
-		}
-	}
-	if got := len(st.keys()); got != 2*n {
-		t.Fatalf("store holds %d cells, want %d", got, 2*n)
-	}
-	again, ranA2 := sweep("a", 0)
-	if ranA2 != 0 {
-		t.Fatalf("rerun of sweep a executed %d cells, want 0", ranA2)
-	}
-	for i := range a {
-		if again[i] != a[i] {
-			t.Fatalf("cell %d of the rerun = %v, want %v", i, again[i], a[i])
-		}
-	}
-}
-
-// An unkeyed sweep neither reads nor writes the store.
-func TestSweepWithoutKeyPersistsNothing(t *testing.T) {
-	st := newMemStore()
-	useCellStore(t, st)
-	for run := 0; run < 2; run++ {
-		var executed atomic.Int64
-		if _, err := Sweep(context.Background(), 4, SweepConfig{Workers: 1},
-			func(_ context.Context, i int, seed uint64) (float64, error) {
-				executed.Add(1)
-				return checkpointCellValue(i, seed), nil
-			}); err != nil {
-			t.Fatal(err)
-		}
-		if executed.Load() != 4 {
-			t.Fatalf("run %d executed %d cells, want 4", run, executed.Load())
-		}
-	}
-	if st.puts != 0 {
-		t.Fatalf("unkeyed sweep wrote %d cells", st.puts)
-	}
-}
-
-// Restored cells still count toward progress and the restored counter.
-func TestSweepResumeProgressAndCounter(t *testing.T) {
-	useCellStore(t, newMemStore())
-	const n = 8
-	cell := func(_ context.Context, i int, seed uint64) (float64, error) {
-		return checkpointCellValue(i, seed), nil
-	}
-	if _, err := Sweep(context.Background(), n, SweepConfig{Workers: 2, Key: "progress"}, cell); err != nil {
-		t.Fatal(err)
-	}
-	obs.Enable()
-	obs.Reset()
-	defer func() {
-		obs.Disable()
-		obs.Reset()
-	}()
-	var calls atomic.Int64
-	if _, err := Sweep(context.Background(), n, SweepConfig{
-		Workers:  2,
-		Key:      "progress",
-		Progress: func(done, total int) { calls.Add(1) },
-	}, cell); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != n {
-		t.Fatalf("progress calls = %d, want %d (restored cells count)", got, n)
-	}
-	s := obs.TakeSnapshot()
-	if got := s.Counters["engine.sweep.cells.restored"]; got != n {
-		t.Fatalf("restored counter = %d, want %d", got, n)
-	}
-}
-
 // SetHardening fills zero-valued SweepConfig fields; explicit per-sweep
 // values win.
 func TestHardeningDefaultsApplied(t *testing.T) {
@@ -480,8 +231,7 @@ func chaosSweepCell(sched *chaos.Schedule) func(ctx context.Context, i int, seed
 	}
 }
 
-// Acceptance: a chaos-enabled sweep is bit-identical for Workers=1 vs 8,
-// and for a resumed run vs an uninterrupted one.
+// Acceptance: a chaos-enabled sweep is bit-identical for Workers=1 vs 8.
 func TestChaosSweepDeterminism(t *testing.T) {
 	sched := chaos.BurstyLoss(0.02, 0.3, 0.08)
 	if err := sched.Normalize(); err != nil {
@@ -501,14 +251,6 @@ func TestChaosSweepDeterminism(t *testing.T) {
 	for i := range serial {
 		if serial[i] != parallel8[i] {
 			t.Fatalf("cell %d: workers=1 %v != workers=8 %v", i, serial[i], parallel8[i])
-		}
-	}
-	useCellStore(t, newMemStore())
-	run(SweepConfig{Workers: 8, Key: "chaos"})
-	resumed := run(SweepConfig{Workers: 8, Key: "chaos"})
-	for i := range serial {
-		if resumed[i] != serial[i] {
-			t.Fatalf("cell %d: resumed %v != uninterrupted %v", i, resumed[i], serial[i])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"runtime"
@@ -58,15 +57,6 @@ type SweepConfig struct {
 	// with the reseeded CellSeed(cellSeed, k) after a short deterministic
 	// backoff.
 	Retries int
-	// Key names the sweep for the cell store: the sweep's name plus every
-	// input that can change a cell's result. With a store installed (see
-	// SetCellStore), each cell is looked up under
-	// sweepcell|Key|seed=CellSeed(BaseSeed, i) before it runs and written
-	// there once it succeeds, so a rerun of the same sweep executes only
-	// the cells that never completed. The cell result type must round-trip
-	// encoding/json (floats do so bit-exactly); results that don't marshal
-	// are not stored. Empty Key persists nothing.
-	Key string
 }
 
 // CellSeed derives the deterministic seed for cell i from base by
@@ -98,7 +88,6 @@ var (
 	sweepCellsFailed    = obs.GetCounter("engine.sweep.cells.failed")
 	sweepCellsPanicked  = obs.GetCounter("engine.sweep.cells.panicked")
 	sweepCellsRetried   = obs.GetCounter("engine.sweep.cells.retried")
-	sweepCellsRestored  = obs.GetCounter("engine.sweep.cells.restored")
 	sweepCellDuration   = obs.GetHistogram("engine.sweep.cell.duration")
 	sweepGrids          = obs.GetCounter("engine.sweep.grids")
 )
@@ -112,8 +101,7 @@ var (
 //
 // Per-cell deadlines and bounded retries are governed by the SweepConfig
 // hardening fields (process-wide defaults via SetHardening /
-// RegisterSweepFlags); a keyed sweep also resolves its cells through the
-// installed cell store (see SweepConfig.Key).
+// RegisterSweepFlags).
 //
 // With observability enabled, every cell's latency lands in the
 // engine.sweep.cell.duration histogram with completed/failed counters
@@ -191,38 +179,13 @@ func routeWorkers(n int, cfg *SweepConfig) {
 	cfg.Workers = w
 }
 
-// CellStore is the narrow view of a persistent content-addressed store
-// that keyed sweeps persist their cells through (the run store in
-// internal/runstore satisfies it). The store prefixes every key with its
-// schema version and source hash, so stored cells invalidate exactly
-// when cached runs do.
-type CellStore interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, payload []byte) error
-}
-
-var (
-	cellStoreMu sync.Mutex
-	cellStore   CellStore
-)
-
-// SetCellStore installs (or, with nil, removes) the process-wide store
-// that keyed sweeps resolve their cells through.
-func SetCellStore(cs CellStore) {
-	cellStoreMu.Lock()
-	cellStore = cs
-	cellStoreMu.Unlock()
-}
-
 // harness carries the per-sweep state shared by Sweep and SweepSettled:
-// the chained progress sink, the instrumentation flag, and — for a keyed
-// sweep — the cell store.
+// the chained progress sink and the instrumentation flag.
 type harness[T any] struct {
 	cfg          *SweepConfig
 	n            int
 	instrumented bool
 	progress     func(done, total int)
-	store        CellStore
 	mu           sync.Mutex
 	done         int
 }
@@ -254,45 +217,10 @@ func newHarness[T any](n int, cfg *SweepConfig) *harness[T] {
 			h.progress = obs.ReportProgress
 		}
 	}
-	if cfg.Key != "" {
-		cellStoreMu.Lock()
-		h.store = cellStore
-		cellStoreMu.Unlock()
-	}
 	return h
 }
 
-// cellKey is the store key of the cell with the given seed.
-func (h *harness[T]) cellKey(seed uint64) string {
-	return "sweepcell|" + h.cfg.Key + "|seed=" + strconv.FormatUint(seed, 16)
-}
-
-// restore returns the stored result of the cell with the given seed. A
-// miss, or a payload that doesn't decode, means the cell runs.
-func (h *harness[T]) restore(seed uint64) (v T, ok bool) {
-	if h.store == nil {
-		return v, false
-	}
-	raw, ok := h.store.Get(h.cellKey(seed))
-	if !ok || json.Unmarshal(raw, &v) != nil {
-		return v, false
-	}
-	return v, true
-}
-
-// persist writes a completed cell to the store. A result that doesn't
-// marshal, or a failed write, costs persistence, never the sweep.
-func (h *harness[T]) persist(seed uint64, v T) {
-	if h.store == nil {
-		return
-	}
-	if raw, err := json.Marshal(v); err == nil {
-		_ = h.store.Put(h.cellKey(seed), raw)
-	}
-}
-
-// tick advances the serialized progress callback. Restored cells count
-// like executed ones: done increments by one per cell either way.
+// tick advances the serialized progress callback.
 func (h *harness[T]) tick() {
 	if h.progress == nil {
 		return
@@ -303,22 +231,14 @@ func (h *harness[T]) tick() {
 	h.mu.Unlock()
 }
 
-// wrap builds the per-item function the worker pool runs: store lookup,
-// the deadline+retry attempt loop, instrumentation, store write, and
-// progress.
+// wrap builds the per-item function the worker pool runs: the
+// deadline+retry attempt loop, instrumentation, and progress.
 func (h *harness[T]) wrap(cell func(ctx context.Context, i int, seed uint64) (T, error)) func(ctx context.Context, i int) (T, error) {
 	return func(ctx context.Context, i int) (T, error) {
 		// Mark the cell's context so nested sweeps default to serial
 		// (see capNestedWorkers).
 		ctx = context.WithValue(ctx, nestedSweepKey{}, true)
 		seed := CellSeed(h.cfg.BaseSeed, i)
-		if v, ok := h.restore(seed); ok {
-			if h.instrumented {
-				sweepCellsRestored.Inc()
-			}
-			h.tick()
-			return v, nil
-		}
 		var start time.Time
 		var csp *obs.Span
 		if h.instrumented {
@@ -335,9 +255,6 @@ func (h *harness[T]) wrap(cell func(ctx context.Context, i int, seed uint64) (T,
 			} else {
 				sweepCellsCompleted.Inc()
 			}
-		}
-		if err == nil {
-			h.persist(seed, v)
 		}
 		// Completions count toward progress whether or not the cell
 		// errored: on a failing grid the bar keeps moving while in-flight

@@ -167,6 +167,25 @@ func TestHierarchySmallGrid(t *testing.T) {
 	}
 }
 
+// TestHierarchyRenderDeterministic: the agreement lines print in one
+// fixed order, so every render of one result is byte-identical.
+func TestHierarchyRenderDeterministic(t *testing.T) {
+	res := &HierarchyResult{
+		Cells: []HierarchyCell{{N: 2, Mbps: 20, Buffer: 100, Names: []string{"Reno"},
+			Efficiency: []float64{0.9}, Loss: []float64{0.01}, Fairness: []float64{1}, Convergence: []float64{0.8}}},
+		Agreement: map[string]float64{"efficiency": 1, "convergence": 0.5, "fairness": 0.25},
+	}
+	want := res.Render()
+	if !strings.Contains(want, "  efficiency   100%\n  convergence  50%\n  fairness     25%\n") {
+		t.Fatalf("agreement lines out of order:\n%s", want)
+	}
+	for i := 0; i < 50; i++ {
+		if got := res.Render(); got != want {
+			t.Fatalf("render %d differs:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestFigure1SurfaceAndRender(t *testing.T) {
 	pts := Figure1(5, 4)
 	if len(pts) != 20 {

@@ -58,7 +58,7 @@ type Figure1Check struct {
 func Figure1SpotChecks(pairs [][2]float64, opt metrics.Options) ([]Figure1Check, error) {
 	defer obs.StartPhase("figure1-checks")()
 	cellOpt := serialCell(opt)
-	return engine.Sweep(context.Background(), len(pairs), engine.SweepConfig{Workers: opt.Workers, Key: sweepKey("figure1-checks", opt, pairs)},
+	return engine.Sweep(context.Background(), len(pairs), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (Figure1Check, error) {
 			a, b := pairs[i][0], pairs[i][1]
 			p := protocol.NewAIMD(a, b)

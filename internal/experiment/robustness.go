@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"text/tabwriter"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/nettopo"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/stats"
 )
 
 // withDefaultsForSweep fills the horizon the sweep's lossy run uses.
@@ -23,28 +21,6 @@ func optSteps(o metrics.Options) int {
 		return 4000
 	}
 	return o.Steps
-}
-
-// sweepKey builds the engine.SweepConfig.Key of a persisted experiment
-// sweep: its name, the fields of opt that change what a cell computes,
-// and the sweep's own inputs. The experiment code is part of the run
-// store's source hash, so only runtime inputs belong here. Inputs that
-// don't marshal (a NaN parameter) yield "", and the sweep then persists
-// nothing.
-func sweepKey(name string, opt metrics.Options, inputs ...any) string {
-	raw, err := json.Marshal(struct {
-		Steps       int
-		TailFrac    float64
-		PropDelay   float64
-		InitConfigs [][]float64
-		Chaos       *chaos.Schedule
-		ChaosSeed   uint64
-		Inputs      []any
-	}{opt.Steps, opt.TailFrac, opt.PropDelay, opt.InitConfigs, opt.Chaos, opt.ChaosSeed, inputs})
-	if err != nil {
-		return ""
-	}
-	return name + "|" + string(raw)
 }
 
 // RobustnessEntry is one protocol's Metric VI score alongside its lossy-
@@ -76,41 +52,38 @@ func robustnessProtocols() []protocol.Protocol {
 
 // lossyUtil measures a single p-sender's mean tail utilization on the
 // standard 20 Mbps link under a constant non-congestion loss rate and/or
-// a chaos schedule. Both robustness sweeps reduce to this helper, so
-// their shared columns are bit-identical by construction.
-func lossyUtil(ctx context.Context, p protocol.Protocol, opt metrics.Options, constLoss float64, sched *chaos.Schedule, seed uint64) (float64, error) {
+// a chaos schedule, resolving the run through opt.Session. Both
+// robustness sweeps reduce to this helper, so their shared columns are
+// bit-identical by construction. opt's own chaos schedule and tail
+// fraction do not apply.
+func lossyUtil(p protocol.Protocol, opt metrics.Options, constLoss float64, sched *chaos.Schedule, seed uint64) (float64, error) {
 	cfg := FluidLink(20, 100)
 	if constLoss > 0 {
 		cfg.Loss = fluid.NewConstantLoss(constLoss)
 	}
-	senders, err := fluid.HomogeneousSenders(p, 1, []float64{1})
+	sums, err := metrics.StreamRuns(cfg, []protocol.Protocol{p}, metrics.Options{
+		Steps:       optSteps(opt),
+		TailFrac:    0.75,
+		InitConfigs: [][]float64{{1}},
+		Workers:     opt.Workers,
+		Chaos:       sched,
+		ChaosSeed:   seed,
+		Session:     opt.Session,
+	})
 	if err != nil {
 		return 0, err
 	}
-	sub := &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: optSteps(opt)}
-	st := metrics.NewStream(sub.Meta(), 0.75)
-	spec := engine.Spec{Substrate: sub, Observers: []engine.Observer{st}, Chaos: sched, ChaosSeed: seed}
-	if _, err := engine.Run(ctx, spec); err != nil {
-		return 0, err
-	}
-	// Per-element total/C mirrors trace.Utilization, so the mean is
-	// identical to the recorded-trace computation.
-	tail := st.TailTotal()
-	util := make([]float64, len(tail))
-	for j, tot := range tail {
-		util[j] = tot / cfg.Capacity()
-	}
-	return stats.Mean(util), nil
+	return sums[0].Utilization, nil
 }
 
 // robustnessCell computes one protocol's Metric VI row: the bisected
 // loss-tolerance threshold and the constant-0.5%-loss utilization.
-func robustnessCell(ctx context.Context, p protocol.Protocol, opt, cellOpt metrics.Options) (RobustnessEntry, error) {
+func robustnessCell(p protocol.Protocol, cellOpt metrics.Options) (RobustnessEntry, error) {
 	thr, err := metrics.Robustness(p, 0.5, 1e-3, cellOpt)
 	if err != nil {
 		return RobustnessEntry{}, err
 	}
-	util, err := lossyUtil(ctx, p, opt, 0.005, nil, 0)
+	util, err := lossyUtil(p, cellOpt, 0.005, nil, 0)
 	if err != nil {
 		return RobustnessEntry{}, err
 	}
@@ -124,9 +97,9 @@ func RobustnessSweep(opt metrics.Options) ([]RobustnessEntry, error) {
 	defer obs.StartPhase("robustness")()
 	protos := robustnessProtocols()
 	cellOpt := serialCell(opt)
-	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers, Key: sweepKey("robustness", opt)},
-		func(ctx context.Context, i int, _ uint64) (RobustnessEntry, error) {
-			return robustnessCell(ctx, protos[i], opt, cellOpt)
+	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers},
+		func(_ context.Context, i int, _ uint64) (RobustnessEntry, error) {
+			return robustnessCell(protos[i], cellOpt)
 		})
 }
 
@@ -163,18 +136,18 @@ func ChaosRobustnessSweep(opt metrics.Options, chaosSeed uint64) ([]ChaosRobustn
 			return nil, err
 		}
 	}
-	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers, BaseSeed: chaosSeed, Key: sweepKey("robustness-chaos", opt, chaosSeed)},
-		func(ctx context.Context, i int, seed uint64) (ChaosRobustnessEntry, error) {
+	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers, BaseSeed: chaosSeed},
+		func(_ context.Context, i int, seed uint64) (ChaosRobustnessEntry, error) {
 			p := protos[i]
-			base, err := robustnessCell(ctx, p, opt, cellOpt)
+			base, err := robustnessCell(p, cellOpt)
 			if err != nil {
 				return ChaosRobustnessEntry{}, err
 			}
-			burstyUtil, err := lossyUtil(ctx, p, opt, 0, bursty, seed)
+			burstyUtil, err := lossyUtil(p, cellOpt, 0, bursty, seed)
 			if err != nil {
 				return ChaosRobustnessEntry{}, err
 			}
-			flappyUtil, err := lossyUtil(ctx, p, opt, 0, flappy, seed)
+			flappyUtil, err := lossyUtil(p, cellOpt, 0, flappy, seed)
 			if err != nil {
 				return ChaosRobustnessEntry{}, err
 			}
@@ -238,42 +211,43 @@ func ParkingLotExperiment(hops []int, steps int, seed uint64) ([]ParkingLotEntry
 		PropDelay: 0.021,
 		Buffer:    20,
 	}
-	return engine.Sweep(context.Background(), len(hops), engine.SweepConfig{Key: sweepKey("parkinglot", metrics.Options{Steps: steps}, hops, seed)},
+	// One session resolves every hop count's run; it inherits the
+	// process-wide store, so a warm rerun simulates nothing.
+	session := metrics.NewSession()
+	return engine.Sweep(context.Background(), len(hops), engine.SweepConfig{},
 		func(ctx context.Context, i int, _ uint64) (ParkingLotEntry, error) {
 			k := hops[i]
 			links, flows, err := nettopo.ParkingLotSpecs(k, link, protocol.Reno(), 1)
 			if err != nil {
 				return ParkingLotEntry{}, err
 			}
-			// Hop ratios need full per-flow series, so this substrate records.
-			eres, err := engine.Run(ctx, engine.Spec{
-				Substrate: &engine.TopoSpec{
-					Links: links,
-					Flows: flows,
-					Opts:  []nettopo.Option{nettopo.WithStochasticLoss(seed)},
-					Steps: steps,
-				},
-				Record: true,
+			sum, err := metrics.RunTopo(ctx, metrics.TopoRunSpec{
+				Links:      links,
+				Flows:      flows,
+				Steps:      steps,
+				TailFrac:   0.75,
+				Stochastic: true,
+				Seed:       seed,
+				Session:    session,
 			})
 			if err != nil {
 				return ParkingLotEntry{}, err
 			}
-			res := eres.Topo
 			shortW, shortG := 0.0, 0.0
-			for i := 1; i <= k; i++ {
-				shortW += res.AvgWindow(i, 0.75)
-				shortG += res.AvgGoodput(i, 0.75)
+			for f := 1; f <= k; f++ {
+				shortW += sum.AvgWindows[f]
+				shortG += sum.AvgGoodputs[f]
 			}
 			shortW /= float64(k)
 			shortG /= float64(k)
 			util := 0.0
 			for l := 0; l < k; l++ {
-				util += res.LinkUtilization(l, 0.75)
+				util += sum.LinkUtil[l]
 			}
 			return ParkingLotEntry{
 				Hops:         k,
-				WindowRatio:  res.AvgWindow(0, 0.75) / shortW,
-				GoodputRatio: res.AvgGoodput(0, 0.75) / shortG,
+				WindowRatio:  sum.AvgWindows[0] / shortW,
+				GoodputRatio: sum.AvgGoodputs[0] / shortG,
 				LinkUtil:     util / float64(k),
 			}, nil
 		})

@@ -30,18 +30,6 @@ func serialCell(opt metrics.Options) metrics.Options {
 	return opt
 }
 
-// streamMixed runs one mixed-population fluid simulation through the
-// engine with a streaming observer — the shared helper for theorem checks
-// that only consume tail statistics.
-func streamMixed(ctx context.Context, cfg fluid.Config, protos []protocol.Protocol, init []float64, steps int) (*metrics.Stream, error) {
-	sub := &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: steps}
-	st := metrics.NewStream(sub.Meta(), metrics.DefaultTailFrac)
-	if _, err := engine.Run(ctx, engine.Spec{Substrate: sub, Observers: []engine.Observer{st}}); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // Claim1Evidence is the executable demonstration of Claim 1: the
 // probe-until-loss protocol is loss-based and, from some point on, 0-loss
 // and well-utilizing — yet its fast-utilization score is 0.
@@ -210,10 +198,9 @@ func CheckTheorem3(epsilons []float64, opt metrics.Options, tol float64) ([]Theo
 	if len(epsilons) == 0 {
 		epsilons = []float64{0.005, 0.007, 0.01}
 	}
-	o := opt
-	if o.Steps == 0 {
-		o.Steps = 4000
-	}
+	// One run per ε from windows {1, 1}, over the default tail; opt's
+	// chaos schedule and tail fraction do not apply.
+	runOpt := metrics.Options{Steps: opt.Steps, InitConfigs: [][]float64{{1, 1}}, Workers: opt.Workers, Session: opt.Session}
 	// C+τ = 700 MSS keeps overshoot loss ≈ 2/702 below ε = 0.005.
 	cfg := FluidLink(100, 350)
 	lp := LinkParams(cfg, 2)
@@ -221,11 +208,11 @@ func CheckTheorem3(epsilons []float64, opt metrics.Options, tol float64) ([]Theo
 		func(ctx context.Context, i int, _ uint64) (Theorem3Check, error) {
 			eps := epsilons[i]
 			ra := protocol.NewRobustAIMD(1, 0.8, eps)
-			st, err := streamMixed(ctx, cfg, []protocol.Protocol{ra, protocol.Reno()}, []float64{1, 1}, o.Steps)
+			sums, err := metrics.StreamRuns(cfg, []protocol.Protocol{ra, protocol.Reno()}, runOpt)
 			if err != nil {
 				return Theorem3Check{}, err
 			}
-			avg := st.Summary().AvgWindows
+			avg := sums[0].AvgWindows
 			measured := avg[1] / avg[0]
 			bound := axioms.Theorem3Bound(1, 0.8, eps, lp.C, lp.Tau)
 			ceiling := axioms.Theorem2Bound(1, 0.8)
@@ -243,28 +230,19 @@ func CheckTheorem3(epsilons []float64, opt metrics.Options, tol float64) ([]Theo
 // than Q": for every initial configuration tried, every P-sender's average
 // tail goodput exceeds every Q-sender's.
 func MoreAggressive(cfg fluid.Config, p, q protocol.Protocol, opt metrics.Options) (bool, error) {
-	o := opt
-	if o.Steps == 0 {
-		o.Steps = 4000
-	}
-	inits := o.InitConfigs
+	inits := opt.InitConfigs
 	if len(inits) == 0 {
 		inits = metrics.DefaultInitConfigs(cfg, 2)
 	}
-	wins, err := engine.Sweep(context.Background(), len(inits), engine.SweepConfig{Workers: opt.Workers},
-		func(ctx context.Context, i int, _ uint64) (bool, error) {
-			st, err := streamMixed(ctx, cfg, []protocol.Protocol{p, q}, inits[i], o.Steps)
-			if err != nil {
-				return false, err
-			}
-			g := st.Summary().AvgGoodputs
-			return g[0] > g[1], nil
-		})
+	// The runs use the default tail; opt's chaos schedule and tail
+	// fraction do not apply.
+	sums, err := metrics.StreamRuns(cfg, []protocol.Protocol{p, q},
+		metrics.Options{Steps: opt.Steps, InitConfigs: inits, Workers: opt.Workers, Session: opt.Session})
 	if err != nil {
 		return false, err
 	}
-	for _, win := range wins {
-		if !win {
+	for _, s := range sums {
+		if g := s.AvgGoodputs; !(g[0] > g[1]) {
 			return false, nil
 		}
 	}

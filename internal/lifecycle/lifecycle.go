@@ -3,7 +3,7 @@
 // shard supervisor all stop tools with SIGTERM; before this package,
 // that path lost the run record. Install makes both signals equivalent:
 // flush observability artifacts, exit with the conventional 128+signo
-// status. Completed sweep cells need no flush: a keyed sweep writes each
+// status. Finished runs need no flush: the metrics Session writes each
 // one to the run store as it finishes.
 package lifecycle
 

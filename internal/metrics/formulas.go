@@ -22,6 +22,20 @@ func efficiency(total []float64, capacity float64) float64 {
 	return stats.Min(total) / capacity
 }
 
+// utilization is the mean of X(t)/C over a tail, each sample divided as
+// trace.Utilization divides it (0 on a link of no capacity). It
+// overwrites total with the per-sample ratios.
+func utilization(total []float64, capacity float64) float64 {
+	for i, x := range total {
+		if capacity > 0 {
+			total[i] = x / capacity
+		} else {
+			total[i] = 0
+		}
+	}
+	return stats.Mean(total)
+}
+
 // lossAvoidance is Metric III (loss-avoidance) over a tail: the smallest
 // α such that L(t) ≤ α throughout, i.e. the max tail loss rate. Lower is
 // better; 0 means "0-loss".

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -147,11 +148,19 @@ func worstCase[R any](runs []R, b better, score func(R) float64) float64 {
 	return worst
 }
 
-// streamRuns resolves the summary of one streaming-observed engine run
-// per initial configuration — no trace is materialized — for the given
-// per-sender protocol slice (homogeneous estimators pass n copies of one
-// protocol; Friendliness passes its mix), through a streamGrid.
-func streamRuns(cfg fluid.Config, protos []protocol.Protocol, o Options) ([]*StreamSummary, error) {
+// StreamRuns resolves one streamed run per initial configuration of
+// opt (its InitConfigs, else the defaults for cfg) with one sender per
+// entry of protos — homogeneous estimators pass n copies of one
+// protocol, Friendliness its mix — and returns each run's frozen
+// summary in that order. No trace is materialized. The runs resolve
+// through opt.Session when set, and those left to simulate go to
+// engine.SweepSpecs as one grid. Summaries may be shared with the
+// session: treat them as read-only.
+func StreamRuns(cfg fluid.Config, protos []protocol.Protocol, opt Options) ([]*StreamSummary, error) {
+	if len(protos) == 0 {
+		return nil, errors.New("metrics: StreamRuns needs at least one protocol")
+	}
+	o := opt.withDefaults()
 	var g streamGrid
 	g.add(cfg, protos, o)
 	sums, _, err := g.resolve(o)
@@ -168,7 +177,7 @@ func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options,
 	for i := range protos {
 		protos[i] = p
 	}
-	sums, err := streamRuns(cfg, protos, opt.withDefaults())
+	sums, err := StreamRuns(cfg, protos, opt)
 	if err != nil {
 		return 0, err
 	}
@@ -334,7 +343,6 @@ func Friendliness(cfg fluid.Config, p, q protocol.Protocol, nP, nQ int, opt Opti
 	if nP <= 0 || nQ <= 0 {
 		return 0, fmt.Errorf("metrics: friendliness needs senders on both sides (nP=%d nQ=%d)", nP, nQ)
 	}
-	o := opt.withDefaults()
 	n := nP + nQ
 	protos := make([]protocol.Protocol, 0, n)
 	pIdx := make([]int, 0, nP)
@@ -347,7 +355,7 @@ func Friendliness(cfg fluid.Config, p, q protocol.Protocol, nP, nQ int, opt Opti
 		qIdx = append(qIdx, len(protos))
 		protos = append(protos, q)
 	}
-	sums, err := streamRuns(cfg, protos, o)
+	sums, err := StreamRuns(cfg, protos, opt)
 	if err != nil {
 		return 0, err
 	}

@@ -137,12 +137,13 @@ func (d *decoder) finish() error {
 
 // encodeStreamSummary serializes a fluid run's frozen summary.
 func encodeStreamSummary(s *StreamSummary) []byte {
-	b := make([]byte, 0, 1+4*8+2*(4+8*len(s.AvgWindows)))
+	b := make([]byte, 0, 1+5*8+2*(4+8*len(s.AvgWindows)))
 	b = append(b, codecKindStream)
 	b = putF64(b, s.Efficiency)
 	b = putF64(b, s.LossAvoidance)
 	b = putF64(b, s.Convergence)
 	b = putF64(b, s.LatencyAvoidance)
+	b = putF64(b, s.Utilization)
 	b = putF64s(b, s.AvgWindows)
 	return putF64s(b, s.AvgGoodputs)
 }
@@ -158,6 +159,7 @@ func decodeStreamSummary(payload []byte) (*StreamSummary, error) {
 		LossAvoidance:    d.f64(),
 		Convergence:      d.f64(),
 		LatencyAvoidance: d.f64(),
+		Utilization:      d.f64(),
 		AvgWindows:       d.f64s(),
 		AvgGoodputs:      d.f64s(),
 	}

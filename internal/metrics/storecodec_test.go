@@ -16,7 +16,7 @@ import (
 func oversizedLength(kind byte) []byte {
 	b := []byte{kind}
 	if kind == codecKindStream {
-		for i := 0; i < 4; i++ { // the four scalars
+		for i := 0; i < 5; i++ { // the five scalars
 			b = putF64(b, 0.5)
 		}
 	}

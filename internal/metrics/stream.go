@@ -145,7 +145,9 @@ func (s *Stream) Summary() *StreamSummary {
 		sum.AvgWindows[i] = stats.Mean(tail(s.windows[i]))
 		sum.AvgGoodputs[i] = stats.Mean(tail(s.goodput[i]))
 	}
-	sum.Efficiency = efficiency(tail(s.total), s.capacity)
+	total := tail(s.total)
+	sum.Efficiency = efficiency(total, s.capacity)
+	sum.Utilization = utilization(total, s.capacity)
 	sum.LossAvoidance = lossAvoidance(tail(s.loss))
 	sum.Convergence = convergence(n, func(i int) []float64 { return tail(s.windows[i]) })
 	sum.LatencyAvoidance = latencyInflation(tail(s.rtt), s.baseRTT)
@@ -153,7 +155,7 @@ func (s *Stream) Summary() *StreamSummary {
 }
 
 // StreamSummary is one finished single-link run reduced to what its
-// axiom scores read: four tail scalars and each sender's tail means. It
+// axiom scores read: five tail scalars and each sender's tail means. It
 // is what the Session caches and the run store persists, a few hundred
 // bytes whatever the horizon. Cached summaries are shared between
 // callers and must be treated as read-only.
@@ -162,6 +164,7 @@ type StreamSummary struct {
 	LossAvoidance    float64 // Metric III (see lossAvoidance): max tail loss rate
 	Convergence      float64 // Metric V (see convergence), worst sender
 	LatencyAvoidance float64 // Metric VIII (see latencyInflation): max tail RTT inflation
+	Utilization      float64 // mean tail X(t)/C (see utilization)
 
 	AvgWindows  []float64 // per sender: mean tail window, as trace.AvgWindow
 	AvgGoodputs []float64 // per sender: mean tail goodput, as trace.AvgGoodput

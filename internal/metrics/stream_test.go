@@ -36,6 +36,7 @@ func checkSummaryMatchesTrace(t *testing.T, st *Stream, tr *trace.Trace, tailFra
 	sameBits(t, "fairness", sum.Fairness(), FairnessFromTrace(tr, tailFrac))
 	sameBits(t, "convergence", sum.Convergence, ConvergenceFromTrace(tr, tailFrac))
 	sameBits(t, "latency avoidance", sum.LatencyAvoidance, LatencyAvoidanceFromTrace(tr, tailFrac))
+	sameBits(t, "utilization", sum.Utilization, stats.Mean(stats.Tail(tr.Utilization(), tailFrac)))
 	sameBits(t, "friendliness", sum.Friendliness(pIdx, qIdx), FriendlinessFromTrace(tr, pIdx, qIdx, tailFrac))
 	if len(sum.AvgWindows) != tr.Senders() || len(sum.AvgGoodputs) != tr.Senders() {
 		t.Fatalf("summary covers %d/%d senders, trace %d", len(sum.AvgWindows), len(sum.AvgGoodputs), tr.Senders())
@@ -209,6 +210,7 @@ func TestStreamBatchedMatchesPerCell(t *testing.T) {
 		same(c, "fairness", bs.Fairness(), ps.Fairness())
 		same(c, "convergence", bs.Convergence, ps.Convergence)
 		same(c, "latency avoidance", bs.LatencyAvoidance, ps.LatencyAvoidance)
+		same(c, "utilization", bs.Utilization, ps.Utilization)
 		tails := [][2][]float64{
 			{b.TailTotal(), p.TailTotal()},
 			{b.TailRTT(), p.TailRTT()},

@@ -20,15 +20,12 @@ import (
 // the same directory set (hashFiles in .github/workflows/ci.yml); keep
 // the two lists in sync.
 var SimulationPackages = []string{
-	"internal/axioms",
 	"internal/chaos",
 	"internal/engine",
-	"internal/experiment",
 	"internal/fluid",
 	"internal/metrics",
 	"internal/nettopo",
 	"internal/packetsim",
-	"internal/pareto",
 	"internal/protocol",
 	"internal/rand64",
 	"internal/stats",

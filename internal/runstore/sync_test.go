@@ -35,9 +35,10 @@ var exemptPackages = map[string]bool{
 
 // simulationRoots are the packages whose import closure defines "can
 // affect a stored value": every substrate runs through internal/engine,
-// every cached run is built by internal/metrics, and the keyed sweeps
-// whose cells the store persists live in internal/experiment.
-var simulationRoots = []string{"internal/engine", "internal/metrics", "internal/experiment"}
+// and every value the store holds is a run result internal/metrics
+// builds. Packages that only consume those results (experiment, pareto,
+// axioms) write nothing to the store and stay out of the hash.
+var simulationRoots = []string{"internal/engine", "internal/metrics"}
 
 // internalImportClosure walks non-test imports from the roots, restricted
 // to repro/internal packages.

@@ -113,6 +113,9 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %q: unknown model %q", s.Name, s.Model)
 	}
+	if !(s.TailFrac >= 0 && s.TailFrac < 1) {
+		return fmt.Errorf("scenario %q: tail_frac %v outside [0, 1)", s.Name, s.TailFrac)
+	}
 	topo := s.Model == "nettopo"
 	if len(s.Flows) == 0 {
 		return fmt.Errorf("scenario %q: at least one flow required", s.Name)

@@ -164,6 +164,9 @@ func TestValidationErrors(t *testing.T) {
 		{"links on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno"}]}`, "nettopo"},
 		{"extra_rtt_ms on fluid", `{"name":"x","model":"fluid","link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno","extra_rtt_ms":5}]}`, "nettopo"},
 		{"cyclic nettopo", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"b","dst":"a"}],"flows":[{"protocol":"reno","path":[0]}]}`, "cycle"},
+		{"tail_frac 3", `{"name":"x","model":"fluid","tail_frac":3,"link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno"}]}`, "tail_frac"},
+		{"tail_frac 1", `{"name":"x","model":"packet","tail_frac":1,"link":{"mbps":20,"rtt_ms":42,"buffer_mss":10},"flows":[{"protocol":"reno"}]}`, "tail_frac"},
+		{"negative tail_frac", `{"name":"x","model":"nettopo","tail_frac":-0.5,"links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10}],"flows":[{"protocol":"reno","path":[0]}]}`, "tail_frac"},
 		{"discontiguous nettopo path", `{"name":"x","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":10,"src":"c","dst":"d"}],"flows":[{"protocol":"reno","path":[0,1]}]}`, "contiguous"},
 	}
 	for _, c := range cases {
@@ -240,5 +243,19 @@ func TestUnsyncFlowsInFluidSpec(t *testing.T) {
 	if out.Flows[1].AvgWindow >= out.Flows[0].AvgWindow {
 		t.Errorf("period-4 flow (%v) ≥ period-1 flow (%v)",
 			out.Flows[1].AvgWindow, out.Flows[0].AvgWindow)
+	}
+}
+
+// TestValidateRejectsNaNTailFrac: JSON cannot carry NaN, but a Spec
+// built in code can, and Validate must reject it like any value outside
+// [0, 1).
+func TestValidateRejectsNaNTailFrac(t *testing.T) {
+	s, err := Load(strings.NewReader(fluidSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.TailFrac = math.NaN()
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "tail_frac") {
+		t.Fatalf("NaN tail_frac: err = %v", err)
 	}
 }

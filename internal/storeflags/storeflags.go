@@ -1,8 +1,8 @@
 // Package storeflags is the CLI glue for the persistent run store: every
 // cmd/* tool mounts one flag set and gets a disk-backed second tier under
-// its metric sessions and keyed sweeps, with a greppable stats line for
-// CI. Because every completed sweep cell is stored as it finishes,
-// rerunning an interrupted command resumes it.
+// its metric sessions, with a greppable stats line for CI. Because every
+// simulated run is stored as it finishes, rerunning an interrupted
+// command resimulates only the runs it never finished.
 //
 //	-store dir             store directory (default: user cache dir)
 //	-nostore               disable the persistent store for this run
@@ -22,7 +22,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/runstore"
@@ -51,9 +50,9 @@ func Register(fs *flag.FlagSet) *Flags {
 }
 
 // Apply opens the store and installs it process-wide: metric sessions
-// (including the private ones experiments create) gain a disk tier, and
-// keyed sweeps persist their cells in it. It returns a
-// report func to run at tool exit — with -store-stats it prints the
+// (including the private ones experiments create) gain a disk tier, the
+// one place finished runs are looked up. It returns a report func to run
+// at tool exit — with -store-stats it prints the
 // counters line CI greps for (`simulated=0` on a warm pass). A store
 // that cannot open (no writable cache dir, binary running away from its
 // source tree) degrades to a warning: the tool runs storeless rather
@@ -67,7 +66,6 @@ func (f *Flags) Apply(tool string) (report func()) {
 			fmt.Fprintf(os.Stderr, "%s: persistent run store disabled: %v\n", tool, err)
 		} else {
 			metrics.SetDefaultStore(st)
-			engine.SetCellStore(st)
 		}
 	}
 	// Register the cache tiers as run-record stat groups. The record's

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/runstore"
@@ -64,7 +63,6 @@ func TestApplyNoStore(t *testing.T) {
 // store into the metrics layer process-wide.
 func TestApplyInstallsDefaultStore(t *testing.T) {
 	defer metrics.SetDefaultStore(nil)
-	defer engine.SetCellStore(nil)
 	f := &Flags{Dir: t.TempDir()}
 	f.Apply("tool")
 	if metrics.DefaultStore() == nil {
@@ -79,7 +77,6 @@ func TestApplyRegistersStatsSources(t *testing.T) {
 	metrics.ResetTotalStats()
 	defer func() {
 		metrics.SetDefaultStore(nil)
-		engine.SetCellStore(nil)
 		obs.RegisterStatsSource("run_cache", nil)
 		obs.RegisterStatsSource("run_store", nil)
 	}()

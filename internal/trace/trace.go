@@ -44,33 +44,6 @@ func New(n int, capacity, baseRTT float64, steps int) *Trace {
 	return tr
 }
 
-// Restore reconstructs a trace from previously recorded series, for
-// deserialization. All slices are adopted without copying; windows must
-// have one series per sender and every series must share one length.
-// total is stored as given rather than recomputed, so a restored trace
-// is bit-identical to the one that was dumped.
-func Restore(windows [][]float64, rtt, loss, total []float64, capacity, baseRTT float64) *Trace {
-	n := len(windows)
-	steps := len(total)
-	if len(rtt) != steps || len(loss) != steps {
-		panic("trace: Restore with mismatched series lengths")
-	}
-	for _, w := range windows {
-		if len(w) != steps {
-			panic("trace: Restore with mismatched series lengths")
-		}
-	}
-	return &Trace{
-		n:       n,
-		windows: windows,
-		rtt:     rtt,
-		loss:    loss,
-		total:   total,
-		baseRTT: baseRTT,
-		capac:   capacity,
-	}
-}
-
 // Append records one time step. windows must have length n.
 func (tr *Trace) Append(windows []float64, rtt, loss float64) {
 	if len(windows) != tr.n {
