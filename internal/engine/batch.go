@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 
 	"repro/internal/chaos"
@@ -148,11 +149,87 @@ func batchKeyFor(spec *Spec) (batchKey, bool) {
 	return k, true
 }
 
-// runBatches plans and executes the batch groups, returning per-cell
-// precomputed outcomes (nil entries mean "run per-cell"). Groups run
-// concurrently under cfg.Workers; context cancellation aborts cleanly,
-// leaving unfinished cells to the per-cell pass (which observes the
-// cancellation itself).
+// planBatches is the pure planning step of runBatches. It groups the
+// batchable cells of specs by batchKey, drops groups smaller than
+// minBatchGroup, and cuts each remaining group of n cells into
+// k = min(workers, n/minBatchGroup) chunks (workers < 1 means
+// GOMAXPROCS, as in parallel.MapCtx), so a grid whose cells all share
+// one key still steps on every worker the sweep owns. Each chunk is a
+// contiguous run of its group in input order with at least
+// minBatchGroup cells, and the cuts fall where the running sender-lane
+// count is nearest each chunk's share of the group's total, which keeps
+// chunks of mixed 1- and 2-sender cells equally heavy. Chunks are
+// returned group by group, groups in order of their first cell.
+func planBatches(specs []Spec, workers int) [][]int {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var keys []batchKey
+	groups := make(map[batchKey][]int)
+	for i := range specs {
+		key, ok := batchKeyFor(&specs[i])
+		if !ok {
+			continue
+		}
+		if _, seen := groups[key]; !seen {
+			keys = append(keys, key)
+		}
+		groups[key] = append(groups[key], i)
+	}
+	var chunks [][]int
+	for _, key := range keys {
+		if idxs := groups[key]; len(idxs) >= minBatchGroup {
+			chunks = append(chunks, splitGroup(specs, idxs, min(workers, len(idxs)/minBatchGroup))...)
+		}
+	}
+	return chunks
+}
+
+// splitGroup cuts one batch group into k contiguous chunks of at least
+// minBatchGroup cells each, placing cut c where the lanes before it are
+// nearest c/k of the group's lanes (ties go to the earlier cut).
+func splitGroup(specs []Spec, idxs []int, k int) [][]int {
+	if k <= 1 {
+		return [][]int{idxs}
+	}
+	// cum[j] is the lane count of idxs[:j].
+	cum := make([]int, len(idxs)+1)
+	for j, i := range idxs {
+		cum[j+1] = cum[j] + len(specs[i].Substrate.(*FluidSpec).Senders)
+	}
+	// |cum[j]·k − c·total| is k times the distance to the ideal cut, so
+	// the comparison stays in integers.
+	dist := func(j, c int) int {
+		d := cum[j]*k - c*cum[len(idxs)]
+		if d < 0 {
+			return -d
+		}
+		return d
+	}
+	chunks := make([][]int, 0, k)
+	lo := 0
+	for c := 1; c < k; c++ {
+		// The cut must leave this chunk and each of the k-c after it
+		// minBatchGroup cells.
+		hi := lo + minBatchGroup
+		for j := hi + 1; j <= len(idxs)-(k-c)*minBatchGroup; j++ {
+			if dist(j, c) < dist(hi, c) {
+				hi = j
+			}
+		}
+		chunks = append(chunks, idxs[lo:hi])
+		lo = hi
+	}
+	return append(chunks, idxs[lo:])
+}
+
+// runBatches plans the batch chunks (planBatches) and steps them,
+// returning per-cell precomputed outcomes (nil entries mean "run
+// per-cell"). Each chunk is one parallel.MapCtx item under cfg.Workers,
+// the budget the sweep already resolved, so a single large group keeps
+// every worker busy. Context cancellation aborts cleanly, leaving
+// unfinished cells to the per-cell pass (which observes the cancellation
+// itself).
 func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut {
 	instrumented := obs.Enabled()
 	fluidCells := 0
@@ -170,61 +247,56 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 		return nil
 	}
 
-	groups := make(map[batchKey][]int)
-	for i := range specs {
-		if key, ok := batchKeyFor(&specs[i]); ok {
-			groups[key] = append(groups[key], i)
-		}
-	}
-	var runs [][]int
+	chunks := planBatches(specs, cfg.Workers)
 	batched := 0
-	for _, idxs := range groups {
-		if len(idxs) >= minBatchGroup {
-			runs = append(runs, idxs)
-			batched += len(idxs)
-		}
+	for _, c := range chunks {
+		batched += len(c)
 	}
 	if instrumented {
 		sweepCellsBatched.Add(uint64(batched))
 		sweepCellsFallback.Add(uint64(fluidCells - batched))
 	}
-	if len(runs) == 0 {
+	if len(chunks) == 0 {
 		return nil
 	}
 
 	outs := make([]*batchOut, len(specs))
-	// Group workers write disjoint outs entries, so the slice needs no
-	// lock. The group function never returns an error: per-cell failures
+	// Chunk workers write disjoint outs entries, so the slice needs no
+	// lock. The chunk function never returns an error: per-cell failures
 	// (divergence, chaos compile errors) are recorded in outs and
 	// surfaced by the per-cell pass with Sweep's usual fail-fast rules.
-	parallel.MapCtx(ctx, len(runs), cfg.Workers, func(ctx context.Context, g int) (struct{}, error) {
-		runBatchGroup(ctx, specs, runs[g], outs)
+	parallel.MapCtx(ctx, len(chunks), cfg.Workers, func(ctx context.Context, g int) (struct{}, error) {
+		runBatchGroup(ctx, specs, chunks[g], outs)
 		return struct{}{}, nil
 	})
 	return outs
 }
 
-// runBatchGroup steps one group of cells in lockstep and fills their
-// outs entries. On context cancellation it returns with the group's
-// entries still nil — those cells fall through to the per-cell pass,
-// which observes the cancellation before emitting anything.
+// runBatchGroup steps one chunk of a batch group in lockstep through its
+// own fluid.Batch and fills the chunk's outs entries. On context
+// cancellation it returns with the chunk's entries still nil — those
+// cells fall through to the per-cell pass, which observes the
+// cancellation before emitting anything.
 func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchOut) {
 	first := &specs[idxs[0]]
 	fs0 := first.Substrate.(*FluidSpec)
 	steps := fs0.Steps
 	instrumented := obs.Enabled()
 
-	// The group span brackets the whole lockstep unit of work; the
-	// precompute/step/emit child spans split it into the fluid.Batch
-	// phases, so a timeline shows where a batched group's time goes.
+	// The group span brackets the whole lockstep unit of work (one chunk,
+	// so a split group shows one span per chunk); the precompute/step/emit
+	// child spans split it into the fluid.Batch phases, so a timeline
+	// shows where a batched chunk's time goes.
 	ctx, gsp := obs.StartSpan(ctx, "engine.batch.group")
 	gsp.SetDetail(strconv.Itoa(len(idxs)) + " cells × " + strconv.Itoa(steps) + " steps")
 	defer gsp.End()
 	_, psp := obs.StartSpan(ctx, "engine.batch.precompute")
 
-	// One shared injector per group: every cell in the group carries the
-	// same (schedule, seed, flows) triple, so per-cell compilation would
-	// yield identical injectors anyway.
+	// One shared injector per chunk: every cell of the group carries the
+	// same (schedule, seed, flows) triple, so per-cell compilation — or
+	// one compilation per chunk of the same group — yields identical
+	// injectors anyway. A compile error therefore fails every cell of the
+	// group with the same error, chunk by chunk.
 	var inj *chaos.Injector
 	if first.Chaos != nil {
 		var err error

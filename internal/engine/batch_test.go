@@ -3,8 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -18,17 +22,28 @@ import (
 // Robust-AIMD, HighSpeed).
 var batchFamilies = []string{"reno", "scalable", "iiad", "sqrt", "raimd:1,0.8,0.01", "hstcp"}
 
+// Initial configurations batchGrid crosses with every family. pairInits
+// gives the 12-cell grid of the original matrix. wideInits gives an
+// 18-cell one-key grid, which planBatches splits at every worker count
+// in splitWorkers. mixedInits is wideInits with every third cell down to
+// one sender, so chunk lanes differ from chunk cell counts.
+var (
+	pairInits  = [][]float64{{1, 40}, {25, 25}}
+	wideInits  = [][]float64{{1, 40}, {25, 25}, {7, 3}}
+	mixedInits = [][]float64{{1, 40}, {25, 25}, {7}}
+)
+
 // batchGrid builds one self-describing spec per (family, init) pair:
-// 2-sender fluid cells, recorded, with per-cell seeds. mutate lets a
-// scenario attach chaos schedules or loss processes per cell.
-func batchGrid(t *testing.T, steps int, mutate func(i int, spec *Spec)) []Spec {
+// fluid cells with one sender per init value, recorded, with per-cell
+// seeds. mutate lets a scenario attach chaos schedules or loss processes
+// per cell.
+func batchGrid(t *testing.T, steps int, inits [][]float64, mutate func(i int, spec *Spec)) []Spec {
 	t.Helper()
-	inits := [][]float64{{1, 40}, {25, 25}}
 	var specs []Spec
 	i := 0
 	for _, fam := range batchFamilies {
 		for _, init := range inits {
-			senders, err := fluid.HomogeneousSenders(protocol.MustParse(fam), 2, init)
+			senders, err := fluid.HomogeneousSenders(protocol.MustParse(fam), len(init), init)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,6 +78,11 @@ func runPerCell(t *testing.T, specs []Spec) []*Result {
 	return out
 }
 
+// splitWorkers are the worker counts the split tests sweep: serial, the
+// CI machine shapes, and more workers than a 2-cell-minimum split of an
+// 18-cell group can use.
+var splitWorkers = []int{1, 2, 3, 8}
+
 // runBothPaths evaluates the same grid through SweepSpecs and through
 // Run on each spec and asserts bit-identical traces. The grid is
 // regenerated per run because substrates are single-use.
@@ -89,7 +109,7 @@ func TestSweepSpecsBitIdentityPlain(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
-	res := runBothPaths(t, func() []Spec { return batchGrid(t, 300, nil) }, SweepConfig{Workers: 2})
+	res := runBothPaths(t, func() []Spec { return batchGrid(t, 300, pairInits, nil) }, SweepConfig{Workers: 2})
 	n := uint64(len(res))
 	if got := sweepCellsBatched.Value() - b0; got != n {
 		t.Errorf("batched counter advanced %d, want %d", got, n)
@@ -124,7 +144,7 @@ func batchChaosSchedule() *chaos.Schedule {
 func TestSweepSpecsBitIdentityChaos(t *testing.T) {
 	schedA, schedB := batchChaosSchedule(), batchChaosSchedule()
 	grid := func() []Spec {
-		return batchGrid(t, 300, func(i int, spec *Spec) {
+		return batchGrid(t, 300, pairInits, func(i int, spec *Spec) {
 			// Three chaos groups: schedule A seed 1, schedule A seed 2,
 			// schedule B seed 1 — plus identical per-cell fluid seeds so
 			// only the chaos grouping varies.
@@ -155,13 +175,166 @@ func TestSweepSpecsBitIdentityChaos(t *testing.T) {
 // per-cell RNG streams inside one batch.
 func TestSweepSpecsBitIdentityRandomLoss(t *testing.T) {
 	grid := func() []Spec {
-		return batchGrid(t, 300, func(i int, spec *Spec) {
+		return batchGrid(t, 300, pairInits, func(i int, spec *Spec) {
 			fs := spec.Substrate.(*FluidSpec)
 			fs.Cfg.Loss = fluid.NewPacketLoss(0.003)
 			fs.Cfg.Seed = uint64(77 + i)
 		})
 	}
 	runBothPaths(t, grid, SweepConfig{Workers: 3})
+}
+
+// TestSweepSpecsBitIdentitySplit is the split column of the golden
+// matrix: one-key grids that planBatches cuts into per-worker chunks
+// (plain, one shared chaos schedule, per-cell seeded loss) must match Run
+// on each spec bit for bit at every worker count, with every cell still
+// counted as batched.
+func TestSweepSpecsBitIdentitySplit(t *testing.T) {
+	sched := batchChaosSchedule()
+	cases := []struct {
+		name string
+		grid func() []Spec
+	}{
+		{"plain", func() []Spec { return batchGrid(t, 300, mixedInits, nil) }},
+		{"chaos", func() []Spec {
+			// Chaos groups key on the flow count, so every cell keeps
+			// two senders to stay in the one group.
+			return batchGrid(t, 300, wideInits, func(_ int, spec *Spec) {
+				spec.Chaos, spec.ChaosSeed = sched, 5
+			})
+		}},
+		{"loss", func() []Spec {
+			return batchGrid(t, 300, mixedInits, func(i int, spec *Spec) {
+				fs := spec.Substrate.(*FluidSpec)
+				fs.Cfg.Loss = fluid.NewPacketLoss(0.003)
+				fs.Cfg.Seed = uint64(91 + i)
+			})
+		}},
+	}
+	obs.Enable()
+	defer obs.Disable()
+	for _, c := range cases {
+		for _, w := range splitWorkers {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(t *testing.T) {
+				n := len(c.grid())
+				if got, want := len(planBatches(c.grid(), w)), min(w, n/minBatchGroup); got != want {
+					t.Fatalf("planned %d chunks, want %d", got, want)
+				}
+				b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
+				runBothPaths(t, c.grid, SweepConfig{Workers: w})
+				if got := sweepCellsBatched.Value() - b0; got != uint64(n) {
+					t.Errorf("batched counter advanced %d, want %d", got, n)
+				}
+				if got := sweepCellsFallback.Value() - f0; got != 0 {
+					t.Errorf("fallback counter advanced %d, want 0", got)
+				}
+			})
+		}
+	}
+}
+
+// TestPlanBatches pins the chunking rule: k = min(workers, n/minBatchGroup)
+// contiguous chunks per group, each of at least minBatchGroup cells,
+// together exactly the group, with lanes balanced to within one cell's
+// lanes of the group's mean.
+func TestPlanBatches(t *testing.T) {
+	// cells builds a one-key grid with the given sender count per cell.
+	cells := func(lanes ...int) []Spec {
+		specs := make([]Spec, len(lanes))
+		for i, n := range lanes {
+			init := make([]float64, n)
+			for j := range init {
+				init[j] = float64(1 + j)
+			}
+			senders, err := fluid.HomogeneousSenders(protocol.Reno(), n, init)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs[i] = Spec{Substrate: &FluidSpec{Cfg: fluidCfg(), Senders: senders, Steps: 100}}
+		}
+		return specs
+	}
+	repeat := func(n int, lanes ...int) []int {
+		var out []int
+		for len(out) < n {
+			out = append(out, lanes[len(out)%len(lanes)])
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		lanes   []int
+		workers int
+		want    [][]int // nil: check the invariants only
+	}{
+		{"one worker", repeat(9, 2), 1, [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8}}},
+		{"auto workers", repeat(4, 2), 0, nil},
+		{"even split", repeat(8, 2), 2, [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}},
+		{"capped by size", repeat(5, 2), 8, [][]int{{0, 1}, {2, 3, 4}}},
+		{"minimum pair", repeat(3, 2), 8, [][]int{{0, 1, 2}}},
+		// 4 heavy cells then 4 light ones: the even-count cut (4|4) would
+		// give 8 vs 4 lanes; balancing cuts at 3 for 6 vs 6.
+		{"lane balanced", []int{2, 2, 2, 2, 1, 1, 1, 1}, 2, [][]int{{0, 1, 2}, {3, 4, 5, 6, 7}}},
+		// The minimum chunk size overrides the lane target: balancing
+		// alone would give the 6-lane cell a chunk to itself.
+		{"minimum wins", []int{6, 1, 1, 1, 1, 1, 1}, 2, [][]int{{0, 1}, {2, 3, 4, 5, 6}}},
+		{"mixed 1/2", repeat(24, 1, 2, 2), 3, nil},
+		{"mixed 2/1", repeat(23, 2, 1), 8, nil},
+		{"mixed odd", repeat(37, 1, 1, 2), 5, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			specs := cells(c.lanes...)
+			chunks := planBatches(specs, c.workers)
+			if c.want != nil && !reflect.DeepEqual(chunks, c.want) {
+				t.Fatalf("chunks %v, want %v", chunks, c.want)
+			}
+			w := c.workers
+			if w < 1 {
+				w = runtime.GOMAXPROCS(0)
+			}
+			n := len(specs)
+			if len(chunks) != min(w, n/minBatchGroup) {
+				t.Fatalf("%d chunks, want min(%d, %d/%d)", len(chunks), w, n, minBatchGroup)
+			}
+			next, total, maxLanes := 0, 0, 0
+			for _, l := range c.lanes {
+				total += l
+				maxLanes = max(maxLanes, l)
+			}
+			for k, chunk := range chunks {
+				if len(chunk) < minBatchGroup {
+					t.Errorf("chunk %d has %d cells, want >= %d", k, len(chunk), minBatchGroup)
+				}
+				lanes := 0
+				for _, i := range chunk {
+					if i != next {
+						t.Fatalf("chunk %d holds cell %d, want %d (contiguous, in order, no gaps)", k, i, next)
+					}
+					next++
+					lanes += c.lanes[i]
+				}
+				// Each cut is at most half a cell's lanes from its ideal
+				// point, so a chunk is within one cell's lanes of the mean.
+				if c.want == nil && math.Abs(float64(lanes)-float64(total)/float64(len(chunks))) > float64(maxLanes) {
+					t.Errorf("chunk %d has %d lanes, mean %v", k, lanes, float64(total)/float64(len(chunks)))
+				}
+			}
+			if next != n {
+				t.Fatalf("chunks cover %d cells, want %d", next, n)
+			}
+		})
+	}
+
+	// Separate keys are separate groups, each split on its own, in order
+	// of first appearance; singleton groups are not batched at all.
+	specs := append(cells(repeat(4, 2)...), cells(1)...)
+	specs[4].Substrate.(*FluidSpec).Steps = 50 // a singleton key
+	specs = append(specs, batchGrid(t, 300, wideInits, nil)[:4]...)
+	want := [][]int{{0, 1}, {2, 3}, {5, 6}, {7, 8}}
+	if got := planBatches(specs, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two-key plan %v, want %v", got, want)
+	}
 }
 
 // TestSweepSpecsFallbackCoverage is the fallback column: non-batchable
@@ -193,7 +366,7 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 		func() fluid.Sender { return fluid.Sender{Proto: protocol.Reno(), Init: 10, Period: 3, Phase: 1} },
 	}
 	grid := func() []Spec {
-		specs := batchGrid(t, 300, nil)
+		specs := batchGrid(t, 300, pairInits, nil)
 		for i, mk := range nonBatchable {
 			cfg := fluidCfg()
 			cfg.Seed = uint64(5000 + i)
@@ -230,8 +403,8 @@ func TestSweepSpecsSingletonGroupFallsBack(t *testing.T) {
 	defer obs.Disable()
 	grid := func() []Spec {
 		// Two cells with different step counts → two singleton groups.
-		a := batchGrid(t, 200, nil)[:1]
-		b := batchGrid(t, 300, nil)[:1]
+		a := batchGrid(t, 200, pairInits, nil)[:1]
+		b := batchGrid(t, 300, pairInits, nil)[:1]
 		return append(a, b...)
 	}
 	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
@@ -248,7 +421,7 @@ func TestSweepSpecsSingletonGroupFallsBack(t *testing.T) {
 // surfaces the same DivergedError that Run produces for it alone.
 func TestSweepSpecsDivergenceFailsFast(t *testing.T) {
 	grid := func() []Spec {
-		specs := batchGrid(t, 300, nil)
+		specs := batchGrid(t, 300, pairInits, nil)
 		cfg := fluid.Config{Infinite: true, PropDelay: 0.021, MaxWindow: math.Inf(1)}
 		specs = append(specs, Spec{
 			Substrate: &FluidSpec{
@@ -274,6 +447,44 @@ func TestSweepSpecsDivergenceFailsFast(t *testing.T) {
 	_, err = Run(context.Background(), specs[len(specs)-1])
 	if !errors.As(err, &de) {
 		t.Fatalf("Run on the diverging cell: error %v is not a DivergedError", err)
+	}
+}
+
+// TestSweepSpecsSplitDivergence puts a diverging cell inside the second
+// chunk of a split group: every worker count must fail with the error
+// the serial sweep returns, which is Run's error for that cell.
+func TestSweepSpecsSplitDivergence(t *testing.T) {
+	const bad = 13 // at Workers 2 the chunks are cells 0-8 and 9-17
+	grid := func() []Spec {
+		specs := batchGrid(t, 300, wideInits, nil)
+		cfg := fluid.Config{Infinite: true, PropDelay: 0.021, MaxWindow: math.Inf(1)}
+		specs[bad].Substrate = &FluidSpec{
+			Cfg: cfg,
+			Senders: []fluid.Sender{
+				{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+				{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+			},
+			Steps: 300,
+		}
+		return specs
+	}
+	if chunks := planBatches(grid(), 2); len(chunks) != 2 || !slices.Contains(chunks[1], bad) {
+		t.Fatalf("cell %d is not in the second of the chunks %v", bad, chunks)
+	}
+	_, runErr := Run(context.Background(), grid()[bad])
+	var de *fluid.DivergedError
+	if !errors.As(runErr, &de) {
+		t.Fatalf("Run on the diverging cell: error %v is not a DivergedError", runErr)
+	}
+	_, serial := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1})
+	if serial == nil || !strings.Contains(serial.Error(), runErr.Error()) {
+		t.Fatalf("serial sweep error %v, want one carrying %v", serial, runErr)
+	}
+	for _, w := range splitWorkers[1:] {
+		_, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: w})
+		if err == nil || err.Error() != serial.Error() {
+			t.Errorf("workers=%d: error %v, want %v", w, err, serial)
+		}
 	}
 }
 
@@ -321,12 +532,14 @@ func (c *stripCollector) ObserveStrip(s Strip) {
 // whether an observer takes whole strips (flow-major columns), takes the
 // per-step fallback, or watches Run on each spec alone. 300 steps is not a
 // multiple of emitStrip, so the final partial strip — column compaction
-// and all — is exercised too, and the grid includes 3-sender cells so
-// column strides differ across the group.
+// and all — is exercised too, and the grid mixes 1-, 2- and 3-sender
+// cells so column strides differ across the group. The grid is one
+// 20-cell key, so every worker count in splitWorkers splits it into
+// chunks differently.
 func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 	const steps = 300
-	run := func(perCell, strip bool) ([][]Step, int) {
-		specs := batchGrid(t, steps, nil)
+	run := func(perCell, strip bool, workers int) ([][]Step, int) {
+		specs := batchGrid(t, steps, mixedInits, nil)
 		for _, n := range []int{3, 3} {
 			senders, err := fluid.HomogeneousSenders(protocol.Reno(), n, []float64{1, 20, 40})
 			if err != nil {
@@ -348,7 +561,7 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 		}
 		if perCell {
 			runPerCell(t, specs)
-		} else if _, err := SweepSpecs(context.Background(), specs, SweepConfig{Workers: 2}); err != nil {
+		} else if _, err := SweepSpecs(context.Background(), specs, SweepConfig{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		out := make([][]Step, len(specs))
@@ -360,27 +573,30 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 		return out, strips
 	}
 
-	base, _ := run(true, false) // Run per spec: one Observe per step
+	base, _ := run(true, false, 1) // Run per spec: one Observe per step
 	for _, leg := range []struct {
 		name  string
 		strip bool
 	}{{"fallback", false}, {"strip", true}} {
-		got, strips := run(false, leg.strip)
-		if leg.strip && strips == 0 {
-			t.Fatal("strip leg delivered no strips; batched path not taken")
-		}
-		for i := range base {
-			if len(got[i]) != len(base[i]) {
-				t.Fatalf("%s leg cell %d: %d steps, want %d", leg.name, i, len(got[i]), len(base[i]))
+		for _, workers := range splitWorkers {
+			name := fmt.Sprintf("%s leg workers=%d", leg.name, workers)
+			got, strips := run(false, leg.strip, workers)
+			if leg.strip && strips == 0 {
+				t.Fatalf("%s delivered no strips; batched path not taken", name)
 			}
-			for k := range base[i] {
-				g, w := got[i][k], base[i][k]
-				if g.Index != w.Index || g.Total != w.Total || g.RTT != w.RTT || g.Loss != w.Loss {
-					t.Fatalf("%s leg cell %d step %d: %+v, want %+v", leg.name, i, k, g, w)
+			for i := range base {
+				if len(got[i]) != len(base[i]) {
+					t.Fatalf("%s cell %d: %d steps, want %d", name, i, len(got[i]), len(base[i]))
 				}
-				for f := range w.Windows {
-					if math.Float64bits(g.Windows[f]) != math.Float64bits(w.Windows[f]) {
-						t.Fatalf("%s leg cell %d step %d flow %d: window %v, want %v", leg.name, i, k, f, g.Windows[f], w.Windows[f])
+				for k := range base[i] {
+					g, w := got[i][k], base[i][k]
+					if g.Index != w.Index || g.Total != w.Total || g.RTT != w.RTT || g.Loss != w.Loss {
+						t.Fatalf("%s cell %d step %d: %+v, want %+v", name, i, k, g, w)
+					}
+					for f := range w.Windows {
+						if math.Float64bits(g.Windows[f]) != math.Float64bits(w.Windows[f]) {
+							t.Fatalf("%s cell %d step %d flow %d: window %v, want %v", name, i, k, f, g.Windows[f], w.Windows[f])
+						}
 					}
 				}
 			}

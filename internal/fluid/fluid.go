@@ -256,8 +256,11 @@ func (l *Link) congestion(x float64) (rtt, loss float64) {
 // Batch — one body, so the two paths are bit-identical by construction.
 // cfg must already have defaults applied.
 func congestionAt(cfg *Config, step int, x float64) (rtt, loss float64) {
+	// 2Θ inline rather than cfg.BaseRTT(): the value receiver would copy
+	// the whole Config on every call of this per-cell-step hot path.
+	base := 2 * cfg.PropDelay
 	if cfg.Infinite {
-		return cfg.BaseRTT(), 0
+		return base, 0
 	}
 	b := cfg.Bandwidth
 	if cfg.BandwidthSchedule != nil {
@@ -272,7 +275,7 @@ func congestionAt(cfg *Config, step int, x float64) (rtt, loss float64) {
 	tau := cfg.Buffer
 	if x < c+tau {
 		// eq. 1's queueing branch; loss needs X > C+τ, so none here.
-		rtt = math.Max(cfg.BaseRTT(), (x-c)/b+cfg.BaseRTT())
+		rtt = math.Max(base, (x-c)/b+base)
 		if cfg.Perturb != nil && rtt > cfg.TimeoutRTT {
 			// A flapped link's queueing delay explodes as 1/b; the
 			// timeout cap is the model's "sender gave up" bound.

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -91,6 +92,9 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &sp, nil
 }
 
+// validate applies the spec-only rules (a non-empty grid, senders >= 2,
+// the grid-size limit) and then every Cell rule to every value the spec
+// can put into a cell.
 func (sp *Spec) validate() error {
 	if len(sp.Protocols) == 0 {
 		return fmt.Errorf("jobd: spec: no protocols")
@@ -98,37 +102,14 @@ func (sp *Spec) validate() error {
 	if sp.Senders < 2 {
 		return fmt.Errorf("jobd: spec: senders must be >= 2 (fairness is undefined below that), got %d", sp.Senders)
 	}
-	if sp.Senders > maxSenders {
-		return fmt.Errorf("jobd: spec: senders %d exceeds the limit %d", sp.Senders, maxSenders)
-	}
-	if sp.Steps < 0 || sp.Steps > maxSteps {
-		return fmt.Errorf("jobd: spec: steps %d outside [0, %d]", sp.Steps, maxSteps)
-	}
-	if sp.TailFrac < 0 || sp.TailFrac >= 1 || !finite(sp.TailFrac) {
-		return fmt.Errorf("jobd: spec: tail_frac %v outside [0, 1)", sp.TailFrac)
-	}
 	if len(sp.Link.Mbps) == 0 || len(sp.Link.RTTms) == 0 || len(sp.Link.BufferMSS) == 0 {
 		return fmt.Errorf("jobd: spec: link grid needs at least one mbps, rtt_ms, and buffer_mss value")
 	}
-	for _, v := range sp.Link.Mbps {
-		if !finite(v) || v <= 0 {
-			return fmt.Errorf("jobd: spec: mbps %v must be finite and positive", v)
-		}
-	}
-	for _, v := range sp.Link.RTTms {
-		if !finite(v) || v <= 0 {
-			return fmt.Errorf("jobd: spec: rtt_ms %v must be finite and positive", v)
-		}
-	}
-	for _, v := range sp.Link.BufferMSS {
-		if !finite(v) || v < 0 {
-			return fmt.Errorf("jobd: spec: buffer_mss %v must be finite and non-negative", v)
-		}
-	}
 	// Multiply axis by axis and stop once over the limit, so the product
 	// cannot overflow and wrap back under it.
-	n := len(sp.Protocols)
-	for _, axis := range []int{len(sp.Link.Mbps), len(sp.Link.RTTms), len(sp.Link.BufferMSS)} {
+	axes := []int{len(sp.Protocols), len(sp.Link.Mbps), len(sp.Link.RTTms), len(sp.Link.BufferMSS)}
+	n := 1
+	for _, axis := range axes {
 		if n <= maxCellsPerJob {
 			n *= axis
 		}
@@ -136,13 +117,23 @@ func (sp *Spec) validate() error {
 	if n > maxCellsPerJob {
 		return fmt.Errorf("jobd: spec: grid of %d cells exceeds the %d-cell limit", n, maxCellsPerJob)
 	}
-	for _, ps := range sp.Protocols {
-		if _, err := protocol.Parse(ps); err != nil {
-			return fmt.Errorf("jobd: spec: %w", err)
+	// Cell j takes value min(j, len-1) of every axis, so these cells hold
+	// every axis value at least once. The chaos schedule is the same bytes
+	// in every cell; only the first carries it, so it is parsed once.
+	for j := range slices.Max(axes) {
+		c := Cell{
+			Proto:     sp.Protocols[min(j, len(sp.Protocols)-1)],
+			Senders:   sp.Senders,
+			Mbps:      sp.Link.Mbps[min(j, len(sp.Link.Mbps)-1)],
+			RTTms:     sp.Link.RTTms[min(j, len(sp.Link.RTTms)-1)],
+			BufferMSS: sp.Link.BufferMSS[min(j, len(sp.Link.BufferMSS)-1)],
+			Steps:     sp.Steps,
+			TailFrac:  sp.TailFrac,
 		}
-	}
-	if len(sp.Chaos) > 0 {
-		if _, err := chaos.Parse(sp.Chaos); err != nil {
+		if j == 0 {
+			c.Chaos = sp.Chaos
+		}
+		if err := c.validate(); err != nil {
 			return fmt.Errorf("jobd: spec: %w", err)
 		}
 	}
@@ -182,6 +173,41 @@ type Cell struct {
 	TailFrac  float64         `json:"tail_frac,omitempty"`
 	Chaos     json.RawMessage `json:"chaos,omitempty"`
 	ChaosSeed uint64          `json:"chaos_seed,omitempty"`
+}
+
+// validate applies the per-field rules every cell must meet, whether it
+// was expanded from a parsed Spec or read off a worker shard's stdin:
+// a known protocol, 1 to maxSenders senders, steps in [0, maxSteps],
+// tail_frac in [0, 1), finite positive mbps and rtt_ms, a finite
+// non-negative buffer_mss and a parseable chaos schedule.
+func (c *Cell) validate() error {
+	if c.Senders < 1 || c.Senders > maxSenders {
+		return fmt.Errorf("senders %d outside [1, %d]", c.Senders, maxSenders)
+	}
+	if c.Steps < 0 || c.Steps > maxSteps {
+		return fmt.Errorf("steps %d outside [0, %d]", c.Steps, maxSteps)
+	}
+	if c.TailFrac < 0 || c.TailFrac >= 1 || !finite(c.TailFrac) {
+		return fmt.Errorf("tail_frac %v outside [0, 1)", c.TailFrac)
+	}
+	if !finite(c.Mbps) || c.Mbps <= 0 {
+		return fmt.Errorf("mbps %v must be finite and positive", c.Mbps)
+	}
+	if !finite(c.RTTms) || c.RTTms <= 0 {
+		return fmt.Errorf("rtt_ms %v must be finite and positive", c.RTTms)
+	}
+	if !finite(c.BufferMSS) || c.BufferMSS < 0 {
+		return fmt.Errorf("buffer_mss %v must be finite and non-negative", c.BufferMSS)
+	}
+	if _, err := protocol.Parse(c.Proto); err != nil {
+		return err
+	}
+	if len(c.Chaos) > 0 {
+		if _, err := chaos.Parse(c.Chaos); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Expand enumerates the grid in deterministic order: protocols

@@ -21,6 +21,10 @@ var badSpecs = []string{
 	`{"protocols":["nosuch"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,        // unknown protocol
 	`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"x":true}`, // unknown field
 	`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"chaos":{"events":[{"kind":"bogus","at":1}]}}`,
+	`{"protocols":["reno","cubic","nosuch"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]}}`,      // bad value late on the longest axis
+	`{"protocols":["reno","cubic","scalable"],"senders":2,"link":{"mbps":[20,-1],"rtt_ms":[42],"buffer_mss":[100]}}`, // bad value late on a shorter axis
+	`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"tail_frac":7}`,
+	`{"protocols":["reno"],"senders":2,"link":{"mbps":[20],"rtt_ms":[42],"buffer_mss":[100]},"steps":1048577}`,
 }
 
 func TestParseSpecValidates(t *testing.T) {

@@ -1,6 +1,8 @@
 package jobd
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,44 +73,72 @@ type wireResult struct {
 
 // WorkerMain is the worker-shard entry point: an NDJSON request/reply
 // loop over in/out that computes one cell per task. It returns on EOF
-// (parent closed stdin — a normal shutdown) and on any encode error
-// (parent died mid-stream). Workers are deliberately storeless: the
-// parent owns the persistent tier and dedupes before dispatching, so a
-// worker is a pure deterministic cell evaluator whose only state is its
-// in-memory run session.
+// (parent closed stdin — a normal shutdown), on a line that is not a
+// task frame (the stream is broken) and on any encode error (parent
+// died mid-stream). Workers are deliberately storeless: the parent owns
+// the persistent tier and dedupes before dispatching, so a worker is a
+// pure deterministic cell evaluator whose only state is its in-memory
+// run session.
 func WorkerMain(in io.Reader, out io.Writer) error {
 	hold := parseHold(os.Getenv(holdEnv))
 	sess := metrics.NewSession()
 	sess.SetStore(nil)
-	dec := json.NewDecoder(in)
+	r := bufio.NewReader(in)
 	enc := json.NewEncoder(out)
 	for {
-		var t wireTask
-		if err := dec.Decode(&t); err != nil {
-			if err == io.EOF {
-				return nil
+		line, readErr := r.ReadBytes('\n')
+		if readErr != nil && readErr != io.EOF {
+			return fmt.Errorf("jobd: worker read: %w", readErr)
+		}
+		if len(bytes.TrimSpace(line)) > 0 {
+			t, reject, err := decodeTask(line)
+			if err != nil {
+				return err
 			}
-			return fmt.Errorf("jobd: worker decode: %w", err)
+			res := reject
+			if res == nil {
+				hold.maybeStall(t.Cell.Index, t.Attempt)
+				res = &wireResult{ID: t.ID}
+				if s, err := computeCell(t.Cell, sess); err != nil {
+					res.Err = err.Error()
+				} else {
+					sb := EncodeScores(s)
+					res.Scores = &sb
+				}
+			}
+			if err := enc.Encode(res); err != nil {
+				return fmt.Errorf("jobd: worker encode: %w", err)
+			}
 		}
-		hold.maybeStall(t.Cell.Index, t.Attempt)
-		res := wireResult{ID: t.ID}
-		if s, err := computeCell(t.Cell, sess); err != nil {
-			res.Err = err.Error()
-		} else {
-			sb := EncodeScores(s)
-			res.Scores = &sb
-		}
-		if err := enc.Encode(res); err != nil {
-			return fmt.Errorf("jobd: worker encode: %w", err)
+		if readErr == io.EOF {
+			return nil
 		}
 	}
 }
 
-// computeCell scores one cell: build the link config, parse the
-// protocol, run the eight-metric characterization. Everything is
-// deterministic in the cell's fields, which is what lets crashed or
-// timed-out cells retry anywhere and reproduce the same bits.
+// decodeTask decodes and checks one NDJSON task line. A line that is not
+// a task frame returns err, and the worker exits. A frame whose cell
+// breaks a Cell rule returns the task with reject set: the error reply
+// the worker sends in place of scores, so one bad cell never kills a
+// shard. Otherwise the task is ready to compute.
+func decodeTask(line []byte) (t wireTask, reject *wireResult, err error) {
+	if err := json.Unmarshal(line, &t); err != nil {
+		return wireTask{}, nil, fmt.Errorf("jobd: worker decode: %w", err)
+	}
+	if err := t.Cell.validate(); err != nil {
+		return t, &wireResult{ID: t.ID, Err: "jobd: cell: " + err.Error()}, nil
+	}
+	return t, nil, nil
+}
+
+// computeCell checks and scores one cell: validate it, build the link
+// config, parse the protocol, run the eight-metric characterization.
+// Everything is deterministic in the cell's fields, which is what lets
+// crashed or timed-out cells retry anywhere and reproduce the same bits.
 func computeCell(c Cell, sess *metrics.Session) (metrics.Scores, error) {
+	if err := c.validate(); err != nil {
+		return metrics.Scores{}, fmt.Errorf("jobd: cell: %w", err)
+	}
 	p, err := protocol.Parse(c.Proto)
 	if err != nil {
 		return metrics.Scores{}, err
