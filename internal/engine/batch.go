@@ -337,9 +337,10 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 		out  batchOut
 		done bool
 		// Strip-mined emission buffers, nil when the cell has no
-		// observers. Emitting round-robin across the group — one Observe
-		// per cell per step — touches every observer's working set every
-		// step, which thrashes the cache badly enough to cancel the SoA
+		// observers (or only TailObservers that want no steps).
+		// Emitting round-robin across the group — one Observe per cell
+		// per step — touches every observer's working set every step,
+		// which thrashes the cache badly enough to cancel the SoA
 		// stepping win. Buffering emitStrip steps per cell and flushing
 		// one cell at a time keeps each observer hot for a run of
 		// consecutive Observe calls. Per-stream observation order is
@@ -351,7 +352,7 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 		// matching the Strip layout so full strips flush without a
 		// transpose; partial strips compact their columns in place first.
 		flows   int
-		base    int // step index of the first buffered entry
+		base    int // step index of the first buffered entry, from firstObserved on
 		n       int // buffered entries
 		windows []float64
 		row     []float64 // per-step gather scratch for plain Observers
@@ -366,9 +367,10 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 			cfg := b.Config(j)
 			runs[j].tr = trace.New(len(cells[j].Senders), cfg.Capacity(), cfg.BaseRTT(), steps)
 		}
-		if len(specs[i].Observers) > 0 {
+		if from := firstObserved(specs[i].Observers, steps); from < steps {
 			f := len(cells[j].Senders)
 			runs[j].flows = f
+			runs[j].base = from
 			runs[j].windows = make([]float64, emitStrip*f)
 			runs[j].row = make([]float64, f)
 			runs[j].rtt = make([]float64, emitStrip)
@@ -457,7 +459,8 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 			if r.tr != nil {
 				r.tr.Append(w, b.RTT(j), b.CongLoss(j))
 			}
-			if r.windows != nil {
+			// Before the first observed step, base is still ahead of s.
+			if r.windows != nil && s >= r.base {
 				total := 0.0
 				off := r.n
 				for k, v := range w {

@@ -10,7 +10,8 @@
 // sample as it is produced, so axiom estimators can run online over a
 // fixed-size ring buffer instead of a full trace. The two are independent
 // — a sweep that only needs streaming statistics sets Record to false and
-// allocates O(tail) instead of O(steps) per cell.
+// allocates O(tail) instead of O(steps) per cell. Observers that read
+// only that tail (TailObserver) are handed only the tail's steps.
 //
 // Sweep is the companion orchestrator: it shards any cell grid across a
 // worker pool with context cancellation, deterministic per-cell seeds,
@@ -57,6 +58,38 @@ type ObserverFunc func(Step)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(s Step) { f(s) }
 
+// TailObserver is an optional Observer upgrade for observers that read
+// nothing but the last TailSteps() steps of a run, such as the
+// tail-window estimators, whose rings hold a fixed number of samples.
+// When every observer of a FluidSpec or TopoSpec run (per-cell or on the
+// grid-batch path) implements it, the engine still simulates, checks and
+// records every step but builds and emits only the last
+// max(TailSteps()) of them, so an observer's first Step.Index (or
+// Strip.Start) may be greater than zero. Implementations must count
+// such a forward jump past the steps they have seen as that many
+// withheld steps. PacketSpec emits every tick regardless: its tick
+// count is only a hint.
+type TailObserver interface {
+	Observer
+	TailSteps() int
+}
+
+// firstObserved returns the index of the first of a run's steps steps
+// that observers are handed: steps minus the longest tail any of them
+// reads, or 0 when one of them is not a TailObserver. With no observers
+// it is steps, so nothing is built for them.
+func firstObserved(observers []Observer, steps int) int {
+	tail := 0
+	for _, o := range observers {
+		to, ok := o.(TailObserver)
+		if !ok {
+			return 0
+		}
+		tail = max(tail, to.TailSteps())
+	}
+	return max(0, steps-tail)
+}
+
 // Meta describes a substrate before it runs, so observers can size their
 // buffers: the number of senders, the link capacity C and base RTT
 // (zero for nettopo, where they are per-link), and the expected number
@@ -84,8 +117,10 @@ type Spec struct {
 	// that consume only streamed observers leave it false to avoid
 	// allocating full traces.
 	Record bool
-	// Observers receive every sample in order. All observers see the same
-	// Step value.
+	// Observers receive every sample in order, except that a fluid or
+	// topology run whose observers all implement TailObserver skips the
+	// samples before the longest tail they read. All observers see the
+	// same Step value.
 	Observers []Observer
 	// Chaos, when non-nil, is a fault-injection schedule compiled against
 	// the substrate's shape (flows × links) and applied while it runs.

@@ -60,7 +60,7 @@ func (s *FluidSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 		cfg := l.Config()
 		tr = trace.New(len(s.Senders), cfg.Capacity(), cfg.BaseRTT(), s.Steps)
 	}
-	observe := len(spec.Observers) > 0
+	from := firstObserved(spec.Observers, s.Steps)
 	for i := 0; i < s.Steps; i++ {
 		if i&0xff == 0 {
 			if err := ctx.Err(); err != nil {
@@ -74,7 +74,7 @@ func (s *FluidSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 		if tr != nil {
 			tr.Append(res.Windows, res.RTT, res.CongLoss)
 		}
-		if observe {
+		if i >= from {
 			total := 0.0
 			for _, w := range res.Windows {
 				total += w
@@ -175,8 +175,11 @@ func (s *TopoSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	var obs func(*nettopo.StepResult)
-	if len(spec.Observers) > 0 {
+	if from := firstObserved(spec.Observers, s.Steps); from < s.Steps {
 		obs = func(res *nettopo.StepResult) {
+			if res.Step < from {
+				return
+			}
 			total := 0.0
 			for _, w := range res.Windows {
 				total += w

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -20,6 +21,15 @@ func TestStreamObserveAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.Observe(step) }); avg != 0 {
 		t.Fatalf("Stream.Observe allocates %.2f times per step, want 0", avg)
+	}
+	// The gap path: each step's index jumps past the samples seen, as
+	// after steps the engine withheld, so every ring skips first.
+	gap := func() {
+		step.Index = s.Steps() + 3
+		s.Observe(step)
+	}
+	if avg := testing.AllocsPerRun(1000, gap); avg != 0 {
+		t.Fatalf("Stream.Observe after a gap allocates %.2f times per step, want 0", avg)
 	}
 }
 
@@ -52,6 +62,13 @@ func TestStreamObserveStripAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { s.ObserveStrip(strip) }); avg != 0 {
 		t.Fatalf("Stream.ObserveStrip allocates %.2f times per strip, want 0", avg)
 	}
+	gap := func() {
+		strip.Start = s.Steps() + 5
+		s.ObserveStrip(strip)
+	}
+	if avg := testing.AllocsPerRun(1000, gap); avg != 0 {
+		t.Fatalf("Stream.ObserveStrip after a gap allocates %.2f times per strip, want 0", avg)
+	}
 }
 
 // TestTopoStreamObserveAllocFree pins the same contract for topology
@@ -74,5 +91,35 @@ func TestTopoStreamObserveAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { s.Observe(step) }); avg != 0 {
 		t.Fatalf("TopoStream.Observe allocates %.2f times per step, want 0", avg)
+	}
+	gap := func() {
+		step.Index = s.Steps() + 3
+		s.Observe(step)
+	}
+	if avg := testing.AllocsPerRun(1000, gap); avg != 0 {
+		t.Fatalf("TopoStream.Observe after a gap allocates %.2f times per step, want 0", avg)
+	}
+}
+
+// TestTopoRunAllocFreePerStep pins the engine path of a streamed
+// topology run: engine.Run of a TopoSpec observed by a TopoStream makes
+// the same allocations at 400 and at 4000 steps, so nothing on it
+// allocates per step.
+func TestTopoRunAllocFreePerStep(t *testing.T) {
+	links, flows := topoFixture()
+	allocs := func(steps int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			st := NewTopoStream(links, flows, steps, DefaultTailFrac)
+			_, err := engine.Run(context.Background(), engine.Spec{
+				Substrate: &engine.TopoSpec{Links: links, Flows: flows, Steps: steps},
+				Observers: []engine.Observer{st},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(400), allocs(4000); short != long {
+		t.Fatalf("engine.Run of a streamed topology allocates %.0f times at 400 steps and %.0f at 4000, want equal", short, long)
 	}
 }

@@ -53,8 +53,34 @@ func NewStream(meta engine.Meta, tailFrac float64) *Stream {
 	return s
 }
 
+// TailSteps implements engine.TailObserver: nothing older than the
+// rings retain can reach a score, so the engine may withhold the steps
+// before them.
+func (s *Stream) TailSteps() int { return s.total.Cap() }
+
+// skipTo accounts for steps the engine withheld (see
+// engine.TailObserver). A step index past the samples seen so far means
+// the steps between were never emitted, so every ring skips them. A
+// withheld step is a push that later pushes overwrite, so the rings end
+// up retaining the same samples in the same order. An index at or behind
+// Count, as a replay that always sends index 0, pushes as before.
+func (s *Stream) skipTo(index int) {
+	gap := index - s.total.Count()
+	if gap <= 0 {
+		return
+	}
+	for i := range s.windows {
+		s.windows[i].Skip(gap)
+		s.goodput[i].Skip(gap)
+	}
+	s.total.Skip(gap)
+	s.rtt.Skip(gap)
+	s.loss.Skip(gap)
+}
+
 // Observe implements engine.Observer.
 func (s *Stream) Observe(st engine.Step) {
+	s.skipTo(st.Index)
 	for i, w := range st.Windows {
 		s.windows[i].Push(w)
 		g := 0.0
@@ -77,6 +103,7 @@ func (s *Stream) Observe(st engine.Step) {
 // would have pushed — goodput uses the same guarded w·(1−loss)/RTT
 // expression — so the resulting stream state is bit-identical.
 func (s *Stream) ObserveStrip(st engine.Strip) {
+	s.skipTo(st.Start)
 	c := st.Count
 	for i := range s.windows {
 		s.windows[i].PushSlice(st.Windows[i*c : (i+1)*c])
@@ -103,7 +130,7 @@ func (s *Stream) ObserveStrip(st engine.Strip) {
 	s.loss.PushSlice(st.Loss)
 }
 
-// Steps returns the number of samples observed.
+// Steps returns the number of samples observed, withheld ones included.
 func (s *Stream) Steps() int { return s.total.Count() }
 
 // TailFrac returns the tail fraction the stream scores over.

@@ -25,6 +25,8 @@ import (
 // load/loss rings.
 type TopoStream struct {
 	tailFrac float64
+	steps    int       // steps observed, withheld ones included
+	retain   int       // ring capacity
 	linkCap  []float64 // C_l per link
 	paths    [][]int   // link indices per flow
 	baseRTT  []float64 // unloaded RTT per flow (path 2Θ sum + ExtraRTT)
@@ -45,6 +47,7 @@ func NewTopoStream(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, horizon i
 	capGoal := stats.TailLen(horizon, tailFrac) + horizonSlack
 	s := &TopoStream{
 		tailFrac: tailFrac,
+		retain:   capGoal,
 		linkCap:  make([]float64, len(links)),
 		paths:    make([][]int, len(flows)),
 		baseRTT:  make([]float64, len(flows)),
@@ -73,12 +76,36 @@ func NewTopoStream(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, horizon i
 	return s
 }
 
+// TailSteps implements engine.TailObserver: nothing older than the
+// rings retain can reach a score.
+func (s *TopoStream) TailSteps() int { return s.retain }
+
+// skipTo accounts for steps the engine withheld, as Stream.skipTo does.
+func (s *TopoStream) skipTo(index int) {
+	gap := index - s.steps
+	if gap <= 0 {
+		return
+	}
+	for f := range s.windows {
+		s.windows[f].Skip(gap)
+		s.goodput[f].Skip(gap)
+		s.flowRTT[f].Skip(gap)
+	}
+	for l := range s.linkLoad {
+		s.linkLoad[l].Skip(gap)
+		s.linkLoss[l].Skip(gap)
+	}
+	s.steps = index
+}
+
 // Observe implements engine.Observer; it consumes Step.Topo.
 func (s *TopoStream) Observe(st engine.Step) {
 	t := st.Topo
 	if t == nil {
 		return
 	}
+	s.skipTo(st.Index)
+	s.steps++
 	for f := range s.windows {
 		w := t.Windows[f]
 		s.windows[f].Push(w)
@@ -95,13 +122,8 @@ func (s *TopoStream) Observe(st engine.Step) {
 	}
 }
 
-// Steps returns the number of samples observed.
-func (s *TopoStream) Steps() int {
-	if len(s.linkLoad) == 0 {
-		return 0
-	}
-	return s.linkLoad[0].Count()
-}
+// Steps returns the number of samples observed, withheld ones included.
+func (s *TopoStream) Steps() int { return s.steps }
 
 // TailFrac returns the tail fraction the stream scores over.
 func (s *TopoStream) TailFrac() float64 { return s.tailFrac }

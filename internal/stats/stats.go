@@ -6,6 +6,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -266,10 +267,16 @@ func GeoMean(xs []float64) float64 {
 // observers use it to retain exactly the tail of a series whose total
 // length is only approximately known up front: push every sample, then
 // extract the last k. Pushing to a zero-capacity ring only counts.
+//
+// Skip accounts for samples that were never delivered: they count, and
+// they take ring slots, but they hold no data. The ring tracks how many
+// of its most recent samples are genuine, so a tail that would reach a
+// skipped or evicted sample is detected instead of returned.
 type Ring struct {
 	buf   []float64
 	next  int // write position
-	count int // total samples pushed
+	count int // total samples pushed or skipped
+	valid int // most recent samples genuinely pushed and still retained
 }
 
 // NewRing returns a ring retaining the last capacity samples.
@@ -280,6 +287,9 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]float64, capacity)}
 }
 
+// Cap returns the number of samples the ring retains.
+func (r *Ring) Cap() int { return len(r.buf) }
+
 // Push appends one sample, evicting the oldest retained sample when full.
 func (r *Ring) Push(v float64) {
 	if len(r.buf) > 0 {
@@ -287,6 +297,9 @@ func (r *Ring) Push(v float64) {
 		r.next++
 		if r.next == len(r.buf) {
 			r.next = 0
+		}
+		if r.valid < len(r.buf) {
+			r.valid++
 		}
 	}
 	r.count++
@@ -303,6 +316,7 @@ func (r *Ring) PushSlice(vals []float64) {
 	if n == 0 || len(vals) == 0 {
 		return
 	}
+	r.valid = min(r.valid+len(vals), n)
 	v := vals
 	if len(v) > n {
 		// Sequential pushes would overwrite all but the last n values;
@@ -318,16 +332,33 @@ func (r *Ring) PushSlice(vals []float64) {
 	r.next = (r.next + len(v)) % n
 }
 
-// Count returns the total number of samples pushed.
+// Skip accounts for n samples that are never delivered: Count and the
+// write position advance exactly as n pushes would move them, but no slot
+// is written. Once at least Cap genuine samples follow, the ring is in
+// the same state as if the skipped samples had been pushed, because those
+// pushes would have been overwritten by then. Skip with n <= 0 does
+// nothing.
+func (r *Ring) Skip(n int) {
+	if n <= 0 {
+		return
+	}
+	r.count += n
+	if len(r.buf) > 0 {
+		r.next = (r.next + n) % len(r.buf)
+	}
+	r.valid = 0
+}
+
+// Count returns the total number of samples pushed or skipped.
 func (r *Ring) Count() int { return r.count }
 
 // Last returns a fresh slice of the most recent k samples in push order.
-// k is clamped to the number of samples still retained.
-func (r *Ring) Last(k int) []float64 { return r.appendLast(nil, k) }
+// k is clamped to the number of genuine samples still retained.
+func (r *Ring) Last(k int) []float64 { return r.appendLast(nil, min(k, r.valid)) }
 
 // appendLast appends the most recent k samples, in push order, to dst.
+// k must not exceed r.valid.
 func (r *Ring) appendLast(dst []float64, k int) []float64 {
-	k = min(k, r.count, len(r.buf))
 	if k <= 0 {
 		return dst
 	}
@@ -357,11 +388,19 @@ func TailLen(n int, f float64) int {
 }
 
 // LastTail returns the f-tail of the pushed series, identical to
-// Tail(series, f) as long as the ring's capacity covered it.
+// Tail(series, f). It panics when the tail reaches past the oldest
+// genuine sample the ring still retains — a ring too small for the
+// series, or a tail that covers skipped samples — rather than return a
+// short or unwritten tail.
 func (r *Ring) LastTail(f float64) []float64 { return r.AppendTail(nil, f) }
 
 // AppendTail appends LastTail(f) to dst, so a caller scanning several
-// tails one at a time can reuse one buffer.
+// tails one at a time can reuse one buffer. It panics as LastTail does.
 func (r *Ring) AppendTail(dst []float64, f float64) []float64 {
-	return r.appendLast(dst, TailLen(r.count, f))
+	k := TailLen(r.count, f)
+	if k > r.valid {
+		panic(fmt.Sprintf("stats: a %d-sample tail of a %d-sample series reaches past the ring, which retains only the last %d genuine samples (capacity %d)",
+			k, r.count, r.valid, len(r.buf)))
+	}
+	return r.appendLast(dst, k)
 }

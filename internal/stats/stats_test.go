@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -366,5 +368,155 @@ func TestRingPushSliceBoundaries(t *testing.T) {
 				t.Fatalf("cap %d sizes %v: count %d vs %d", capacity, sizes, bulk.Count(), ref.Count())
 			}
 		}
+	}
+}
+
+// tailOf returns r.LastTail(f), or ok false when LastTail panics.
+func tailOf(r *Ring, f float64) (tail []float64, ok bool) {
+	defer func() {
+		if recover() != nil {
+			tail, ok = nil, false
+		}
+	}()
+	return r.LastTail(f), true
+}
+
+// ringSkipMismatch replays ops on a ring that skips and on a reference
+// ring that pushes instead, then pushes capacity+extra real samples to
+// both and describes the first difference in Count, write position or
+// any tail, or returns "". Each op byte is a Push (b%3 == 0), a
+// PushSlice of b/3 samples (b%3 == 1) or a Skip of b/3 samples
+// (b%3 == 2); the reference pushes those skipped samples with values
+// that never appear otherwise.
+func ringSkipMismatch(capacity, extra int, ops []byte) string {
+	r, ref := NewRing(capacity), NewRing(capacity)
+	v := 0.0
+	next := func() float64 { v++; return v }
+	for _, b := range ops {
+		n := int(b / 3)
+		switch b % 3 {
+		case 0:
+			x := next()
+			r.Push(x)
+			ref.Push(x)
+		case 1:
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = next()
+			}
+			r.PushSlice(vals)
+			for _, x := range vals {
+				ref.Push(x)
+			}
+		case 2:
+			r.Skip(n)
+			for i := 0; i < n; i++ {
+				ref.Push(-next())
+			}
+		}
+	}
+	for i := 0; i < capacity+extra; i++ {
+		x := next()
+		r.Push(x)
+		ref.Push(x)
+	}
+	if r.Count() != ref.Count() {
+		return fmt.Sprintf("count %d, want %d", r.Count(), ref.Count())
+	}
+	if r.next != ref.next {
+		return fmt.Sprintf("write position %d, want %d", r.next, ref.next)
+	}
+	if got, want := r.Last(capacity), ref.Last(capacity); !slices.Equal(got, want) {
+		return fmt.Sprintf("Last(%d) %v, want %v", capacity, got, want)
+	}
+	for _, f := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		got, gotOK := tailOf(r, f)
+		want, wantOK := tailOf(ref, f)
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			return fmt.Sprintf("LastTail(%v) %v (ok %v), want %v (ok %v)", f, got, gotOK, want, wantOK)
+		}
+	}
+	return ""
+}
+
+// Property: skipping samples instead of pushing them is invisible once
+// a full ring of real samples follows — same Count, write position and
+// tails as pushing everything — for any interleaving of Push, PushSlice
+// and Skip.
+func TestRingSkipMatchesPush(t *testing.T) {
+	f := func(capRaw, extraRaw uint8, ops []byte) bool {
+		if d := ringSkipMismatch(int(capRaw%37), int(extraRaw%5), ops); d != "" {
+			t.Log(d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func FuzzRingSkip(f *testing.F) {
+	f.Add(uint8(8), uint8(0), []byte{0, 2 + 3*20, 1 + 3*5})
+	f.Add(uint8(1), uint8(3), []byte{2 + 3*1, 0, 2 + 3*7})
+	f.Add(uint8(0), uint8(1), []byte{1 + 3*4, 2 + 3*9})
+	f.Add(uint8(16), uint8(2), []byte{1 + 3*40, 2 + 3*3, 1 + 3*2, 2 + 3*16})
+	f.Fuzz(func(t *testing.T, capRaw, extraRaw uint8, ops []byte) {
+		if d := ringSkipMismatch(int(capRaw%65), int(extraRaw%9), ops); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// TestRingTailGuard pins the ring's refusal to return a tail it does not
+// hold: a tail longer than the ring, or one that reaches a skipped
+// sample, panics, while Last clamps to the genuine samples retained.
+func TestRingTailGuard(t *testing.T) {
+	panics := func(r *Ring, f float64) bool {
+		_, ok := tailOf(r, f)
+		return !ok
+	}
+	small := NewRing(4)
+	for i := 0; i < 10; i++ {
+		small.Push(float64(i))
+	}
+	if !panics(small, 0.5) { // 5 samples from a 4-slot ring
+		t.Fatal("LastTail(0.5) of 10 samples in a 4-slot ring did not panic")
+	}
+	if got := small.LastTail(0.75); !slices.Equal(got, []float64{7, 8, 9}) {
+		t.Fatalf("LastTail(0.75) = %v, want [7 8 9]", got)
+	}
+
+	r := NewRing(8)
+	r.PushSlice([]float64{1, 2, 3, 4})
+	r.Skip(4)
+	r.Push(5)
+	r.Push(6)
+	if r.Count() != 10 {
+		t.Fatalf("Count = %d, want 10", r.Count())
+	}
+	if got := r.LastTail(0.8); !slices.Equal(got, []float64{5, 6}) {
+		t.Fatalf("LastTail(0.8) = %v, want [5 6]", got)
+	}
+	if !panics(r, 0.5) {
+		t.Fatal("LastTail(0.5) reaching skipped samples did not panic")
+	}
+	if got := r.Last(5); !slices.Equal(got, []float64{5, 6}) {
+		t.Fatalf("Last(5) = %v, want the genuine [5 6]", got)
+	}
+	r.Skip(0)
+	r.Skip(-3)
+	if r.Count() != 10 || len(r.Last(8)) != 2 {
+		t.Fatalf("Skip(0)/Skip(-3) changed the ring: count %d, %d retained", r.Count(), len(r.Last(8)))
+	}
+
+	zero := NewRing(0)
+	zero.Push(1)
+	zero.Skip(3)
+	if zero.Count() != 4 || !panics(zero, 0.5) {
+		t.Fatalf("zero-capacity ring: count %d, want 4 and a panicking tail", zero.Count())
+	}
+	if got := NewRing(3).LastTail(0.5); len(got) != 0 {
+		t.Fatalf("empty ring tail = %v, want empty", got)
 	}
 }
