@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,7 +38,8 @@ func goldenValues(vals ...any) []string {
 
 // experimentsGolden is the layout of testdata/experiments_golden.json:
 // the rows of the experiments whose runs resolve through the run cache,
-// in the order each experiment returns them.
+// then the packet-level hierarchy and Table 2 rows, in the order each
+// experiment returns them.
 type experimentsGolden struct {
 	Robustness      []goldenRow `json:"robustness"`
 	ChaosRobustness []goldenRow `json:"robustness_chaos"`
@@ -45,7 +47,13 @@ type experimentsGolden struct {
 	Figure1Checks   []goldenRow `json:"figure1_checks"`
 	Theorem3        []goldenRow `json:"theorem3"`
 	MoreAggressive  []goldenRow `json:"more_aggressive"`
+	Hierarchy       []goldenRow `json:"hierarchy"`
+	Table2          []goldenRow `json:"table2"`
 }
+
+// goldenPacketSeconds is the simulated time of every packet run in the
+// hierarchy and Table 2 fixture rows.
+const goldenPacketSeconds = 10
 
 // goldenSteps is the short horizon every experiment fixture row runs at.
 const goldenSteps = 800
@@ -117,12 +125,46 @@ func measureExperimentsGolden(t *testing.T) experimentsGolden {
 		}
 		g.MoreAggressive = append(g.MoreAggressive, goldenRow{pair.name, goldenValues(more)})
 	}
+
+	hier, err := Hierarchy(HierarchyConfig{
+		Senders:    []int{2, 3},
+		Bandwidths: []float64{20},
+		Buffers:    []int{10, 100},
+		Duration:   goldenPacketSeconds,
+		Seed:       3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range hier.Cells {
+		for i, name := range c.Names {
+			g.Hierarchy = append(g.Hierarchy, goldenRow{
+				fmt.Sprintf("n=%d bw=%g buf=%d %s", c.N, c.Mbps, c.Buffer, name),
+				goldenValues(c.Efficiency[i], c.Loss[i], c.Fairness[i], c.Convergence[i])})
+		}
+	}
+
+	t2, err := Table2(Table2Config{
+		Senders:    []int{2, 3},
+		Bandwidths: []float64{20},
+		Duration:   goldenPacketSeconds,
+		Seeds:      2,
+		Seed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range t2.Cells {
+		g.Table2 = append(g.Table2, goldenRow{fmt.Sprintf("(%d,%g)", c.N, c.Mbps),
+			goldenValues(c.RAIMD, c.PCC, c.Improvement)})
+	}
 	return g
 }
 
 // TestExperimentsGolden pins, bit for bit, the rows of the robustness
-// sweeps, the parking lot, the Figure 1 spot checks, the Theorem 3 check
-// and two MoreAggressive relations (testdata/experiments_golden.json).
+// sweeps, the parking lot, the Figure 1 spot checks, the Theorem 3 check,
+// two MoreAggressive relations, and a small §5.1 hierarchy grid and
+// Table 2 grid on the packet simulator (testdata/experiments_golden.json).
 // The route each experiment's runs take through the run cache may
 // change freely; any drift in a value's bits fails here. Regenerate only
 // for an intentional change: `go test ./internal/experiment -run
@@ -171,6 +213,8 @@ func TestExperimentsGolden(t *testing.T) {
 	diff("figure1_checks", got.Figure1Checks, fx.Figure1Checks)
 	diff("theorem3", got.Theorem3, fx.Theorem3)
 	diff("more_aggressive", got.MoreAggressive, fx.MoreAggressive)
+	diff("hierarchy", got.Hierarchy, fx.Hierarchy)
+	diff("table2", got.Table2, fx.Table2)
 	if !t.Failed() {
 		t.Errorf("fixture bytes differ from the measured rows:\n%s", raw)
 	}

@@ -1,0 +1,169 @@
+package packetsim
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/protocol"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/runs_golden.json")
+
+// goldenDuration is the simulated time of every pinned run: 50 ticks of
+// goldenLink's 80 ms sampling interval, which is also the chaos step.
+const goldenDuration = 4
+
+// goldenLink is a small bottleneck (C = 20 MSS, 25-packet buffer) that
+// congests within the first second, so every run exercises drops.
+func goldenLink() Config {
+	return Config{Bandwidth: 500, PropDelay: 0.02, Buffer: 25, Tick: 0.08}
+}
+
+// goldenCase is one pinned run. setup builds a fresh config and flow set
+// on every call: a compiled chaos injector carries its own clock.
+type goldenCase struct {
+	name  string
+	setup func(t *testing.T) (Config, []Flow)
+}
+
+// chaosCase runs Reno against Cubic on goldenLink under the schedule.
+func chaosCase(name string, events ...chaos.Event) goldenCase {
+	return goldenCase{name, func(t *testing.T) (Config, []Flow) {
+		cfg := goldenLink()
+		inj, err := (&chaos.Schedule{Events: events}).Compile(11, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Perturb = inj
+		return cfg, []Flow{{Proto: protocol.Reno(), Init: 1}, {Proto: protocol.CubicLinux(), Init: 8}}
+	}}
+}
+
+func goldenCases() []goldenCase {
+	return []goldenCase{
+		{"droptail", func(*testing.T) (Config, []Flow) {
+			return goldenLink(), []Flow{{Proto: protocol.Reno(), Init: 1}, {Proto: protocol.Scalable(), Init: 10}}
+		}},
+		{"red-random-loss", func(*testing.T) (Config, []Flow) {
+			cfg := goldenLink()
+			cfg.Queue = NewRED(5, 20, 0.1, 25)
+			cfg.RandomLoss = 0.01
+			cfg.Seed = 9
+			return cfg, []Flow{{Proto: protocol.Reno(), Init: 1}, {Proto: protocol.NewRobustAIMD(1, 0.8, 0.01), Init: 4}}
+		}},
+		{"extra-delay-staggered", func(*testing.T) (Config, []Flow) {
+			return goldenLink(), []Flow{
+				{Proto: protocol.Reno(), Init: 1, ExtraDelay: 0.01},
+				{Proto: protocol.CubicLinux(), Init: 1, ExtraDelay: 0.03, Start: 1.3},
+			}
+		}},
+		chaosCase("rtt-jitter", chaos.Event{Kind: chaos.KindRTTJitter, At: 5, Duration: 40, Amplitude: 0.01}),
+		chaosCase("base-rtt-step-down",
+			chaos.Event{Kind: chaos.KindBaseRTTStep, At: 10, Delta: 0.02},
+			chaos.Event{Kind: chaos.KindBaseRTTStep, At: 25, Delta: -0.035}),
+		chaosCase("capacity-flap",
+			chaos.Event{Kind: chaos.KindLinkFlap, At: 15, Duration: 5},
+			chaos.Event{Kind: chaos.KindCapacityScale, At: 30, Duration: 10, Scale: 0.5}),
+		chaosCase("flow-churn",
+			chaos.Event{Kind: chaos.KindFlowDepart, At: 15, Flow: 1},
+			chaos.Event{Kind: chaos.KindFlowArrive, At: 30, Flow: 1}),
+	}
+}
+
+// goldenRun is one run's outputs as hex: Delivered as integers, every
+// float as its IEEE-754 bit pattern, each series space-separated.
+type goldenRun struct {
+	Name            string   `json:"name"`
+	Delivered       []string `json:"delivered"`
+	DeliveredSeries []string `json:"delivered_series"`
+	RTT             string   `json:"rtt"`
+	Loss            string   `json:"loss"`
+}
+
+func hexBits(vs []float64) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = strconv.FormatUint(math.Float64bits(v), 16)
+	}
+	return strings.Join(parts, " ")
+}
+
+func measureGoldenRun(t *testing.T, c goldenCase) goldenRun {
+	t.Helper()
+	cfg, flows := c.setup(t)
+	res, err := Run(cfg, flows, goldenDuration)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	g := goldenRun{Name: c.name, RTT: hexBits(res.Trace.RTT()), Loss: hexBits(res.Trace.Loss())}
+	for i, d := range res.Delivered {
+		g.Delivered = append(g.Delivered, strconv.FormatInt(d, 16))
+		g.DeliveredSeries = append(g.DeliveredSeries, hexBits(res.DeliveredSeries[i]))
+	}
+	return g
+}
+
+// TestRunsGolden pins, bit for bit, the delivered counts, per-tick
+// delivery series and trace RTT/loss of packet runs covering droptail,
+// RED with random loss, per-flow extra delay with a staggered start, and
+// chaos schedules that jitter the RTT, step it down, flap the link and
+// churn a flow (testdata/runs_golden.json). The event loop may be
+// restructured freely; any change in event order shows here. Regenerate
+// only for an intentional change: `go test ./internal/packetsim -run
+// TestRunsGolden -update`.
+func TestRunsGolden(t *testing.T) {
+	var got []goldenRun
+	for _, c := range goldenCases() {
+		got = append(got, measureGoldenRun(t, c))
+	}
+	raw, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw, '\n')
+	path := filepath.Join("testdata", "runs_golden.json")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if bytes.Equal(raw, want) {
+		return
+	}
+	var fx []goldenRun
+	if err := json.Unmarshal(want, &fx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(got) || i < len(fx); i++ {
+		switch {
+		case i >= len(fx):
+			t.Errorf("run %q: not in fixture", got[i].Name)
+		case i >= len(got):
+			t.Errorf("run %q: missing", fx[i].Name)
+		default:
+			a, _ := json.Marshal(got[i])
+			b, _ := json.Marshal(fx[i])
+			if !bytes.Equal(a, b) {
+				t.Errorf("run %q:\n got %s\nwant %s", got[i].Name, a, b)
+			}
+		}
+	}
+	if !t.Failed() {
+		t.Errorf("fixture bytes differ from the measured runs:\n%s", raw)
+	}
+}
