@@ -24,7 +24,9 @@
 // "floor_keys" array names keys that regress on any decrease (quality
 // floors such as frontier_points). Declared keys from both records are
 // unioned with the built-ins and compared regardless of machine shape,
-// so a new benchmark file gates itself without a benchcmp change.
+// so a new benchmark file gates itself without a benchcmp change. A
+// declaration takes precedence over the suffix rules above: a declared
+// exact packet_allocs_per_op is compared exactly, not within the limit.
 package benchcmp
 
 import (
@@ -120,7 +122,28 @@ func Compare(oldRaw, newRaw []byte, limit float64) (Report, error) {
 			}
 			continue
 		}
+		// Declared exact and floor keys are machine-independent by
+		// declaration, so they win over the timing and rate suffix rules:
+		// an exact foo_allocs_per_op is gated on any growth everywhere.
 		switch {
+		case exact[k]:
+			r := Result{Key: k, Old: ov, New: nv, Regressed: nv > ov}
+			if ov > 0 {
+				r.Ratio = nv / ov
+			}
+			if r.Regressed {
+				rep.Regressions++
+			}
+			rep.Results = append(rep.Results, r)
+		case floor[k]:
+			r := Result{Key: k, Old: ov, New: nv, Regressed: nv < ov}
+			if ov > 0 {
+				r.Ratio = nv / ov
+			}
+			if r.Regressed {
+				rep.Regressions++
+			}
+			rep.Results = append(rep.Results, r)
 		case isTimingKey(k):
 			if rep.TimingSkipped {
 				continue
@@ -142,24 +165,6 @@ func Compare(oldRaw, newRaw []byte, limit float64) (Report, error) {
 			if ov > 0 {
 				r.Ratio = nv / ov
 				r.Regressed = r.Ratio < 1/limit
-			}
-			if r.Regressed {
-				rep.Regressions++
-			}
-			rep.Results = append(rep.Results, r)
-		case exact[k]:
-			r := Result{Key: k, Old: ov, New: nv, Regressed: nv > ov}
-			if ov > 0 {
-				r.Ratio = nv / ov
-			}
-			if r.Regressed {
-				rep.Regressions++
-			}
-			rep.Results = append(rep.Results, r)
-		case floor[k]:
-			r := Result{Key: k, Old: ov, New: nv, Regressed: nv < ov}
-			if ov > 0 {
-				r.Ratio = nv / ov
 			}
 			if r.Regressed {
 				rep.Regressions++

@@ -201,6 +201,39 @@ func TestCompareDeclaredExactKeysBite(t *testing.T) {
 	}
 }
 
+func TestCompareDeclaredExactKeyBeatsSuffixRule(t *testing.T) {
+	// An _allocs_per_op key declared exact is compared exactly: one
+	// extra allocation regresses although it is far inside the timing
+	// limit, and a different machine shape does not skip it.
+	const rec = `{
+  "os": "linux", "arch": "amd64", "max_procs": 8,
+  "exact_keys": ["packet_allocs_per_op"],
+  "packet_allocs_per_op": 45,
+  "packet_ns_per_op": 1000000
+}`
+	for _, shape := range []string{`"max_procs": 8`, `"max_procs": 2`} {
+		newRec := strings.NewReplacer(
+			`"max_procs": 8`, shape,
+			`"packet_allocs_per_op": 45`, `"packet_allocs_per_op": 46`,
+		).Replace(rec)
+		rep, err := Compare([]byte(rec), []byte(newRec), 1.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Regressions != 1 {
+			t.Fatalf("%s: one extra alloc on a declared exact key not flagged exactly once:\n%s", shape, Format(rep))
+		}
+	}
+	fewer := strings.Replace(rec, `"packet_allocs_per_op": 45`, `"packet_allocs_per_op": 30`, 1)
+	rep, err := Compare([]byte(rec), []byte(fewer), 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Regressions != 0 {
+		t.Fatalf("fewer allocs flagged as regression:\n%s", Format(rep))
+	}
+}
+
 func TestCompareDeclaredFloorKeysBite(t *testing.T) {
 	// Floor keys are quality counters: shrinking them regresses, growing
 	// them is fine.
