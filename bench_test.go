@@ -15,7 +15,7 @@ package axiomcc_test
 //	BenchmarkAblation*             design-choice ablations
 //	BenchmarkFluidStep / BenchmarkPacketSimSecond   raw simulator cost
 //
-// Three benchmarks double as CI perf baselines and emit JSON records:
+// Four benchmarks double as CI perf baselines and emit JSON records:
 // BenchmarkSweep (BENCH_sweep.json) compares the per-cell serial code
 // path to the orchestrated engine (engine.Sweep for the packet grid,
 // engine.SweepSpecs' SoA grid-batch path for the fluid grid), with both
@@ -29,8 +29,10 @@ package axiomcc_test
 // the adaptive frontier explorer's cell economy against the dense grid
 // it replaces — cells_evaluated/cells_simulated are exact-gated and
 // frontier_points/cells_reduction are floor-gated via the record's
-// declared key lists. BenchmarkGridStep tracks the raw batch stepping
-// rate as the grid grows.
+// declared key lists; BenchmarkPacketSimSecond (BENCH_packet.json)
+// exact-gates the packet simulator's delivered packets and allocs/op.
+// BenchmarkGridStep tracks the raw batch stepping rate as the grid
+// grows.
 
 import (
 	"context"
@@ -936,16 +938,65 @@ func BenchmarkFluidStep(b *testing.B) {
 }
 
 // BenchmarkPacketSimSecond measures the cost of one simulated second on
-// the packet-level 20 Mbps link with two flows (~3.3k packets).
+// the packet-level 20 Mbps link with two flows (~1.4k packets) and writes
+// BENCH_packet.json. packets_delivered and packet_allocs_per_op are
+// declared exact: the run is deterministic, so either growing is a real
+// change on any machine (the allocation count stays flat once the event
+// and bottleneck rings reach their peak occupancy).
 func BenchmarkPacketSimSecond(b *testing.B) {
 	cfg := experiment.EmulabLink(20, 100)
 	flows := []axiomcc.PacketFlow{
 		{Proto: axiomcc.Reno(), Init: 1},
 		{Proto: axiomcc.CubicLinux(), Init: 1},
 	}
+	var delivered int64
+	var ms0, ms1 runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := axiomcc.RunPacketLevel(cfg, flows, 1); err != nil {
+		res, err := axiomcc.RunPacketLevel(cfg, flows, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		delivered = 0
+		for _, d := range res.Delivered {
+			delivered += d
+		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	n := int64(b.N)
+	rec := benchPacketRecord{
+		GoVersion:         runtime.Version(),
+		GOOS:              runtime.GOOS,
+		GOARCH:            runtime.GOARCH,
+		MaxProcs:          runtime.GOMAXPROCS(0),
+		ExactKeys:         []string{"packets_delivered", "packet_allocs_per_op"},
+		PacketNsPerOp:     b.Elapsed().Nanoseconds() / n,
+		PacketAllocsPerOp: int64(ms1.Mallocs-ms0.Mallocs) / n,
+		PacketsDelivered:  delivered,
+	}
+	raw, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile("BENCH_packet.json", append(raw, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.Logf("wrote BENCH_packet.json (%d packets, %d allocs/op)", rec.PacketsDelivered, rec.PacketAllocsPerOp)
+}
+
+// benchPacketRecord is the schema of BENCH_packet.json, the packet
+// simulator baseline BenchmarkPacketSimSecond writes (and CI uploads as
+// an artifact).
+type benchPacketRecord struct {
+	GoVersion         string   `json:"go_version"`
+	GOOS              string   `json:"os"`
+	GOARCH            string   `json:"arch"`
+	MaxProcs          int      `json:"max_procs"`
+	ExactKeys         []string `json:"exact_keys"`
+	PacketNsPerOp     int64    `json:"packet_ns_per_op"`
+	PacketAllocsPerOp int64    `json:"packet_allocs_per_op"`
+	PacketsDelivered  int64    `json:"packets_delivered"`
 }

@@ -24,6 +24,8 @@ func TestConfigValidation(t *testing.T) {
 		{Bandwidth: 100, PropDelay: 0, Buffer: 10},
 		{Bandwidth: 100, PropDelay: 0.021, Buffer: -1},
 		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, RandomLoss: 1},
+		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, Tick: -0.04},
+		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, Tick: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, []Flow{{Proto: protocol.Reno()}}, 1); err == nil {
@@ -35,6 +37,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(link20(), []Flow{{Proto: nil}}, 1); err == nil {
 		t.Error("nil protocol accepted")
+	}
+	for _, f := range []Flow{
+		{Proto: protocol.Reno(), ExtraDelay: math.NaN()},
+		{Proto: protocol.Reno(), Start: math.NaN()},
+	} {
+		if _, err := Run(link20(), []Flow{f}, 1); err == nil {
+			t.Errorf("flow %+v accepted", f)
+		}
 	}
 	if _, err := Run(link20(), []Flow{{Proto: protocol.Reno()}}, 0); err == nil {
 		t.Error("zero duration accepted")
