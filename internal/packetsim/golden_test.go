@@ -65,6 +65,14 @@ func goldenCases() []goldenCase {
 				{Proto: protocol.CubicLinux(), Init: 1, ExtraDelay: 0.03, Start: 1.3},
 			}
 		}},
+		{"shared-extra-delay", func(*testing.T) (Config, []Flow) {
+			return goldenLink(), []Flow{
+				{Proto: protocol.Reno(), Init: 1, ExtraDelay: 0.01},
+				{Proto: protocol.CubicLinux(), Init: 2, ExtraDelay: 0.025, Start: 0.7},
+				{Proto: protocol.Scalable(), Init: 1, ExtraDelay: 0.01, Start: 1.1},
+				{Proto: protocol.NewRobustAIMD(1, 0.8, 0.01), Init: 3, Start: 1.9},
+			}
+		}},
 		chaosCase("rtt-jitter", chaos.Event{Kind: chaos.KindRTTJitter, At: 5, Duration: 40, Amplitude: 0.01}),
 		chaosCase("base-rtt-step-down",
 			chaos.Event{Kind: chaos.KindBaseRTTStep, At: 10, Delta: 0.02},
@@ -113,8 +121,8 @@ func measureGoldenRun(t *testing.T, c goldenCase) goldenRun {
 
 // TestRunsGolden pins, bit for bit, the delivered counts, per-tick
 // delivery series and trace RTT/loss of packet runs covering droptail,
-// RED with random loss, per-flow extra delay with a staggered start, and
-// chaos schedules that jitter the RTT, step it down, flap the link and
+// RED with random loss, per-flow extra delay with a staggered start, four
+// staggered flows of which two share an extra delay, and chaos schedules that jitter the RTT, step it down, flap the link and
 // churn a flow (testdata/runs_golden.json). The event loop may be
 // restructured freely; any change in event order shows here. Regenerate
 // only for an intentional change: `go test ./internal/packetsim -run
