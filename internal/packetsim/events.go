@@ -15,11 +15,13 @@ const (
 	evTick
 )
 
+// event is 32 bytes: the key, then the payload with its narrow fields
+// last, so a ring slot or heap swap moves half a cache line.
 type event struct {
 	eventKey
-	kind   evKind
-	sender int
 	sentAt float64 // send timestamp for RTT measurement (evAck)
+	sender int32   // -1 for the departure and the tick
+	kind   evKind
 }
 
 // eventKey is an event's place in the simulator's strict total order:
@@ -41,43 +43,63 @@ func (k *eventKey) before(o *eventKey) bool {
 var idle = eventKey{at: math.Inf(1), id: math.MaxUint64}
 
 // eventQueue is the simulator's pending-event set. ACK clocking gives
-// most events a per-sender FIFO structure (see DESIGN.md §3.2), so the
-// queue keeps one source per event class and pops the least (at, id)
-// over their heads:
+// most events a FIFO structure (see DESIGN.md §3.2): senders with equal
+// ExtraDelay form a delay class, and each class schedules its packet
+// events at delays that are constant within the class. The queue keeps
+// one source per such stream and pops the least (at, id) over their
+// heads:
 //
-//   - fifos[i], i < n: sender i's queue arrivals, scheduled at
-//     now + ExtraDelay — a per-sender constant, so their times never
-//     decrease;
-//   - fifos[n+i]: sender i's ACKs and loss notifications, scheduled at
-//     now + returnDelay(i), constant unless a Perturber shifts the RTT;
-//   - slots[i]: sender i's flow start or monitor end (one is pending at
-//     a time), slots[n] the departure, slots[n+1] the tick;
-//   - spill: every push that would break its source's order — earlier
-//     than its FIFO's tail, or into an occupied slot.
+//   - fifos[c], c < k: class c's queue arrivals, scheduled at
+//     now + ExtraDelay, so their times never decrease;
+//   - fifos[k+c]: class c's ACKs and loss notifications, scheduled at
+//     now + 2Θ + ExtraDelay unless a Perturber shifts the RTT;
+//   - depart: the pending departure, of which there is at most one;
+//   - timers: a min-heap of the rare timers (flow starts, monitor ends,
+//     the tick) and of the pushes that would break another source's
+//     order — earlier than their FIFO's tail, or a second departure.
 //
 // Each source pops in (at, id) order and ids grow with every push, so
 // the least head is the least pending event: the pop sequence is the
 // one a single priority queue over all events gives, for any push
-// sequence. The invariants above only keep the spill empty.
+// sequence. The invariants above only keep the FIFOs' pushes out of the
+// heap.
 type eventQueue struct {
-	n     int
+	class []int32 // sender → delay class
 	fifos []ring[event]
-	slots []event
-	// heads holds the head key of fifos[i] at i and of slots[j] at
-	// len(fifos)+j, idle when empty: one contiguous scan per pop.
+	// heads holds the head key of fifos[i] at i, of depart at len(fifos)
+	// and of timers at len(fifos)+1, idle when empty: one contiguous
+	// scan per pop.
 	heads  []eventKey
-	spill  eventHeap
+	depart event
+	timers eventHeap
 	nextID uint64
-	// spilled counts pushes that went to the spill heap.
+	// spilled counts pushes that break a FIFO's order or double the
+	// departure; timers do not count.
 	spilled int
 }
 
-func newEventQueue(senders int) eventQueue {
+// newEventQueue returns an empty queue for the flows, one delay class
+// per distinct ExtraDelay.
+func newEventQueue(flows []Flow) eventQueue {
+	class := make([]int32, len(flows))
+	k := int32(0)
+	for i := range flows {
+		class[i] = k
+		for j := range i {
+			if flows[j].ExtraDelay == flows[i].ExtraDelay {
+				class[i] = class[j]
+				break
+			}
+		}
+		if class[i] == k {
+			k++
+		}
+	}
 	q := eventQueue{
-		n:     senders,
-		fifos: make([]ring[event], 2*senders),
-		slots: make([]event, senders+2),
-		heads: make([]eventKey, 3*senders+2),
+		class:  class,
+		fifos:  make([]ring[event], 2*k),
+		heads:  make([]eventKey, 2*k+2),
+		timers: make(eventHeap, 0, len(flows)+2),
 	}
 	for i := range q.heads {
 		q.heads[i] = idle
@@ -89,12 +111,12 @@ func newEventQueue(senders int) eventQueue {
 // sender is -1 for the departure and the tick.
 func (q *eventQueue) push(at float64, kind evKind, sender int, sentAt float64) {
 	q.nextID++
-	e := event{eventKey: eventKey{at: at, id: q.nextID}, kind: kind, sender: sender, sentAt: sentAt}
+	e := event{eventKey: eventKey{at: at, id: q.nextID}, sentAt: sentAt, sender: int32(sender), kind: kind}
 	switch kind {
 	case evQueueArrive, evAck, evLossNotify:
-		src := sender
+		src := int(q.class[sender])
 		if kind != evQueueArrive {
-			src += q.n
+			src += len(q.fifos) / 2
 		}
 		if f := &q.fifos[src]; f.n == 0 || f.back().at <= at {
 			if f.n == 0 {
@@ -103,26 +125,16 @@ func (q *eventQueue) push(at float64, kind evKind, sender int, sentAt float64) {
 			f.push(e)
 			return
 		}
-	default:
-		slot := q.slotOf(kind, sender)
-		if src := len(q.fifos) + slot; q.heads[src] == idle {
-			q.slots[slot] = e
-			q.heads[src] = e.eventKey
+		q.spilled++
+	case evQueueDepart:
+		if h := &q.heads[len(q.fifos)]; *h == idle {
+			q.depart, *h = e, e.eventKey
 			return
 		}
+		q.spilled++
 	}
-	q.spilled++
-	q.spill.push(e)
-}
-
-func (q *eventQueue) slotOf(kind evKind, sender int) int {
-	switch kind {
-	case evQueueDepart:
-		return q.n
-	case evTick:
-		return q.n + 1
-	}
-	return sender
+	q.timers.push(e)
+	q.heads[len(q.fifos)+1] = q.timers[0].eventKey
 }
 
 // pop removes and returns the least pending event; ok is false when
@@ -135,12 +147,10 @@ func (q *eventQueue) pop() (e event, ok bool) {
 			best = i
 		}
 	}
-	switch {
-	case len(q.spill) > 0 && q.spill[0].before(&heads[best]):
-		return q.spill.pop(), true
+	switch nf := len(q.fifos); {
 	case heads[best] == idle:
 		return event{}, false
-	case best < len(q.fifos):
+	case best < nf:
 		f := &q.fifos[best]
 		e = f.pop()
 		if f.n > 0 {
@@ -149,13 +159,21 @@ func (q *eventQueue) pop() (e event, ok bool) {
 			heads[best] = idle
 		}
 		return e, true
+	case best == nf:
+		heads[best] = idle
+		return q.depart, true
 	}
-	heads[best] = idle
-	return q.slots[best-len(q.fifos)], true
+	e = q.timers.pop()
+	if len(q.timers) > 0 {
+		heads[best] = q.timers[0].eventKey
+	} else {
+		heads[best] = idle
+	}
+	return e, true
 }
 
 // eventHeap is a binary min-heap of events under eventKey.before. It is
-// eventQueue's spill and the reference priority queue the queue's
+// eventQueue's timer heap and the reference priority queue the queue's
 // differential tests and fuzzer compare against.
 type eventHeap []event
 

@@ -90,21 +90,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects a config the simulator cannot run. The comparisons are
+// written so that NaN fails them.
 func (c Config) validate() error {
-	if c.Bandwidth <= 0 {
-		return fmt.Errorf("packetsim: bandwidth must be positive, got %v", c.Bandwidth)
+	if !(c.Bandwidth > 0) || math.IsInf(c.Bandwidth, 1) {
+		return fmt.Errorf("packetsim: bandwidth must be positive and finite, got %v", c.Bandwidth)
 	}
-	if c.PropDelay <= 0 {
-		return fmt.Errorf("packetsim: propagation delay must be positive, got %v", c.PropDelay)
+	if !(c.PropDelay > 0) || math.IsInf(c.PropDelay, 1) {
+		return fmt.Errorf("packetsim: propagation delay must be positive and finite, got %v", c.PropDelay)
 	}
 	if c.Buffer < 0 {
 		return fmt.Errorf("packetsim: buffer must be non-negative, got %d", c.Buffer)
 	}
-	if c.RandomLoss < 0 || c.RandomLoss >= 1 {
+	if !(c.RandomLoss >= 0 && c.RandomLoss < 1) {
 		return fmt.Errorf("packetsim: random loss must be in [0,1), got %v", c.RandomLoss)
 	}
-	if !(c.Tick >= 0) {
-		return fmt.Errorf("packetsim: tick must be non-negative, got %v", c.Tick)
+	if !(c.Tick >= 0) || math.IsInf(c.Tick, 1) {
+		return fmt.Errorf("packetsim: tick must be non-negative and finite, got %v", c.Tick)
 	}
 	return nil
 }
@@ -282,6 +284,10 @@ func RunObserved(ctx context.Context, cfg Config, flows []Flow, duration float64
 	return s.result, nil
 }
 
+// maxPresizedTicks caps the per-tick series sized up front; a longer run
+// grows them as it goes.
+const maxPresizedTicks = 1 << 20
+
 // newSim validates the inputs and returns a simulation with every flow
 // start and the first tick scheduled.
 func newSim(cfg Config, flows []Flow, duration float64, obs func(TickSample)) (*sim, error) {
@@ -291,22 +297,34 @@ func newSim(cfg Config, flows []Flow, duration float64, obs func(TickSample)) (*
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("packetsim: at least one flow required")
 	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("packetsim: duration must be positive, got %v", duration)
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return nil, fmt.Errorf("packetsim: duration must be positive and finite, got %v", duration)
+	}
+	for i, f := range flows {
+		if f.Proto == nil {
+			return nil, fmt.Errorf("packetsim: flow %d has nil protocol", i)
+		}
+		if !(f.ExtraDelay >= 0) {
+			return nil, fmt.Errorf("packetsim: flow %d extra delay must be non-negative, got %v", i, f.ExtraDelay)
+		}
+		if math.IsNaN(f.Start) {
+			return nil, fmt.Errorf("packetsim: flow %d has a NaN start time", i)
+		}
 	}
 	cfg = cfg.withDefaults()
 
 	s := &sim{
 		cfg:           cfg,
 		flows:         flows,
-		events:        newEventQueue(len(flows)),
+		events:        newEventQueue(flows),
 		rng:           rand64.New(cfg.Seed),
 		senders:       make([]senderState, len(flows)),
 		tickDelivered: make([]float64, len(flows)),
 		obs:           obs,
 		windowScratch: make([]float64, len(flows)),
 	}
-	ticks := int(duration/cfg.Tick) + 1
+	// The float bound keeps the conversion in range for any finite run.
+	ticks := int(math.Min(duration/cfg.Tick, maxPresizedTicks)) + 1
 	s.result = &Result{
 		Delivered:       make([]int64, len(flows)),
 		DeliveredSeries: make([][]float64, len(flows)),
@@ -320,18 +338,9 @@ func newSim(cfg Config, flows []Flow, duration float64, obs func(TickSample)) (*
 		s.result.Trace = trace.New(len(flows), cfg.Capacity(), 2*cfg.PropDelay, ticks)
 	}
 	for i, f := range flows {
-		if f.Proto == nil {
-			return nil, fmt.Errorf("packetsim: flow %d has nil protocol", i)
-		}
 		init := f.Init
 		if init == 0 {
 			init = 1
-		}
-		if !(f.ExtraDelay >= 0) {
-			return nil, fmt.Errorf("packetsim: flow %d extra delay must be non-negative, got %v", i, f.ExtraDelay)
-		}
-		if math.IsNaN(f.Start) {
-			return nil, fmt.Errorf("packetsim: flow %d has a NaN start time", i)
 		}
 		s.senders[i] = senderState{
 			proto:   f.Proto.Clone(),
@@ -371,22 +380,23 @@ func (s *sim) run(ctx context.Context, duration float64) error {
 // handle advances the clock to e and applies it.
 func (s *sim) handle(e event) {
 	s.now = e.at
+	i := int(e.sender)
 	switch e.kind {
 	case evFlowStart:
-		st := &s.senders[e.sender]
+		st := &s.senders[i]
 		st.started = true
-		s.events.push(s.now+s.miLen(e.sender), evMonitorEnd, e.sender, 0)
-		s.trySend(e.sender)
+		s.events.push(s.now+s.miLen(i), evMonitorEnd, i, 0)
+		s.trySend(i)
 	case evQueueArrive:
-		s.arrive(e.sender, e.sentAt)
+		s.arrive(i, e.sentAt)
 	case evQueueDepart:
 		s.depart()
 	case evAck:
-		s.ack(e.sender, e.sentAt)
+		s.ack(i, e.sentAt)
 	case evLossNotify:
-		s.lossNotify(e.sender)
+		s.lossNotify(i)
 	case evMonitorEnd:
-		s.monitorEnd(e.sender)
+		s.monitorEnd(i)
 	case evTick:
 		s.tick()
 		s.events.push(s.now+s.cfg.Tick, evTick, -1, 0)

@@ -26,6 +26,12 @@ func TestConfigValidation(t *testing.T) {
 		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, RandomLoss: 1},
 		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, Tick: -0.04},
 		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, Tick: math.NaN()},
+		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, Tick: math.Inf(1)},
+		{Bandwidth: math.NaN(), PropDelay: 0.021, Buffer: 10},
+		{Bandwidth: math.Inf(1), PropDelay: 0.021, Buffer: 10},
+		{Bandwidth: 100, PropDelay: math.NaN(), Buffer: 10},
+		{Bandwidth: 100, PropDelay: math.Inf(1), Buffer: 10},
+		{Bandwidth: 100, PropDelay: 0.021, Buffer: 10, RandomLoss: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, []Flow{{Proto: protocol.Reno()}}, 1); err == nil {
@@ -46,8 +52,16 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("flow %+v accepted", f)
 		}
 	}
-	if _, err := Run(link20(), []Flow{{Proto: protocol.Reno()}}, 0); err == nil {
-		t.Error("zero duration accepted")
+	for _, d := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := Run(link20(), []Flow{{Proto: protocol.Reno()}}, d); err == nil {
+			t.Errorf("duration %v accepted", d)
+		}
+	}
+	// A finite run longer than int ticks is valid; only its presize is capped.
+	long := link20()
+	long.DisableTrace = true
+	if _, err := newSim(long, []Flow{{Proto: protocol.Reno()}}, math.MaxFloat64, nil); err != nil {
+		t.Errorf("MaxFloat64 duration rejected: %v", err)
 	}
 }
 
