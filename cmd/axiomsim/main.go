@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -93,6 +94,9 @@ func main() {
 	if !(*tailFrac >= 0 && *tailFrac < 1) {
 		fatal(fmt.Errorf("-tail %v outside [0, 1)", *tailFrac))
 	}
+	if !(*lossRate >= 0 && *lossRate < 1) {
+		fatal(fmt.Errorf("-loss %v outside [0, 1)", *lossRate))
+	}
 	protos, err := parseProtocols(*protoSpecs)
 	if err != nil {
 		fatal(err)
@@ -168,6 +172,11 @@ func main() {
 			metrics.LatencyAvoidanceFromTrace(tr, *tailFrac))
 
 	case "packet":
+		// The packet queue holds whole packets: the conversion to int
+		// must neither wrap nor take a NaN.
+		if !(*buffer >= 0 && *buffer < math.MaxInt) {
+			fatal(fmt.Errorf("-buffer %v: the packet model needs a finite, non-negative packet count", *buffer))
+		}
 		cfg := axiomcc.PacketConfig{
 			Bandwidth:  axiomcc.MbpsToMSSps(*mbps),
 			PropDelay:  theta,

@@ -46,22 +46,38 @@ const (
 	FriendlyToReno
 )
 
+// claims gives each Claim, by index, its name and the score it reads
+// off a run's summary.
+var claims = [...]struct {
+	name  string
+	score func(*metrics.StreamSummary) float64
+}{
+	Efficient:      {"efficient", func(s *metrics.StreamSummary) float64 { return s.Efficiency }},
+	LossAvoiding:   {"loss-avoiding", func(s *metrics.StreamSummary) float64 { return s.LossAvoidance }},
+	Fair:           {"fair", (*metrics.StreamSummary).Fairness},
+	Convergent:     {"convergent", func(s *metrics.StreamSummary) float64 { return s.Convergence }},
+	FriendlyToReno: {"friendly-to-reno", func(s *metrics.StreamSummary) float64 { return s.Friendliness([]int{0}, []int{1}) }},
+}
+
+func (c Claim) known() bool { return c >= 0 && int(c) < len(claims) }
+
 // String implements fmt.Stringer.
 func (c Claim) String() string {
-	switch c {
-	case Efficient:
-		return "efficient"
-	case LossAvoiding:
-		return "loss-avoiding"
-	case Fair:
-		return "fair"
-	case Convergent:
-		return "convergent"
-	case FriendlyToReno:
-		return "friendly-to-reno"
-	default:
-		return fmt.Sprintf("claim(%d)", int(c))
+	if c.known() {
+		return claims[c].name
 	}
+	return fmt.Sprintf("claim(%d)", int(c))
+}
+
+// sign orients a claim's measurements so that lower is always more
+// adversarial: LossAvoiding scores a loss rate, lower-is-better, every
+// other claim a higher-is-better score. Negation is exact, so
+// sign·m < sign·α − slack is m < α − slack, or m > α + slack for loss.
+func (c Claim) sign() float64 {
+	if c == LossAvoiding {
+		return -1
+	}
+	return 1
 }
 
 // Options bounds the search.
@@ -131,43 +147,42 @@ type Result struct {
 
 // Check searches for a violation of "p is α-<claim>" with n senders on
 // cfg. For FriendlyToReno the population is one p-sender and one Reno
-// sender regardless of n.
+// sender regardless of n. Every candidate start is one streamed run of
+// metrics.StreamRuns, resolved through a fresh metrics.Session (and so
+// through the default run store, when one is installed); a run that
+// diverges fails the search with the engine's error.
 func Check(cfg fluid.Config, p protocol.Protocol, claim Claim, alpha float64, n int, opt Options) (Result, error) {
-	o := opt.withDefaults()
-	if n < 1 {
-		return Result{}, fmt.Errorf("axcheck: need at least one sender, got %d", n)
+	if err := validate(claim, alpha, n, opt); err != nil {
+		return Result{}, err
 	}
-	if (claim == Fair || claim == Convergent) && n < 2 && claim == Fair {
-		return Result{}, fmt.Errorf("axcheck: fairness needs ≥ 2 senders")
+	protos := make([]protocol.Protocol, n)
+	for i := range protos {
+		protos[i] = p
 	}
-
-	senders := n
 	if claim == FriendlyToReno {
-		senders = 2
+		protos = []protocol.Protocol{p, protocol.Reno()}
 	}
-	configs := candidateInits(cfg, senders, o)
+	o := opt.withDefaults()
+	configs := candidateInits(cfg, len(protos), o)
+	sums, err := metrics.StreamRuns(cfg, protos, metrics.Options{
+		Steps:       o.Steps,
+		TailFrac:    o.TailFrac,
+		InitConfigs: configs,
+		Session:     metrics.NewSession(),
+	})
+	if err != nil {
+		return Result{}, err
+	}
 
-	res := Result{Worst: math.Inf(1)}
-	if claim == LossAvoiding {
-		res.Worst = math.Inf(-1)
-	}
-	for _, init := range configs {
-		measured, err := measure(cfg, p, claim, init, o)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Trials++
-		adversarial := measured < res.Worst
-		violated := measured < alpha-o.Slack
-		if claim == LossAvoiding {
-			adversarial = measured > res.Worst
-			violated = measured > alpha+o.Slack
-		}
-		if adversarial {
+	sign := claim.sign()
+	res := Result{Worst: math.Inf(int(sign)), Trials: len(configs)}
+	for i, init := range configs {
+		measured := claims[claim].score(sums[i])
+		if sign*measured < sign*res.Worst {
 			res.Worst = measured
 			res.WorstInit = append([]float64(nil), init...)
 		}
-		if violated && !res.Violated {
+		if sign*measured < sign*alpha-o.Slack && !res.Violated {
 			res.Violated = true
 			res.Witness = Counterexample{
 				Claim:    claim,
@@ -180,33 +195,28 @@ func Check(cfg fluid.Config, p protocol.Protocol, claim Claim, alpha float64, n 
 	return res, nil
 }
 
-// measure runs one configuration and scores the claim.
-func measure(cfg fluid.Config, p protocol.Protocol, claim Claim, init []float64, o Options) (float64, error) {
-	switch claim {
-	case FriendlyToReno:
-		tr, err := fluid.Mixed(cfg, []protocol.Protocol{p, protocol.Reno()}, init, o.Steps)
-		if err != nil {
-			return 0, err
-		}
-		return metrics.FriendlinessFromTrace(tr, []int{0}, []int{1}, o.TailFrac), nil
-	default:
-		tr, err := fluid.Homogeneous(cfg, p, len(init), init, o.Steps)
-		if err != nil {
-			return 0, err
-		}
-		switch claim {
-		case Efficient:
-			return metrics.EfficiencyFromTrace(tr, o.TailFrac), nil
-		case LossAvoiding:
-			return metrics.LossAvoidanceFromTrace(tr, o.TailFrac), nil
-		case Fair:
-			return metrics.FairnessFromTrace(tr, o.TailFrac), nil
-		case Convergent:
-			return metrics.ConvergenceFromTrace(tr, o.TailFrac), nil
-		default:
-			return 0, fmt.Errorf("axcheck: unknown claim %v", claim)
-		}
+// validate rejects, before anything is simulated, a search no run can
+// answer or whose verdict would be meaningless (a NaN claim or slack
+// never compares as violated). The comparisons are written so that NaN
+// fails them.
+func validate(claim Claim, alpha float64, n int, o Options) error {
+	switch {
+	case !claim.known():
+		return fmt.Errorf("axcheck: unknown claim %v", claim)
+	case n < 1:
+		return fmt.Errorf("axcheck: need at least one sender, got %d", n)
+	case claim == Fair && n < 2:
+		return fmt.Errorf("axcheck: fairness needs ≥ 2 senders")
+	case math.IsNaN(alpha):
+		return fmt.Errorf("axcheck: claimed score is NaN")
+	case !(o.Slack >= 0):
+		return fmt.Errorf("axcheck: slack must be non-negative, got %v", o.Slack)
+	case o.Steps < 0 || o.RandomTrials < 0:
+		return fmt.Errorf("axcheck: steps and random trials must be non-negative, got %d and %d", o.Steps, o.RandomTrials)
+	case !(o.TailFrac >= 0 && o.TailFrac < 1):
+		return fmt.Errorf("axcheck: tail fraction must be in [0, 1), got %v", o.TailFrac)
 	}
+	return nil
 }
 
 // candidateInits builds the adversarial corner configurations followed by

@@ -1,11 +1,14 @@
 package axcheck
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/fluid"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/runstore"
 )
 
 func cap100() fluid.Config {
@@ -152,6 +155,74 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Check(cap100(), protocol.Reno(), Fair, 0.5, 1, opt); err == nil {
 		t.Fatal("fairness with 1 sender accepted")
+	}
+}
+
+func TestValidationBeforeSimulating(t *testing.T) {
+	with := func(edit func(*Options)) Options {
+		o := opt
+		edit(&o)
+		return o
+	}
+	cases := []struct {
+		name  string
+		claim Claim
+		alpha float64
+		opt   Options
+	}{
+		{"NaN alpha", Efficient, math.NaN(), opt},
+		{"NaN slack", Efficient, 0.99, with(func(o *Options) { o.Slack = math.NaN() })},
+		{"negative slack", Efficient, 0.5, with(func(o *Options) { o.Slack = -0.1 })},
+		{"negative steps", Efficient, 0.5, with(func(o *Options) { o.Steps = -5 })},
+		{"negative trials", Efficient, 0.5, with(func(o *Options) { o.RandomTrials = -3 })},
+		{"negative tail", Efficient, 0.5, with(func(o *Options) { o.TailFrac = -0.25 })},
+		{"tail of one", Efficient, 0.5, with(func(o *Options) { o.TailFrac = 1 })},
+		{"NaN tail", Efficient, 0.5, with(func(o *Options) { o.TailFrac = math.NaN() })},
+		{"unknown claim", Claim(99), 0.5, opt},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := metrics.TotalStats().Simulated()
+			if _, err := Check(cap100(), protocol.Reno(), c.claim, c.alpha, 2, c.opt); err == nil {
+				t.Fatal("accepted")
+			}
+			if sim := metrics.TotalStats().Simulated() - before; sim != 0 {
+				t.Fatalf("simulated %d runs before rejecting", sim)
+			}
+		})
+	}
+}
+
+// TestCheckReusesDefaultStore: Check resolves its runs through the
+// default run store, so repeating a search against a warm store
+// simulates nothing and returns the same result.
+func TestCheckReusesDefaultStore(t *testing.T) {
+	st, err := runstore.Open(t.TempDir(), runstore.Options{Version: "testver"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := metrics.DefaultStore()
+	metrics.SetDefaultStore(st)
+	t.Cleanup(func() { metrics.SetDefaultStore(prev) })
+
+	check := func() (Result, int64) {
+		before := metrics.TotalStats().Simulated()
+		res, err := Check(cap100(), protocol.Reno(), Fair, 0.8, 2, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, metrics.TotalStats().Simulated() - before
+	}
+	cold, coldSim := check()
+	if coldSim != int64(cold.Trials) {
+		t.Fatalf("cold search simulated %d runs for %d configurations", coldSim, cold.Trials)
+	}
+	warm, warmSim := check()
+	if warmSim != 0 {
+		t.Fatalf("warm search simulated %d runs", warmSim)
+	}
+	if math.Float64bits(warm.Worst) != math.Float64bits(cold.Worst) || warm.Trials != cold.Trials {
+		t.Fatalf("warm search differs: %+v vs %+v", warm, cold)
 	}
 }
 

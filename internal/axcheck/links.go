@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/fluid"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 )
 
@@ -65,18 +66,15 @@ func CheckWorstCase(p protocol.Protocol, claim Claim, alpha float64, grid []Link
 	if len(grid) == 0 {
 		grid = DefaultLinkGrid()
 	}
-	res := LinkResult{Worst: math.Inf(1)}
-	if claim == LossAvoiding {
-		res.Worst = math.Inf(-1)
-	}
+	sign := claim.sign()
+	res := LinkResult{Worst: math.Inf(int(sign))}
 	for _, lp := range grid {
 		if claim == Fair && lp.N < 2 {
 			continue
 		}
-		theta := 0.021
 		cfg := fluid.Config{
-			Bandwidth: lp.C / (2 * theta),
-			PropDelay: theta,
+			Bandwidth: lp.C / (2 * metrics.DefaultPropDelay),
+			PropDelay: metrics.DefaultPropDelay,
 			Buffer:    lp.Tau,
 		}
 		r, err := Check(cfg, p, claim, alpha, lp.N, opt)
@@ -84,11 +82,7 @@ func CheckWorstCase(p protocol.Protocol, claim Claim, alpha float64, grid []Link
 			return LinkResult{}, err
 		}
 		res.Trials += r.Trials
-		adversarial := r.Worst < res.Worst
-		if claim == LossAvoiding {
-			adversarial = r.Worst > res.Worst
-		}
-		if adversarial {
+		if sign*r.Worst < sign*res.Worst {
 			res.Worst = r.Worst
 			res.WorstLink = lp
 		}

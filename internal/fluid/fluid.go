@@ -107,14 +107,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects a config the model cannot run. The comparisons are
+// written so that NaN fails them.
 func (c Config) validate() error {
-	if c.PropDelay <= 0 {
-		return fmt.Errorf("fluid: propagation delay must be positive, got %v", c.PropDelay)
+	if !(c.PropDelay > 0) || math.IsInf(c.PropDelay, 1) {
+		return fmt.Errorf("fluid: propagation delay must be positive and finite, got %v", c.PropDelay)
 	}
-	if !c.Infinite && c.Bandwidth <= 0 {
-		return fmt.Errorf("fluid: bandwidth must be positive, got %v", c.Bandwidth)
+	if !c.Infinite && (!(c.Bandwidth > 0) || math.IsInf(c.Bandwidth, 1)) {
+		return fmt.Errorf("fluid: bandwidth must be positive and finite, got %v", c.Bandwidth)
 	}
-	if c.Buffer < 0 {
+	if !(c.Buffer >= 0) {
 		return fmt.Errorf("fluid: buffer must be non-negative, got %v", c.Buffer)
 	}
 	return nil

@@ -45,6 +45,14 @@ func TestConfigValidation(t *testing.T) {
 		{Bandwidth: 0, PropDelay: 0.02},            // zero bandwidth
 		{Bandwidth: 100, PropDelay: 0},             // zero delay
 		{Bandwidth: 100, PropDelay: 1, Buffer: -1}, // negative buffer
+		{Bandwidth: 100, PropDelay: math.NaN()},
+		{Bandwidth: 100, PropDelay: math.Inf(1)},
+		{Bandwidth: 100, PropDelay: math.Inf(-1)},
+		{Bandwidth: math.NaN(), PropDelay: 0.02},
+		{Bandwidth: math.Inf(1), PropDelay: 0.02},
+		{Bandwidth: math.Inf(-1), PropDelay: 0.02},
+		{Bandwidth: 100, PropDelay: 0.02, Buffer: math.NaN()},
+		{Infinite: true, PropDelay: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg, Sender{Proto: protocol.Reno(), Init: 1}); err == nil {

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/fluid"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // Payoff maps a player's simulation outcome to utility: tail-average
@@ -79,6 +80,9 @@ func New(cfg fluid.Config, menu []protocol.Protocol, n, steps int) (*Game, error
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("game: need ≥ 2 players, got %d", n)
+	}
+	if steps < 0 {
+		return nil, fmt.Errorf("game: steps must be non-negative, got %d", steps)
 	}
 	if steps == 0 {
 		steps = 3000
@@ -144,29 +148,14 @@ func (g *Game) Payoffs(profile []int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	avgLoss := tailMean(tr.Loss(), g.tail)
-	avgRTT := tailMean(tr.RTT(), g.tail)
+	avgLoss := stats.Mean(stats.Tail(tr.Loss(), g.tail))
+	avgRTT := stats.Mean(stats.Tail(tr.RTT(), g.tail))
 	payoffs := make([]float64, g.n)
 	for i := range payoffs {
 		payoffs[i] = g.payoff(tr.AvgGoodput(i, g.tail), avgLoss, avgRTT, g.cfg.BaseRTT())
 	}
 	g.cache[k] = payoffs
 	return payoffs, nil
-}
-
-func tailMean(xs []float64, frac float64) float64 {
-	start := int(frac * float64(len(xs)))
-	if start >= len(xs) {
-		start = len(xs) - 1
-	}
-	if start < 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range xs[start:] {
-		sum += v
-	}
-	return sum / float64(len(xs)-start)
 }
 
 // SocialWelfare returns the sum of payoffs of a profile.

@@ -38,6 +38,12 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+func TestNegativeStepsRejected(t *testing.T) {
+	if _, err := New(link(), []protocol.Protocol{protocol.Reno(), protocol.Scalable()}, 2, -5); err == nil {
+		t.Fatal("negative horizon accepted")
+	}
+}
+
 func TestPayoffsShape(t *testing.T) {
 	g := renoVsScalable(t, 2)
 	p, err := g.Payoffs([]int{0, 0})

@@ -11,8 +11,9 @@ import (
 // window, RTT, and loss rings, each sized to the run's tail. As long as
 // the substrate's Horizon hint was within the ring slack, the tail
 // accessors return exactly stats.Tail of the recorded series and Summary
-// is bit-identical to the *FromTrace estimators, because the retained
-// tail and the summation order are the same.
+// is bit-identical to the same formulas applied to a recorded trace of
+// the run, because the retained tail and the summation order are the
+// same.
 type Stream struct {
 	tailFrac float64
 	capacity float64
@@ -153,8 +154,9 @@ func (s *Stream) TailLoss() []float64 { return s.loss.LastTail(s.tailFrac) }
 // axiom estimators need. Call it once the run has ended; the Session
 // caches, persists and folds over summaries, never over the rings. Every
 // field is computed by the same formula body, over the same retained
-// tail samples in the same order, as its *FromTrace counterpart on a
-// recorded trace of the same run.
+// tail samples in the same order, as the trace-level score of a recorded
+// trace of the same run (the oracle of
+// TestStreamSummaryMatchesTraceEstimatorsRandom).
 func (s *Stream) Summary() *StreamSummary {
 	n := len(s.windows)
 	sum := &StreamSummary{

@@ -47,19 +47,6 @@ func FairnessFromTrace(tr *trace.Trace, tailFrac float64) float64 {
 	return fairness(avgs)
 }
 
-// ConvergenceFromTrace scores Metric V (see convergence) on a finished
-// run's per-sender tails.
-func ConvergenceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	return convergence(tr.Senders(), func(i int) []float64 { return stats.Tail(tr.Window(i), tailFrac) })
-}
-
-// FriendlinessFromTrace scores Metric VII (see friendliness) on a
-// finished mixed run, with pIdx the indices of P-senders and qIdx the
-// indices of Q-senders.
-func FriendlinessFromTrace(tr *trace.Trace, pIdx, qIdx []int, tailFrac float64) float64 {
-	return friendliness(func(i int) float64 { return tr.AvgWindow(i, tailFrac) }, pIdx, qIdx)
-}
-
 // LatencyAvoidanceFromTrace scores Metric VIII (see latencyInflation) on
 // a finished run's tail against the link's base RTT 2Θ.
 func LatencyAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
