@@ -52,7 +52,7 @@ func main() {
 		steps  = flag.Int("steps", 3000, "horizon per candidate configuration")
 		trials = flag.Int("trials", 24, "random configurations beyond the corners")
 		seed   = flag.Uint64("seed", 0, "search seed")
-		slack  = flag.Float64("slack", 0.02, "violation tolerance")
+		slack  = flag.Float64("slack", axcheck.DefaultSlack, "violation tolerance")
 		lint   = flag.Bool("lint", false, "lint the JSON artifacts (files or directories) given as arguments and exit")
 	)
 	ofl := obs.RegisterFlags(flag.CommandLine)
@@ -89,7 +89,7 @@ func main() {
 
 	stop, err := ofl.Start("axcheck")
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("axcheck: %w", err))
 	}
 	obsStop = stop
 	lifecycle.Install("axcheck", stop)
@@ -102,11 +102,11 @@ func main() {
 
 	p, err := axiomcc.ParseProtocol(*spec)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("axcheck: %w", err))
 	}
 	cl, ok := claims[*claim]
 	if !ok {
-		fatal(fmt.Errorf("unknown claim %q", *claim))
+		fatal(fmt.Errorf("axcheck: unknown claim %q", *claim))
 	}
 	cfg := axiomcc.LinkConfig{
 		Bandwidth: axiomcc.MbpsToMSSps(*mbps),
@@ -120,7 +120,7 @@ func main() {
 		Slack:        *slack,
 	})
 	if err != nil {
-		fatal(err)
+		fatal(err) // internal/axcheck's errors carry the prefix already
 	}
 	obs.RecordScore("worst_measurement", res.Worst)
 
@@ -136,8 +136,9 @@ func main() {
 	fmt.Println("verdict: survived (not proven — no counterexample found)")
 }
 
+// fatal prints err, which starts with "axcheck: ", and exits 2.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "axcheck:", err)
+	fmt.Fprintln(os.Stderr, err)
 	if obsStop != nil {
 		obsStop()
 	}

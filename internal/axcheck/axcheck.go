@@ -80,6 +80,10 @@ func (c Claim) sign() float64 {
 	return 1
 }
 
+// DefaultSlack is the violation tolerance the axcheck command searches
+// with unless -slack says otherwise.
+const DefaultSlack = 0.02
+
 // Options bounds the search.
 type Options struct {
 	// Steps is the horizon per candidate run (default 3000).
@@ -91,9 +95,10 @@ type Options struct {
 	RandomTrials int
 	// Seed drives the random exploration.
 	Seed uint64
-	// Slack is the tolerance subtracted before declaring a violation
-	// (default 0.02): measured < claimed − Slack counts as a
-	// counterexample. For LossAvoiding the comparison is inverted.
+	// Slack is the tolerance subtracted before declaring a violation:
+	// measured < claimed − Slack counts as a counterexample. For
+	// LossAvoiding the comparison is inverted. Zero means no tolerance;
+	// pass DefaultSlack for the command's default.
 	Slack float64
 }
 
@@ -106,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RandomTrials == 0 {
 		o.RandomTrials = 24
-	}
-	if o.Slack == 0 {
-		o.Slack = 0.02
 	}
 	return o
 }
@@ -152,7 +154,7 @@ type Result struct {
 // through the default run store, when one is installed); a run that
 // diverges fails the search with the engine's error.
 func Check(cfg fluid.Config, p protocol.Protocol, claim Claim, alpha float64, n int, opt Options) (Result, error) {
-	if err := validate(claim, alpha, n, opt); err != nil {
+	if err := validate(cfg, claim, alpha, n, opt); err != nil {
 		return Result{}, err
 	}
 	protos := make([]protocol.Protocol, n)
@@ -196,10 +198,13 @@ func Check(cfg fluid.Config, p protocol.Protocol, claim Claim, alpha float64, n 
 }
 
 // validate rejects, before anything is simulated, a search no run can
-// answer or whose verdict would be meaningless (a NaN claim or slack
-// never compares as violated). The comparisons are written so that NaN
-// fails them.
-func validate(claim Claim, alpha float64, n int, o Options) error {
+// answer (an invalid link would fail every candidate run) or whose
+// verdict would be meaningless (a NaN claim or slack never compares as
+// violated). The comparisons are written so that NaN fails them.
+func validate(cfg fluid.Config, claim Claim, alpha float64, n int, o Options) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("axcheck: %w", err)
+	}
 	switch {
 	case !claim.known():
 		return fmt.Errorf("axcheck: unknown claim %v", claim)

@@ -20,7 +20,7 @@ func cap100() fluid.Config {
 	}
 }
 
-var opt = Options{Steps: 1500, RandomTrials: 8, Seed: 1}
+var opt = Options{Steps: 1500, RandomTrials: 8, Seed: 1, Slack: DefaultSlack}
 
 func TestTrueClaimSurvives(t *testing.T) {
 	// Reno is ≈0.6-efficient on this link (b(1+τ/C) = 0.6); claiming 0.5
@@ -111,6 +111,30 @@ func TestLossAvoidingInvertedComparison(t *testing.T) {
 	}
 }
 
+// TestZeroSlackIsExact: Slack 0 means no tolerance, not the default.
+// Reno's worst efficiency on a 20 Mbps / 42 ms / 20 MSS link is about
+// 0.657, so a 0.66-efficiency claim dies at zero slack and survives
+// within DefaultSlack.
+func TestZeroSlackIsExact(t *testing.T) {
+	cfg := fluid.Config{Bandwidth: fluid.MbpsToMSSps(20), PropDelay: 0.021, Buffer: 20}
+	o := Options{Steps: 800, RandomTrials: 6}
+	exact, err := Check(cfg, protocol.Reno(), Efficient, 0.66, 2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exact.Violated || exact.Witness.Measured >= 0.66 {
+		t.Fatalf("zero slack: claim survived with worst efficiency %v", exact.Worst)
+	}
+	o.Slack = DefaultSlack
+	loose, err := Check(cfg, protocol.Reno(), Efficient, 0.66, 2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loose.Violated || loose.Worst != exact.Worst {
+		t.Fatalf("default slack: violated=%v worst %v, want survived at %v", loose.Violated, loose.Worst, exact.Worst)
+	}
+}
+
 func TestConvergenceClaim(t *testing.T) {
 	// Reno's convergence is 2b/(1+b) = 2/3; claiming 0.9 dies.
 	res, err := Check(cap100(), protocol.Reno(), Convergent, 0.9, 1, opt)
@@ -164,27 +188,41 @@ func TestValidationBeforeSimulating(t *testing.T) {
 		edit(&o)
 		return o
 	}
+	link := func(edit func(*fluid.Config)) fluid.Config {
+		cfg := cap100()
+		edit(&cfg)
+		return cfg
+	}
 	cases := []struct {
 		name  string
 		claim Claim
 		alpha float64
 		opt   Options
+		cfg   fluid.Config
 	}{
-		{"NaN alpha", Efficient, math.NaN(), opt},
-		{"NaN slack", Efficient, 0.99, with(func(o *Options) { o.Slack = math.NaN() })},
-		{"negative slack", Efficient, 0.5, with(func(o *Options) { o.Slack = -0.1 })},
-		{"negative steps", Efficient, 0.5, with(func(o *Options) { o.Steps = -5 })},
-		{"negative trials", Efficient, 0.5, with(func(o *Options) { o.RandomTrials = -3 })},
-		{"negative tail", Efficient, 0.5, with(func(o *Options) { o.TailFrac = -0.25 })},
-		{"tail of one", Efficient, 0.5, with(func(o *Options) { o.TailFrac = 1 })},
-		{"NaN tail", Efficient, 0.5, with(func(o *Options) { o.TailFrac = math.NaN() })},
-		{"unknown claim", Claim(99), 0.5, opt},
+		{"NaN alpha", Efficient, math.NaN(), opt, cap100()},
+		{"NaN slack", Efficient, 0.99, with(func(o *Options) { o.Slack = math.NaN() }), cap100()},
+		{"negative slack", Efficient, 0.5, with(func(o *Options) { o.Slack = -0.1 }), cap100()},
+		{"negative steps", Efficient, 0.5, with(func(o *Options) { o.Steps = -5 }), cap100()},
+		{"negative trials", Efficient, 0.5, with(func(o *Options) { o.RandomTrials = -3 }), cap100()},
+		{"negative tail", Efficient, 0.5, with(func(o *Options) { o.TailFrac = -0.25 }), cap100()},
+		{"tail of one", Efficient, 0.5, with(func(o *Options) { o.TailFrac = 1 }), cap100()},
+		{"NaN tail", Efficient, 0.5, with(func(o *Options) { o.TailFrac = math.NaN() }), cap100()},
+		{"unknown claim", Claim(99), 0.5, opt, cap100()},
+		{"NaN buffer", Efficient, 0.5, opt, link(func(c *fluid.Config) { c.Buffer = math.NaN() })},
+		{"NaN bandwidth", Efficient, 0.5, opt, link(func(c *fluid.Config) { c.Bandwidth = math.NaN() })},
+		{"NaN delay", Efficient, 0.5, opt, link(func(c *fluid.Config) { c.PropDelay = math.NaN() })},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			before := metrics.TotalStats().Simulated()
-			if _, err := Check(cap100(), protocol.Reno(), c.claim, c.alpha, 2, c.opt); err == nil {
+			_, err := Check(c.cfg, protocol.Reno(), c.claim, c.alpha, 2, c.opt)
+			if err == nil {
 				t.Fatal("accepted")
+			}
+			// Rejected by validate, not by the first candidate run to fail.
+			if !strings.HasPrefix(err.Error(), "axcheck: ") {
+				t.Fatalf("error %q did not come from validation", err)
 			}
 			if sim := metrics.TotalStats().Simulated() - before; sim != 0 {
 				t.Fatalf("simulated %d runs before rejecting", sim)

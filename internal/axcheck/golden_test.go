@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/check_golden.jso
 
 // goldenOpt keeps the pinned searches short: every claim and protocol
 // still visits the structured corners plus a few random starts.
-var goldenOpt = Options{Steps: 600, RandomTrials: 4, Seed: 3}
+var goldenOpt = Options{Steps: 600, RandomTrials: 4, Seed: 3, Slack: DefaultSlack}
 
 // goldenAlpha is the claimed score per claim, chosen so that some
 // searches survive and some die.

@@ -15,7 +15,7 @@ var smallGrid = []LinkPoint{
 	{C: 300, Tau: 6, N: 4},
 }
 
-var wcOpt = Options{Steps: 1200, RandomTrials: 4, Seed: 2}
+var wcOpt = Options{Steps: 1200, RandomTrials: 4, Seed: 2, Slack: DefaultSlack}
 
 func TestWorstCaseEfficiencyBoundSurvives(t *testing.T) {
 	// Table 1's angle-bracket efficiency for AIMD is <b> = 0.5; the

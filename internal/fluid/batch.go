@@ -45,7 +45,7 @@ type BatchCell struct {
 // must use synchronized feedback (Period ≤ 1), since batched stepping has
 // no epoch accumulators.
 func Batchable(cfg Config, senders []Sender) error {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if len(senders) == 0 {

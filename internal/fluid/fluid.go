@@ -107,9 +107,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects a config the model cannot run. The comparisons are
+// Validate rejects a config the model cannot run. The comparisons are
 // written so that NaN fails them.
-func (c Config) validate() error {
+func (c Config) Validate() error {
 	if !(c.PropDelay > 0) || math.IsInf(c.PropDelay, 1) {
 		return fmt.Errorf("fluid: propagation delay must be positive and finite, got %v", c.PropDelay)
 	}
@@ -168,7 +168,7 @@ type Link struct {
 // New returns a link with the given configuration and senders. It returns
 // an error for invalid configurations or an empty sender set.
 func New(cfg Config, senders ...Sender) (*Link, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(senders) == 0 {

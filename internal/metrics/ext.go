@@ -114,7 +114,7 @@ func extRun(cfg fluid.Config, p protocol.Protocol, n int, init []float64, band f
 	}
 	key, cacheable := runKey(cfg, protos, init, o, keyExt)
 	key += "band=" + strconv.FormatUint(math.Float64bits(band), 16)
-	return do(o.Session, key, cacheable, o.Steps, extCodec, func() (extSummary, error) {
+	return resolveOne(o.Session, key, cacheable, o.Steps, extCodec, func() (extSummary, error) {
 		tr, err := simulateRecorded(cfg, p, n, init, o)
 		if err != nil {
 			return extSummary{}, err
@@ -160,7 +160,7 @@ func Responsiveness(cfg fluid.Config, p protocol.Protocol, n int, frac float64, 
 	}
 	// The schedule is a closure with no canonical identity, so the run is
 	// never cached and counts as Uncacheable.
-	return do(o.Session, "", false, o.Steps, runCodec[int]{}, func() (int, error) {
+	return resolveOne(o.Session, "", false, o.Steps, runCodec[int]{}, func() (int, error) {
 		tr, err := simulateRecorded(sched, p, n, nil, o)
 		if err != nil {
 			return 0, err

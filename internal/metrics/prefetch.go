@@ -97,10 +97,10 @@ func (g *streamGrid) add(cfg fluid.Config, protos []protocol.Protocol, o Options
 // need simulating go through engine.SweepSpecs as one grid, so
 // kernel-steppable cells advance in lockstep (the SoA batch path) while
 // the rest shard across the worker pool per cell; when o.Session is set,
-// cached cells are skipped first (see Session.doBatch, whose simulated
-// flags are the second return). Results are bit-identical on every path.
+// cached cells are skipped first (see resolve, whose simulated flags are
+// the second return). Results are bit-identical on every path.
 func (g *streamGrid) resolve(o Options) ([]*StreamSummary, []bool, error) {
-	exec := func(miss []int) ([]*StreamSummary, error) {
+	return resolve(o.Session, g.keys, g.cacheable, o.Steps, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 		specs := make([]engine.Spec, len(miss))
 		streams := make([]*Stream, len(miss))
 		for j, i := range miss {
@@ -120,14 +120,5 @@ func (g *streamGrid) resolve(o Options) ([]*StreamSummary, []bool, error) {
 			sums[j] = st.Summary()
 		}
 		return sums, nil
-	}
-	if o.Session == nil {
-		all := make([]int, len(g.keys))
-		for i := range all {
-			all[i] = i
-		}
-		sums, err := exec(all)
-		return sums, nil, err
-	}
-	return o.Session.doBatch(g.keys, g.cacheable, o.Steps, exec)
+	})
 }

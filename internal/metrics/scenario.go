@@ -241,7 +241,7 @@ func probeRecorded[T any](cfg fluid.Config, p protocol.Protocol, o Options, kind
 		return score(tr), nil
 	}
 	key, cacheable := runKey(cfg, []protocol.Protocol{p}, init, o, kind)
-	return do(o.Session, key, cacheable, o.Steps, c, exec)
+	return resolveOne(o.Session, key, cacheable, o.Steps, c, exec)
 }
 
 // simulateRecorded runs n homogeneous senders through the engine with

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -217,279 +217,181 @@ func (c runCodec[T]) load(st *runstore.Store, key string) (T, bool) {
 	return zero, false
 }
 
-// do resolves one run of steps steps through s. With a nil session it
-// just executes; a run whose key has no canonical identity (cacheable
-// false) executes uncached and counts as Uncacheable. Otherwise do
-// returns the cached result for key, or claims the key and resolves it
-// exactly once (see fetch) while concurrent callers wait. Errors are
-// returned to the claimant and any current waiters but never cached: the
-// claim is evicted so later calls retry (a canceled context must not
-// poison the session — and runs are deterministic, so a genuine failure
-// simply reproduces). If exec panics, waiters get errSessionPanicked and
-// the panic keeps unwinding on the claimant's goroutine.
-func do[T any](s *Session, key string, cacheable bool, steps int, c runCodec[T], exec func() (T, error)) (T, error) {
+// resolve resolves one run of steps steps per key through s and returns
+// the runs' payloads, parallel to keys. exec simulates exactly the runs
+// whose indices it is given, in increasing order, and returns their
+// payloads in that order: every run left to simulate in one pass over
+// the keys reaches it together, so a grid's misses can take the engine's
+// lockstep batch path. The second return is parallel to keys and
+// reports which runs this call actually executed: true for cache misses
+// and uncacheable runs, false for memory and disk hits and for runs
+// another claimant finished. Explore's incremental accounting is built
+// on it — a warm store makes every flag false.
+//
+// With a nil session resolve just executes (and returns no flags).
+// Otherwise it classifies the keys under one lock: runs whose key has no
+// canonical identity (cacheable false) go to exec and count as
+// Uncacheable; keys already in flight — including a duplicate claimed
+// earlier in the same call — become waiters; the rest are claimed.
+// Claimed keys are read from the persistent store, and disk hits fill
+// their claims at once. The keys still missing take their cross-process
+// locks in sorted key order — a global total order, so two callers can
+// never deadlock on each other — and are read again, since another
+// process may have just written them. What is still missing goes to
+// exec once, is written back and fills its claims, and the locks are
+// released before any waiter is touched: blocking on another
+// goroutine's entry while holding flocks could close a wait cycle
+// through a third process. A lock that cannot be taken degrades its key
+// to lock-free, idempotent behavior.
+//
+// Errors are returned to the claimant but never cached: its claims are
+// evicted, so a waiter on one re-enters the loop and claims the key
+// itself, and later calls retry (a canceled context must not poison the
+// session — and runs are deterministic, so a genuine failure simply
+// reproduces). If exec panics, waiters get errSessionPanicked and the
+// panic keeps unwinding on the claimant's goroutine.
+func resolve[T any](s *Session, keys []string, cacheable []bool, steps int, c runCodec[T], exec func(miss []int) ([]T, error)) ([]T, []bool, error) {
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
 	if s == nil {
-		return exec()
+		out, err := exec(pending)
+		return out, nil, err
 	}
-	if !cacheable {
-		v, err := exec()
-		if err == nil {
-			s.record(SessionStats{Uncacheable: 1, StepsSimulated: int64(steps)})
+	out := make([]T, len(keys))
+	sim := make([]bool, len(keys))
+	entries := make([]*sessionEntry, len(keys))
+	var d SessionStats
+	defer func() {
+		if d != (SessionStats{}) {
+			s.record(d)
 		}
-		return v, err
-	}
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			s.mu.Unlock()
-			wsp := obs.StartLeafSpan("metrics.session.wait")
-			<-e.done
-			wsp.End()
-			if e.err == errSessionPanicked {
-				var zero T
-				return zero, e.err
-			}
-			if e.err != nil {
-				continue // claim was evicted; retry (bounded: we claim next)
-			}
-			s.record(SessionStats{Hits: 1, StepsSaved: int64(steps)})
-			return e.val.(T), nil
-		}
-		e := &sessionEntry{done: make(chan struct{})}
-		s.entries[key] = e
-		s.mu.Unlock()
-
-		finished := false
-		defer func() {
-			if !finished {
-				s.evict(key, e, errSessionPanicked)
-			}
-		}()
-		v, fromDisk, err := fetch(s, key, c, exec)
-		finished = true
-		if err != nil {
-			s.evict(key, e, err)
-			return v, err
-		}
-		if fromDisk {
-			s.record(SessionStats{DiskHits: 1, StepsSaved: int64(steps)})
-		} else {
-			s.record(SessionStats{Misses: 1, StepsSimulated: int64(steps)})
-		}
-		e.val = v
-		close(e.done)
-		return v, nil
-	}
-}
-
-// fetch resolves a claimed key through the persistent tier: try the
-// store, then take the key's cross-process lock, re-check the store (a
-// concurrent process may have just finished the same run), and only then
-// simulate and write back. With no store attached, or when the lock
-// cannot be taken, it simply executes. The flock makes concurrent
-// processes single-flight the same cell the way the in-memory map
-// single-flights goroutines.
-func fetch[T any](s *Session, key string, c runCodec[T], exec func() (T, error)) (v T, fromDisk bool, err error) {
-	simulate := func() (T, error) {
-		sp := obs.StartLeafSpan("metrics.session.simulate")
-		defer sp.End()
-		return exec()
-	}
-	if s.store == nil {
-		v, err = simulate()
-		return v, false, err
-	}
-	if v, ok := c.load(s.store, key); ok {
-		return v, true, nil
-	}
-	unlock, lerr := s.store.LockKey(key)
-	if lerr != nil {
-		v, err = simulate()
-		return v, false, err
-	}
-	defer unlock()
-	if v, ok := c.load(s.store, key); ok {
-		return v, true, nil
-	}
-	if v, err = simulate(); err == nil {
-		// A write failure (disk full, permissions) costs persistence,
-		// not correctness — the result still serves this process.
-		_ = s.store.Put(key, c.encode(v))
-	}
-	return v, false, err
-}
-
-// doBatch resolves a whole grid of streaming runs through the cache in
-// one pass, so the cells that actually need simulating reach the engine
-// together and can take its grid-batch path (engine.SweepSpecs steps
-// compatible cells in lockstep). keys/cacheable are parallel to the
-// grid; exec simulates exactly the cells whose indices it is given and
-// returns their summaries in that order.
-//
-// Classification happens under one lock: uncacheable cells always
-// simulate; cacheable cells whose key is already in flight (including a
-// duplicate key claimed earlier in the same call) become waiters; the
-// rest are claimed. Claimed cells are served from the persistent store
-// where possible, and the remainder is handed to exec as one batch.
-// Claimed entries are filled and released before any waiter is resolved,
-// so duplicate keys within one call cannot deadlock on themselves.
-//
-// Cross-process single-flight holds for the batch path too: the store
-// locks of all claimed keys are taken up front in sorted key order — a
-// global total order, so two batches can never deadlock on each other,
-// and fetch only ever holds one of these at a time — and held
-// across the store check and the simulation, so another process either
-// finds each cell on disk or blocks until this batch writes it.
-//
-// The second return is parallel to keys and reports which runs this call
-// actually executed: true for cache misses and uncacheable runs, false
-// for memory/disk hits and for waiters served by another claimant.
-// Explore's incremental accounting is built on it — a warm store makes
-// every flag false.
-func (s *Session) doBatch(keys []string, cacheable []bool, steps int, exec func(miss []int) ([]*StreamSummary, error)) ([]*StreamSummary, []bool, error) {
-	n := len(keys)
-	out := make([]*StreamSummary, n)
-	sim := make([]bool, n)
-	entries := make([]*sessionEntry, n)
-	var claimed, waiters, miss []int
-	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		if !cacheable[i] {
-			miss = append(miss, i)
-			continue
-		}
-		if e, ok := s.entries[keys[i]]; ok {
-			entries[i] = e
-			waiters = append(waiters, i)
-			continue
-		}
-		e := &sessionEntry{done: make(chan struct{})}
-		s.entries[keys[i]] = e
-		entries[i] = e
-		claimed = append(claimed, i)
-	}
-	s.mu.Unlock()
-
-	// Take the claimed keys' cross-process locks in sorted key order (see
-	// the doc comment); a lock that cannot be acquired degrades that key
-	// to lock-free idempotent behavior, like fetch.
-	var unlocks []func()
-	if s.store != nil && len(claimed) > 0 {
-		order := append([]int(nil), claimed...)
-		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-		for _, i := range order {
-			if unlock, lerr := s.store.LockKey(keys[i]); lerr == nil {
-				unlocks = append(unlocks, unlock)
-			}
-		}
-	}
-	release := func() {
-		for _, u := range unlocks {
-			u()
-		}
-		unlocks = nil
-	}
-	defer release()
-
-	// Serve claimed cells from the persistent store; disk hits are filled
-	// and released immediately so concurrent waiters never block on I/O
-	// that already finished. The rest join the miss batch.
-	var open []int // claimed cells still unresolved (entry not yet closed)
-	diskHits := 0
-	for _, i := range claimed {
-		if s.store != nil {
-			if st, ok := streamCodec.load(s.store, keys[i]); ok {
-				entries[i].val = st
+	}()
+	// fromStore fills the claims the store holds and returns the rest.
+	fromStore := func(open []int) []int {
+		left := open[:0]
+		for _, i := range open {
+			if v, ok := c.load(s.store, keys[i]); ok {
+				out[i], entries[i].val = v, v
 				close(entries[i].done)
-				out[i] = st
-				diskHits++
+				d.DiskHits++
+				d.StepsSaved += int64(steps)
 				continue
 			}
+			left = append(left, i)
 		}
-		open = append(open, i)
-		miss = append(miss, i)
+		return left
 	}
-	if diskHits > 0 {
-		s.record(SessionStats{DiskHits: int64(diskHits), StepsSaved: int64(diskHits) * int64(steps)})
-	}
-	sort.Ints(miss)
-
-	if len(miss) > 0 {
-		// evict releases the still-open claims on failure so other callers
-		// retry rather than block; the deferred arm covers an exec panic
-		// (as in do), with the panic itself unwinding on this goroutine.
-		evict := func(err error) {
+	// settle resolves one round's claims and uncacheable runs; its
+	// deferred calls release the round's locks and then evict whatever
+	// claims it leaves open.
+	settle := func(open, miss []int) (err error) {
+		err = errSessionPanicked // stays set only if exec panics
+		defer func() {
 			for _, i := range open {
 				s.evict(keys[i], entries[i], err)
 			}
-		}
-		finished := false
-		defer func() {
-			if !finished {
-				evict(errSessionPanicked)
-			}
 		}()
-		bsp := obs.StartLeafSpan("metrics.session.simulate.batch")
-		bsp.SetDetail(strconv.Itoa(len(miss)) + " cells")
-		sums, err := exec(miss)
-		bsp.End()
-		if err == nil && len(sums) != len(miss) {
-			err = errors.New("metrics: batch exec returned wrong cell count")
+		if s.store != nil && len(open) > 0 {
+			open = fromStore(open)
+			slices.SortFunc(open, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
+			for _, i := range open {
+				if unlock, lerr := s.store.LockKey(keys[i]); lerr == nil {
+					defer unlock()
+				}
+			}
+			open = fromStore(open)
+		}
+		miss = append(miss, open...)
+		if len(miss) == 0 {
+			return nil
+		}
+		slices.Sort(miss)
+		sp := obs.StartLeafSpan("metrics.session.simulate")
+		if sp != nil {
+			sp.SetDetail(strconv.Itoa(len(miss)) + " cells")
+		}
+		vs, err := exec(miss)
+		sp.End()
+		if err == nil && len(vs) != len(miss) {
+			err = errors.New("metrics: exec returned the wrong number of runs")
 		}
 		if err != nil {
-			finished = true
-			evict(err)
-			return nil, nil, err
+			return err
 		}
-		simulated, uncached := 0, 0
 		for j, i := range miss {
-			out[i] = sums[j]
-			sim[i] = true
-			if entries[i] == nil {
-				uncached++
+			out[i], sim[i] = vs[j], true
+			d.StepsSimulated += int64(steps)
+			if !cacheable[i] {
+				d.Uncacheable++
 				continue
 			}
-			simulated++
+			d.Misses++
 			if s.store != nil {
-				// A write failure costs persistence, not correctness.
-				_ = s.store.Put(keys[i], streamCodec.encode(sums[j]))
+				// A write failure (disk full, permissions) costs
+				// persistence, not correctness.
+				_ = s.store.Put(keys[i], c.encode(vs[j]))
 			}
-			entries[i].val = sums[j]
+			entries[i].val = vs[j]
 			close(entries[i].done)
 		}
-		finished = true
-		s.record(SessionStats{
-			Misses:         int64(simulated),
-			Uncacheable:    int64(uncached),
-			StepsSimulated: int64(simulated+uncached) * int64(steps),
-		})
+		open = nil
+		return nil
 	}
-
-	// Every claimed cell is resolved (filled or evicted) by this point,
-	// so drop the key locks before touching waiters: blocking on another
-	// goroutine's entry while still holding flocks could close a wait
-	// cycle through a third process that the sorted acquisition order
-	// alone does not rule out.
-	release()
-
-	// Waiters resolve through the ordinary single-flight path: normally a
-	// pure hit on an entry another goroutine (or this very call) filled;
-	// if that claim was evicted by a failure, do re-claims and simulates
-	// the cell individually.
-	for _, i := range waiters {
-		st, err := do(s, keys[i], true, steps, streamCodec, func() (*StreamSummary, error) {
-			sums, err := exec([]int{i})
-			if err != nil {
-				return nil, err
+	for len(pending) > 0 {
+		var claimed, waiters, miss []int
+		s.mu.Lock()
+		for _, i := range pending {
+			e, inFlight := s.entries[keys[i]]
+			switch {
+			case !cacheable[i]:
+				miss = append(miss, i)
+			case inFlight:
+				entries[i] = e
+				waiters = append(waiters, i)
+			default:
+				entries[i] = &sessionEntry{done: make(chan struct{})}
+				s.entries[keys[i]] = entries[i]
+				claimed = append(claimed, i)
 			}
-			return sums[0], nil
-		})
-		if err != nil {
+		}
+		s.mu.Unlock()
+		if err := settle(claimed, miss); err != nil {
 			return nil, nil, err
 		}
-		out[i] = st
+		pending = pending[:0]
+		for _, i := range waiters {
+			e := entries[i]
+			wsp := obs.StartLeafSpan("metrics.session.wait")
+			<-e.done
+			wsp.End()
+			switch {
+			case e.err == errSessionPanicked:
+				return nil, nil, e.err
+			case e.err != nil:
+				pending = append(pending, i) // claim was evicted: claim it next round
+			default:
+				out[i] = e.val.(T)
+				d.Hits++
+				d.StepsSaved += int64(steps)
+			}
+		}
 	}
 	return out, sim, nil
+}
+
+// resolveOne resolves the single run key through resolve.
+func resolveOne[T any](s *Session, key string, cacheable bool, steps int, c runCodec[T], exec func() (T, error)) (T, error) {
+	out, _, err := resolve(s, []string{key}, []bool{cacheable}, steps, c, func([]int) ([]T, error) {
+		v, err := exec()
+		return []T{v}, err
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out[0], nil
 }
 
 // lossFingerprinter is the optional contract the builtin fluid loss

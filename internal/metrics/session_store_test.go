@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -176,6 +179,103 @@ func TestStoreCrossProcessContention(t *testing.T) {
 	}
 	if diskHits == 0 {
 		t.Fatal("no session ever hit the shared store")
+	}
+	if stats := st.Stats(); stats.Corrupt != 0 {
+		t.Fatalf("store reported %d corrupt entries under contention", stats.Corrupt)
+	}
+}
+
+// TestStoreCrossProcessContentionPayloads races the single-run payloads
+// the same way TestStoreCrossProcessContention races streamed grids:
+// eight sessions over one store resolve ext summaries (CharacterizeExt),
+// fast-utilization probes and topology runs in different orders. Every
+// unique key must simulate exactly once across all racers, and every
+// result must match an uncached run bit for bit.
+func TestStoreCrossProcessContentionPayloads(t *testing.T) {
+	cfg := cap100()
+	opt := func(s *Session) Options { return Options{Steps: 600, Session: s, NoCache: s == nil} }
+	topo := func(p protocol.Protocol) func(*Session) ([]byte, error) {
+		return func(s *Session) ([]byte, error) {
+			links, flows := topoFixture()
+			for i := range flows {
+				flows[i].Proto = p
+			}
+			st, err := RunTopo(context.Background(), TopoRunSpec{Links: links, Flows: flows, Steps: 600, Session: s})
+			if err != nil {
+				return nil, err
+			}
+			return encodeTopoSummary(st), nil
+		}
+	}
+	ext := func(p protocol.Protocol) func(*Session) ([]byte, error) {
+		return func(s *Session) ([]byte, error) {
+			e, err := CharacterizeExt(cfg, p, 2, opt(s))
+			return []byte(fmt.Sprintf("%d|%x|%d", e.ConvergenceTime, math.Float64bits(e.Smoothness), e.Responsiveness)), err
+		}
+	}
+	fastUtil := func(p protocol.Protocol) func(*Session) ([]byte, error) {
+		return func(s *Session) ([]byte, error) {
+			v, err := FastUtilization(p, opt(s))
+			return encodeFloat(v), err
+		}
+	}
+	items := []func(*Session) ([]byte, error){
+		ext(protocol.Reno()), ext(protocol.CubicLinux()),
+		fastUtil(protocol.Reno()), fastUtil(protocol.CubicLinux()),
+		topo(protocol.Reno()), topo(protocol.ScalableAIMD()),
+	}
+	baseline := make([][]byte, len(items))
+	for i, item := range items {
+		b, err := item(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline[i] = b
+	}
+
+	st := testStore(t)
+	const nProcs = 8
+	sessions := make([]*Session, nProcs)
+	results := make([][][]byte, nProcs)
+	var wg sync.WaitGroup
+	for pi := range sessions {
+		sessions[pi] = storeSession(t, st)
+		results[pi] = make([][]byte, len(items))
+		wg.Add(1)
+		go func(pi int) {
+			defer wg.Done()
+			for k := range items {
+				i := (k + pi) % len(items)
+				b, err := items[i](sessions[pi])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[pi][i] = b
+			}
+		}(pi)
+	}
+	wg.Wait()
+	for pi := range results {
+		for i := range items {
+			if !bytes.Equal(results[pi][i], baseline[i]) {
+				t.Fatalf("proc %d, item %d: contended result %x differs from uncached %x", pi, i, results[pi][i], baseline[i])
+			}
+		}
+	}
+
+	coldProbe := storeSession(t, testStore(t))
+	for _, item := range items {
+		if _, err := item(coldProbe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var misses int64
+	for _, s := range sessions {
+		misses += s.Stats().Misses
+	}
+	if want := coldProbe.Stats().Misses; misses != want {
+		t.Fatalf("contended sessions simulated %d cacheable runs, want exactly %d (one per unique key)", misses, want)
 	}
 	if stats := st.Stats(); stats.Corrupt != 0 {
 		t.Fatalf("store reported %d corrupt entries under contention", stats.Corrupt)

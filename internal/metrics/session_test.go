@@ -3,6 +3,7 @@ package metrics
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -203,7 +204,7 @@ func TestSessionConcurrentSharing(t *testing.T) {
 	}
 }
 
-func TestSessionDoBatchClassification(t *testing.T) {
+func TestSessionResolveClassification(t *testing.T) {
 	// One call with a duplicated key, a distinct key, and an uncacheable
 	// cell: the duplicate must resolve as a waiter (no self-deadlock, no
 	// second simulation), and exec must see exactly the claimed misses
@@ -219,7 +220,7 @@ func TestSessionDoBatchClassification(t *testing.T) {
 		}
 		return out, nil
 	}
-	out, sim, err := s.doBatch([]string{"a", "a", "b", "c"}, []bool{true, true, true, false}, 100, exec)
+	out, sim, err := resolve(s, []string{"a", "a", "b", "c"}, []bool{true, true, true, false}, 100, streamCodec, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestSessionDoBatchClassification(t *testing.T) {
 	}
 
 	// A second batch over the same cacheable keys is all hits.
-	out2, sim2, err := s.doBatch([]string{"a", "b"}, []bool{true, true}, 100, func(miss []int) ([]*StreamSummary, error) {
+	out2, sim2, err := resolve(s, []string{"a", "b"}, []bool{true, true}, 100, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 		t.Fatalf("warm batch simulated %v", miss)
 		return nil, nil
 	})
@@ -261,18 +262,18 @@ func TestSessionDoBatchClassification(t *testing.T) {
 	}
 }
 
-func TestSessionDoBatchErrorEvicts(t *testing.T) {
-	// A failed batch must not poison the session: the claims are evicted
+func TestSessionResolveErrorEvicts(t *testing.T) {
+	// A failed call must not poison the session: the claims are evicted
 	// so a retry re-simulates and succeeds.
 	s := NewSession()
 	boom := errors.New("boom")
-	if _, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func([]int) ([]*StreamSummary, error) {
+	if _, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func([]int) ([]*StreamSummary, error) {
 		return nil, boom
 	}); err != boom {
 		t.Fatalf("got %v, want the exec error", err)
 	}
 	want := &StreamSummary{}
-	out, _, err := s.doBatch([]string{"k"}, []bool{true}, 10, func(miss []int) ([]*StreamSummary, error) {
+	out, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 		return []*StreamSummary{want}, nil
 	})
 	if err != nil || out[0] != want {
@@ -280,6 +281,72 @@ func TestSessionDoBatchErrorEvicts(t *testing.T) {
 	}
 	if st := s.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("failed attempts must not count: %+v", st)
+	}
+
+	// A waiter whose claimant fails claims the key itself and simulates
+	// it; the claimant's error is not handed on. In the grid, the second
+	// "k" then waits on the first.
+	for _, c := range []struct {
+		name         string
+		keys         []string
+		sim          []bool
+		misses, hits int64
+	}{
+		{"one key", []string{"k"}, []bool{true}, 1, 0},
+		{"grid with a duplicate", []string{"k", "j", "k"}, []bool{true, true, false}, 2, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSession()
+			started, release := make(chan struct{}), make(chan struct{})
+			failed := make(chan error, 1)
+			go func() {
+				_, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func([]int) ([]*StreamSummary, error) {
+					close(started)
+					<-release
+					return nil, boom
+				})
+				failed <- err
+			}()
+			<-started
+			var (
+				out []*StreamSummary
+				sim []bool
+				err error
+			)
+			waited := make(chan struct{})
+			go func() {
+				defer close(waited)
+				cacheable := make([]bool, len(c.keys))
+				for i := range cacheable {
+					cacheable[i] = true
+				}
+				out, sim, err = resolve(s, c.keys, cacheable, 10, streamCodec, func(miss []int) ([]*StreamSummary, error) {
+					sums := make([]*StreamSummary, len(miss))
+					for j := range sums {
+						sums[j] = &StreamSummary{}
+					}
+					return sums, nil
+				})
+			}()
+			waitForSessionWaiter(t)
+			close(release)
+			if err := <-failed; err != boom {
+				t.Fatalf("claimant got %v, want the exec error", err)
+			}
+			<-waited
+			if err != nil {
+				t.Fatalf("waiter got %v, want it to simulate the key itself", err)
+			}
+			for i := range c.keys {
+				if out[i] == nil || out[i] != out[slices.Index(c.keys, c.keys[i])] || sim[i] != c.sim[i] {
+					t.Fatalf("run %d: summary %p (first of its key %p), simulated %v, want %v",
+						i, out[i], out[slices.Index(c.keys, c.keys[i])], sim[i], c.sim[i])
+				}
+			}
+			if st := s.Stats(); st.Misses != c.misses || st.Hits != c.hits {
+				t.Fatalf("got %+v, want %d misses and %d hits", st, c.misses, c.hits)
+			}
+		})
 	}
 }
 

@@ -448,7 +448,7 @@ func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoSummary, error) {
 		return st.Summary(), nil
 	}
 	key, cacheable := topoKey(&t)
-	return do(t.Session, key, cacheable, t.Steps, topoCodec, exec)
+	return resolveOne(t.Session, key, cacheable, t.Steps, topoCodec, exec)
 }
 
 // CharacterizeTopo measures all eight metrics for a homogeneous
