@@ -640,12 +640,13 @@ func BenchmarkGridStep(b *testing.B) {
 
 // BenchmarkCharacterize is the perf baseline for the run-deduplication
 // layer: a full eight-axiom characterization of Reno (2 senders) with the
-// content-addressed cache disabled — the pre-cache baseline, every
-// estimator re-simulating its own runs — and enabled, where the five
-// tail estimators and the Reno-vs-Reno friendliness mix all share the
-// same simulated cells. Alongside wall clock it records the simulated-
-// vs-saved step counts from the session, the acceptance metric for the
-// dedup layer, into BENCH_characterize.json (mirroring BENCH_sweep.json).
+// content-addressed cache disabled — every run Characterize requests is
+// simulated: the homogeneous runs its six tail scores fold from, the
+// Reno-vs-Reno friendliness mix and the probes — and enabled, where the
+// mix collapses onto the homogeneous runs (their keys are equal at
+// n = 2). Alongside wall clock it records the simulated-vs-saved step
+// counts from the session, the acceptance metric for the dedup layer,
+// into BENCH_characterize.json (mirroring BENCH_sweep.json).
 func BenchmarkCharacterize(b *testing.B) {
 	cfg := link20()
 	var uncachedNs, cachedNs, uncachedAllocs, cachedAllocs int64

@@ -98,15 +98,12 @@ func CheckTheorem1(opt metrics.Options, tol float64) ([]Theorem1Check, error) {
 	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (Theorem1Check, error) {
 			p := protos[i]
-			conv, err := metrics.Convergence(cfg, p, 1, cellOpt)
+			sums, err := metrics.StreamRuns(cfg, []protocol.Protocol{p}, cellOpt)
 			if err != nil {
 				return Theorem1Check{}, err
 			}
+			conv, eff := metrics.ConvergenceMetric.Worst(sums), metrics.EfficiencyMetric.Worst(sums)
 			fast, err := metrics.FastUtilization(p, cellOpt)
-			if err != nil {
-				return Theorem1Check{}, err
-			}
-			eff, err := metrics.Efficiency(cfg, p, 1, cellOpt)
 			if err != nil {
 				return Theorem1Check{}, err
 			}

@@ -25,8 +25,8 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/fluid"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
-	"repro/internal/stats"
 )
 
 // Payoff maps a player's simulation outcome to utility: tail-average
@@ -52,24 +52,21 @@ func LossSensitivePayoff(lambda float64) Payoff {
 }
 
 // Game is an n-player protocol-selection game on a shared fluid link.
+// Each profile is one streamed run resolved through a metrics.Session
+// the game owns (and so through the default run store, when one is
+// installed): a profile simulates once, however often the solution
+// concepts ask for its payoffs.
 type Game struct {
-	cfg    fluid.Config
-	menu   []protocol.Protocol
-	n      int
-	steps  int
-	tail   float64
-	payoff Payoff
-
-	// payoff cache keyed by the profile string.
-	cache map[string][]float64
+	cfg     fluid.Config
+	menu    []protocol.Protocol
+	n       int
+	steps   int
+	payoff  Payoff
+	session *metrics.Session
 }
 
-// SetPayoff replaces the payoff function (default GoodputPayoff) and
-// clears the cache.
-func (g *Game) SetPayoff(p Payoff) {
-	g.payoff = p
-	g.cache = map[string][]float64{}
-}
+// SetPayoff replaces the payoff function (default GoodputPayoff).
+func (g *Game) SetPayoff(p Payoff) { g.payoff = p }
 
 // New builds a game. menu entries are cloned per player at simulation
 // time; n is the number of players. steps is the simulation horizon
@@ -78,11 +75,19 @@ func New(cfg fluid.Config, menu []protocol.Protocol, n, steps int) (*Game, error
 	if len(menu) < 2 {
 		return nil, fmt.Errorf("game: menu needs ≥ 2 protocols, got %d", len(menu))
 	}
+	for i, p := range menu {
+		if p == nil {
+			return nil, fmt.Errorf("game: menu entry %d is nil", i)
+		}
+	}
 	if n < 2 {
 		return nil, fmt.Errorf("game: need ≥ 2 players, got %d", n)
 	}
 	if steps < 0 {
 		return nil, fmt.Errorf("game: steps must be non-negative, got %d", steps)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("game: %w", err)
 	}
 	if steps == 0 {
 		steps = 3000
@@ -95,13 +100,12 @@ func New(cfg fluid.Config, menu []protocol.Protocol, n, steps int) (*Game, error
 		}
 	}
 	return &Game{
-		cfg:    cfg,
-		menu:   menu,
-		n:      n,
-		steps:  steps,
-		tail:   0.75,
-		payoff: GoodputPayoff,
-		cache:  map[string][]float64{},
+		cfg:     cfg,
+		menu:    menu,
+		n:       n,
+		steps:   steps,
+		payoff:  GoodputPayoff,
+		session: metrics.NewSession(),
 	}, nil
 }
 
@@ -117,44 +121,45 @@ func (g *Game) Menu() []string {
 // Players returns n.
 func (g *Game) Players() int { return g.n }
 
-func (g *Game) key(profile []int) string {
-	var sb strings.Builder
-	for _, s := range profile {
-		fmt.Fprintf(&sb, "%d,", s)
-	}
-	return sb.String()
-}
-
-// Payoffs simulates the profile (profile[i] indexes the menu) and returns
-// each player's average tail goodput in MSS/s. Results are memoized.
-func (g *Game) Payoffs(profile []int) ([]float64, error) {
+// checkProfile rejects a profile of the wrong length or with a strategy
+// outside the menu.
+func (g *Game) checkProfile(profile []int) error {
 	if len(profile) != g.n {
-		return nil, fmt.Errorf("game: profile length %d, want %d", len(profile), g.n)
+		return fmt.Errorf("game: profile length %d, want %d", len(profile), g.n)
 	}
 	for _, s := range profile {
 		if s < 0 || s >= len(g.menu) {
-			return nil, fmt.Errorf("game: strategy %d out of menu range", s)
+			return fmt.Errorf("game: strategy %d out of menu range", s)
 		}
 	}
-	k := g.key(profile)
-	if cached, ok := g.cache[k]; ok {
-		return cached, nil
+	return nil
+}
+
+// Payoffs returns each player's payoff under the profile (profile[i]
+// indexes the menu): by default its average goodput in MSS/s over the
+// last quarter of the run (metrics.DefaultTailFrac). All senders start
+// at the window floor.
+func (g *Game) Payoffs(profile []int) ([]float64, error) {
+	if err := g.checkProfile(profile); err != nil {
+		return nil, err
 	}
 	protos := make([]protocol.Protocol, g.n)
 	for i, s := range profile {
 		protos[i] = g.menu[s]
 	}
-	tr, err := fluid.Mixed(g.cfg, protos, nil, g.steps)
+	sums, err := metrics.StreamRuns(g.cfg, protos, metrics.Options{
+		Steps:       g.steps,
+		InitConfigs: [][]float64{{protocol.MinWindow}},
+		Session:     g.session,
+	})
 	if err != nil {
 		return nil, err
 	}
-	avgLoss := stats.Mean(stats.Tail(tr.Loss(), g.tail))
-	avgRTT := stats.Mean(stats.Tail(tr.RTT(), g.tail))
+	run := sums[0]
 	payoffs := make([]float64, g.n)
 	for i := range payoffs {
-		payoffs[i] = g.payoff(tr.AvgGoodput(i, g.tail), avgLoss, avgRTT, g.cfg.BaseRTT())
+		payoffs[i] = g.payoff(run.AvgGoodputs[i], run.MeanLoss, run.MeanRTT, g.cfg.BaseRTT())
 	}
-	g.cache[k] = payoffs
 	return payoffs, nil
 }
 
@@ -183,6 +188,9 @@ type Deviation struct {
 // by deviating unilaterally. When the profile is not an equilibrium the
 // most profitable deviation is returned.
 func (g *Game) IsNash(profile []int, tolFrac float64) (bool, *Deviation, error) {
+	if !(tolFrac >= 0) {
+		return false, nil, fmt.Errorf("game: tolerance must be non-negative, got %v", tolFrac)
+	}
 	base, err := g.Payoffs(profile)
 	if err != nil {
 		return false, nil, err
@@ -240,6 +248,12 @@ func (g *Game) PureNash(tolFrac float64) ([][]int, error) {
 // BestResponse returns player's payoff-maximizing strategy against the
 // others in profile.
 func (g *Game) BestResponse(profile []int, player int) (int, error) {
+	if err := g.checkProfile(profile); err != nil {
+		return 0, err
+	}
+	if player < 0 || player >= g.n {
+		return 0, fmt.Errorf("game: player %d out of range [0, %d)", player, g.n)
+	}
 	best, bestPay := profile[player], math.Inf(-1)
 	for alt := 0; alt < len(g.menu); alt++ {
 		dev := append([]int(nil), profile...)

@@ -1,6 +1,7 @@
 package game
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -35,6 +36,85 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(link(), []protocol.Protocol{protocol.Reno(), protocol.Scalable()}, 30, 100); err == nil {
 		t.Fatal("2^30 profile space accepted")
+	}
+}
+
+// TestNewRejectsNilMenuEntry: a nil entry used to pass New and panic
+// with a nil-pointer dereference at the first Payoffs.
+func TestNewRejectsNilMenuEntry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		menu []protocol.Protocol
+	}{
+		{"first", []protocol.Protocol{nil, protocol.Reno()}},
+		{"last", []protocol.Protocol{protocol.Reno(), protocol.Scalable(), nil}},
+		{"all", []protocol.Protocol{nil, nil}},
+	} {
+		if _, err := New(link(), c.menu, 2, 100); err == nil {
+			t.Errorf("%s: nil menu entry accepted", c.name)
+		}
+	}
+}
+
+// TestNewValidatesLink: an invalid link used to pass New and fail only
+// at the first Payoffs.
+func TestNewValidatesLink(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		edit func(*fluid.Config)
+	}{
+		{"NaN bandwidth", func(c *fluid.Config) { c.Bandwidth = nan }},
+		{"zero bandwidth", func(c *fluid.Config) { c.Bandwidth = 0 }},
+		{"NaN delay", func(c *fluid.Config) { c.PropDelay = nan }},
+		{"negative buffer", func(c *fluid.Config) { c.Buffer = -1 }},
+	} {
+		cfg := link()
+		c.edit(&cfg)
+		if _, err := New(cfg, []protocol.Protocol{protocol.Reno(), protocol.Scalable()}, 2, 100); err == nil {
+			t.Errorf("%s: link accepted", c.name)
+		}
+	}
+}
+
+// TestToleranceValidated: IsNash with a NaN tolerance used to report
+// every profile as an equilibrium, so PureNash(NaN) listed them all.
+func TestToleranceValidated(t *testing.T) {
+	g := renoVsScalable(t, 2)
+	for _, tol := range []float64{math.NaN(), -0.05, math.Inf(-1)} {
+		if _, _, err := g.IsNash([]int{0, 0}, tol); err == nil {
+			t.Errorf("IsNash accepted tolerance %v", tol)
+		}
+		if eqs, err := g.PureNash(tol); err == nil {
+			t.Errorf("PureNash accepted tolerance %v and found %v", tol, eqs)
+		}
+	}
+	if _, _, err := g.IsNash([]int{0, 0}, 0); err != nil {
+		t.Errorf("zero tolerance rejected: %v", err)
+	}
+}
+
+// TestBestResponseValidatesInputs: a player outside [0, n) used to panic
+// with an index out of range; so did a profile of the wrong length.
+func TestBestResponseValidatesInputs(t *testing.T) {
+	g := renoVsScalable(t, 2)
+	for _, c := range []struct {
+		name    string
+		profile []int
+		player  int
+	}{
+		{"player n", []int{0, 0}, 2},
+		{"negative player", []int{0, 0}, -1},
+		{"short profile", []int{0}, 1},
+		{"long profile", []int{0, 0, 0}, 2},
+		{"strategy outside menu", []int{0, 2}, 0},
+	} {
+		if br, err := g.BestResponse(c.profile, c.player); err == nil {
+			t.Errorf("%s: accepted, best response %d", c.name, br)
+		}
+	}
+	if _, _, err := g.BestResponseDynamics([]int{0}, 3); err == nil {
+		t.Error("dynamics accepted a start of the wrong length")
 	}
 }
 

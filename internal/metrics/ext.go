@@ -28,21 +28,8 @@ func ConvergenceTime(cfg fluid.Config, p protocol.Protocol, n int, band float64,
 	if band <= 0 || band >= 1 {
 		return 0, fmt.Errorf("metrics: band must be in (0,1), got %v", band)
 	}
-	o := opt.withDefaults()
-	worst := 0
-	for _, init := range o.initConfigs(cfg.Capacity(), n) {
-		s, err := extRun(cfg, p, n, init, band, o)
-		if err != nil {
-			return 0, err
-		}
-		if s.settle < 0 {
-			return -1, nil
-		}
-		if s.settle > worst {
-			worst = s.settle
-		}
-	}
-	return worst, nil
+	settle, _, err := extWorst(cfg, p, n, band, opt.withDefaults())
+	return settle, err
 }
 
 // convergenceStep finds the earliest step from which every sender's window
@@ -79,16 +66,8 @@ func convergenceStep(window func(int) []float64, senders, length int, band, tail
 // criterion): 0.5 for Reno's halving, 0.2 for CUBIC(·, 0.8), near 0 for
 // protocols that only ever decrease gently. Lower is smoother.
 func Smoothness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	o := opt.withDefaults()
-	var sums []extSummary
-	for _, init := range o.initConfigs(cfg.Capacity(), n) {
-		s, err := extRun(cfg, p, n, init, extBand, o)
-		if err != nil {
-			return 0, err
-		}
-		sums = append(sums, s)
-	}
-	return worstCase(sums, lowerBetter, func(s extSummary) float64 { return s.smooth }), nil
+	_, smooth, err := extWorst(cfg, p, n, extBand, opt.withDefaults())
+	return smooth, err
 }
 
 // extBand is the settle band CharacterizeExt measures ConvergenceTime at.
@@ -104,35 +83,57 @@ type extSummary struct {
 	smooth float64
 }
 
-// extRun resolves the extSummary of n p-senders started from init
-// through o.Session. The key carries the band and the tail fraction the
-// summary was taken at.
-func extRun(cfg fluid.Config, p protocol.Protocol, n int, init []float64, band float64, o Options) (extSummary, error) {
-	protos := make([]protocol.Protocol, n)
-	for i := range protos {
-		protos[i] = p
+// extWorst resolves the extSummary of n p-senders started from each
+// initial configuration of o through o.Session, simulating the missing
+// runs one after another, and folds them: the latest settle step at
+// band (-1 when any run never settles) and the largest tail drop. Each
+// key carries the band and the tail fraction the summary was taken at.
+func extWorst(cfg fluid.Config, p protocol.Protocol, n int, band float64, o Options) (settle int, smooth float64, err error) {
+	protos, err := homogeneous(p, n)
+	if err != nil {
+		return 0, 0, err
 	}
-	key, cacheable := runKey(cfg, protos, init, o, keyExt)
-	key += "band=" + strconv.FormatUint(math.Float64bits(band), 16)
-	return resolveOne(o.Session, key, cacheable, o.Steps, extCodec, func() (extSummary, error) {
-		tr, err := simulateRecorded(cfg, p, n, init, o)
-		if err != nil {
-			return extSummary{}, err
-		}
-		s := extSummary{settle: convergenceStep(tr.Window, tr.Senders(), tr.Len(), band, o.TailFrac)}
-		for i := 0; i < tr.Senders(); i++ {
-			w := stats.Tail(tr.Window(i), o.TailFrac)
-			for t := 0; t+1 < len(w); t++ {
-				if w[t] <= 0 {
-					continue
-				}
-				if drop := (w[t] - w[t+1]) / w[t]; drop > s.smooth {
-					s.smooth = drop
+	inits := o.initConfigs(cfg.Capacity(), n)
+	keys := make([]string, len(inits))
+	cacheable := make([]bool, len(inits))
+	for i, init := range inits {
+		keys[i], cacheable[i] = runKey(cfg, protos, init, o, keyExt)
+		keys[i] += "band=" + strconv.FormatUint(math.Float64bits(band), 16)
+	}
+	sums, _, err := resolve(o.Session, keys, cacheable, o.Steps, extCodec, func(miss []int) ([]extSummary, error) {
+		out := make([]extSummary, len(miss))
+		for j, i := range miss {
+			tr, err := simulateRecorded(cfg, p, n, inits[i], o)
+			if err != nil {
+				return nil, err
+			}
+			s := &out[j]
+			s.settle = convergenceStep(tr.Window, tr.Senders(), tr.Len(), band, o.TailFrac)
+			for f := 0; f < tr.Senders(); f++ {
+				w := stats.Tail(tr.Window(f), o.TailFrac)
+				for t := 0; t+1 < len(w); t++ {
+					if w[t] <= 0 {
+						continue
+					}
+					if drop := (w[t] - w[t+1]) / w[t]; drop > s.smooth {
+						s.smooth = drop
+					}
 				}
 			}
 		}
-		return s, nil
+		return out, nil
 	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, s := range sums {
+		if s.settle < 0 || settle < 0 {
+			settle = -1
+		} else {
+			settle = max(settle, s.settle)
+		}
+	}
+	return settle, worstCase(sums, lowerBetter, func(s extSummary) float64 { return s.smooth }), nil
 }
 
 // Responsiveness measures adaptation to a capacity *increase*: the link's
@@ -186,9 +187,9 @@ type ExtScores struct {
 // Convergence uses a ±25% band; responsiveness targets 80% of the doubled
 // capacity.
 //
-// Like Characterize, the call deduplicates runs through opt.Session
-// (installing a private one unless opt.NoCache is set): ConvergenceTime
-// and Smoothness read the same per-start summaries, so they simulate once.
+// ConvergenceTime and Smoothness fold from one pass of per-start ext
+// summaries. Like Characterize, the call resolves through opt.Session
+// (installing a private one unless opt.NoCache is set).
 // Responsiveness attaches a bandwidth-schedule closure and is therefore
 // uncacheable by design. Scores are bit-identical with caching on or off.
 func CharacterizeExt(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (ExtScores, error) {
@@ -197,14 +198,11 @@ func CharacterizeExt(cfg fluid.Config, p protocol.Protocol, n int, opt Options) 
 	}
 	var out ExtScores
 	var err error
-	if out.ConvergenceTime, err = ConvergenceTime(cfg, p, n, extBand, opt); err != nil {
-		return out, err
-	}
-	if out.Smoothness, err = Smoothness(cfg, p, n, opt); err != nil {
-		return out, err
+	if out.ConvergenceTime, out.Smoothness, err = extWorst(cfg, p, n, extBand, opt.withDefaults()); err != nil {
+		return ExtScores{}, err
 	}
 	if out.Responsiveness, err = Responsiveness(cfg, p, n, 0.8, opt); err != nil {
-		return out, err
+		return ExtScores{}, err
 	}
 	return out, nil
 }

@@ -10,6 +10,15 @@ import (
 	"repro/internal/stats"
 )
 
+// extRun resolves, through extWorst, the ext summary of the one start
+// init (nil: every sender at the floor); over one run the folds are the
+// run's own settle step and drop.
+func extRun(cfg fluid.Config, p protocol.Protocol, n int, init []float64, band float64, o Options) (extSummary, error) {
+	o.InitConfigs = [][]float64{init}
+	settle, smooth, err := extWorst(cfg, p, n, band, o)
+	return extSummary{settle: settle, smooth: smooth}, err
+}
+
 func TestConvergenceTimeAIMDFinite(t *testing.T) {
 	ct, err := ConvergenceTime(cap100(), protocol.Reno(), 2, 0.4, fastOpt)
 	if err != nil {

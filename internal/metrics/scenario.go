@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -148,52 +147,70 @@ func worstCase[R any](runs []R, b better, score func(R) float64) float64 {
 	return worst
 }
 
-// StreamRuns resolves one streamed run per initial configuration of
-// opt (its InitConfigs, else the defaults for cfg) with one sender per
-// entry of protos — homogeneous estimators pass n copies of one
-// protocol, Friendliness its mix — and returns each run's frozen
-// summary in that order. No trace is materialized. The runs resolve
-// through opt.Session when set, and those left to simulate go to
-// engine.SweepSpecs as one grid. Summaries may be shared with the
-// session: treat them as read-only.
-func StreamRuns(cfg fluid.Config, protos []protocol.Protocol, opt Options) ([]*StreamSummary, error) {
-	if len(protos) == 0 {
-		return nil, errors.New("metrics: StreamRuns needs at least one protocol")
-	}
-	o := opt.withDefaults()
-	var g streamGrid
-	g.add(cfg, protos, o)
-	sums, _, err := g.resolve(o)
-	return sums, err
+// Metric is a tail-window axiom score of one streamed run with the
+// orientation its worst case folds in, written once for the estimators
+// below and for every scorer that folds runs it resolved itself.
+type Metric struct {
+	better better
+	score  func(*StreamSummary) float64
 }
 
-// homogeneousWorst runs n p-senders on cfg from every initial
-// configuration and folds score over the runs into its worst case.
-func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options, b better, score func(*StreamSummary) float64) (float64, error) {
+// Worst is the metric's worst case over the runs' summaries (see
+// worstCase): the axioms' "for every initial configuration".
+func (m Metric) Worst(sums []*StreamSummary) float64 { return worstCase(sums, m.better, m.score) }
+
+// The homogeneous tail-window metrics, I, III, IV, V and VIII.
+var (
+	EfficiencyMetric       = Metric{higherBetter, func(s *StreamSummary) float64 { return s.Efficiency }}
+	LossAvoidanceMetric    = Metric{lowerBetter, func(s *StreamSummary) float64 { return s.LossAvoidance }}
+	FairnessMetric         = Metric{higherBetter, (*StreamSummary).Fairness}
+	ConvergenceMetric      = Metric{higherBetter, func(s *StreamSummary) float64 { return s.Convergence }}
+	LatencyAvoidanceMetric = Metric{lowerBetter, func(s *StreamSummary) float64 { return s.LatencyAvoidance }}
+)
+
+// FriendlinessMetric is Metric VII over a mix whose P-senders are pIdx
+// and Q-senders qIdx (see StreamSummary.Friendliness).
+func FriendlinessMetric(pIdx, qIdx []int) Metric {
+	return Metric{higherBetter, func(s *StreamSummary) float64 { return s.Friendliness(pIdx, qIdx) }}
+}
+
+// homogeneous returns n copies of p, the population of the homogeneous
+// estimators.
+func homogeneous(p protocol.Protocol, n int) ([]protocol.Protocol, error) {
 	if n <= 0 {
-		return 0, fmt.Errorf("fluid: need at least one sender, got %d", n)
+		return nil, fmt.Errorf("fluid: need at least one sender, got %d", n)
 	}
 	protos := make([]protocol.Protocol, n)
 	for i := range protos {
 		protos[i] = p
 	}
+	return protos, nil
+}
+
+// homogeneousWorst runs n p-senders on cfg from every initial
+// configuration and folds m over the runs into its worst case.
+func homogeneousWorst(cfg fluid.Config, p protocol.Protocol, n int, opt Options, m Metric) (float64, error) {
+	protos, err := homogeneous(p, n)
+	if err != nil {
+		return 0, err
+	}
 	sums, err := StreamRuns(cfg, protos, opt)
 	if err != nil {
 		return 0, err
 	}
-	return worstCase(sums, b, score), nil
+	return m.Worst(sums), nil
 }
 
 // Efficiency estimates Metric I for n senders all running p on cfg: the
 // worst case over initial configurations of the tail's minimum X(t)/C.
 func Efficiency(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, higherBetter, func(s *StreamSummary) float64 { return s.Efficiency })
+	return homogeneousWorst(cfg, p, n, opt, EfficiencyMetric)
 }
 
 // LossAvoidance estimates Metric III: the worst case over initial
 // configurations of the tail's maximum loss rate. Lower is better.
 func LossAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, lowerBetter, func(s *StreamSummary) float64 { return s.LossAvoidance })
+	return homogeneousWorst(cfg, p, n, opt, LossAvoidanceMetric)
 }
 
 // Fairness estimates Metric IV: the worst case over initial configurations
@@ -202,14 +219,14 @@ func Fairness(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float6
 	if n < 2 {
 		return 0, fmt.Errorf("metrics: fairness needs ≥ 2 senders, got %d", n)
 	}
-	return homogeneousWorst(cfg, p, n, opt, higherBetter, (*StreamSummary).Fairness)
+	return homogeneousWorst(cfg, p, n, opt, FairnessMetric)
 }
 
 // Convergence estimates Metric V: the worst case over initial
 // configurations of the tail's containment around each sender's fixed
 // point.
 func Convergence(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, higherBetter, func(s *StreamSummary) float64 { return s.Convergence })
+	return homogeneousWorst(cfg, p, n, opt, ConvergenceMetric)
 }
 
 // FastUtilization estimates Metric II by running a single p-sender on an
@@ -343,23 +360,20 @@ func Friendliness(cfg fluid.Config, p, q protocol.Protocol, nP, nQ int, opt Opti
 	if nP <= 0 || nQ <= 0 {
 		return 0, fmt.Errorf("metrics: friendliness needs senders on both sides (nP=%d nQ=%d)", nP, nQ)
 	}
-	n := nP + nQ
-	protos := make([]protocol.Protocol, 0, n)
-	pIdx := make([]int, 0, nP)
-	qIdx := make([]int, 0, nQ)
-	for i := 0; i < nP; i++ {
-		pIdx = append(pIdx, len(protos))
-		protos = append(protos, p)
-	}
-	for i := 0; i < nQ; i++ {
-		qIdx = append(qIdx, len(protos))
-		protos = append(protos, q)
+	protos := make([]protocol.Protocol, nP+nQ)
+	pIdx, qIdx := make([]int, nP), make([]int, nQ)
+	for i := range protos {
+		if i < nP {
+			protos[i], pIdx[i] = p, i
+		} else {
+			protos[i], qIdx[i-nP] = q, i
+		}
 	}
 	sums, err := StreamRuns(cfg, protos, opt)
 	if err != nil {
 		return 0, err
 	}
-	return worstCase(sums, higherBetter, func(s *StreamSummary) float64 { return s.Friendliness(pIdx, qIdx) }), nil
+	return FriendlinessMetric(pIdx, qIdx).Worst(sums), nil
 }
 
 // TCPFriendliness estimates the paper's Metric VII specialization: p's
@@ -373,7 +387,7 @@ func TCPFriendliness(cfg fluid.Config, p protocol.Protocol, nP, nReno int, opt O
 // definition asks for "sufficiently large link capacity and buffer"; pass
 // a suitably provisioned cfg. Lower is better.
 func LatencyAvoidance(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (float64, error) {
-	return homogeneousWorst(cfg, p, n, opt, lowerBetter, func(s *StreamSummary) float64 { return s.LatencyAvoidance })
+	return homogeneousWorst(cfg, p, n, opt, LatencyAvoidanceMetric)
 }
 
 // Scores is a protocol's empirical position in the paper's 8-dimensional
@@ -401,45 +415,46 @@ func (s Scores) String() string {
 // Fast-utilization and robustness use the metric-specific infinite-link
 // scenarios; TCP-friendliness runs one p-sender against one Reno sender.
 //
-// Unless opt.NoCache is set, the call deduplicates its simulation runs
-// through opt.Session (installing a private one when nil): Efficiency,
-// LossAvoidance, Fairness, Convergence, and LatencyAvoidance all need the
-// same runs, and the TCP-friendliness mix of a Reno-parameterized AIMD
-// collapses onto the homogeneous runs, so each unique (config, init) cell
-// simulates exactly once. Scores are bit-identical with caching on or off.
+// The homogeneous runs and the Reno mix resolve together in one
+// ResolveRuns grid, and the six tail-window scores fold from those
+// summaries, each run read once. Unless opt.NoCache is set, the call
+// resolves through opt.Session (installing a private one when nil), so
+// the TCP-friendliness mix of a Reno-parameterized AIMD with n = 2
+// collapses onto the homogeneous runs and each unique (config, init)
+// cell simulates exactly once. Scores are bit-identical with caching on
+// or off.
 func Characterize(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (Scores, error) {
+	protos, err := homogeneous(p, n)
+	if err != nil {
+		return Scores{}, err
+	}
 	if opt.Session == nil && !opt.NoCache {
 		opt.Session = NewSession()
 	}
-	var s Scores
-	var err error
-	if s.Efficiency, err = Efficiency(cfg, p, n, opt); err != nil {
-		return s, err
+	runs, _, err := ResolveRuns([]RunSet{
+		{Cfg: cfg, Protos: protos},
+		{Cfg: cfg, Protos: []protocol.Protocol{p, protocol.Reno()}},
+	}, opt)
+	if err != nil {
+		return Scores{}, err
 	}
-	if s.FastUtilization, err = FastUtilization(p, opt); err != nil {
-		return s, err
-	}
-	if s.LossAvoidance, err = LossAvoidance(cfg, p, n, opt); err != nil {
-		return s, err
+	hom, mix := runs[0], runs[1]
+	s := Scores{
+		Efficiency:       EfficiencyMetric.Worst(hom),
+		LossAvoidance:    LossAvoidanceMetric.Worst(hom),
+		Fairness:         math.NaN(),
+		Convergence:      ConvergenceMetric.Worst(hom),
+		TCPFriendliness:  FriendlinessMetric([]int{0}, []int{1}).Worst(mix),
+		LatencyAvoidance: LatencyAvoidanceMetric.Worst(hom),
 	}
 	if n >= 2 {
-		if s.Fairness, err = Fairness(cfg, p, n, opt); err != nil {
-			return s, err
-		}
-	} else {
-		s.Fairness = math.NaN()
+		s.Fairness = FairnessMetric.Worst(hom)
 	}
-	if s.Convergence, err = Convergence(cfg, p, n, opt); err != nil {
-		return s, err
+	if s.FastUtilization, err = FastUtilization(p, opt); err != nil {
+		return Scores{}, err
 	}
 	if s.Robustness, err = Robustness(p, 0.5, 1e-3, opt); err != nil {
-		return s, err
-	}
-	if s.TCPFriendliness, err = TCPFriendliness(cfg, p, 1, 1, opt); err != nil {
-		return s, err
-	}
-	if s.LatencyAvoidance, err = LatencyAvoidance(cfg, p, n, opt); err != nil {
-		return s, err
+		return Scores{}, err
 	}
 	return s, nil
 }

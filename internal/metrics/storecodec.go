@@ -137,13 +137,15 @@ func (d *decoder) finish() error {
 
 // encodeStreamSummary serializes a fluid run's frozen summary.
 func encodeStreamSummary(s *StreamSummary) []byte {
-	b := make([]byte, 0, 1+5*8+2*(4+8*len(s.AvgWindows)))
+	b := make([]byte, 0, 1+7*8+2*(4+8*len(s.AvgWindows)))
 	b = append(b, codecKindStream)
 	b = putF64(b, s.Efficiency)
 	b = putF64(b, s.LossAvoidance)
 	b = putF64(b, s.Convergence)
 	b = putF64(b, s.LatencyAvoidance)
 	b = putF64(b, s.Utilization)
+	b = putF64(b, s.MeanLoss)
+	b = putF64(b, s.MeanRTT)
 	b = putF64s(b, s.AvgWindows)
 	return putF64s(b, s.AvgGoodputs)
 }
@@ -160,6 +162,8 @@ func decodeStreamSummary(payload []byte) (*StreamSummary, error) {
 		Convergence:      d.f64(),
 		LatencyAvoidance: d.f64(),
 		Utilization:      d.f64(),
+		MeanLoss:         d.f64(),
+		MeanRTT:          d.f64(),
 		AvgWindows:       d.f64s(),
 		AvgGoodputs:      d.f64s(),
 	}

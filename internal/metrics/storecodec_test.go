@@ -16,7 +16,7 @@ import (
 func oversizedLength(kind byte) []byte {
 	b := []byte{kind}
 	if kind == codecKindStream {
-		for i := 0; i < 5; i++ { // the five scalars
+		for i := 0; i < 7; i++ { // the seven scalars
 			b = putF64(b, 0.5)
 		}
 	}
@@ -25,7 +25,8 @@ func oversizedLength(kind byte) []byte {
 
 // codecSeeds returns real encodes of a streamed summary, a settled and a
 // never-settled (-1) ext summary, a flowless summary and the two probe
-// results, and of a topology summary.
+// results, a summary whose mean tail loss and RTT are both nonzero, and
+// of a topology summary.
 func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 	tb.Helper()
 	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 2, []float64{1, 8})
@@ -64,7 +65,38 @@ func codecSeeds(tb testing.TB) (runs [][]byte, topo []byte) {
 		encodeStreamSummary(empty.Summary()),
 		encodeFloat(0.75),
 		encodeBool(true),
+		encodeStreamSummary(lossySummary()),
 	}, encodeTopoSummary(ts)
+}
+
+// lossySummary is a two-sender summary whose every scalar is set, the
+// mean tail loss and RTT included.
+func lossySummary() *StreamSummary {
+	return &StreamSummary{
+		Efficiency: 0.8, LossAvoidance: 0.02, Convergence: 0.6, LatencyAvoidance: 0.4, Utilization: 0.9,
+		MeanLoss: 0.005, MeanRTT: 0.05,
+		AvgWindows: []float64{40, 60}, AvgGoodputs: []float64{800, 1200},
+	}
+}
+
+// TestStreamCodecRoundTripAndTruncation: a summary round-trips bit for
+// bit, the mean tail loss and RTT included, and every proper prefix of
+// its encoding is rejected.
+func TestStreamCodecRoundTripAndTruncation(t *testing.T) {
+	want := lossySummary()
+	payload := encodeStreamSummary(want)
+	got, err := decodeStreamSummary(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := streamSummariesBitEqual(got, want); d != "" {
+		t.Fatalf("round trip: %s", d)
+	}
+	for n := 0; n < len(payload); n++ {
+		if _, err := decodeStreamSummary(payload[:n]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte payload decoded", n, len(payload))
+		}
+	}
 }
 
 // TestDecodeRejectsInconsistentSummaries: length fields are bounded by

@@ -177,14 +177,18 @@ func (s *Stream) Summary() *StreamSummary {
 	total := tail(s.total)
 	sum.Efficiency = efficiency(total, s.capacity)
 	sum.Utilization = utilization(total, s.capacity)
-	sum.LossAvoidance = lossAvoidance(tail(s.loss))
+	loss := tail(s.loss)
+	sum.LossAvoidance = lossAvoidance(loss)
+	sum.MeanLoss = stats.Mean(loss)
+	rtt := tail(s.rtt)
+	sum.LatencyAvoidance = latencyInflation(rtt, s.baseRTT)
+	sum.MeanRTT = stats.Mean(rtt)
 	sum.Convergence = convergence(n, func(i int) []float64 { return tail(s.windows[i]) })
-	sum.LatencyAvoidance = latencyInflation(tail(s.rtt), s.baseRTT)
 	return sum
 }
 
 // StreamSummary is one finished single-link run reduced to what its
-// axiom scores read: five tail scalars and each sender's tail means. It
+// scores read: seven tail scalars and each sender's tail means. It
 // is what the Session caches and the run store persists, a few hundred
 // bytes whatever the horizon. Cached summaries are shared between
 // callers and must be treated as read-only.
@@ -194,6 +198,8 @@ type StreamSummary struct {
 	Convergence      float64 // Metric V (see convergence), worst sender
 	LatencyAvoidance float64 // Metric VIII (see latencyInflation): max tail RTT inflation
 	Utilization      float64 // mean tail X(t)/C (see utilization)
+	MeanLoss         float64 // mean tail loss rate, as stats.Mean(stats.Tail(trace.Loss()))
+	MeanRTT          float64 // mean tail RTT in seconds, as stats.Mean(stats.Tail(trace.RTT()))
 
 	AvgWindows  []float64 // per sender: mean tail window, as trace.AvgWindow
 	AvgGoodputs []float64 // per sender: mean tail goodput, as trace.AvgGoodput

@@ -37,6 +37,8 @@ func checkSummaryMatchesTrace(t *testing.T, st *Stream, tr *trace.Trace, tailFra
 	sameBits(t, "convergence", sum.Convergence, ConvergenceFromTrace(tr, tailFrac))
 	sameBits(t, "latency avoidance", sum.LatencyAvoidance, LatencyAvoidanceFromTrace(tr, tailFrac))
 	sameBits(t, "utilization", sum.Utilization, stats.Mean(stats.Tail(tr.Utilization(), tailFrac)))
+	sameBits(t, "mean loss", sum.MeanLoss, stats.Mean(stats.Tail(tr.Loss(), tailFrac)))
+	sameBits(t, "mean rtt", sum.MeanRTT, stats.Mean(stats.Tail(tr.RTT(), tailFrac)))
 	sameBits(t, "friendliness", sum.Friendliness(pIdx, qIdx), FriendlinessFromTrace(tr, pIdx, qIdx, tailFrac))
 	if len(sum.AvgWindows) != tr.Senders() || len(sum.AvgGoodputs) != tr.Senders() {
 		t.Fatalf("summary covers %d/%d senders, trace %d", len(sum.AvgWindows), len(sum.AvgGoodputs), tr.Senders())
@@ -211,6 +213,8 @@ func TestStreamBatchedMatchesPerCell(t *testing.T) {
 		same(c, "convergence", bs.Convergence, ps.Convergence)
 		same(c, "latency avoidance", bs.LatencyAvoidance, ps.LatencyAvoidance)
 		same(c, "utilization", bs.Utilization, ps.Utilization)
+		same(c, "mean loss", bs.MeanLoss, ps.MeanLoss)
+		same(c, "mean rtt", bs.MeanRTT, ps.MeanRTT)
 		tails := [][2][]float64{
 			{b.TailTotal(), p.TailTotal()},
 			{b.TailRTT(), p.TailRTT()},

@@ -58,6 +58,8 @@ func streamSummariesBitEqual(a, b *StreamSummary) string {
 		{"convergence", a.Convergence, b.Convergence},
 		{"latency avoidance", a.LatencyAvoidance, b.LatencyAvoidance},
 		{"utilization", a.Utilization, b.Utilization},
+		{"mean loss", a.MeanLoss, b.MeanLoss},
+		{"mean rtt", a.MeanRTT, b.MeanRTT},
 	}
 	for _, s := range scalars {
 		if math.Float64bits(s.x) != math.Float64bits(s.y) {

@@ -17,16 +17,16 @@ import (
 // Both objectives are oriented higher-is-better, so results feed
 // Explore's dominance machinery directly.
 //
-// Each batch is resolved in two phases. First, metrics.Prefetch pushes
-// every run all the cells' estimator calls will need — the homogeneous
-// efficiency runs and the p-vs-Reno friendliness runs, over the default
-// initial configurations — through the session as one engine batch, so
-// cache misses across cells advance together on the SoA fast path
-// (AIMD is kernelized). Then the official metrics.Efficiency and
-// metrics.TCPFriendliness estimators score each cell from pure memory
-// hits, guaranteeing bit-identity with a dense characterization of the
-// same cells. A cell counts as Simulated when any of its prefetched
-// runs actually executed; on a warm store every flag is false.
+// Each batch resolves in one metrics.ResolveRuns call: every cell's
+// homogeneous efficiency runs and p-vs-Reno friendliness runs, over the
+// default initial configurations, go through the session together, so
+// cache misses across cells advance as one engine batch on the SoA fast
+// path (AIMD is kernelized). Each cell's two scores then fold from its
+// summaries with metrics.EfficiencyMetric and metrics.FriendlinessMetric,
+// the folds metrics.Efficiency and metrics.TCPFriendliness use, so the
+// coordinates are bit-identical to a dense characterization of the same
+// cells. A cell counts as Simulated when any of its runs actually
+// executed; on a warm store every flag is false.
 //
 // The evaluator owns a Session when opt doesn't carry one (inheriting
 // the process default store, if installed), so repeated rounds — and
@@ -35,49 +35,32 @@ func AIMDEvaluator(cfg fluid.Config, opt metrics.Options) CellEvaluator {
 	if opt.Session == nil && !opt.NoCache {
 		opt.Session = metrics.NewSession()
 	}
+	friendly := metrics.FriendlinessMetric([]int{0}, []int{1})
 	return func(ctx context.Context, cells []Cell) ([]CellResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		protos := make([]protocol.Protocol, len(cells))
 		sets := make([]metrics.RunSet, 0, 2*len(cells))
-		for i, c := range cells {
+		for _, c := range cells {
 			if !(c.Alpha > 0) || !(c.Beta > 0) || !(c.Beta < 1) {
 				return nil, fmt.Errorf("pareto: AIMD cell (α=%v, β=%v) outside α>0, 0<β<1", c.Alpha, c.Beta)
 			}
 			p := protocol.NewAIMD(c.Alpha, c.Beta)
-			protos[i] = p
 			sets = append(sets,
 				metrics.RunSet{Cfg: cfg, Protos: []protocol.Protocol{p}},
 				metrics.RunSet{Cfg: cfg, Protos: []protocol.Protocol{p, protocol.Reno()}},
 			)
 		}
-		var sim []bool
-		if opt.Session != nil {
-			var err error
-			if sim, err = metrics.Prefetch(sets, opt); err != nil {
-				return nil, err
-			}
+		sums, sim, err := metrics.ResolveRuns(sets, opt)
+		if err != nil {
+			return nil, err
 		}
-		// Post-prefetch estimator calls are session hits; keep them serial
-		// (Workers=1) rather than nesting a second worker pool.
-		cellOpt := opt
-		cellOpt.Workers = 1
 		out := make([]CellResult, len(cells))
 		for i := range cells {
-			eff, err := metrics.Efficiency(cfg, protos[i], 1, cellOpt)
-			if err != nil {
-				return nil, err
+			out[i] = CellResult{
+				Coords:    []float64{metrics.EfficiencyMetric.Worst(sums[2*i]), friendly.Worst(sums[2*i+1])},
+				Simulated: sim[2*i] || sim[2*i+1],
 			}
-			friendly, err := metrics.TCPFriendliness(cfg, protos[i], 1, 1, cellOpt)
-			if err != nil {
-				return nil, err
-			}
-			simulated := true // no session: every run executed
-			if sim != nil {
-				simulated = sim[2*i] || sim[2*i+1]
-			}
-			out[i] = CellResult{Coords: []float64{eff, friendly}, Simulated: simulated}
 		}
 		return out, nil
 	}

@@ -16,9 +16,8 @@ import (
 //
 // Protocols are independent sweep cells (opt.Workers caps the pool, and
 // each cell's inner runs stay serial). All cells share one
-// run-deduplication session, so runs that recur across protocols — and
-// the five tail estimators within each Characterize — simulate exactly
-// once per call rather than once per use.
+// run-deduplication session, so runs that recur across protocols
+// simulate exactly once per call rather than once per use.
 func CharacterizeAll(cfg fluid.Config, protos []protocol.Protocol, n int, opt metrics.Options) ([]Point, []metrics.Scores, error) {
 	cellOpt := opt
 	cellOpt.Workers = 1

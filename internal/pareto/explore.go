@@ -42,7 +42,7 @@ type CellResult struct {
 
 // CellEvaluator measures a batch of cells. Explore hands over whole
 // rounds at once so implementations can resolve every cell's runs in one
-// engine batch (metrics.Prefetch → engine.SweepSpecs → fluid.Batch);
+// engine batch (metrics.ResolveRuns → engine.SweepSpecs → fluid.Batch);
 // results must be parallel to cells and deterministic.
 type CellEvaluator func(ctx context.Context, cells []Cell) ([]CellResult, error)
 

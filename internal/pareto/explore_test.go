@@ -9,6 +9,7 @@ import (
 	"repro/internal/axioms"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/runstore"
 )
 
@@ -259,6 +260,54 @@ func TestExploreWarmStoreZeroCells(t *testing.T) {
 			!bitsEqual(warm.Points[i].Coords, cold.Points[i].Coords) {
 			t.Fatalf("point %d differs warm vs cold: %+v vs %+v", i, warm.Points[i], cold.Points[i])
 		}
+	}
+}
+
+// TestAIMDEvaluatorLookups pins the evaluator's work per round: each of
+// k cells requests its 3 homogeneous and 3 p-vs-Reno runs once, so a
+// round makes exactly 6k Session lookups. The only hits are the n = 1
+// starts where the fair share equals the skewed start (both are one
+// sender holding C), one per cell. The coordinates equal the public
+// estimators' bit for bit, and a repeated round is all hits.
+func TestAIMDEvaluatorLookups(t *testing.T) {
+	cells := []Cell{{Alpha: 1, Beta: 0.5}, {Alpha: 2, Beta: 0.7}, {Alpha: 0.5, Beta: 0.3}}
+	k := int64(len(cells))
+	opt := metrics.Options{Steps: 200, Session: metrics.NewSession()}
+	eval := AIMDEvaluator(testLink(), opt)
+	res, err := eval(context.Background(), cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := opt.Session.Stats()
+	if lookups := st.Hits + st.DiskHits + st.Misses + st.Uncacheable; lookups != 6*k {
+		t.Fatalf("%d lookups for %d cells, want %d: %+v", lookups, k, 6*k, st)
+	}
+	if st.Hits != k || st.Misses != 5*k || st.DiskHits != 0 || st.Uncacheable != 0 {
+		t.Fatalf("want %d hits and %d misses, got %+v", k, 5*k, st)
+	}
+	for i, c := range cells {
+		if !res[i].Simulated {
+			t.Errorf("cell %d not marked simulated", i)
+		}
+		p := protocol.NewAIMD(c.Alpha, c.Beta)
+		plain := metrics.Options{Steps: opt.Steps, NoCache: true}
+		eff, err := metrics.Efficiency(testLink(), p, 1, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		friendly, err := metrics.TCPFriendliness(testLink(), p, 1, 1, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(res[i].Coords, []float64{eff, friendly}) {
+			t.Errorf("cell %d: coords %v, estimators %v", i, res[i].Coords, []float64{eff, friendly})
+		}
+	}
+	if _, err := eval(context.Background(), cells); err != nil {
+		t.Fatal(err)
+	}
+	if again := opt.Session.Stats(); again.Misses != st.Misses || again.Hits != st.Hits+6*k {
+		t.Fatalf("repeated round: %+v after %+v, want %d more hits and no misses", again, st, 6*k)
 	}
 }
 

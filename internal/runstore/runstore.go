@@ -38,7 +38,7 @@ import (
 // SchemaVersion is baked into every canonical key. Bump it whenever the
 // entry layout or any payload codec changes incompatibly; old entries
 // then simply never match and age out via LRU eviction.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // DefaultMaxBytes caps the store at 1 GiB unless configured otherwise.
 const DefaultMaxBytes = 1 << 30
