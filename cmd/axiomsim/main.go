@@ -46,7 +46,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "random seed for loss processes")
 		tsv        = flag.Bool("tsv", false, "dump the full trace as TSV")
 		svgPath    = flag.String("svg", "", "write a window-trace SVG chart to this file")
-		tailFrac   = flag.Float64("tail", 0.75, "tail fraction for summary statistics")
+		tailFrac   = flag.Float64("tail", metrics.DefaultTailFrac, "tail fraction for summary statistics, in [0, 1); 0 selects the default")
 		list       = flag.Bool("list", false, "list accepted protocol specs and exit")
 		scenarioF  = flag.String("scenario", "", "run JSON scenario file(s), comma-separated (see scenarios/), and ignore the other flags")
 		jsonOut    = flag.Bool("json", false, "with -scenario: emit the outcome as JSON")
@@ -94,6 +94,11 @@ func main() {
 	if !(*tailFrac >= 0 && *tailFrac < 1) {
 		fatal(fmt.Errorf("-tail %v outside [0, 1)", *tailFrac))
 	}
+	// 0 selects the default tail, as it does for every estimator.
+	tail := *tailFrac
+	if tail == 0 {
+		tail = metrics.DefaultTailFrac
+	}
 	if !(*lossRate >= 0 && *lossRate < 1) {
 		fatal(fmt.Errorf("-loss %v outside [0, 1)", *lossRate))
 	}
@@ -128,18 +133,25 @@ func main() {
 		// Even a single run goes through the sweep orchestrator as a
 		// 1-cell grid: the trace is bit-identical to RunMixed, and with
 		// observability engaged the run record picks up the cell latency
-		// histogram and worker-pool stats.
+		// histogram and worker-pool stats. The recorded trace feeds -tsv,
+		// -svg and its own summary line; every tail score comes from the
+		// Stream's summary, as the estimators score.
+		var sum *metrics.StreamSummary
 		trs, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{BaseSeed: *seed},
 			func(ctx context.Context, _ int, _ uint64) (*trace.Trace, error) {
+				sub := &axiomcc.EngineFluidSpec{Cfg: cfg, Senders: axiomcc.MixedSenders(protos, inits), Steps: *steps}
+				st := metrics.NewStream(sub.Meta(), tail)
 				res, err := axiomcc.EngineRun(ctx, axiomcc.EngineSpec{
-					Substrate: &axiomcc.EngineFluidSpec{Cfg: cfg, Senders: axiomcc.MixedSenders(protos, inits), Steps: *steps},
+					Substrate: sub,
 					Record:    true,
+					Observers: []axiomcc.EngineObserver{st},
 					Chaos:     chaosSched,
 					ChaosSeed: *seed,
 				})
 				if err != nil {
 					return nil, err
 				}
+				sum = st.Summary()
 				return res.Trace, nil
 			})
 		if err != nil {
@@ -160,16 +172,13 @@ func main() {
 		}
 		fmt.Printf("fluid link: C=%.1f MSS, buffer=%.0f MSS, base RTT=%.0f ms\n",
 			cfg.Capacity(), cfg.Buffer, 2*theta*1000)
-		fmt.Println(tr.Summary(*tailFrac))
+		fmt.Println(tr.Summary(tail))
 		for i, p := range protos {
 			fmt.Printf("  sender %d %-24s avg window %8.2f  avg goodput %9.1f MSS/s\n",
-				i, p.Name(), tr.AvgWindow(i, *tailFrac), tr.AvgGoodput(i, *tailFrac))
+				i, p.Name(), sum.AvgWindows[i], sum.AvgGoodputs[i])
 		}
 		fmt.Printf("tail metrics: efficiency=%.3f loss=%.4f fairness=%.3f latency-inflation=%.3f\n",
-			metrics.EfficiencyFromTrace(tr, *tailFrac),
-			metrics.LossAvoidanceFromTrace(tr, *tailFrac),
-			metrics.FairnessFromTrace(tr, *tailFrac),
-			metrics.LatencyAvoidanceFromTrace(tr, *tailFrac))
+			sum.Efficiency, sum.LossAvoidance, sum.Fairness(), sum.LatencyAvoidance)
 
 	case "packet":
 		// The packet queue holds whole packets: the conversion to int
@@ -225,7 +234,7 @@ func main() {
 			cfg.Bandwidth, *mbps, cfg.Buffer, 2*theta*1000, *duration)
 		total := 0.0
 		for i, p := range protos {
-			thr := res.Throughput(i, *tailFrac)
+			thr := res.Throughput(i, tail)
 			total += thr
 			fmt.Printf("  flow %d %-24s delivered %8d pkts  tail throughput %9.1f MSS/s (%.1f%% of link)\n",
 				i, p.Name(), res.Delivered[i], thr, 100*thr/cfg.Bandwidth)

@@ -47,7 +47,8 @@ func wantUsageError(t *testing.T, flag string, args ...string) {
 
 // TestTailFlagRange: -tail outside [0, 1), NaN included, is a usage
 // error (exit 1, nothing simulated) instead of scoring a one-sample or
-// empty tail; in-range values run.
+// empty tail; in-range values run, and 0 selects the default tail on
+// either model, as it does for every estimator.
 func TestTailFlagRange(t *testing.T) {
 	for _, tail := range []string{"2", "1", "-0.25", "NaN", "+Inf"} {
 		wantUsageError(t, "-tail", "-nostore", "-steps", "100", "-tail", tail)
@@ -56,6 +57,14 @@ func TestTailFlagRange(t *testing.T) {
 		out, err := runMain(t, "-nostore", "-steps", "100", "-tail", tail)
 		if err != nil || !strings.Contains(out, "tail metrics") {
 			t.Errorf("-tail %s: err = %v, output:\n%s", tail, err, out)
+		}
+	}
+	for _, model := range [][]string{{"-steps", "100"}, {"-model", "packet", "-duration", "1"}} {
+		run := func(tail string) string {
+			return runStdout(t, append([]string{"-nostore", "-protocols", "reno,cubic", "-tail", tail}, model...)...)
+		}
+		if zero, def := run("0"), run("0.75"); zero != def {
+			t.Errorf("%v: -tail 0 printed\n%s\nwant the -tail 0.75 output\n%s", model, zero, def)
 		}
 	}
 }

@@ -46,17 +46,17 @@ const (
 	FriendlyToReno
 )
 
-// claims gives each Claim, by index, its name and the score it reads
-// off a run's summary.
+// claims gives each Claim, by index, its name and the metric whose score
+// and sign the search folds.
 var claims = [...]struct {
-	name  string
-	score func(*metrics.StreamSummary) float64
+	name   string
+	metric metrics.Metric
 }{
-	Efficient:      {"efficient", func(s *metrics.StreamSummary) float64 { return s.Efficiency }},
-	LossAvoiding:   {"loss-avoiding", func(s *metrics.StreamSummary) float64 { return s.LossAvoidance }},
-	Fair:           {"fair", (*metrics.StreamSummary).Fairness},
-	Convergent:     {"convergent", func(s *metrics.StreamSummary) float64 { return s.Convergence }},
-	FriendlyToReno: {"friendly-to-reno", func(s *metrics.StreamSummary) float64 { return s.Friendliness([]int{0}, []int{1}) }},
+	Efficient:      {"efficient", metrics.EfficiencyMetric},
+	LossAvoiding:   {"loss-avoiding", metrics.LossAvoidanceMetric},
+	Fair:           {"fair", metrics.FairnessMetric},
+	Convergent:     {"convergent", metrics.ConvergenceMetric},
+	FriendlyToReno: {"friendly-to-reno", metrics.FriendlinessMetric([]int{0}, []int{1})},
 }
 
 func (c Claim) known() bool { return c >= 0 && int(c) < len(claims) }
@@ -69,17 +69,6 @@ func (c Claim) String() string {
 	return fmt.Sprintf("claim(%d)", int(c))
 }
 
-// sign orients a claim's measurements so that lower is always more
-// adversarial: LossAvoiding scores a loss rate, lower-is-better, every
-// other claim a higher-is-better score. Negation is exact, so
-// sign·m < sign·α − slack is m < α − slack, or m > α + slack for loss.
-func (c Claim) sign() float64 {
-	if c == LossAvoiding {
-		return -1
-	}
-	return 1
-}
-
 // DefaultSlack is the violation tolerance the axcheck command searches
 // with unless -slack says otherwise.
 const DefaultSlack = 0.02
@@ -88,7 +77,8 @@ const DefaultSlack = 0.02
 type Options struct {
 	// Steps is the horizon per candidate run (default 3000).
 	Steps int
-	// TailFrac is the "from T onwards" window (default 0.75).
+	// TailFrac is the "from T onwards" window (0 selects
+	// metrics.DefaultTailFrac).
 	TailFrac float64
 	// RandomTrials is the number of random initial configurations tried
 	// after the structured corners (default 24).
@@ -105,9 +95,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Steps == 0 {
 		o.Steps = 3000
-	}
-	if o.TailFrac == 0 {
-		o.TailFrac = 0.75
 	}
 	if o.RandomTrials == 0 {
 		o.RandomTrials = 24
@@ -176,10 +163,11 @@ func Check(cfg fluid.Config, p protocol.Protocol, claim Claim, alpha float64, n 
 		return Result{}, err
 	}
 
-	sign := claim.sign()
+	m := claims[claim].metric
+	sign := m.Sign()
 	res := Result{Worst: math.Inf(int(sign)), Trials: len(configs)}
 	for i, init := range configs {
-		measured := claims[claim].score(sums[i])
+		measured := m.Score(sums[i])
 		if sign*measured < sign*res.Worst {
 			res.Worst = measured
 			res.WorstInit = append([]float64(nil), init...)

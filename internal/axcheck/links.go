@@ -66,7 +66,10 @@ func CheckWorstCase(p protocol.Protocol, claim Claim, alpha float64, grid []Link
 	if len(grid) == 0 {
 		grid = DefaultLinkGrid()
 	}
-	sign := claim.sign()
+	if !claim.known() {
+		return LinkResult{}, fmt.Errorf("axcheck: unknown claim %v", claim)
+	}
+	sign := claims[claim].metric.Sign()
 	res := LinkResult{Worst: math.Inf(int(sign))}
 	for _, lp := range grid {
 		if claim == Fair && lp.N < 2 {

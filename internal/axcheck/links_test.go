@@ -94,3 +94,12 @@ func TestDefaultLinkGridShape(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckWorstCaseRejectsUnknownClaim: an unknown claim has no metric
+// to orient the search, so it is an error before any link is tried, not
+// a panic on the claims table.
+func TestCheckWorstCaseRejectsUnknownClaim(t *testing.T) {
+	if _, err := CheckWorstCase(protocol.Reno(), Claim(99), 0.5, smallGrid, wcOpt); err == nil {
+		t.Fatal("accepted")
+	}
+}

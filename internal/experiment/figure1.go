@@ -57,7 +57,7 @@ type Figure1Check struct {
 // oversubscription).
 func Figure1SpotChecks(pairs [][2]float64, opt metrics.Options) ([]Figure1Check, error) {
 	defer obs.StartPhase("figure1-checks")()
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	return engine.Sweep(context.Background(), len(pairs), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (Figure1Check, error) {
 			a, b := pairs[i][0], pairs[i][1]

@@ -96,7 +96,7 @@ func robustnessCell(p protocol.Protocol, cellOpt metrics.Options) (RobustnessEnt
 func RobustnessSweep(opt metrics.Options) ([]RobustnessEntry, error) {
 	defer obs.StartPhase("robustness")()
 	protos := robustnessProtocols()
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers},
 		func(_ context.Context, i int, _ uint64) (RobustnessEntry, error) {
 			return robustnessCell(protos[i], cellOpt)
@@ -125,7 +125,7 @@ type ChaosRobustnessEntry struct {
 func ChaosRobustnessSweep(opt metrics.Options, chaosSeed uint64) ([]ChaosRobustnessEntry, error) {
 	defer obs.StartPhase("robustness-chaos")()
 	protos := robustnessProtocols()
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	// A GE chain dwelling ~3% of the time in an 8%-loss bad state gives a
 	// stationary loss of 0.02/(0.02+0.3)·0.08 ≈ 0.5% — matched to the
 	// constant-loss column so the two are directly comparable.

@@ -87,7 +87,7 @@ func Table1Empirical(cfg fluid.Config, n int, opt metrics.Options) ([]ProtocolSc
 	defer obs.StartPhase("table1-sim")()
 	lp := LinkParams(cfg, n)
 	protos := Table1Protocols()
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (ProtocolScores, error) {
 			p := protos[i]

@@ -15,21 +15,6 @@ import (
 	"repro/internal/protocol"
 )
 
-// serialCell prepares opt for use inside a sweep cell: the worker knob is
-// stripped so parallelism lives at the grid level and cells don't
-// oversubscribe, and — unless the caller brought a Session or set NoCache
-// — a shared run-deduplication session is installed so every cell of the
-// sweep reuses common baselines (the Reno comparator of each friendliness
-// cell, repeated robustness probes) instead of re-simulating them. Call
-// it once per sweep, before the cell closures are built.
-func serialCell(opt metrics.Options) metrics.Options {
-	opt.Workers = 1
-	if opt.Session == nil && !opt.NoCache {
-		opt.Session = metrics.NewSession()
-	}
-	return opt
-}
-
 // Claim1Evidence is the executable demonstration of Claim 1: the
 // probe-until-loss protocol is loss-based and, from some point on, 0-loss
 // and well-utilizing — yet its fast-utilization score is 0.
@@ -94,7 +79,7 @@ func CheckTheorem1(opt metrics.Options, tol float64) ([]Theorem1Check, error) {
 		protocol.NewAIMD(0.5, 0.8),
 		protocol.NewRobustAIMD(1, 0.8, 0.01),
 	}
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	return engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (Theorem1Check, error) {
 			p := protos[i]
@@ -143,7 +128,7 @@ func CheckTheorem2(pairs [][2]float64, opt metrics.Options, tol float64) ([]Theo
 		pairs = [][2]float64{{1, 0.5}, {1, 0.7}, {2, 0.5}, {0.5, 0.5}, {1, 0.8}}
 	}
 	cfg := FluidLink(20, 0)
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	return engine.Sweep(context.Background(), len(pairs), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (Theorem2Check, error) {
 			a, b := pairs[i][0], pairs[i][1]
@@ -274,7 +259,7 @@ func CheckTheorem4(opt metrics.Options, tol float64) ([]Theorem4Check, error) {
 		protocol.Scalable(),
 		protocol.NewAIMD(2, 0.5),
 	}
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	sweep := engine.SweepConfig{Workers: opt.Workers}
 	// Per-P and per-Q quantities are shared across the grid; sweep each axis
 	// once, then the flattened P×Q pairs.
@@ -333,7 +318,7 @@ func CheckTheorem5(opt metrics.Options, starveThreshold float64) ([]Theorem5Chec
 	}
 	cfg := FluidLink(100, 200)
 	vegas := protocol.DefaultVegas()
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	avLat, err := metrics.LatencyAvoidance(cfg, vegas, 1, cellOpt)
 	if err != nil {
 		return nil, err

@@ -133,7 +133,7 @@ func TopoAxioms(opt metrics.Options) ([]TopoAxiomRow, error) {
 		return nil, err
 	}
 	protos := Table1Protocols()
-	cellOpt := serialCell(opt)
+	cellOpt := opt.SweepCell()
 	return engine.Sweep(context.Background(), len(protos)*len(shapes), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (TopoAxiomRow, error) {
 			p := protos[i/len(shapes)]

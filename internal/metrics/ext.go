@@ -133,7 +133,7 @@ func extWorst(cfg fluid.Config, p protocol.Protocol, n int, band float64, o Opti
 			settle = max(settle, s.settle)
 		}
 	}
-	return settle, worstCase(sums, lowerBetter, func(s extSummary) float64 { return s.smooth }), nil
+	return settle, worstCase(sums, -1, func(s extSummary) float64 { return s.smooth }), nil
 }
 
 // Responsiveness measures adaptation to a capacity *increase*: the link's
@@ -193,9 +193,7 @@ type ExtScores struct {
 // Responsiveness attaches a bandwidth-schedule closure and is therefore
 // uncacheable by design. Scores are bit-identical with caching on or off.
 func CharacterizeExt(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (ExtScores, error) {
-	if opt.Session == nil && !opt.NoCache {
-		opt.Session = NewSession()
-	}
+	opt = opt.WithSession()
 	var out ExtScores
 	var err error
 	if out.ConvergenceTime, out.Smoothness, err = extWorst(cfg, p, n, extBand, opt.withDefaults()); err != nil {

@@ -8,10 +8,9 @@ import (
 
 // The tail-window axiom formulas, one body each. They are pure functions
 // of the retained tail samples, so the streaming Stream, the per-link/
-// per-flow restatements in TopoStream, and the recorded-trace scorers
-// (the *FromTrace functions in trace.go, and the trace oracle the tests
-// keep in oracle_test.go) all score with the same arithmetic, in the same
-// order, and agree bit for bit on the same samples.
+// per-flow restatements in TopoStream, and the recorded-trace oracle the
+// tests keep in oracle_test.go all score with the same arithmetic, in the
+// same order, and agree bit for bit on the same samples.
 
 // efficiency is Metric I (link-utilization) over a tail: the largest α
 // such that X(t) ≥ αC throughout, i.e. min over the tail of X(t)/C.

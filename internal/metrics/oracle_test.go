@@ -5,9 +5,38 @@ import (
 	"repro/internal/trace"
 )
 
-// The recorded-trace forms of the scores no production path reads from a
-// trace any more. They stay here as the oracle StreamSummary is checked
-// against: the same formula bodies over stats.Tail of the full series.
+// The recorded-trace forms of the scores: no production path reads a
+// score from a trace any more. They stay here as the oracle StreamSummary
+// is checked against: the same formula bodies over stats.Tail of the full
+// series.
+
+// EfficiencyFromTrace scores Metric I (see efficiency) on a finished
+// run's tail. Returns 0 for an infinite-capacity link.
+func EfficiencyFromTrace(tr *trace.Trace, tailFrac float64) float64 {
+	return efficiency(stats.Tail(tr.Total(), tailFrac), tr.Capacity())
+}
+
+// LossAvoidanceFromTrace scores Metric III (see lossAvoidance) on a
+// finished run's tail. Lower is better; 0 means "0-loss".
+func LossAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
+	return lossAvoidance(stats.Tail(tr.Loss(), tailFrac))
+}
+
+// FairnessFromTrace scores Metric IV (see fairness) on a finished run of
+// a homogeneous sender population.
+func FairnessFromTrace(tr *trace.Trace, tailFrac float64) float64 {
+	avgs := make([]float64, tr.Senders())
+	for i := range avgs {
+		avgs[i] = tr.AvgWindow(i, tailFrac)
+	}
+	return fairness(avgs)
+}
+
+// LatencyAvoidanceFromTrace scores Metric VIII (see latencyInflation) on
+// a finished run's tail against the link's base RTT 2Θ.
+func LatencyAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
+	return latencyInflation(stats.Tail(tr.RTT(), tailFrac), tr.BaseRTT())
+}
 
 // ConvergenceFromTrace scores Metric V (see convergence) on a finished
 // run's per-sender tails.

@@ -44,15 +44,15 @@ type Options struct {
 	PropDelay float64
 	// Session, when non-nil, deduplicates simulation runs across estimator
 	// calls: runs whose complete inputs fingerprint identically are
-	// simulated once and shared (see Session). Characterize and
-	// CharacterizeExt install a private Session automatically when none is
-	// set; sweeps pass one Session through every cell so cross-cell
-	// baselines (e.g. the Reno friendliness comparator) also run once.
-	// Cached results are bit-identical to fresh runs.
+	// simulated once and shared (see Session). The Characterize family
+	// installs a private Session when none is set (see WithSession);
+	// sweeps pass one Session through every cell so cross-cell baselines
+	// (e.g. the Reno friendliness comparator) also run once. Cached
+	// results are bit-identical to fresh runs.
 	Session *Session
-	// NoCache disables the automatic Session in Characterize and
-	// CharacterizeExt, re-simulating every run. Scores are bit-identical
-	// either way; the knob exists for benchmarks and golden tests.
+	// NoCache disables the automatic Session of WithSession,
+	// re-simulating every run. Scores are bit-identical either way; the
+	// knob exists for benchmarks and golden tests.
 	NoCache bool
 }
 
@@ -62,6 +62,26 @@ type Options struct {
 // 42 ms-RTT link), so the single-sender fast-utilization and robustness
 // probes see the same feedback delay as the finite-link experiments.
 const DefaultPropDelay = 0.021
+
+// WithSession returns o with a private Session installed, unless o
+// already carries one or sets NoCache: the policy of every scorer that
+// resolves its runs through a Session of its own by default.
+func (o Options) WithSession() Options {
+	if o.Session == nil && !o.NoCache {
+		o.Session = NewSession()
+	}
+	return o
+}
+
+// SweepCell returns o prepared for use inside a sweep cell: Workers is 1,
+// so parallelism lives at the grid level and cells don't oversubscribe,
+// and (see WithSession) one Session is installed that every cell shares,
+// so runs that recur across cells simulate once. Call it once per sweep,
+// before the cell closures are built.
+func (o Options) SweepCell() Options {
+	o.Workers = 1
+	return o.WithSession()
+}
 
 func (o Options) withDefaults() Options {
 	if o.Steps == 0 {
@@ -119,28 +139,20 @@ func (o Options) initConfigs(c float64, n int) [][]float64 {
 	return defaultInits(c, n)
 }
 
-// better orients a worst-case fold: the worst value of a higher-is-better
-// metric is its minimum, that of a lower-is-better metric its maximum.
-type better bool
-
-const (
-	higherBetter better = true
-	lowerBetter  better = false
-)
-
 // worstCase is the axioms' "for every initial configuration" quantifier,
 // the one place every estimator on every substrate takes its worst case:
-// it scores each run and keeps the worst score. NaN scores (the metric is
-// undefined on that run) are skipped; with no defined score the result is
-// NaN.
-func worstCase[R any](runs []R, b better, score func(R) float64) float64 {
+// it scores each run and keeps the worst score, oriented by sign (see
+// Metric.Sign; negation is exact, so this is v < worst or v > worst bit
+// for bit). NaN scores (the metric is undefined on that run) are skipped;
+// with no defined score the result is NaN.
+func worstCase[R any](runs []R, sign float64, score func(R) float64) float64 {
 	worst := math.NaN()
 	for _, r := range runs {
 		v := score(r)
 		if math.IsNaN(v) {
 			continue
 		}
-		if math.IsNaN(worst) || (b == higherBetter && v < worst) || (b == lowerBetter && v > worst) {
+		if math.IsNaN(worst) || sign*v < sign*worst {
 			worst = v
 		}
 	}
@@ -151,27 +163,34 @@ func worstCase[R any](runs []R, b better, score func(R) float64) float64 {
 // orientation its worst case folds in, written once for the estimators
 // below and for every scorer that folds runs it resolved itself.
 type Metric struct {
-	better better
-	score  func(*StreamSummary) float64
+	sign  float64
+	score func(*StreamSummary) float64
 }
+
+// Score is the metric's value on one run's summary.
+func (m Metric) Score(s *StreamSummary) float64 { return m.score(s) }
+
+// Sign is the metric's orientation: +1 when a higher score is better, -1
+// when a lower one is, so sign·a < sign·b reads "a is worse than b".
+func (m Metric) Sign() float64 { return m.sign }
 
 // Worst is the metric's worst case over the runs' summaries (see
 // worstCase): the axioms' "for every initial configuration".
-func (m Metric) Worst(sums []*StreamSummary) float64 { return worstCase(sums, m.better, m.score) }
+func (m Metric) Worst(sums []*StreamSummary) float64 { return worstCase(sums, m.sign, m.score) }
 
 // The homogeneous tail-window metrics, I, III, IV, V and VIII.
 var (
-	EfficiencyMetric       = Metric{higherBetter, func(s *StreamSummary) float64 { return s.Efficiency }}
-	LossAvoidanceMetric    = Metric{lowerBetter, func(s *StreamSummary) float64 { return s.LossAvoidance }}
-	FairnessMetric         = Metric{higherBetter, (*StreamSummary).Fairness}
-	ConvergenceMetric      = Metric{higherBetter, func(s *StreamSummary) float64 { return s.Convergence }}
-	LatencyAvoidanceMetric = Metric{lowerBetter, func(s *StreamSummary) float64 { return s.LatencyAvoidance }}
+	EfficiencyMetric       = Metric{1, func(s *StreamSummary) float64 { return s.Efficiency }}
+	LossAvoidanceMetric    = Metric{-1, func(s *StreamSummary) float64 { return s.LossAvoidance }}
+	FairnessMetric         = Metric{1, (*StreamSummary).Fairness}
+	ConvergenceMetric      = Metric{1, func(s *StreamSummary) float64 { return s.Convergence }}
+	LatencyAvoidanceMetric = Metric{-1, func(s *StreamSummary) float64 { return s.LatencyAvoidance }}
 )
 
 // FriendlinessMetric is Metric VII over a mix whose P-senders are pIdx
 // and Q-senders qIdx (see StreamSummary.Friendliness).
 func FriendlinessMetric(pIdx, qIdx []int) Metric {
-	return Metric{higherBetter, func(s *StreamSummary) float64 { return s.Friendliness(pIdx, qIdx) }}
+	return Metric{1, func(s *StreamSummary) float64 { return s.Friendliness(pIdx, qIdx) }}
 }
 
 // homogeneous returns n copies of p, the population of the homogeneous
@@ -428,9 +447,7 @@ func Characterize(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (Sc
 	if err != nil {
 		return Scores{}, err
 	}
-	if opt.Session == nil && !opt.NoCache {
-		opt.Session = NewSession()
-	}
+	opt = opt.WithSession()
 	runs, _, err := ResolveRuns([]RunSet{
 		{Cfg: cfg, Protos: protos},
 		{Cfg: cfg, Protos: []protocol.Protocol{p, protocol.Reno()}},

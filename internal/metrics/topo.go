@@ -468,10 +468,7 @@ func CharacterizeTopo(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, p prot
 	if len(flows) == 0 {
 		return Scores{}, errors.New("metrics: CharacterizeTopo needs at least one flow")
 	}
-	o := opt.withDefaults()
-	if opt.Session == nil && !opt.NoCache {
-		o.Session = NewSession()
-	}
+	o := opt.withDefaults().WithSession()
 	c := 0.0
 	for _, l := range links {
 		c = math.Max(c, l.Capacity())
@@ -527,12 +524,12 @@ func CharacterizeTopo(links []nettopo.LinkSpec, flows []nettopo.FlowSpec, p prot
 		qIdx = append(qIdx, i)
 	}
 	s := Scores{
-		Efficiency:       worstCase(hom, higherBetter, (*TopoSummary).Efficiency),
-		LossAvoidance:    worstCase(hom, lowerBetter, (*TopoSummary).LossAvoidance),
-		Fairness:         worstCase(hom, higherBetter, (*TopoSummary).Fairness),
-		Convergence:      worstCase(hom, higherBetter, func(st *TopoSummary) float64 { return st.Convergence }),
-		TCPFriendliness:  worstCase(mix, higherBetter, func(st *TopoSummary) float64 { return st.Friendliness([]int{0}, qIdx) }),
-		LatencyAvoidance: worstCase(hom, lowerBetter, (*TopoSummary).LatencyAvoidance),
+		Efficiency:       worstCase(hom, 1, (*TopoSummary).Efficiency),
+		LossAvoidance:    worstCase(hom, -1, (*TopoSummary).LossAvoidance),
+		Fairness:         worstCase(hom, 1, (*TopoSummary).Fairness),
+		Convergence:      worstCase(hom, 1, func(st *TopoSummary) float64 { return st.Convergence }),
+		TCPFriendliness:  worstCase(mix, 1, func(st *TopoSummary) float64 { return st.Friendliness([]int{0}, qIdx) }),
+		LatencyAvoidance: worstCase(hom, -1, (*TopoSummary).LatencyAvoidance),
 	}
 	if s.FastUtilization, err = FastUtilization(p, o); err != nil {
 		return Scores{}, err

@@ -3,55 +3,23 @@
 //
 // Each axiom is parameterized ("a protocol is α-efficient", "α-fair", …)
 // and quantified over initial window configurations and over "some time T
-// onwards". The estimators here realize those quantifiers empirically:
-// trace-level functions score a single finished run over its tail window,
-// and the scenario-level functions in scenario.go take worst cases across
-// a set of initial configurations, exactly as the axioms demand.
+// onwards". The estimators realize those quantifiers empirically: a
+// Stream observer reduces one run to the tail-window scores of its
+// StreamSummary (the formulas in formulas.go), and the scenario-level
+// functions in scenario.go fold each Metric into its worst case across a
+// set of initial configurations, exactly as the axioms demand.
 //
-// Scores follow the paper's orientation for each metric: for efficiency,
-// fast-utilization, fairness, convergence, robustness and friendliness a
-// larger α is better; for loss-avoidance and latency-avoidance a smaller
-// α is better.
+// Scores follow the paper's orientation for each metric, which
+// Metric.Sign states once: for efficiency, fast-utilization, fairness,
+// convergence, robustness and friendliness a larger α is better; for
+// loss-avoidance and latency-avoidance a smaller α is better.
 package metrics
 
-import (
-	"math"
-
-	"repro/internal/stats"
-	"repro/internal/trace"
-)
+import "math"
 
 // DefaultTailFrac is the fraction of a trace treated as "from some time T
 // onwards": estimators evaluate the last quarter of the run by default.
 const DefaultTailFrac = 0.75
-
-// EfficiencyFromTrace scores Metric I (see efficiency) on a finished
-// run's tail. Returns 0 for an infinite-capacity link.
-func EfficiencyFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	return efficiency(stats.Tail(tr.Total(), tailFrac), tr.Capacity())
-}
-
-// LossAvoidanceFromTrace scores Metric III (see lossAvoidance) on a
-// finished run's tail. Lower is better; 0 means "0-loss".
-func LossAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	return lossAvoidance(stats.Tail(tr.Loss(), tailFrac))
-}
-
-// FairnessFromTrace scores Metric IV (see fairness) on a finished run of
-// a homogeneous sender population.
-func FairnessFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	avgs := make([]float64, tr.Senders())
-	for i := range avgs {
-		avgs[i] = tr.AvgWindow(i, tailFrac)
-	}
-	return fairness(avgs)
-}
-
-// LatencyAvoidanceFromTrace scores Metric VIII (see latencyInflation) on
-// a finished run's tail against the link's base RTT 2Θ.
-func LatencyAvoidanceFromTrace(tr *trace.Trace, tailFrac float64) float64 {
-	return latencyInflation(stats.Tail(tr.RTT(), tailFrac), tr.BaseRTT())
-}
 
 // FastUtilizationFromSeries estimates Metric II (fast-utilization) from a
 // window series known to be free of loss and of RTT increases. The axiom

@@ -32,9 +32,7 @@ import (
 // the process default store, if installed), so repeated rounds — and
 // repeated Explore calls against the same evaluator — share runs.
 func AIMDEvaluator(cfg fluid.Config, opt metrics.Options) CellEvaluator {
-	if opt.Session == nil && !opt.NoCache {
-		opt.Session = metrics.NewSession()
-	}
+	opt = opt.WithSession()
 	friendly := metrics.FriendlinessMetric([]int{0}, []int{1})
 	return func(ctx context.Context, cells []Cell) ([]CellResult, error) {
 		if err := ctx.Err(); err != nil {

@@ -19,11 +19,7 @@ import (
 // run-deduplication session, so runs that recur across protocols
 // simulate exactly once per call rather than once per use.
 func CharacterizeAll(cfg fluid.Config, protos []protocol.Protocol, n int, opt metrics.Options) ([]Point, []metrics.Scores, error) {
-	cellOpt := opt
-	cellOpt.Workers = 1
-	if cellOpt.Session == nil && !cellOpt.NoCache {
-		cellOpt.Session = metrics.NewSession()
-	}
+	cellOpt := opt.SweepCell()
 	scores, err := engine.Sweep(context.Background(), len(protos), engine.SweepConfig{Workers: opt.Workers},
 		func(ctx context.Context, i int, _ uint64) (metrics.Scores, error) {
 			return metrics.Characterize(cfg, protos[i], n, cellOpt)

@@ -1,9 +1,10 @@
 // Package trace records the time evolution of a simulated link: per-sender
 // congestion windows, the shared RTT and loss-rate series, and derived
-// per-sender goodput. All axiom estimators in internal/metrics consume a
-// *Trace, regardless of whether it was produced by the fluid-flow model or
-// the packet-level testbed, so the two substrates are interchangeable from
-// the analysis side.
+// per-sender goodput, whether produced by the fluid-flow model or the
+// packet-level testbed. A trace is what a run records for drawing or
+// dumping its whole series (axiomsim's -tsv and -svg) and for the
+// estimators that scan a series whole; the tail-window axiom scores are
+// streamed by internal/metrics instead.
 package trace
 
 import (
@@ -118,40 +119,6 @@ func (tr *Trace) Utilization() []float64 {
 		}
 	}
 	return out
-}
-
-// LossFreeRuns returns the [start, end) intervals of maximal loss-free
-// stretches of the trace, longest first is NOT guaranteed; they appear in
-// time order.
-func (tr *Trace) LossFreeRuns() [][2]int {
-	var runs [][2]int
-	start := -1
-	for t, l := range tr.loss {
-		if l == 0 {
-			if start < 0 {
-				start = t
-			}
-		} else if start >= 0 {
-			runs = append(runs, [2]int{start, t})
-			start = -1
-		}
-	}
-	if start >= 0 {
-		runs = append(runs, [2]int{start, tr.Len()})
-	}
-	return runs
-}
-
-// LongestLossFreeRun returns the longest loss-free [start, end) interval,
-// or (0,0) if the trace has no loss-free step.
-func (tr *Trace) LongestLossFreeRun() (start, end int) {
-	best := [2]int{0, 0}
-	for _, r := range tr.LossFreeRuns() {
-		if r[1]-r[0] > best[1]-best[0] {
-			best = r
-		}
-	}
-	return best[0], best[1]
 }
 
 // WriteTSV writes the trace as a tab-separated table with a header row:

@@ -105,44 +105,6 @@ func TestUtilizationInfiniteCapacity(t *testing.T) {
 	}
 }
 
-func TestLossFreeRuns(t *testing.T) {
-	tr := buildTrace(t)
-	runs := tr.LossFreeRuns()
-	if len(runs) != 2 {
-		t.Fatalf("runs = %v", runs)
-	}
-	if runs[0] != [2]int{0, 2} || runs[1] != [2]int{3, 4} {
-		t.Fatalf("runs = %v", runs)
-	}
-	s, e := tr.LongestLossFreeRun()
-	if s != 0 || e != 2 {
-		t.Fatalf("longest run = [%d,%d)", s, e)
-	}
-}
-
-func TestLossFreeRunsAllLossy(t *testing.T) {
-	tr := New(1, 10, 0.042, 2)
-	tr.Append([]float64{20}, 0.042, 0.5)
-	tr.Append([]float64{20}, 0.042, 0.5)
-	if runs := tr.LossFreeRuns(); len(runs) != 0 {
-		t.Fatalf("runs = %v, want none", runs)
-	}
-	if s, e := tr.LongestLossFreeRun(); s != 0 || e != 0 {
-		t.Fatalf("longest = [%d,%d), want [0,0)", s, e)
-	}
-}
-
-func TestLossFreeRunsTrailingOpen(t *testing.T) {
-	tr := New(1, 10, 0.042, 3)
-	tr.Append([]float64{5}, 0.042, 0.5)
-	tr.Append([]float64{5}, 0.042, 0)
-	tr.Append([]float64{5}, 0.042, 0)
-	runs := tr.LossFreeRuns()
-	if len(runs) != 1 || runs[0] != [2]int{1, 3} {
-		t.Fatalf("runs = %v", runs)
-	}
-}
-
 func TestWriteTSV(t *testing.T) {
 	tr := buildTrace(t)
 	var sb strings.Builder
