@@ -278,7 +278,7 @@ func parseProtocols(specs string) ([]axiomcc.Protocol, error) {
 			cur = f
 		} else {
 			if cur == "" {
-				return nil, fmt.Errorf("axiomsim: dangling parameter %q in -protocols", f)
+				return nil, fmt.Errorf("dangling parameter %q in -protocols", f)
 			}
 			cur += "," + f
 		}
@@ -287,7 +287,7 @@ func parseProtocols(specs string) ([]axiomcc.Protocol, error) {
 		return nil, err
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("axiomsim: no protocols given")
+		return nil, fmt.Errorf("no protocols given")
 	}
 	return out, nil
 }
@@ -305,7 +305,7 @@ func parseFloats(s string) ([]float64, error) {
 	for _, f := range strings.Split(s, ",") {
 		var v float64
 		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &v); err != nil {
-			return nil, fmt.Errorf("axiomsim: bad initial window %q", f)
+			return nil, fmt.Errorf("bad initial window %q", f)
 		}
 		out = append(out, v)
 	}

@@ -12,14 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the grid-batch path through the sweep engine:
-// SweepSpecs groups compatible fluid cells of a spec grid and advances
-// each group in lockstep through a fluid.Batch (structure-of-arrays
-// stepping with closed-form protocol kernels), while every other cell —
-// non-fluid substrates, non-kernel protocols, unsynchronized senders —
-// takes the ordinary per-cell engine.Run path. Batched and per-cell
-// results are bit-identical by construction (see internal/fluid/batch.go),
-// so callers cannot observe which path a cell took except through the
+// This file holds the engine's one fluid run loop, runFluid, and the
+// grid-batch path through the sweep engine: SweepSpecs groups compatible
+// fluid cells of a spec grid and advances each group in lockstep through
+// one fluid.Batch, while every other cell — non-fluid substrates, cells
+// with their own Cfg.Perturb, singleton groups — takes the ordinary
+// per-cell engine.Run path, whose fluid substrate is runFluid over one
+// cell. A fluid.Batch steps each cell exactly as it would step alone, so
+// callers cannot observe which path a cell took except through the
 // engine.sweep.cells.batched / .fallback counters and wall-clock time.
 
 // minBatchGroup is the smallest group worth batching: a singleton gains
@@ -63,10 +63,10 @@ type StripObserver interface {
 }
 
 // Batch-path telemetry, recorded only while obs is enabled. A cell counts
-// as batched when a fluid.Batch stepped it, and as fallback when it is a
-// fluid-substrate cell that took the per-cell path instead (no kernel,
-// unsynchronized feedback, singleton group, ...). Non-fluid
-// cells count as neither.
+// as batched when it was planned into a lockstep group, and as fallback
+// when it is a fluid-substrate cell that took the per-cell path instead
+// (singleton group, no steps, its own Cfg.Perturb). Non-fluid cells
+// count as neither.
 var (
 	sweepCellsBatched  = obs.GetCounter("engine.sweep.cells.batched")
 	sweepCellsFallback = obs.GetCounter("engine.sweep.cells.fallback")
@@ -128,16 +128,15 @@ type batchKey struct {
 }
 
 // batchKeyFor classifies one spec: the group key and true when the cell
-// can be batched, false when it must take the per-cell path.
+// can join a lockstep group, false when it must take the per-cell path.
+// Any fluid cell with steps to run and no perturber of its own can; one
+// the stepper rejects still fails on its own inside its group.
 func batchKeyFor(spec *Spec) (batchKey, bool) {
 	fs, ok := spec.Substrate.(*FluidSpec)
 	if !ok {
 		return batchKey{}, false
 	}
 	if fs.Steps <= 0 || fs.Cfg.Perturb != nil {
-		return batchKey{}, false
-	}
-	if fluid.Batchable(fs.Cfg, fs.Senders) != nil {
 		return batchKey{}, false
 	}
 	k := batchKey{steps: fs.Steps}
@@ -263,78 +262,93 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 	outs := make([]*batchOut, len(specs))
 	// Chunk workers write disjoint outs entries, so the slice needs no
 	// lock. The chunk function never returns an error: per-cell failures
-	// (divergence, chaos compile errors) are recorded in outs and
-	// surfaced by the per-cell pass with Sweep's usual fail-fast rules.
+	// (divergence, invalid cells, chaos compile errors) are recorded in
+	// outs and surfaced by the per-cell pass with Sweep's usual fail-fast
+	// rules. A cancelled chunk leaves its entries nil; those cells fall
+	// through to the per-cell pass, which observes the cancellation before
+	// emitting anything.
 	parallel.MapCtx(ctx, len(chunks), cfg.Workers, func(ctx context.Context, g int) (struct{}, error) {
-		runBatchGroup(ctx, specs, chunks[g], outs)
+		idxs := chunks[g]
+		cells := make([]*Spec, len(idxs))
+		for j, i := range idxs {
+			cells[j] = &specs[i]
+		}
+		res := runFluid(ctx, cells, true)
+		if res == nil {
+			return struct{}{}, nil
+		}
+		failed := 0
+		for j, i := range idxs {
+			outs[i] = &res[j]
+			if res[j].err != nil {
+				failed++
+			}
+		}
+		if instrumented {
+			// Mirror Run's per-kind counters so dashboards see batched
+			// cells too (run durations are not recorded: a lockstep group
+			// has no per-cell wall time).
+			tel := &runTelByKind[kFluid]
+			tel.failed.Add(uint64(failed))
+			ok := uint64(len(idxs) - failed)
+			tel.runs.Add(ok)
+			tel.steps.Add(ok * uint64(cells[0].Substrate.(*FluidSpec).Steps))
+		}
 		return struct{}{}, nil
 	})
 	return outs
 }
 
-// runBatchGroup steps one chunk of a batch group in lockstep through its
-// own fluid.Batch and fills the chunk's outs entries. On context
-// cancellation it returns with the chunk's entries still nil — those
-// cells fall through to the per-cell pass, which observes the
-// cancellation before emitting anything.
-func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchOut) {
-	first := &specs[idxs[0]]
+// runFluid is the engine's one fluid run loop. It steps the fluid cells
+// in lockstep through one fluid.Batch and returns their outcomes in
+// order, or nil when ctx is cancelled first. A batch group calls it with
+// one chunk, grouped, and FluidSpec.run with its single cell. The cells
+// share a step count and, when they carry chaos, one (schedule, seed,
+// flows) triple, so one compiled injector serves them all: the injector's
+// per-step state advances once per step no matter how many cells query
+// it, which makes sharing bit-identical to per-cell compilation, and a
+// compile error fails every cell with the same error. A cell that
+// fluid.Batchable rejects fails on its own, with the error fluid.New
+// would return for it.
+func runFluid(ctx context.Context, cells []*Spec, grouped bool) []batchOut {
+	first := cells[0]
 	fs0 := first.Substrate.(*FluidSpec)
 	steps := fs0.Steps
-	instrumented := obs.Enabled()
 
-	// The group span brackets the whole lockstep unit of work (one chunk,
+	// A group's span brackets the whole lockstep unit of work (one chunk,
 	// so a split group shows one span per chunk); the precompute/step/emit
 	// child spans split it into the fluid.Batch phases, so a timeline
-	// shows where a batched chunk's time goes.
-	ctx, gsp := obs.StartSpan(ctx, "engine.batch.group")
-	gsp.SetDetail(strconv.Itoa(len(idxs)) + " cells × " + strconv.Itoa(steps) + " steps")
-	defer gsp.End()
-	_, psp := obs.StartSpan(ctx, "engine.batch.precompute")
-
-	// One shared injector per chunk: every cell of the group carries the
-	// same (schedule, seed, flows) triple, so per-cell compilation — or
-	// one compilation per chunk of the same group — yields identical
-	// injectors anyway. A compile error therefore fails every cell of the
-	// group with the same error, chunk by chunk.
-	var inj *chaos.Injector
-	if first.Chaos != nil {
-		var err error
-		inj, err = first.Chaos.Compile(first.ChaosSeed, len(fs0.Senders), 1)
-		if err != nil {
-			for _, i := range idxs {
-				outs[i] = &batchOut{err: err}
-			}
-			if instrumented {
-				runTelByKind[kFluid].failed.Add(uint64(len(idxs)))
-			}
-			psp.End()
-			return
-		}
+	// shows where a batched chunk's time goes. A single run already sits
+	// in Run's engine.run.fluid span and opens none.
+	if grouped {
+		var gsp *obs.Span
+		ctx, gsp = obs.StartSpan(ctx, "engine.batch.group")
+		gsp.SetDetail(strconv.Itoa(len(cells)) + " cells × " + strconv.Itoa(steps) + " steps")
+		defer gsp.End()
 	}
-
-	cells := make([]fluid.BatchCell, len(idxs))
-	for j, i := range idxs {
-		fs := specs[i].Substrate.(*FluidSpec)
-		cfg := fs.Cfg
-		if inj != nil {
-			cfg.Perturb = inj
+	span := func(name string) *obs.Span {
+		if !grouped {
+			return nil
 		}
-		cells[j] = fluid.BatchCell{Cfg: cfg, Senders: fs.Senders}
+		_, sp := obs.StartSpan(ctx, name)
+		return sp
 	}
-	b, err := fluid.NewBatch(cells)
+	psp := span("engine.batch.precompute")
+
+	outs := make([]batchOut, len(cells))
+	inj, err := compileChaos(first, len(fs0.Senders), 1)
 	if err != nil {
-		// The planner admitted the cells, so this is unreachable; if it
-		// ever fires, leaving outs nil routes the group per-cell, which
-		// is always correct.
+		for j := range outs {
+			outs[j].err = err
+		}
 		psp.End()
-		return
+		return outs
 	}
 
 	type cellRun struct {
 		spec *Spec
+		out  *batchOut
 		tr   *trace.Trace
-		out  batchOut
 		done bool
 		// Strip-mined emission buffers, nil when the cell has no
 		// observers (or only TailObservers that want no steps).
@@ -344,8 +358,8 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 		// stepping win. Buffering emitStrip steps per cell and flushing
 		// one cell at a time keeps each observer hot for a run of
 		// consecutive Observe calls. Per-stream observation order is
-		// unchanged, and Step.Windows is only valid during Observe (same
-		// contract as the per-cell path), so observers cannot tell.
+		// unchanged, and Step.Windows is only valid during Observe, so
+		// observers cannot tell.
 		//
 		// windows is flow-major with column stride emitStrip (flow i's
 		// buffered samples at windows[i*emitStrip+0 .. i*emitStrip+n-1]),
@@ -360,22 +374,49 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 		loss    []float64
 		total   []float64
 	}
-	runs := make([]cellRun, len(idxs))
-	for j, i := range idxs {
-		runs[j].spec = &specs[i]
-		if specs[i].Record {
-			cfg := b.Config(j)
-			runs[j].tr = trace.New(len(cells[j].Senders), cfg.Capacity(), cfg.BaseRTT(), steps)
+	batchCells := make([]fluid.BatchCell, 0, len(cells))
+	runs := make([]cellRun, 0, len(cells))
+	for j, spec := range cells {
+		fs := spec.Substrate.(*FluidSpec)
+		cfg := fs.Cfg
+		if inj != nil {
+			cfg.Perturb = inj
 		}
-		if from := firstObserved(specs[i].Observers, steps); from < steps {
-			f := len(cells[j].Senders)
-			runs[j].flows = f
-			runs[j].base = from
-			runs[j].windows = make([]float64, emitStrip*f)
-			runs[j].row = make([]float64, f)
-			runs[j].rtt = make([]float64, emitStrip)
-			runs[j].loss = make([]float64, emitStrip)
-			runs[j].total = make([]float64, emitStrip)
+		if err := fluid.Batchable(cfg, fs.Senders); err != nil {
+			outs[j].err = err
+			continue
+		}
+		batchCells = append(batchCells, fluid.BatchCell{Cfg: cfg, Senders: fs.Senders})
+		runs = append(runs, cellRun{spec: spec, out: &outs[j]})
+	}
+	if len(runs) == 0 {
+		psp.End()
+		return outs
+	}
+	b, err := fluid.NewBatch(batchCells)
+	if err != nil {
+		// Unreachable: every cell passed fluid.Batchable.
+		for j := range runs {
+			runs[j].out.err = err
+		}
+		psp.End()
+		return outs
+	}
+	for j := range runs {
+		r := &runs[j]
+		f := len(batchCells[j].Senders)
+		if r.spec.Record {
+			cfg := b.Config(j)
+			r.tr = trace.New(f, cfg.Capacity(), cfg.BaseRTT(), steps)
+		}
+		if from := firstObserved(r.spec.Observers, steps); from < steps {
+			r.flows = f
+			r.base = from
+			r.windows = make([]float64, emitStrip*f)
+			r.row = make([]float64, f)
+			r.rtt = make([]float64, emitStrip)
+			r.loss = make([]float64, emitStrip)
+			r.total = make([]float64, emitStrip)
 		}
 	}
 	flush := func(r *cellRun) {
@@ -428,13 +469,13 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 	// The step span covers the lockstep loop including inline strip
 	// flushes (emission interleaves with stepping by design); the emit
 	// span after it is the final drain of partial strips.
-	_, ssp := obs.StartSpan(ctx, "engine.batch.step")
+	ssp := span("engine.batch.step")
 	live := len(runs)
 	for s := 0; s < steps && live > 0; s++ {
 		if s&0xff == 0 {
 			if ctx.Err() != nil {
 				ssp.End()
-				return
+				return nil
 			}
 		}
 		b.Step()
@@ -444,9 +485,9 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 				continue
 			}
 			if err := b.Err(j); err != nil {
-				// Divergence: like the per-cell path, the failing step is
-				// neither recorded nor emitted, and the cell stops (after
-				// flushing the steps buffered before the failure).
+				// Divergence: the failing step is neither recorded nor
+				// emitted, and the cell stops (after flushing the steps
+				// buffered before the failure).
 				r.out.err = err
 				r.done = true
 				live--
@@ -479,7 +520,7 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 	}
 	ssp.End()
 
-	_, esp := obs.StartSpan(ctx, "engine.batch.emit")
+	esp := span("engine.batch.emit")
 	for j := range runs {
 		if runs[j].windows != nil {
 			flush(&runs[j])
@@ -487,29 +528,10 @@ func runBatchGroup(ctx context.Context, specs []Spec, idxs []int, outs []*batchO
 	}
 	esp.End()
 
-	for j, i := range idxs {
-		r := &runs[j]
-		if r.out.err == nil {
+	for j := range runs {
+		if r := &runs[j]; r.out.err == nil {
 			r.out.res = &Result{Trace: r.tr, Steps: steps}
 		}
-		outs[i] = &r.out
 	}
-	if instrumented {
-		// Mirror Run's per-kind counters so dashboards see batched cells
-		// too (run durations are not recorded: a lockstep group has no
-		// per-cell wall time).
-		failed := 0
-		for j := range runs {
-			if runs[j].out.err != nil {
-				failed++
-			}
-		}
-		if failed > 0 {
-			runTelByKind[kFluid].failed.Add(uint64(failed))
-		}
-		if ok := len(runs) - failed; ok > 0 {
-			runTelByKind[kFluid].runs.Add(uint64(ok))
-			runTelByKind[kFluid].steps.Add(uint64(ok) * uint64(steps))
-		}
-	}
+	return outs
 }

@@ -337,13 +337,15 @@ func TestPlanBatches(t *testing.T) {
 	}
 }
 
-// TestSweepSpecsFallbackCoverage is the fallback column: non-batchable
-// families (PCC, BBRish, Func, Vegas), stateful instances with live state
-// (a primed Cubic), and unsynchronized senders silently take the per-cell
-// path inside a mixed grid, with results bit-identical to Run, and
-// the telemetry splits the grid into batched + fallback exactly.
+// TestSweepSpecsFallbackCoverage is the fallback column: families without
+// a kernel (PCC, BBRish, Func, Vegas), stateful instances with live state
+// (a primed Cubic), and unsynchronized senders join the lockstep group of
+// the kernelized cells, while a cell with its own Cfg.Perturb and a
+// singleton key take the per-cell path. Results are bit-identical to Run
+// on each spec, and the telemetry splits the grid into batched +
+// fallback exactly.
 func TestSweepSpecsFallbackCoverage(t *testing.T) {
-	nonBatchable := []func() fluid.Sender{
+	nextStepped := []func() fluid.Sender{
 		func() fluid.Sender { return fluid.Sender{Proto: protocol.DefaultPCC(), Init: 10} },
 		func() fluid.Sender { return fluid.Sender{Proto: protocol.NewBBRish(), Init: 10} },
 		func() fluid.Sender {
@@ -356,8 +358,7 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 		},
 		func() fluid.Sender { return fluid.Sender{Proto: protocol.DefaultVegas(), Init: 10} },
 		func() fluid.Sender {
-			// Primed Cubic: the family is kernelized, but live state
-			// declines the kernel and routes per-cell.
+			// Primed Cubic: its kernel carries the live state.
 			p := protocol.CubicLinux()
 			p.Next(protocol.Feedback{Window: 50})
 			return fluid.Sender{Proto: p, Init: 10}
@@ -367,7 +368,7 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 	}
 	grid := func() []Spec {
 		specs := batchGrid(t, 300, pairInits, nil)
-		for i, mk := range nonBatchable {
+		for i, mk := range nextStepped {
 			cfg := fluidCfg()
 			cfg.Seed = uint64(5000 + i)
 			specs = append(specs, Spec{
@@ -379,20 +380,67 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 				Record: true,
 			})
 		}
-		return specs
+		// Per-cell: a perturber of the cell's own, and a step count no
+		// other cell shares.
+		inj, err := batchChaosSchedule().Compile(3, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturbed := batchGrid(t, 300, pairInits, nil)[0]
+		perturbed.Substrate.(*FluidSpec).Cfg.Perturb = inj
+		return append(specs, perturbed, batchGrid(t, 200, pairInits, nil)[1])
 	}
 
 	obs.Enable()
 	defer obs.Disable()
 	b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
 	res := runBothPaths(t, grid, SweepConfig{Workers: 2})
-	batchable := uint64(len(res) - len(nonBatchable))
-	if got := sweepCellsBatched.Value() - b0; got != batchable {
-		t.Errorf("batched counter advanced %d, want %d", got, batchable)
+	if got, want := sweepCellsBatched.Value()-b0, uint64(len(res)-2); got != want {
+		t.Errorf("batched counter advanced %d, want %d", got, want)
 	}
-	wantFallback := uint64(len(nonBatchable))
-	if got := sweepCellsFallback.Value() - f0; got != wantFallback {
-		t.Errorf("fallback counter advanced %d, want %d", got, wantFallback)
+	if got := sweepCellsFallback.Value() - f0; got != 2 {
+		t.Errorf("fallback counter advanced %d, want 2", got)
+	}
+}
+
+// TestSweepSpecsRejectedCellFailsAlone puts cells the stepper rejects (a
+// NaN initial window, a nil protocol) inside a lockstep group: each fails
+// with the error Run returns for it alone, and the group's other cells
+// still step bit-identically to Run.
+func TestSweepSpecsRejectedCellFailsAlone(t *testing.T) {
+	bad := map[int]string{
+		4: "fluid: sender 1 has a NaN initial window",
+		9: "fluid: sender 0 has nil protocol",
+	}
+	grid := func() []Spec {
+		specs := batchGrid(t, 300, pairInits, nil)
+		specs[4].Substrate.(*FluidSpec).Senders[1].Init = math.NaN()
+		specs[9].Substrate.(*FluidSpec).Senders[0].Proto = nil
+		return specs
+	}
+	cfg := SweepConfig{Workers: 2}
+	specs := grid()
+	if chunks := planBatches(specs, cfg.Workers); len(chunks) != 2 || len(chunks[0])+len(chunks[1]) != len(specs) {
+		t.Fatalf("chunks %v, want the whole grid in two", chunks)
+	}
+	outs := runBatches(context.Background(), specs, &cfg)
+	perCell := grid()
+	for i, out := range outs {
+		res, err := Run(context.Background(), perCell[i])
+		if want, ok := bad[i]; ok {
+			if out == nil || out.err == nil || out.err.Error() != want || err == nil || err.Error() != want {
+				t.Errorf("cell %d: batched %+v, Run error %v; want %q from both", i, out, err, want)
+			}
+			continue
+		}
+		if err != nil || out == nil || out.err != nil {
+			t.Fatalf("cell %d: batched %+v, Run error %v", i, out, err)
+		}
+		equalTraces(t, out.res.Trace, res.Trace)
+	}
+	_, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), bad[4]) {
+		t.Fatalf("serial sweep error %v, want the first rejected cell's %q", err, bad[4])
 	}
 }
 

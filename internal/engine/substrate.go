@@ -8,7 +8,6 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/nettopo"
 	"repro/internal/packetsim"
-	"repro/internal/trace"
 )
 
 // compileChaos builds the spec's injector for a substrate shape, or nil
@@ -43,46 +42,11 @@ func (s *FluidSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 	if s.Steps < 0 {
 		return nil, fmt.Errorf("engine: fluid run of %d steps: horizon must be non-negative", s.Steps)
 	}
-	cfg := s.Cfg
-	inj, err := compileChaos(&spec, len(s.Senders), 1)
-	if err != nil {
-		return nil, err
+	outs := runFluid(ctx, []*Spec{&spec}, false)
+	if outs == nil {
+		return nil, ctx.Err()
 	}
-	if inj != nil {
-		cfg.Perturb = inj
-	}
-	l, err := fluid.New(cfg, s.Senders...)
-	if err != nil {
-		return nil, err
-	}
-	var tr *trace.Trace
-	if spec.Record {
-		cfg := l.Config()
-		tr = trace.New(len(s.Senders), cfg.Capacity(), cfg.BaseRTT(), s.Steps)
-	}
-	from := firstObserved(spec.Observers, s.Steps)
-	for i := 0; i < s.Steps; i++ {
-		if i&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		res := l.Step()
-		if err := l.Err(); err != nil {
-			return nil, err
-		}
-		if tr != nil {
-			tr.Append(res.Windows, res.RTT, res.CongLoss)
-		}
-		if i >= from {
-			total := 0.0
-			for _, w := range res.Windows {
-				total += w
-			}
-			emit(&spec, Step{Index: res.Step, Windows: res.Windows, Total: total, RTT: res.RTT, Loss: res.CongLoss})
-		}
-	}
-	return &Result{Trace: tr, Steps: s.Steps}, nil
+	return outs[0].res, outs[0].err
 }
 
 // PacketSpec runs the packet-level testbed for Duration seconds. Without

@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"repro/internal/protocol"
-	"repro/internal/rand64"
 	"repro/internal/trace"
 )
 
@@ -127,7 +126,7 @@ func (c Config) Validate() error {
 // sizes"; estimators exercise several initial vectors through this field.
 type Sender struct {
 	Proto protocol.Protocol
-	Init  float64 // initial window in MSS; clamped to [MinWindow, M]
+	Init  float64 // initial window in MSS; clamped to [MinWindow, M]; not NaN
 
 	// Period and Phase desynchronize feedback (§6's "unsynchronized
 	// network feedback" extension): the sender applies its protocol
@@ -140,82 +139,26 @@ type Sender struct {
 	Phase  int
 }
 
-// Link is a single bottleneck shared by a fixed set of senders. Create
-// with New, advance with Step or Run.
+// Link is a single bottleneck shared by a fixed set of senders: a
+// one-cell Batch. Create with New, advance with Step or Run.
 type Link struct {
-	cfg     Config
-	senders []Sender
-	x       []float64 // current windows
-	step    int
-	rng     *rand64.Source
-	err     error // first divergence, sticky
-
-	// Per-sender epoch accumulators for unsynchronized feedback.
-	epochSurvive []float64 // Π(1−loss) since the sender's last update
-	epochRTTSum  []float64
-	epochSteps   []int
-
-	// active tracks per-sender churn state; only used with Perturb set.
-	active []bool
-
-	// resWin and resLoss back StepResult's slices, reused every step so
-	// the hot loop stays allocation-free (see StepResult's borrowing
-	// contract).
-	resWin  []float64
-	resLoss []float64
+	b *Batch
 }
 
 // New returns a link with the given configuration and senders. It returns
-// an error for invalid configurations or an empty sender set.
+// an error for invalid configurations or senders (see Batchable) or an
+// empty sender set.
 func New(cfg Config, senders ...Sender) (*Link, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := Batchable(cfg, senders); err != nil {
 		return nil, err
 	}
-	if len(senders) == 0 {
-		return nil, fmt.Errorf("fluid: at least one sender required")
-	}
-	cfg = cfg.withDefaults()
-	l := &Link{
-		cfg:          cfg,
-		senders:      senders,
-		x:            make([]float64, len(senders)),
-		rng:          rand64.New(cfg.Seed),
-		epochSurvive: make([]float64, len(senders)),
-		epochRTTSum:  make([]float64, len(senders)),
-		epochSteps:   make([]int, len(senders)),
-		resWin:       make([]float64, len(senders)),
-		resLoss:      make([]float64, len(senders)),
-	}
-	for i, s := range senders {
-		if s.Proto == nil {
-			return nil, fmt.Errorf("fluid: sender %d has nil protocol", i)
-		}
-		if s.Period < 0 || s.Phase < 0 {
-			return nil, fmt.Errorf("fluid: sender %d has negative period or phase", i)
-		}
-		if s.Period > 1 && s.Phase >= s.Period {
-			return nil, fmt.Errorf("fluid: sender %d phase %d ≥ period %d", i, s.Phase, s.Period)
-		}
-		l.x[i] = protocol.Clamp(s.Init, cfg.MaxWindow)
-		l.epochSurvive[i] = 1
-	}
-	if cfg.Perturb != nil {
-		l.active = make([]bool, len(senders))
-	}
-	return l, nil
+	return &Link{b: newBatch([]BatchCell{{Cfg: cfg, Senders: senders}})}, nil
 }
 
 // Err returns the first divergence detected so far (nil if none). Once a
 // run diverges its windows are meaningless; callers driving the link
 // step-by-step should stop and propagate the error.
-func (l *Link) Err() error { return l.err }
-
-// fail records the first divergence; later ones are ignored.
-func (l *Link) fail(step, sender int, v float64) {
-	if l.err == nil {
-		l.err = &DivergedError{Step: step, Sender: sender, Value: v}
-	}
-}
+func (l *Link) Err() error { return l.b.Err(0) }
 
 // MustNew is New that panics on error, for tests and examples.
 func MustNew(cfg Config, senders ...Sender) *Link {
@@ -227,11 +170,11 @@ func MustNew(cfg Config, senders ...Sender) *Link {
 }
 
 // Config returns the link's (defaulted) configuration.
-func (l *Link) Config() Config { return l.cfg }
+func (l *Link) Config() Config { return l.b.Config(0) }
 
 // Windows returns a copy of the current window vector.
 func (l *Link) Windows() []float64 {
-	return append([]float64(nil), l.x...)
+	return append([]float64(nil), l.b.win...)
 }
 
 // StepResult reports what happened during one time step.
@@ -248,15 +191,9 @@ type StepResult struct {
 	Loss     []float64 // per-sender total loss (congestion ⊕ random); borrowed
 }
 
-// congestion returns (RTT, loss) for aggregate window x per the paper's
-// model, honoring a bandwidth schedule when present.
-func (l *Link) congestion(x float64) (rtt, loss float64) {
-	return congestionAt(&l.cfg, l.step, x)
-}
-
-// congestionAt is the link-level congestion computation shared by Link and
-// Batch — one body, so the two paths are bit-identical by construction.
-// cfg must already have defaults applied.
+// congestionAt returns (RTT, loss) for aggregate window x at step per the
+// paper's model, honoring a bandwidth schedule and a perturber's capacity
+// scale when present. cfg must already have defaults applied.
 func congestionAt(cfg *Config, step int, x float64) (rtt, loss float64) {
 	// 2Θ inline rather than cfg.BaseRTT(): the value receiver would copy
 	// the whole Config on every call of this per-cell-step hot path.
@@ -296,99 +233,10 @@ func congestionAt(cfg *Config, step int, x float64) (rtt, loss float64) {
 // the current windows, lets every protocol observe its feedback, and
 // installs the clamped next windows.
 func (l *Link) Step() StepResult {
-	p := l.cfg.Perturb
-	if p != nil {
-		for i := range l.senders {
-			on := p.FlowActive(l.step, i)
-			if on && !l.active[i] && l.step > 0 {
-				// (Re)arrival mid-run: restart from the initial window
-				// with fresh feedback accumulators.
-				l.x[i] = protocol.Clamp(l.senders[i].Init, l.cfg.MaxWindow)
-				l.epochSurvive[i], l.epochRTTSum[i], l.epochSteps[i] = 1, 0, 0
-			}
-			l.active[i] = on
-		}
-	}
-	x := 0.0
-	for i, w := range l.x {
-		if p != nil && !l.active[i] {
-			continue
-		}
-		x += w
-	}
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		l.fail(l.step, -1, x)
-	}
-	rtt, congLoss := l.congestion(x)
-	if p != nil {
-		rtt += p.RTTOffset(l.step, 0)
-		if rtt < minPerturbedRTT {
-			rtt = minPerturbedRTT
-		}
-	}
-
-	// Snapshot the in-effect windows into the reused result buffers
-	// before the protocol updates below mutate l.x.
-	copy(l.resWin, l.x)
-	for i := range l.resLoss {
-		l.resLoss[i] = 0
-	}
-	res := StepResult{
-		Step:     l.step,
-		Windows:  l.resWin,
-		RTT:      rtt,
-		CongLoss: congLoss,
-		Loss:     l.resLoss,
-	}
-	for i := range l.senders {
-		if p != nil && !l.active[i] {
-			// Departed flow: no packets in flight, no feedback, window
-			// frozen until re-arrival resets it.
-			res.Windows[i] = 0
-			continue
-		}
-		loss := congLoss
-		if l.cfg.Loss != nil {
-			r := l.cfg.Loss.Rate(l.step, i, l.x[i], l.rng)
-			loss = 1 - (1-loss)*(1-r)
-		}
-		if p != nil {
-			if r := p.ExtraLoss(l.step, i); r > 0 {
-				loss = 1 - (1-loss)*(1-r)
-			}
-		}
-		res.Loss[i] = loss
-		l.epochSurvive[i] *= 1 - loss
-		l.epochRTTSum[i] += rtt
-		l.epochSteps[i]++
-
-		period := l.senders[i].Period
-		if period > 1 && l.step%period != l.senders[i].Phase {
-			continue // window held until this sender's update step
-		}
-		next := l.senders[i].Proto.Next(protocol.Feedback{
-			Step:   l.step,
-			Window: l.x[i],
-			RTT:    l.epochRTTSum[i] / float64(l.epochSteps[i]),
-			Loss:   1 - l.epochSurvive[i],
-		})
-		if math.IsNaN(next) || math.IsInf(next, 0) {
-			l.fail(l.step, i, next)
-			next = protocol.MinWindow
-		}
-		w := protocol.Clamp(next, l.cfg.MaxWindow)
-		if math.IsInf(w, 0) || w < 0 {
-			// Reachable when MaxWindow is +Inf and the protocol runs away.
-			l.fail(l.step, i, w)
-			w = protocol.MinWindow
-		}
-		l.x[i] = w
-		l.epochSurvive[i] = 1
-		l.epochRTTSum[i] = 0
-		l.epochSteps[i] = 0
-	}
-	l.step++
-	return res
+	step := l.b.step
+	l.b.Step()
+	c := &l.b.cells[0]
+	return StepResult{Step: step, Windows: l.b.cur, RTT: c.rtt, CongLoss: c.congLoss, Loss: l.b.loss}
 }
 
 // Run advances the model for steps time steps and returns the recorded
@@ -397,7 +245,8 @@ func (l *Link) Step() StepResult {
 // loss is a sender-local observation, not a link property, and is not
 // recorded).
 func (l *Link) Run(steps int) *trace.Trace {
-	tr := trace.New(len(l.senders), l.cfg.Capacity(), l.cfg.BaseRTT(), steps)
+	cfg := l.Config()
+	tr := trace.New(len(l.b.win), cfg.Capacity(), cfg.BaseRTT(), steps)
 	for i := 0; i < steps; i++ {
 		res := l.Step()
 		tr.Append(res.Windows, res.RTT, res.CongLoss)

@@ -73,7 +73,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRTTRegimes(t *testing.T) {
 	l := MustNew(testCfg(), Sender{Proto: protocol.Reno(), Init: 1})
-	base := l.cfg.BaseRTT()
+	base := l.Config().BaseRTT()
 
 	// Under capacity: RTT = 2Θ.
 	rtt, loss := l.congestion(50)
@@ -82,20 +82,20 @@ func TestRTTRegimes(t *testing.T) {
 	}
 	// Queue building: C < X < C+τ ⇒ RTT = (X−C)/B + 2Θ.
 	rtt, loss = l.congestion(110)
-	want := 10/l.cfg.Bandwidth + base
+	want := 10/l.Config().Bandwidth + base
 	if math.Abs(rtt-want) > 1e-12 || loss != 0 {
 		t.Fatalf("X=110: rtt=%v loss=%v, want (%v, 0)", rtt, loss, want)
 	}
 	// Exactly at C+τ: still the queueing branch per eq. 1 (X < C+τ is
 	// false at equality, so the timeout branch applies).
 	rtt, loss = l.congestion(120)
-	if rtt != l.cfg.TimeoutRTT || loss != 0 {
-		t.Fatalf("X=C+τ: rtt=%v loss=%v, want (Δ=%v, 0)", rtt, loss, l.cfg.TimeoutRTT)
+	if rtt != l.Config().TimeoutRTT || loss != 0 {
+		t.Fatalf("X=C+τ: rtt=%v loss=%v, want (Δ=%v, 0)", rtt, loss, l.Config().TimeoutRTT)
 	}
 	// Overflow: loss = 1 − (C+τ)/X and RTT = Δ.
 	rtt, loss = l.congestion(240)
-	if rtt != l.cfg.TimeoutRTT {
-		t.Fatalf("X=240: rtt=%v, want Δ=%v", rtt, l.cfg.TimeoutRTT)
+	if rtt != l.Config().TimeoutRTT {
+		t.Fatalf("X=240: rtt=%v, want Δ=%v", rtt, l.Config().TimeoutRTT)
 	}
 	if math.Abs(loss-0.5) > 1e-12 {
 		t.Fatalf("X=240: loss=%v, want 0.5", loss)
@@ -339,7 +339,7 @@ func TestQuickCongestionBounds(t *testing.T) {
 			return true
 		}
 		rtt, loss := l.congestion(x)
-		return loss >= 0 && loss < 1 && rtt >= l.cfg.BaseRTT()-1e-12
+		return loss >= 0 && loss < 1 && rtt >= l.Config().BaseRTT()-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ type RunSet struct {
 // configuration of opt (its InitConfigs, else the defaults for the set),
 // and returns each set's frozen summaries in that order. The runs
 // resolve through opt.Session when set, and all those left to simulate,
-// across every set, reach engine.SweepSpecs as one grid, so kernelized
-// cells advance in lockstep whichever set they belong to. No trace is
+// across every set, reach engine.SweepSpecs as one grid, so cells
+// advance in lockstep whichever set they belong to. No trace is
 // materialized. Summaries may be shared with the session: treat them as
 // read-only.
 //

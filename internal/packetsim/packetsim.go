@@ -310,6 +310,9 @@ func newSim(cfg Config, flows []Flow, duration float64, obs func(TickSample)) (*
 		if math.IsNaN(f.Start) {
 			return nil, fmt.Errorf("packetsim: flow %d has a NaN start time", i)
 		}
+		if math.IsNaN(f.Init) {
+			return nil, fmt.Errorf("packetsim: flow %d has a NaN initial window", i)
+		}
 	}
 	cfg = cfg.withDefaults()
 

@@ -47,10 +47,16 @@ func TestConfigValidation(t *testing.T) {
 	for _, f := range []Flow{
 		{Proto: protocol.Reno(), ExtraDelay: math.NaN()},
 		{Proto: protocol.Reno(), Start: math.NaN()},
+		{Proto: protocol.Reno(), Init: math.NaN()},
 	} {
 		if _, err := Run(link20(), []Flow{f}, 1); err == nil {
 			t.Errorf("flow %+v accepted", f)
 		}
+	}
+	// A NaN initial window is rejected by name, not clamped into a run.
+	nan := []Flow{{Proto: protocol.Reno(), Init: 1}, {Proto: protocol.Reno(), Init: math.NaN()}}
+	if _, err := Run(link20(), nan, 1); err == nil || err.Error() != "packetsim: flow 1 has a NaN initial window" {
+		t.Errorf("NaN initial window: error %v", err)
 	}
 	for _, d := range []float64{0, math.NaN(), math.Inf(1)} {
 		if _, err := Run(link20(), []Flow{{Proto: protocol.Reno()}}, d); err == nil {

@@ -26,11 +26,82 @@ func kernelCases() []Protocol {
 	}
 }
 
-// TestKernelBitIdentity asserts that Kernel.Step returns the exact float64
-// that Next would, across a grid of windows and loss rates that exercises
-// every branch: zero loss, sub- and super-threshold loss, windows at and
-// below MinWindow, and HighSpeed windows on both sides of LowWindow and
-// beyond the response-table endpoints.
+// ruleOracle is each kernelized family's update rule written out on its
+// own, as the families' Next methods stated it before they stepped their
+// kernels. It is the independent reference TestKernelBitIdentity holds
+// Kernel.Step and Next to. Cubic's state lives in the oracle value.
+type ruleOracle struct {
+	p      Protocol
+	xmax   float64
+	steps  float64
+	primed bool
+}
+
+func (o *ruleOracle) next(fb Feedback) float64 {
+	switch p := o.p.(type) {
+	case *AIMD:
+		if fb.Loss > 0 {
+			return fb.Window * p.B
+		}
+		return fb.Window + p.A
+	case *MIMD:
+		if fb.Loss > 0 {
+			return fb.Window * p.B
+		}
+		return fb.Window * p.A
+	case *Binomial:
+		w := fb.Window
+		if w < MinWindow {
+			w = MinWindow
+		}
+		if fb.Loss > 0 {
+			return w - p.B*math.Pow(w, p.L)
+		}
+		return w + p.A/math.Pow(w, p.K)
+	case *RobustAIMD:
+		if fb.Loss >= p.Eps {
+			return fb.Window * p.B
+		}
+		return fb.Window + p.A
+	case *HighSpeed:
+		w := math.Max(fb.Window, MinWindow)
+		if w <= p.LowWindow {
+			if fb.Loss > 0 {
+				return w * 0.5
+			}
+			return w + 1
+		}
+		a, b := hsParams(w)
+		if fb.Loss > 0 {
+			return w * (1 - b)
+		}
+		return w + a
+	case *Cubic:
+		inflection := func() float64 { return math.Cbrt(o.xmax * (1 - p.B) / p.C) }
+		if !o.primed {
+			o.xmax = math.Max(fb.Window, MinWindow)
+			o.steps = inflection()
+			o.primed = true
+		}
+		if fb.Loss > 0 {
+			o.xmax = math.Max(fb.Window, MinWindow)
+			o.steps = 0
+			return o.xmax * p.B
+		}
+		o.steps++
+		d := o.steps - inflection()
+		return o.xmax + p.C*d*d*d
+	}
+	panic("no rule oracle for " + o.p.Name())
+}
+
+// TestKernelBitIdentity asserts that Kernel.Step and Next both return the
+// exact float64 the family's rule oracle does, across a grid of windows
+// and loss rates that exercises every branch: zero loss, sub- and
+// super-threshold loss, windows at and below MinWindow, and HighSpeed
+// windows on both sides of LowWindow and beyond the response-table
+// endpoints. Next steps the protocol's own kernel, so this also checks
+// that a kernel copy and the protocol it came from evolve alike.
 func TestKernelBitIdentity(t *testing.T) {
 	windows := []float64{0, 0.5, 1, 1.5, 2, 10, 37.5, 38, 38.5, 100, 1000, 90000, 1e9}
 	losses := []float64{0, 1e-9, 0.005, 0.01, 0.049999, 0.05, 0.2, 0.999}
@@ -47,37 +118,54 @@ func TestKernelBitIdentity(t *testing.T) {
 		if !k.Valid() {
 			t.Fatalf("%s: kernel op %d invalid", p.Name(), k.Op)
 		}
-		// Stateful kernels (Cubic) mutate k and p in tandem, so the grid
-		// doubles as a state-trajectory identity check: every (w, loss)
-		// visits both sides in the same order.
+		// Stateful kernels (Cubic) mutate k, p and the oracle in tandem,
+		// so the grid doubles as a state-trajectory identity check: every
+		// (w, loss) visits all three in the same order.
+		oracle := &ruleOracle{p: p.Clone()}
 		for _, w := range windows {
 			for _, loss := range losses {
-				want := p.Next(Feedback{Window: w, Loss: loss})
-				got := k.Step(w, loss)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s: Step(%g, %g) = %v, Next = %v", p.Name(), w, loss, got, want)
+				fb := Feedback{Window: w, Loss: loss}
+				want := oracle.next(fb)
+				if got := k.Step(w, loss); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: Step(%g, %g) = %v, rule = %v", p.Name(), w, loss, got, want)
+				}
+				if got := p.Next(fb); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: Next(%g, %g) = %v, rule = %v", p.Name(), w, loss, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestPrimedCubicDeclinesKernel pins that a Cubic instance with live state
-// refuses to hand out a kernel: the zeroed state slots would silently
-// restart the window curve.
-func TestPrimedCubicDeclinesKernel(t *testing.T) {
+// TestPrimedCubicKernelCarriesState pins that a Cubic instance with live
+// state hands out a kernel holding that state, so the kernel continues
+// the window curve exactly where the instance would, and that Clone
+// still resets it.
+func TestPrimedCubicKernelCarriesState(t *testing.T) {
 	p := CubicLinux()
-	if _, ok := p.Kernel(); !ok {
-		t.Fatal("fresh Cubic must claim a kernel")
+	k, ok := p.Kernel()
+	if !ok || k.Primed {
+		t.Fatalf("fresh Cubic kernel = %+v, %v; want an unprimed kernel", k, ok)
 	}
 	p.Next(Feedback{Window: 50, Loss: 0})
-	if _, ok := p.Kernel(); ok {
-		t.Fatal("primed Cubic must decline a kernel")
+	p.Next(Feedback{Window: 60, Loss: 0.1})
+	p.Next(Feedback{Window: 48, Loss: 0})
+	k, ok = p.Kernel()
+	if !ok || !k.Primed || k.X != 60 || k.T != 1 {
+		t.Fatalf("primed Cubic kernel = %+v, %v; want xmax 60 after 1 step", k, ok)
 	}
-	if clone, ok := p.Clone().(*Cubic); !ok {
+	for i, fb := range []Feedback{{Window: 49}, {Window: 51}, {Window: 55, Loss: 0.2}, {Window: 44}} {
+		want := p.Next(fb)
+		if got := k.Step(fb.Window, fb.Loss); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: kernel %v, Next %v", i, got, want)
+		}
+	}
+	clone, ok := p.Clone().(*Cubic)
+	if !ok {
 		t.Fatal("Cubic.Clone did not return *Cubic")
-	} else if _, ok := clone.Kernel(); !ok {
-		t.Fatal("cloned (reset) Cubic must claim a kernel")
+	}
+	if k, _ := clone.Kernel(); k.Primed || k.X != 0 || k.T != 0 {
+		t.Fatalf("cloned Cubic kernel %+v carries state; Clone must reset it", k)
 	}
 }
 

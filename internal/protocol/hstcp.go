@@ -76,19 +76,8 @@ func hsParams(w float64) (a, b float64) {
 
 // Next implements Protocol.
 func (p *HighSpeed) Next(fb Feedback) float64 {
-	w := math.Max(fb.Window, MinWindow)
-	if w <= p.LowWindow {
-		// Standard TCP regime.
-		if fb.Loss > 0 {
-			return w * 0.5
-		}
-		return w + 1
-	}
-	a, b := hsParams(w)
-	if fb.Loss > 0 {
-		return w * (1 - b)
-	}
-	return w + a
+	k, _ := p.Kernel()
+	return k.Step(fb.Window, fb.Loss)
 }
 
 // LossBased implements Protocol.
