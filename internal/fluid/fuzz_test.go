@@ -8,8 +8,10 @@ import (
 )
 
 // fuzzFamilies are the protocols a fuzzed sender picks from: every
-// kernelized family, a primed Cubic, the Next-stepped families and a
-// protocol.Func, plus a runaway MIMD that diverges on an uncapped link.
+// kernelized family, a primed Cubic, the Next-stepped families, a
+// protocol.Func and one whose window is a power-of-two multiple of the
+// loss it observes (so every bit of that loss shows), plus a runaway
+// MIMD that diverges on an uncapped link.
 var fuzzFamilies = []func() protocol.Protocol{
 	func() protocol.Protocol { return protocol.Reno() },
 	func() protocol.Protocol { return protocol.Scalable() },
@@ -31,6 +33,14 @@ var fuzzFamilies = []func() protocol.Protocol{
 				return fb.Window/3 + fb.Loss
 			}
 			return fb.Window*1.1 + fb.RTT + fb.Loss
+		}}
+	},
+	func() protocol.Protocol {
+		return &protocol.Func{Fn: func(fb protocol.Feedback) float64 {
+			if fb.Loss > 0 {
+				return 64 * fb.Loss
+			}
+			return fb.Window + 1
 		}}
 	},
 }

@@ -61,6 +61,18 @@ func halving() protocol.Protocol {
 	}}
 }
 
+// lossScaled is a protocol.Func whose window after a lossy step is 64
+// times the loss it observed: a power-of-two multiple, so every bit of
+// that loss reaches the trajectory.
+func lossScaled() protocol.Protocol {
+	return &protocol.Func{Fn: func(fb protocol.Feedback) float64 {
+		if fb.Loss > 0 {
+			return 64 * fb.Loss
+		}
+		return fb.Window + 1
+	}}
+}
+
 // allFamilies is one sender of every protocol family, kernelized or not.
 func allFamilies() []fluid.Sender {
 	primed := protocol.CubicLinux()
@@ -124,6 +136,7 @@ func goldenCases() []goldenCase {
 		{name: "tfrc", cfg: link, senders: pair(protocol.DefaultTFRC())},
 		{name: "probe-until-loss", cfg: link, senders: pair(protocol.NewProbeUntilLoss(1))},
 		{name: "func", cfg: link, senders: pair(halving())},
+		{name: "func-loss", cfg: link, senders: pair(lossScaled())},
 		{name: "all-families", cfg: big, senders: allFamilies},
 		{name: "period-phase", cfg: withLoss(fluid.NewPacketLoss(0.01), 5), senders: func() []fluid.Sender {
 			return []fluid.Sender{
