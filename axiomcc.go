@@ -289,7 +289,7 @@ type (
 	EnginePacketSpec = engine.PacketSpec
 	// EngineTopoSpec adapts the DAG topology substrate.
 	EngineTopoSpec = engine.TopoSpec
-	// SweepConfig tunes EngineSweep (workers, base seed, progress).
+	// SweepConfig tunes EngineSweep (workers, base seed).
 	SweepConfig = engine.SweepConfig
 	// MetricStream is the streaming observer computing the axiom
 	// estimators online (no recorded trace needed).
@@ -321,13 +321,6 @@ func EngineSweep[T any](ctx context.Context, n int, cfg SweepConfig, cell func(c
 	return engine.Sweep(ctx, n, cfg, cell)
 }
 
-// EngineSweepSettled is EngineSweep without fail-fast: every cell runs
-// (panics and timeouts included) and failures are reported per cell, so
-// one pathological grid point cannot abort a long sweep.
-func EngineSweepSettled[T any](ctx context.Context, n int, cfg SweepConfig, cell func(ctx context.Context, i int, seed uint64) (T, error)) ([]T, []error, error) {
-	return engine.SweepSettled(ctx, n, cfg, cell)
-}
-
 // ---- Deterministic fault injection (chaos schedules) ----
 
 type (
@@ -340,9 +333,6 @@ type (
 	ChaosEvent = chaos.Event
 	// ChaosInjector is a schedule compiled against a substrate shape.
 	ChaosInjector = chaos.Injector
-	// EngineHardening carries process-wide sweep-hardening defaults
-	// (per-cell timeout, retries).
-	EngineHardening = engine.Hardening
 )
 
 var (
@@ -355,10 +345,6 @@ var (
 	BurstyLossSchedule = chaos.BurstyLoss
 	// FlappyLinkSchedule builds the periodically-flapping-link preset.
 	FlappyLinkSchedule = chaos.FlappyLink
-	// SetEngineHardening installs process-wide sweep-hardening defaults.
-	SetEngineHardening = engine.SetHardening
-	// RegisterSweepFlags mounts -cell-timeout/-retries.
-	RegisterSweepFlags = engine.RegisterSweepFlags
 	// RegisterStoreFlags mounts -store/-nostore/-store-max-bytes/-store-stats
 	// (the persistent cross-process run store).
 	RegisterStoreFlags = storeflags.Register

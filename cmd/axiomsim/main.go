@@ -54,10 +54,8 @@ func main() {
 		chaosPath  = flag.String("chaos", "", "fault-injection schedule (JSON file) applied to the run")
 	)
 	ofl := obs.RegisterFlags(flag.CommandLine)
-	sfl := axiomcc.RegisterSweepFlags(flag.CommandLine)
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
-	sfl.Apply()
 	defer stfl.Apply("axiomsim")()
 
 	stop, err := ofl.Start("axiomsim")
@@ -137,7 +135,7 @@ func main() {
 		// -svg and its own summary line; every tail score comes from the
 		// Stream's summary, as the estimators score.
 		var sum *metrics.StreamSummary
-		trs, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{BaseSeed: *seed},
+		trs, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{},
 			func(ctx context.Context, _ int, _ uint64) (*trace.Trace, error) {
 				sub := &axiomcc.EngineFluidSpec{Cfg: cfg, Senders: axiomcc.MixedSenders(protos, inits), Steps: *steps}
 				st := metrics.NewStream(sub.Meta(), tail)
@@ -201,7 +199,7 @@ func main() {
 			}
 			flows[i] = axiomcc.PacketFlow{Proto: p, Init: init}
 		}
-		ress, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{BaseSeed: *seed},
+		ress, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{},
 			func(ctx context.Context, _ int, _ uint64) (*axiomcc.PacketResult, error) {
 				eres, err := axiomcc.EngineRun(ctx, axiomcc.EngineSpec{
 					Substrate: &axiomcc.EnginePacketSpec{Cfg: cfg, Flows: flows, Duration: *duration},

@@ -63,10 +63,8 @@ func main() {
 		linkBuf  = flag.Float64("buf", 0, "with -explore/-dense: buffer in MSS beyond the bandwidth-delay product")
 	)
 	ofl := obs.RegisterFlags(flag.CommandLine)
-	sfl := axiomcc.RegisterSweepFlags(flag.CommandLine)
 	stfl := axiomcc.RegisterStoreFlags(flag.CommandLine)
 	flag.Parse()
-	sfl.Apply()
 	defer stfl.Apply("paretoexplore")()
 
 	stop, err := ofl.Start("paretoexplore")

@@ -85,22 +85,17 @@ type batchOut struct {
 // cells are grouped and stepped in lockstep before the per-cell pass,
 // which then serves their precomputed results. All Sweep semantics are
 // preserved — fail-fast on the first cell error, deterministic results
-// at any worker count, hardening (timeouts, retries) via cfg, and obs
-// instrumentation.
+// at any worker count, context cancellation, and obs instrumentation.
 //
 // Specs must be self-describing: cell seeds come from each spec's
 // Cfg.Seed / ChaosSeed fields, not from CellSeed derivation (the per-cell
 // seed Sweep hands its cell function is ignored). Like Run, substrates
 // are single-use — build fresh specs per call.
 //
-// Two caveats apply to batched cells, both documented in DESIGN.md: a
-// CellTimeout does not bound them (the group computes before the
-// per-cell attempt loop; context cancellation still stops the group
-// promptly), and engine.run.duration telemetry is not recorded for them
-// (a lockstep group has no per-cell wall time).
+// engine.run.duration telemetry is not recorded for batched cells: a
+// lockstep group has no per-cell wall time (see DESIGN.md).
 func SweepSpecs(ctx context.Context, specs []Spec, cfg SweepConfig) ([]*Result, error) {
 	capNestedWorkers(ctx, &cfg)
-	applyHardening(&cfg)
 	routeWorkers(len(specs), &cfg)
 	ctx, sp := obs.StartSpan(ctx, "engine.sweep.specs")
 	sp.SetDetail(strconv.Itoa(len(specs)) + " specs")

@@ -94,45 +94,3 @@ func TestSweepInstrumentedEmitsCellSpansAndProgress(t *testing.T) {
 		t.Fatalf("ProgressState = %+v, want %d/%d", p, n, n)
 	}
 }
-
-func TestSweepRetryRecordsFlightEvent(t *testing.T) {
-	obs.Enable()
-	defer func() { obs.Disable(); obs.Reset(); obs.ResetFlight(); obs.EndRecord() }()
-	obs.Reset()
-	obs.ResetFlight()
-	rec := obs.BeginRecord("test")
-
-	attempts := 0
-	_, err := Sweep(context.Background(), 1, SweepConfig{Workers: 1, Retries: 2}, func(ctx context.Context, i int, seed uint64) (int, error) {
-		attempts++
-		if attempts < 3 {
-			return 0, errors.New("transient")
-		}
-		return i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 {
-		t.Fatalf("cell ran %d times, want 3", attempts)
-	}
-	retries := 0
-	for _, e := range obs.FlightEvents() {
-		if e.Kind == "retry" && e.Name == "engine.sweep.cell" {
-			retries++
-		}
-	}
-	if retries != 2 {
-		t.Fatalf("flight ring has %d retry events, want 2", retries)
-	}
-	// The retry path must also have attached the evidence to the record.
-	recRetries := 0
-	for _, e := range rec.Flight {
-		if e.Kind == "retry" {
-			recRetries++
-		}
-	}
-	if recRetries == 0 {
-		t.Fatal("run record missing retry flight events")
-	}
-}

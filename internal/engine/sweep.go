@@ -2,33 +2,15 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/fluid"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/retry"
 )
-
-// cellRetryPolicy is the backoff schedule between reseeded cell
-// attempts: the historical 5ms→320ms doubling ladder, now with ±50%
-// deterministic jitter (seeded by the cell seed, so grids stay
-// reproducible) to decorrelate the retries of neighboring cells that
-// failed together — e.g. when a shared store briefly stalled every
-// worker at once. The shared helper is the same one axiomd uses for
-// shard respawns.
-var cellRetryPolicy = retry.Policy{
-	Base:       5 * time.Millisecond,
-	Max:        320 * time.Millisecond,
-	Multiplier: 2,
-	Jitter:     0.5,
-}
 
 // SweepConfig controls the grid orchestrator.
 type SweepConfig struct {
@@ -38,25 +20,6 @@ type SweepConfig struct {
 	// receive CellSeed(BaseSeed, i) regardless of scheduling order, so a
 	// sweep's results are identical at any worker count.
 	BaseSeed uint64
-	// Progress, when non-nil, is called after each completed cell —
-	// whether the cell succeeded or returned an error — with the number
-	// done so far and the total. Calls are serialized; completion order
-	// is nondeterministic under parallelism but done increments by one
-	// each call. On a fail-fast abort the remaining (never-started) cells
-	// produce no calls, so done may stop short of total.
-	Progress func(done, total int)
-
-	// CellTimeout bounds each cell attempt; an attempt whose context
-	// deadline expires counts as a transient failure. 0 means no
-	// per-cell deadline (the process-wide default from SetHardening
-	// applies when set).
-	CellTimeout time.Duration
-	// Retries is the number of extra attempts granted to a cell whose
-	// failure looks transient (timeouts and unclassified errors — not
-	// divergence, panics, or parent-context cancellation). Retry k runs
-	// with the reseeded CellSeed(cellSeed, k) after a short deterministic
-	// backoff.
-	Retries int
 }
 
 // CellSeed derives the deterministic seed for cell i from base by
@@ -87,55 +50,109 @@ var (
 	sweepCellsCompleted = obs.GetCounter("engine.sweep.cells.completed")
 	sweepCellsFailed    = obs.GetCounter("engine.sweep.cells.failed")
 	sweepCellsPanicked  = obs.GetCounter("engine.sweep.cells.panicked")
-	sweepCellsRetried   = obs.GetCounter("engine.sweep.cells.retried")
 	sweepCellDuration   = obs.GetHistogram("engine.sweep.cell.duration")
 	sweepGrids          = obs.GetCounter("engine.sweep.grids")
 )
 
 // Sweep evaluates cell for every index in [0, n) across a worker pool,
-// collecting results in input order. The first cell error cancels the
-// sweep (fail fast: no new cells are claimed; in-flight cells finish) and
-// is returned; likewise ctx cancellation stops claiming and returns
-// ctx.Err(). A panicking cell is recovered into a per-cell
-// *parallel.PanicError instead of killing the process.
+// collecting results in input order. Every cell is a deterministic
+// function of its index and seed, so a cell runs once: the first cell
+// error cancels the sweep (fail fast: no new cells are claimed; in-flight
+// cells finish) and is returned; likewise ctx cancellation stops claiming
+// and returns ctx.Err(). A panicking cell is recovered by the pool into a
+// per-cell *parallel.PanicError instead of killing the process.
 //
-// Per-cell deadlines and bounded retries are governed by the SweepConfig
-// hardening fields (process-wide defaults via SetHardening /
-// RegisterSweepFlags).
-//
-// With observability enabled, every cell's latency lands in the
+// Progress reaches callers through the globally installed sink
+// (obs.SetSweepProgress — the -progress flag of the cmd/* tools), called
+// serialized after each finished cell, failed ones included. With
+// observability enabled, every cell's latency lands in the
 // engine.sweep.cell.duration histogram with completed/failed counters
-// alongside, and a globally installed progress sink (obs.SetSweepProgress
-// — the -progress flag of the cmd/* tools) is chained in front of
-// cfg.Progress.
+// alongside, and progress is mirrored into obs.ReportProgress.
 func Sweep[T any](ctx context.Context, n int, cfg SweepConfig, cell func(ctx context.Context, i int, seed uint64) (T, error)) ([]T, error) {
 	capNestedWorkers(ctx, &cfg)
 	routeWorkers(n, &cfg)
 	ctx, sp := obs.StartSpan(ctx, "engine.sweep")
 	sp.SetDetail(strconv.Itoa(n) + " cells")
 	defer sp.End()
-	h := newHarness[T](n, &cfg)
-	wrapped := h.wrap(cell)
+	instrumented := obs.Enabled()
+	if instrumented {
+		sweepGrids.Inc()
+		obs.AddCells(n)
+	}
+	tick := progressTicker(n, instrumented)
 	// Cells get the sweep's context, not the pool's per-item one, which
-	// a sibling's failure cancels.
-	return parallel.MapCtx(ctx, n, cfg.Workers, func(_ context.Context, i int) (T, error) {
-		return wrapped(ctx, i)
+	// a sibling's failure cancels; it is marked so nested sweeps default
+	// to serial (see capNestedWorkers).
+	cellCtx := context.WithValue(ctx, nestedSweepKey{}, true)
+	return parallel.MapCtx(ctx, n, cfg.Workers, func(_ context.Context, i int) (v T, err error) {
+		ctx := cellCtx
+		var start time.Time
+		var csp *obs.Span
+		if instrumented {
+			start = time.Now()
+			ctx, csp = obs.StartSpan(ctx, "engine.sweep.cell")
+			csp.SetDetail("cell " + strconv.Itoa(i))
+		}
+		// The pool recovers a panic into a *parallel.PanicError; this
+		// deferred bookkeeping runs on the way, so a panicked cell is
+		// counted and its flight ring kept like any failed one.
+		panicked := true
+		defer func() {
+			if instrumented {
+				if panicked {
+					sweepCellsPanicked.Inc()
+					// A recovered cell panic is the flight recorder's
+					// reason to exist: dump the ring (what every worker
+					// just did) to stderr and attach it to the run record
+					// as evidence.
+					obs.NoteEvent("panic", "engine.sweep.cell", "cell "+strconv.Itoa(i))
+					obs.DumpFlight(os.Stderr)
+					obs.AttachFlightToRecord()
+				}
+				csp.End()
+				sweepCellDuration.Observe(time.Since(start))
+				if panicked || err != nil {
+					sweepCellsFailed.Inc()
+				} else {
+					sweepCellsCompleted.Inc()
+				}
+			}
+			// Completions count toward progress whether or not the cell
+			// failed: on a failing grid the bar keeps moving while
+			// in-flight cells drain instead of silently undercounting.
+			tick()
+		}()
+		v, err = cell(ctx, i, CellSeed(cfg.BaseSeed, i))
+		panicked = false
+		return v, err
 	})
 }
 
-// SweepSettled is Sweep without fail-fast: every cell runs to completion
-// and failures — panics, timeouts, divergence — are reported per cell in
-// the second return value (nil for successes) while the other cells'
-// results stay valid. The third value is ctx.Err() when cancellation
-// stopped cells from being claimed; those cells carry the context error.
-func SweepSettled[T any](ctx context.Context, n int, cfg SweepConfig, cell func(ctx context.Context, i int, seed uint64) (T, error)) ([]T, []error, error) {
-	capNestedWorkers(ctx, &cfg)
-	routeWorkers(n, &cfg)
-	ctx, sp := obs.StartSpan(ctx, "engine.sweep")
-	sp.SetDetail(strconv.Itoa(n) + " cells")
-	defer sp.End()
-	h := newHarness[T](n, &cfg)
-	return parallel.MapSettled(ctx, n, cfg.Workers, h.wrap(cell))
+// progressTicker returns the per-cell completion callback of an n-cell
+// sweep: it advances a serialized done count and reports it to the
+// global progress sink and, when instrumented, to obs.ReportProgress,
+// which mirrors it into the exposition endpoint so a /snapshot scrape
+// mid-sweep shows done/total without -progress.
+func progressTicker(n int, instrumented bool) func() {
+	sink := obs.SweepProgressFunc()
+	if sink == nil && !instrumented {
+		return func() {}
+	}
+	var (
+		mu   sync.Mutex
+		done int
+	)
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if instrumented {
+			obs.ReportProgress(done, n)
+		}
+		if sink != nil {
+			sink(done, n)
+		}
+	}
 }
 
 // nestedSweepKey marks contexts handed to sweep cells, so a sweep started
@@ -177,161 +194,4 @@ func routeWorkers(n int, cfg *SweepConfig) {
 		w = 1
 	}
 	cfg.Workers = w
-}
-
-// harness carries the per-sweep state shared by Sweep and SweepSettled:
-// the chained progress sink and the instrumentation flag.
-type harness[T any] struct {
-	cfg          *SweepConfig
-	n            int
-	instrumented bool
-	progress     func(done, total int)
-	mu           sync.Mutex
-	done         int
-}
-
-func newHarness[T any](n int, cfg *SweepConfig) *harness[T] {
-	applyHardening(cfg)
-	h := &harness[T]{cfg: cfg, n: n, instrumented: obs.Enabled(), progress: cfg.Progress}
-	if sink := obs.SweepProgressFunc(); sink != nil {
-		if inner := h.progress; inner != nil {
-			h.progress = func(done, total int) {
-				sink(done, total)
-				inner(done, total)
-			}
-		} else {
-			h.progress = sink
-		}
-	}
-	if h.instrumented {
-		sweepGrids.Inc()
-		obs.AddCells(n)
-		// Mirror progress into the exposition endpoint's atomics so a
-		// /snapshot scrape mid-sweep shows done/total without -progress.
-		if inner := h.progress; inner != nil {
-			h.progress = func(done, total int) {
-				obs.ReportProgress(done, total)
-				inner(done, total)
-			}
-		} else {
-			h.progress = obs.ReportProgress
-		}
-	}
-	return h
-}
-
-// tick advances the serialized progress callback.
-func (h *harness[T]) tick() {
-	if h.progress == nil {
-		return
-	}
-	h.mu.Lock()
-	h.done++
-	h.progress(h.done, h.n)
-	h.mu.Unlock()
-}
-
-// wrap builds the per-item function the worker pool runs: the
-// deadline+retry attempt loop, instrumentation, and progress.
-func (h *harness[T]) wrap(cell func(ctx context.Context, i int, seed uint64) (T, error)) func(ctx context.Context, i int) (T, error) {
-	return func(ctx context.Context, i int) (T, error) {
-		// Mark the cell's context so nested sweeps default to serial
-		// (see capNestedWorkers).
-		ctx = context.WithValue(ctx, nestedSweepKey{}, true)
-		seed := CellSeed(h.cfg.BaseSeed, i)
-		var start time.Time
-		var csp *obs.Span
-		if h.instrumented {
-			start = time.Now()
-			ctx, csp = obs.StartSpan(ctx, "engine.sweep.cell")
-			csp.SetDetail("cell " + strconv.Itoa(i))
-		}
-		v, err := runCellAttempts(ctx, h.cfg, i, seed, cell)
-		if h.instrumented {
-			csp.End()
-			sweepCellDuration.Observe(time.Since(start))
-			if err != nil {
-				sweepCellsFailed.Inc()
-			} else {
-				sweepCellsCompleted.Inc()
-			}
-		}
-		// Completions count toward progress whether or not the cell
-		// errored: on a failing grid the bar keeps moving while in-flight
-		// cells drain instead of silently undercounting.
-		h.tick()
-		return v, err
-	}
-}
-
-// runCellAttempts executes one cell under the configured deadline and
-// retry budget. Attempt k > 0 runs with the reseeded CellSeed(seed, k)
-// after a short deterministic backoff. Panics (recovered per attempt),
-// divergence, and parent-context cancellation are permanent; deadline
-// expiry and unclassified errors are transient.
-func runCellAttempts[T any](ctx context.Context, cfg *SweepConfig, i int, seed uint64, cell func(ctx context.Context, i int, seed uint64) (T, error)) (T, error) {
-	var zero T
-	for attempt := 0; ; attempt++ {
-		s := seed
-		if attempt > 0 {
-			s = CellSeed(seed, attempt)
-		}
-		actx, cancel := ctx, func() {}
-		if cfg.CellTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, cfg.CellTimeout)
-		}
-		v, err := runAttempt(actx, i, s, cell)
-		cancel()
-		if err == nil {
-			return v, nil
-		}
-		var pe *parallel.PanicError
-		if errors.As(err, &pe) {
-			if obs.Enabled() {
-				sweepCellsPanicked.Inc()
-				// A recovered cell panic is the flight recorder's reason to
-				// exist: dump the ring (what every worker just did) to
-				// stderr and attach it to the run record as evidence.
-				obs.NoteEvent("panic", "engine.sweep.cell", "cell "+strconv.Itoa(i))
-				obs.DumpFlight(os.Stderr)
-				obs.AttachFlightToRecord()
-			}
-			return zero, err
-		}
-		if errors.Is(err, fluid.ErrDiverged) {
-			return zero, err // deterministic blow-up: a retry replays it
-		}
-		if ctx.Err() != nil {
-			return zero, err // the whole sweep is being torn down
-		}
-		if obs.Enabled() && errors.Is(actx.Err(), context.DeadlineExceeded) {
-			obs.NoteEvent("deadline", "engine.sweep.cell",
-				"cell "+strconv.Itoa(i)+" attempt "+strconv.Itoa(attempt)+" hit "+cfg.CellTimeout.String())
-			obs.DumpFlight(os.Stderr)
-			obs.AttachFlightToRecord()
-		}
-		if attempt >= cfg.Retries {
-			return zero, err
-		}
-		if obs.Enabled() {
-			sweepCellsRetried.Inc()
-			obs.NoteEvent("retry", "engine.sweep.cell",
-				"cell "+strconv.Itoa(i)+" attempt "+strconv.Itoa(attempt)+": "+err.Error())
-			obs.AttachFlightToRecord()
-		}
-		if serr := retry.Sleep(ctx, cellRetryPolicy.Delay(attempt, seed)); serr != nil {
-			return zero, serr
-		}
-	}
-}
-
-// runAttempt invokes cell with per-attempt panic recovery, so a panic on
-// attempt 0 is classified (and counted) before the retry logic runs.
-func runAttempt[T any](ctx context.Context, i int, seed uint64, cell func(ctx context.Context, i int, seed uint64) (T, error)) (v T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &parallel.PanicError{Item: i, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return cell(ctx, i, seed)
 }

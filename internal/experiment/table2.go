@@ -142,9 +142,9 @@ func Table2(tc Table2Config) (*Table2Result, error) {
 	}
 	// Cells are independent deterministic simulations; the orchestrator
 	// shards them across cores. Seeding keeps the paper's semantics (every
-	// cell uses tc.Seed; run k perturbs it by k), so results are identical
-	// at any worker count.
-	cells, err := engine.Sweep(context.Background(), len(specs), engine.SweepConfig{Workers: tc.Workers, BaseSeed: tc.Seed},
+	// cell uses tc.Seed, not the sweep's cell seed; run k perturbs it by
+	// k), so results are identical at any worker count.
+	cells, err := engine.Sweep(context.Background(), len(specs), engine.SweepConfig{Workers: tc.Workers},
 		func(ctx context.Context, i int, _ uint64) (Table2Cell, error) {
 			sp := specs[i]
 			cfg := EmulabLink(sp.mbps, tc.BufferMSS)

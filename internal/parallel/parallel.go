@@ -1,9 +1,8 @@
 // Package parallel provides the small worker-pool helper the experiment
 // sweeps use to exploit multiple cores. Every simulation in this
 // repository is deterministic and cell-independent, so grid sweeps
-// parallelize without affecting results; Map preserves input order and
-// fails fast on the first error, while MapSettled runs every item and
-// reports failures per item. Both share one worker loop.
+// parallelize without affecting results; MapCtx preserves input order
+// and fails fast on the first error.
 //
 // With observability enabled (internal/obs), each pool reports item
 // success/failure counts, a queue-wait histogram (time a worker spends
@@ -59,17 +58,11 @@ var (
 	poolRuns        = obs.GetCounter("parallel.pools")
 )
 
-// Map applies f to every item index in [0, n), using up to workers
+// MapCtx applies f to every item index in [0, n), using up to workers
 // goroutines (0 = GOMAXPROCS), and collects the results in input order.
 // The first error stops the pool from claiming further items and is
-// returned once in-flight calls finish.
-func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
-		return f(i)
-	})
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is done, workers
+// returned once in-flight calls finish; a panicking call is recovered
+// into a *PanicError and fails the same way. Once ctx is done, workers
 // stop claiming new items (in-flight calls finish) and the context error
 // is returned unless an item error occurred first. The per-item function
 // receives a context derived from ctx, canceled by the first item error,
@@ -105,42 +98,15 @@ func MapCtx[T any](ctx context.Context, n, workers int, f func(ctx context.Conte
 	return out, nil
 }
 
-// MapSettled is MapCtx without fail-fast: every item runs to completion
-// (panics included, recovered into PanicError) and failures are reported
-// per item instead of aborting the pool. It returns the results, a
-// parallel slice of per-item errors (nil for successes), and ctx.Err()
-// if cancellation stopped items from being claimed — those items carry
-// the context error in their errs slot.
-func MapSettled[T any](ctx context.Context, n, workers int, f func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
-	if n < 0 {
-		return nil, nil, fmt.Errorf("parallel: negative item count %d", n)
-	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	claimed := run(ctx, n, workers, f, func(i int, v T, err error) {
-		out[i], errs[i] = v, err
-	})
-	if err := ctx.Err(); err != nil {
-		// Workers check ctx when claiming, so exactly the indexes below
-		// claimed ran; everything from there on never started and
-		// carries the context error instead of a zero result.
-		for i := claimed; i < n; i++ {
-			errs[i] = err
-		}
-		return out, errs, err
-	}
-	return out, errs, nil
-}
-
-// run is the worker loop behind MapCtx and MapSettled. It calls f on
-// the indexes [0, n) in order of claim from up to workers goroutines
-// (0 = GOMAXPROCS; with one worker the loop runs inline and spawns
-// nothing) and hands every outcome to settle. Claims and settle calls
+// run is the worker loop behind MapCtx. It calls f on the indexes
+// [0, n) in order of claim from up to workers goroutines (0 =
+// GOMAXPROCS; with one worker the loop runs inline and spawns nothing)
+// and hands every outcome to settle. Claims and settle calls
 // are serialized under one lock, so settle needs no locking of its own,
 // and once ctx is done no further index is claimed; a caller that wants
 // fail-fast cancels ctx from settle. run returns once every claimed call
-// has settled, reporting how many indexes were claimed.
-func run[T any](ctx context.Context, n, workers int, f func(ctx context.Context, i int) (T, error), settle func(i int, v T, err error)) int {
+// has settled.
+func run[T any](ctx context.Context, n, workers int, f func(ctx context.Context, i int) (T, error), settle func(i int, v T, err error)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -148,7 +114,7 @@ func run[T any](ctx context.Context, n, workers int, f func(ctx context.Context,
 		workers = n
 	}
 	if n == 0 {
-		return 0
+		return
 	}
 	instrumented := obs.Enabled()
 	var (
@@ -212,5 +178,4 @@ func run[T any](ctx context.Context, n, workers int, f func(ctx context.Context,
 			poolUtilization.Set(float64(busyNs.Load()) / (float64(workers) * float64(wall.Nanoseconds())))
 		}
 	}
-	return next
 }

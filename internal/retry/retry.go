@@ -1,14 +1,14 @@
 // Package retry is the repository's one backoff implementation: jittered
-// exponential delays with an optional cumulative budget, shared by the
-// sweep engine's reseeded per-cell retries and by axiomd's shard-respawn
-// and admission machinery, so every "wait and try again" loop in the
-// tree backs off the same way and is tuned by the same knobs.
+// exponential delays with an optional cumulative budget, used by axiomd's
+// cell retries, shard respawns and admission machinery, so every "wait
+// and try again" loop in the tree backs off the same way and is tuned by
+// the same knobs.
 //
 // Jitter is deterministic: it is derived from a caller-supplied seed via
 // the SplitMix64 finalizer, never from a global RNG. Two processes (or
 // two runs of one test) that start from the same seed produce the same
-// delay sequence, which keeps retried sweeps reproducible while still
-// decorrelating the cells of one grid from each other.
+// delay sequence, while the cells of one job are still decorrelated from
+// each other.
 package retry
 
 import (
@@ -22,12 +22,12 @@ import (
 type Policy struct {
 	// Attempts is the total number of tries Budget-style loops allow
 	// (first attempt included). 0 or negative means unlimited; callers
-	// that manage their own attempt count (the sweep harness) ignore it.
+	// that manage their own attempt count ignore it.
 	Attempts int
 	// Base is the delay before the first retry (default 5ms).
 	Base time.Duration
 	// Max caps an individual delay after exponential growth (default
-	// 320ms, the sweep engine's historical ceiling).
+	// 320ms).
 	Max time.Duration
 	// Multiplier is the exponential growth factor (default 2).
 	Multiplier float64
@@ -99,7 +99,7 @@ type Backoff struct {
 }
 
 // Start begins a backoff walk. seed feeds the deterministic jitter; use
-// a stable per-task identity (a sweep cell seed, a shard index) so the
+// a stable per-task identity (a cell seed, a shard index) so the
 // sequence is reproducible.
 func (p Policy) Start(seed uint64) *Backoff {
 	return &Backoff{p: p.withDefaults(), seed: seed}
@@ -120,9 +120,6 @@ func (b *Backoff) Next() (d time.Duration, ok bool) {
 	b.spent += d
 	return d, true
 }
-
-// Attempt returns how many delays have been taken so far.
-func (b *Backoff) Attempt() int { return b.attempt }
 
 // Sleep advances the walk and blocks for the delay, returning early with
 // ctx.Err() on cancellation. ok=false means the schedule is exhausted
