@@ -9,13 +9,13 @@ import (
 )
 
 // The flight recorder is a fixed-size, lock-free ring of the most recent
-// span completions and notable events (cell retries, deadline expiries,
-// panics). It runs whenever obs is enabled and costs one atomic add plus
+// span completions and notable events (panics, deadline expiries, shard
+// crashes). It runs whenever obs is enabled and costs one atomic add plus
 // one atomic pointer store per event, so it can stay on for the whole
 // life of a long sweep. When something goes wrong — a recovered cell
-// panic, a SIGQUIT from the operator, a per-cell deadline — the ring is
-// dumped to stderr and attached to the active run record, so the last
-// thing every worker did survives the failure.
+// panic, a SIGQUIT from the operator — the ring is dumped to stderr and
+// attached to the active run record, so the last thing every worker did
+// survives the failure.
 
 // FlightRingSize is the ring's capacity. 256 events at span granularity
 // covers the last few seconds of a busy sweep — enough context to see
@@ -23,8 +23,8 @@ import (
 const FlightRingSize = 256
 
 // FlightEvent is one entry of the flight-recorder ring: a completed span
-// (Kind "span", with duration and ids) or a point event (Kind "retry",
-// "deadline", "panic", ...).
+// (Kind "span", with duration and ids) or a point event (Kind "panic",
+// "deadline", "shard", ...).
 type FlightEvent struct {
 	Seq             uint64    `json:"seq"`
 	Time            time.Time `json:"time"`
@@ -51,7 +51,7 @@ func recordFlight(e *FlightEvent) {
 	flight.slots[(e.Seq-1)%FlightRingSize].Store(e)
 }
 
-// NoteEvent records a point event (Kind "retry", "deadline", "panic",
+// NoteEvent records a point event (Kind "panic", "deadline", "shard",
 // ...) onto the flight ring, stamped with the calling goroutine. No-op
 // while obs is disabled.
 func NoteEvent(kind, name, detail string) {
@@ -125,7 +125,7 @@ func DumpFlight(w io.Writer) {
 
 // AttachFlightToRecord snapshots the ring and the open spans into the
 // active run record (latest attach wins), so a -runrecord manifest from
-// a run that hit retries, deadlines, or panics carries the evidence.
+// a run that hit a cell panic or a SIGQUIT carries the evidence.
 // No-op without an active record.
 func AttachFlightToRecord() {
 	r := ActiveRecord()

@@ -48,7 +48,7 @@ type RunRecord struct {
 	Stats map[string]map[string]float64 `json:"stats,omitempty"`
 
 	// Flight carries the flight-recorder ring and the spans still open
-	// at the last AttachFlightToRecord (cell retry, deadline, panic) —
+	// at the last AttachFlightToRecord (sweep-cell panic, SIGQUIT) —
 	// the post-mortem evidence of what every worker was doing.
 	Flight          []FlightEvent `json:"flight,omitempty"`
 	FlightOpenSpans []ActiveSpan  `json:"flight_open_spans,omitempty"`

@@ -18,7 +18,7 @@ import (
 //   - the "span.<name>" duration histogram in the registry, so /metrics
 //     exposes live latency distributions per span name;
 //   - the flight-recorder ring (flight.go), so the last spans before a
-//     panic, SIGQUIT, or cell retry are reconstructible;
+//     panic or SIGQUIT are reconstructible;
 //   - the timeline collector (timeline.go) when -exectimeline is
 //     engaged, which renders Chrome trace-event JSON with one track per
 //     goroutine (worker-pool goroutines make that one track per worker).
