@@ -32,7 +32,7 @@ func NewProgress(w io.Writer, label string) *Progress {
 }
 
 // Update repaints the line for done/total completed cells. Safe for
-// concurrent use; matches the engine.SweepConfig.Progress signature.
+// concurrent use; matches the SetSweepProgress sink signature.
 // Nested sweeps share the line — the repaint simply reflects whichever
 // grid reported last.
 func (p *Progress) Update(done, total int) {
@@ -85,9 +85,9 @@ func maxSeconds(d time.Duration) float64 {
 	return 1e-9
 }
 
-// sweepProgress is the process-wide progress sink engine.Sweep chains
-// in front of each grid's own Progress callback. Set by the flag helper
-// when -progress is given.
+// sweepProgress is the process-wide progress sink engine.Sweep reports
+// every finished cell to. Set by the flag helper when -progress is
+// given.
 var sweepProgress atomic.Pointer[func(done, total int)]
 
 // SetSweepProgress installs f as the global sweep progress sink
