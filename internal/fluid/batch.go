@@ -264,7 +264,7 @@ func (b *Batch) stepCell(c *batchLink, step int) {
 		lossOut[i] = loss
 		var next float64
 		if k := &kern[i]; k.Op != 0 {
-			next = k.Step(win[i], 1-(1-loss)) // a one-step epoch, see next
+			next = k.Step(win[i], loss) // a one-step epoch, see next
 		} else {
 			var held bool
 			if next, held = b.next(c, i, step, rtt, loss); held {
@@ -288,12 +288,14 @@ func (b *Batch) stepCell(c *batchLink, step int) {
 // next is the update of sender i of cell c when it has no kernel or has
 // Period > 1: its protocol's Next, fed the epoch's aggregated loss
 // 1 − Π(1−loss) and mean RTT. A synchronized sender's epoch is the one
-// step, which observes 1 − (1 − loss) (it can differ from loss in the
-// last bit) and rtt. held reports a step between the updates of a sender
-// with Period > 1, whose window is held.
+// step, which observes loss and rtt. That is the epoch's 1 − (1 − loss)
+// exactly: every loss the step produces is fl(1 − y) with y in [0, 1],
+// and for such an L the subtraction 1 − L is exact (Sterbenz's lemma, or
+// a representable result), so fl(1 − fl(1 − L)) = L. held reports a step
+// between the updates of a sender with Period > 1, whose window is held.
 func (b *Batch) next(c *batchLink, i, step int, rtt, loss float64) (next float64, held bool) {
 	s := &c.senders[i]
-	obsLoss, obsRTT := 1-(1-loss), rtt
+	obsLoss, obsRTT := loss, rtt
 	if s.Period > 1 {
 		j := c.off + i
 		b.survive[j] *= 1 - loss
