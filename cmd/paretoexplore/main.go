@@ -98,6 +98,18 @@ func main() {
 			fatal(err)
 		}
 		fast, eff, friendly := coords[0], coords[1], coords[2]
+		if *eps > 0 {
+			// Theorem 3 needs a real link, ε < 1 and C+τ > α/2.
+			if err := (axiomcc.TheoryLink{C: *cap, Tau: *tau, N: 1}).Validate(); err != nil {
+				fatal(err)
+			}
+			if *eps >= 1 {
+				fatal(fmt.Errorf("robustness ε must be in [0,1), got %v", *eps))
+			}
+			if *cap+*tau <= fast/2 {
+				fatal(fmt.Errorf("theorem 3 requires C+τ > α/2, got C+τ=%v, α=%v", *cap+*tau, fast))
+			}
+		}
 		bound := axiomcc.Theorem2Bound(fast, eff)
 		fmt.Printf("point: fast-utilization=%g efficiency=%g tcp-friendliness=%g\n", fast, eff, friendly)
 		fmt.Printf("Theorem 2 ceiling at (α=%g, β=%g): %.4f\n", fast, eff, bound)

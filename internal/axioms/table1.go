@@ -41,11 +41,11 @@ type Link struct {
 
 // Validate reports whether the link parameters are usable.
 func (l Link) Validate() error {
-	if l.C <= 0 {
-		return fmt.Errorf("axioms: capacity must be positive, got %v", l.C)
+	if !(l.C > 0) || math.IsInf(l.C, 1) {
+		return fmt.Errorf("axioms: capacity must be positive and finite, got %v", l.C)
 	}
-	if l.Tau < 0 {
-		return fmt.Errorf("axioms: buffer must be non-negative, got %v", l.Tau)
+	if !(l.Tau >= 0) || math.IsInf(l.Tau, 1) {
+		return fmt.Errorf("axioms: buffer must be non-negative and finite, got %v", l.Tau)
 	}
 	if l.N < 1 {
 		return fmt.Errorf("axioms: need at least one sender, got %d", l.N)

@@ -20,6 +20,12 @@ func TestLinkValidate(t *testing.T) {
 		{C: 0, Tau: 0, N: 1},
 		{C: 100, Tau: -1, N: 1},
 		{C: 100, Tau: 0, N: 0},
+		{C: math.NaN(), Tau: 0, N: 1},
+		{C: math.Inf(1), Tau: 0, N: 1},
+		{C: math.Inf(-1), Tau: 0, N: 1},
+		{C: 100, Tau: math.NaN(), N: 1},
+		{C: 100, Tau: math.Inf(1), N: 1},
+		{C: 100, Tau: math.Inf(-1), N: 1},
 	}
 	for i, l := range bad {
 		if err := l.Validate(); err == nil {
