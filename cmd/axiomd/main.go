@@ -2,8 +2,9 @@
 // /jobs and stream per-cell axiom scores back as NDJSON while they
 // compute. Cells dedupe against the persistent run store, fan out
 // across worker shards (child processes of this binary), and survive
-// the chaos a long-lived service actually sees: shard crashes are
-// requeued and respawned under a backoff budget, slow cells are bounded
+// the chaos a long-lived service actually sees: a shard crash fails its
+// cell's attempt, which is retried under the cell backoff while the
+// shard respawns under its own budget, slow cells are bounded
 // by per-cell deadlines, a failing store trips a circuit breaker into
 // cache-only serving, a full queue sheds load with 429, and SIGTERM
 // drains gracefully — stop admitting, finish in-flight jobs, flush the

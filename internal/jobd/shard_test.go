@@ -223,10 +223,11 @@ func TestShardedJobCompletes(t *testing.T) {
 }
 
 // TestShardSIGKILLMidJob is the headline chaos case: kill -9 one worker
-// shard while a job is in flight. The in-flight cell requeues to a
-// sibling, the supervisor respawns the dead shard, the job completes
-// with zero failures — and a resubmission proves no work was lost or
-// duplicated (every cell is served from cache, none resimulated).
+// shard while a job is in flight. The in-flight cell's attempt fails and
+// the cell retry loop re-dispatches it, the supervisor respawns the dead
+// shard, the job completes with zero failures — and a resubmission
+// proves no work was lost or duplicated (every cell is served from
+// cache, none resimulated).
 func TestShardSIGKILLMidJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills child processes")
