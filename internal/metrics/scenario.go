@@ -37,11 +37,6 @@ type Options struct {
 	Chaos *chaos.Schedule
 	// ChaosSeed seeds the schedule's randomized components.
 	ChaosSeed uint64
-	// PropDelay is the one-way propagation delay Θ, in seconds, of the
-	// synthetic infinite-capacity links that FastUtilization and
-	// Robustness build for their metric-specific scenarios (the finite-link
-	// metrics take Θ from cfg). 0 selects DefaultPropDelay.
-	PropDelay float64
 	// Session, when non-nil, deduplicates simulation runs across estimator
 	// calls: runs whose complete inputs fingerprint identically are
 	// simulated once and shared (see Session). The Characterize family
@@ -56,8 +51,10 @@ type Options struct {
 	NoCache bool
 }
 
-// DefaultPropDelay is the propagation delay Θ (21 ms, i.e. a 42 ms RTT)
-// of the metric-specific infinite-link scenarios. 42 ms is the RTT of the
+// DefaultPropDelay is the one-way propagation delay Θ (21 ms, i.e. a
+// 42 ms RTT) of the synthetic infinite-capacity links that FastUtilization
+// and Robustness build for their metric-specific scenarios (the
+// finite-link metrics take Θ from cfg). 42 ms is the RTT of the
 // paper's reference dumbbell (HotNets-XVI §2 evaluates on a 20 Mbps,
 // 42 ms-RTT link), so the single-sender fast-utilization and robustness
 // probes see the same feedback delay as the finite-link experiments.
@@ -89,9 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TailFrac == 0 {
 		o.TailFrac = DefaultTailFrac
-	}
-	if o.PropDelay == 0 {
-		o.PropDelay = DefaultPropDelay
 	}
 	return o
 }
@@ -252,12 +246,12 @@ func Convergence(cfg fluid.Config, p protocol.Protocol, n int, opt Options) (flo
 // infinite-capacity, loss-free link — the regime the metric's definition
 // isolates ("does not experience loss, nor increased RTT") — and scoring
 // the window-growth sums per FastUtilizationFromSeries. The link's
-// propagation delay comes from Options.PropDelay (default
-// DefaultPropDelay, the paper's 42 ms reference RTT). The Session caches
+// propagation delay is DefaultPropDelay (the paper's 42 ms reference
+// RTT). The Session caches
 // the score itself, not the trace: no other estimator reads this run.
 func FastUtilization(p protocol.Protocol, opt Options) (float64, error) {
 	o := opt.withDefaults()
-	cfg := fluid.Config{Infinite: true, PropDelay: o.PropDelay, MaxWindow: math.Inf(1)}
+	cfg := fluid.Config{Infinite: true, PropDelay: DefaultPropDelay, MaxWindow: math.Inf(1)}
 	return probeRecorded(cfg, p, o, keyFastUtil, floatCodec, func(tr *trace.Trace) float64 {
 		return FastUtilizationFromSeries(tr.Window(0))
 	})
@@ -313,7 +307,7 @@ func RobustTo(p protocol.Protocol, r float64, opt Options) (bool, error) {
 	const cap = 1e12
 	cfg := fluid.Config{
 		Infinite:  true,
-		PropDelay: o.PropDelay,
+		PropDelay: DefaultPropDelay,
 		MaxWindow: cap,
 		Loss:      fluid.NewConstantLoss(r),
 	}

@@ -9,8 +9,6 @@
 // reproducible bit-for-bit.
 package rand64
 
-import "math"
-
 // Source is a deterministic PRNG. The zero value is NOT valid; use New.
 type Source struct {
 	state uint64
@@ -98,17 +96,4 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// NormFloat64 returns a normally distributed value with mean 0 and
-// standard deviation 1, using the Marsaglia polar method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }

@@ -155,25 +155,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(23)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestQuickIntnInRange(t *testing.T) {
 	s := New(29)
 	f := func(n uint16) bool {

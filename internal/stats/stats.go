@@ -28,25 +28,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or NaN if xs is empty.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the minimum of xs, or +Inf if xs is empty.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -102,9 +83,6 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // JainIndex returns Jain's fairness index of the allocations xs:
 //
@@ -189,41 +167,6 @@ func LinearFit(xs []float64) (slope, intercept float64) {
 	return slope, intercept
 }
 
-// MovingAverage returns the w-point trailing moving average of xs. The
-// first w-1 outputs average only the samples seen so far. It panics if
-// w <= 0.
-func MovingAverage(xs []float64, w int) []float64 {
-	if w <= 0 {
-		panic("stats: window must be positive")
-	}
-	out := make([]float64, len(xs))
-	sum := 0.0
-	for i, x := range xs {
-		sum += x
-		if i >= w {
-			sum -= xs[i-w]
-			out[i] = sum / float64(w)
-		} else {
-			out[i] = sum / float64(i+1)
-		}
-	}
-	return out
-}
-
-// RelativeSpread returns (max-min)/mean over xs — a cheap convergence
-// indicator. It returns 0 for constant series and NaN if the mean is zero
-// or the series is empty.
-func RelativeSpread(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	if m == 0 {
-		return math.NaN()
-	}
-	return (Max(xs) - Min(xs)) / m
-}
-
 // Containment returns the Metric-V-style convergence score of xs with the
 // extremes trimmed to the [qlo, qhi] quantile band: with x* = mean(xs),
 //
@@ -245,22 +188,6 @@ func Containment(xs []float64, qlo, qhi float64) float64 {
 	hi := Quantile(xs, qhi) / m
 	a := math.Min(lo, 2-hi)
 	return math.Max(a, 0)
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values yield NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Ring is a fixed-capacity keep-last buffer of float64 samples. Streaming
@@ -351,10 +278,6 @@ func (r *Ring) Skip(n int) {
 
 // Count returns the total number of samples pushed or skipped.
 func (r *Ring) Count() int { return r.count }
-
-// Last returns a fresh slice of the most recent k samples in push order.
-// k is clamped to the number of genuine samples still retained.
-func (r *Ring) Last(k int) []float64 { return r.appendLast(nil, min(k, r.valid)) }
 
 // appendLast appends the most recent k samples, in push order, to dst.
 // k must not exceed r.valid.

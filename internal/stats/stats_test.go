@@ -10,6 +10,10 @@ import (
 
 func near(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// retained returns the most recent k samples in push order, clamped to the
+// genuine samples r still retains.
+func retained(r *Ring, k int) []float64 { return r.appendLast(nil, min(k, r.valid)) }
+
 func TestMean(t *testing.T) {
 	cases := []struct {
 		in   []float64
@@ -27,19 +31,6 @@ func TestMean(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !near(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !near(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if !math.IsNaN(Variance(nil)) {
-		t.Error("Variance(nil) should be NaN")
 	}
 }
 
@@ -96,12 +87,6 @@ func TestQuantilePanics(t *testing.T) {
 		}
 	}()
 	Quantile([]float64{1}, 2)
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{9, 1, 5}); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
-	}
 }
 
 func TestJainIndex(t *testing.T) {
@@ -162,35 +147,6 @@ func TestLinearFit(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	got := MovingAverage(xs, 2)
-	want := []float64{1, 1.5, 2.5, 3.5}
-	for i := range want {
-		if !near(got[i], want[i], 1e-12) {
-			t.Errorf("MovingAverage[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestMovingAveragePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MovingAverage(w=0) did not panic")
-		}
-	}()
-	MovingAverage([]float64{1}, 0)
-}
-
-func TestRelativeSpread(t *testing.T) {
-	if got := RelativeSpread([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("constant spread = %v", got)
-	}
-	if got := RelativeSpread([]float64{1, 3}); !near(got, 1, 1e-12) {
-		t.Errorf("spread = %v, want 1", got)
-	}
-}
-
 func TestContainment(t *testing.T) {
 	// Constant series: perfect containment.
 	if got := Containment([]float64{5, 5, 5}, 0, 1); !near(got, 1, 1e-12) {
@@ -220,15 +176,6 @@ func TestContainment(t *testing.T) {
 	}
 	if !math.IsNaN(Containment(nil, 0, 1)) {
 		t.Error("empty containment should be NaN")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !near(got, 2, 1e-12) {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, 0})) {
-		t.Error("GeoMean with zero should be NaN")
 	}
 }
 
@@ -320,7 +267,7 @@ func TestRingPushSliceMatchesPush(t *testing.T) {
 			if bulk.Count() != ref.Count() {
 				return false
 			}
-			got, want := bulk.Last(capacity), ref.Last(capacity)
+			got, want := retained(bulk, capacity), retained(ref, capacity)
 			if len(got) != len(want) {
 				return false
 			}
@@ -355,7 +302,7 @@ func TestRingPushSliceBoundaries(t *testing.T) {
 					ref.Push(x)
 				}
 			}
-			got, want := bulk.Last(capacity), ref.Last(capacity)
+			got, want := retained(bulk, capacity), retained(ref, capacity)
 			if len(got) != len(want) {
 				t.Fatalf("cap %d sizes %v: retained %d vs %d", capacity, sizes, len(got), len(want))
 			}
@@ -426,8 +373,8 @@ func ringSkipMismatch(capacity, extra int, ops []byte) string {
 	if r.next != ref.next {
 		return fmt.Sprintf("write position %d, want %d", r.next, ref.next)
 	}
-	if got, want := r.Last(capacity), ref.Last(capacity); !slices.Equal(got, want) {
-		return fmt.Sprintf("Last(%d) %v, want %v", capacity, got, want)
+	if got, want := retained(r, capacity), retained(ref, capacity); !slices.Equal(got, want) {
+		return fmt.Sprintf("retained(%d) %v, want %v", capacity, got, want)
 	}
 	for _, f := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 		got, gotOK := tailOf(r, f)
@@ -470,7 +417,7 @@ func FuzzRingSkip(f *testing.F) {
 
 // TestRingTailGuard pins the ring's refusal to return a tail it does not
 // hold: a tail longer than the ring, or one that reaches a skipped
-// sample, panics, while Last clamps to the genuine samples retained.
+// sample, panics, while the genuine samples retained stay readable.
 func TestRingTailGuard(t *testing.T) {
 	panics := func(r *Ring, f float64) bool {
 		_, ok := tailOf(r, f)
@@ -501,13 +448,13 @@ func TestRingTailGuard(t *testing.T) {
 	if !panics(r, 0.5) {
 		t.Fatal("LastTail(0.5) reaching skipped samples did not panic")
 	}
-	if got := r.Last(5); !slices.Equal(got, []float64{5, 6}) {
-		t.Fatalf("Last(5) = %v, want the genuine [5 6]", got)
+	if got := retained(r, 5); !slices.Equal(got, []float64{5, 6}) {
+		t.Fatalf("retained(5) = %v, want the genuine [5 6]", got)
 	}
 	r.Skip(0)
 	r.Skip(-3)
-	if r.Count() != 10 || len(r.Last(8)) != 2 {
-		t.Fatalf("Skip(0)/Skip(-3) changed the ring: count %d, %d retained", r.Count(), len(r.Last(8)))
+	if r.Count() != 10 || len(retained(r, 8)) != 2 {
+		t.Fatalf("Skip(0)/Skip(-3) changed the ring: count %d, %d retained", r.Count(), len(retained(r, 8)))
 	}
 
 	zero := NewRing(0)
