@@ -6,37 +6,43 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
+// quickFlags are cmd/reproduce's -quick values at the default link.
+func quickFlags() Flags {
+	return Flags{
+		Opt:      metrics.Options{Steps: 1200, Session: metrics.NewSession()},
+		Duration: 20, Quick: true, Seed: 1, Mbps: 20, Buffer: 100, N: 2,
+	}
+}
+
+// TestGenerateQuick: one section per catalogue entry, in order, headed
+// by its title and id, its body the entry's fenced text; the plots carry
+// SVG.
 func TestGenerateQuick(t *testing.T) {
-	sections, err := Generate(Config{Quick: true, Seed: 1})
+	f := quickFlags()
+	sections, err := Generate(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sections) < 7 {
-		t.Fatalf("only %d sections", len(sections))
+	if len(sections) != len(Experiments) {
+		t.Fatalf("%d sections for %d experiments", len(sections), len(Experiments))
 	}
-	titles := map[string]bool{}
-	for _, s := range sections {
-		titles[s.Title] = true
-	}
-	for _, want := range []string{
-		"Table 1 — theory",
-		"Table 1 — fluid-model validation",
-		"Figure 1 — Pareto frontier",
-		"Table 2 — Robust-AIMD vs PCC TCP-friendliness",
-		"§5.1 — protocol-ordering validation (Emulab substitute)",
-		"Claim 1 and Theorem 2 (tightness)",
-		"Metric VI — robustness thresholds",
-		"§6 extension — network-wide parking lot",
-	} {
-		if !titles[want] {
-			t.Errorf("missing section %q", want)
-		}
-	}
-	// SVG sections actually carry SVG.
 	svgs := 0
-	for _, s := range sections {
+	for i, s := range sections {
+		e := Experiments[i]
+		if want := e.Title + " (`-exp " + e.ID + "`)"; s.Title != want {
+			t.Errorf("section %d title %q, want %q", i, s.Title, want)
+		}
+		text, err := e.Run(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Body != fence(text) {
+			t.Errorf("%s: body is not the fenced text:\n%s\nwant:\n%s", e.ID, s.Body, fence(text))
+		}
 		if s.SVGName != "" {
 			svgs++
 			if !strings.HasPrefix(s.SVG, "<svg") {
@@ -44,8 +50,23 @@ func TestGenerateQuick(t *testing.T) {
 			}
 		}
 	}
-	if svgs < 2 {
-		t.Errorf("only %d SVG sections", svgs)
+	if svgs != 2 {
+		t.Errorf("%d SVG sections, want the Figure 1 and AIMD-fairness plots", svgs)
+	}
+}
+
+// TestExperimentIDsUnique: -exp selects by id, so no two entries share
+// one, and "all" selects every entry.
+func TestExperimentIDsUnique(t *testing.T) {
+	seen := map[string]bool{"all": true}
+	for _, e := range Experiments {
+		if seen[e.ID] {
+			t.Errorf("duplicate or reserved id %q", e.ID)
+		}
+		seen[e.ID] = true
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("%s: missing title or run function", e.ID)
+		}
 	}
 }
 
@@ -64,7 +85,7 @@ func TestRenderMarkdown(t *testing.T) {
 
 func TestWriteFiles(t *testing.T) {
 	dir := t.TempDir()
-	path, err := Write(dir, Config{Quick: true, Seed: 1}, time.Now())
+	path, err := Write(dir, quickFlags(), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
