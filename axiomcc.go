@@ -219,39 +219,30 @@ var (
 
 // Nettopo types: the §2 fluid model generalized to a network of links
 // over any DAG topology, with optional named endpoints and per-flow
-// extra RTT.
+// extra RTT. A topology is a list of links plus flows with paths; the
+// builders return such lists, and RunTopo runs them into a
+// TopoMetricSummary.
 type (
 	// TopoLinkSpec describes one directed link (optional src/dst names).
 	TopoLinkSpec = nettopo.LinkSpec
 	// TopoFlowSpec is one flow: protocol, path over links, extra RTT.
 	TopoFlowSpec = nettopo.FlowSpec
-	// Topology is a DAG network of links and flows.
-	Topology = nettopo.Network
-	// TopologyResult is a recorded nettopo run.
-	TopologyResult = nettopo.Result
-	// TopologyOption tweaks topology construction.
+	// TopologyOption tweaks topology construction (EngineTopoSpec.Opts).
 	TopologyOption = nettopo.Option
 )
 
 var (
-	// NewTopology builds a DAG topology, validating acyclicity and path
-	// contiguity.
-	NewTopology = nettopo.New
-	// NewTopologyFromRouting builds a topology from a routing matrix.
-	NewTopologyFromRouting = nettopo.NewFromRouting
 	// TopoLinearChain builds the k-hop chain shared by every flow.
 	TopoLinearChain = nettopo.LinearChain
-	// TopoParkingLot builds the parking-lot scenario on the DAG model.
+	// TopoParkingLot returns the links and flows of the parking-lot
+	// scenario on the DAG model.
 	TopoParkingLot = nettopo.ParkingLot
-	// TopoIncast builds n senders converging on one core link.
-	TopoIncast = nettopo.Incast
-	// TopoFatTreeFanIn builds a leaf/agg/core fan-in tree.
+	// TopoFatTreeFanIn returns the links and flows of a leaf/agg/core
+	// fan-in tree.
 	TopoFatTreeFanIn = nettopo.FatTreeFanIn
 	// WithTopoStochasticLoss samples per-flow loss observation (needed
 	// for the parking-lot bias of magnitude-insensitive protocols).
 	WithTopoStochasticLoss = nettopo.WithStochasticLoss
-	// WithTopoMaxWindow caps windows in a topology.
-	WithTopoMaxWindow = nettopo.WithMaxWindow
 )
 
 // ---- Engine (unified simulator layer) ----

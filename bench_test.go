@@ -50,6 +50,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
+	"repro/internal/nettopo"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
@@ -905,18 +906,31 @@ type benchParetoRecord struct {
 	ObsEnabled     bool     `json:"obs_enabled"`
 }
 
-// BenchmarkTopoStep measures the raw cost of one network step on a
-// 4-hop parking lot (5 flows, 4 links).
+// BenchmarkTopoStep measures one network step on a 4-hop parking lot
+// (5 flows, 4 links) in the loop every topology run goes through:
+// RunObserved reusing one StepResult and handing each step to an
+// observer. Nothing on that loop allocates per step, so allocs/op reads
+// 0, as TestTopoRunAllocFreePerStep pins for the engine path.
 func BenchmarkTopoStep(b *testing.B) {
-	net, err := axiomcc.TopoParkingLot(4, axiomcc.TopoLinkSpec{
+	links, flows, err := axiomcc.TopoParkingLot(4, axiomcc.TopoLinkSpec{
 		Bandwidth: 100 / 0.042, PropDelay: 0.021, Buffer: 20,
 	}, axiomcc.Reno(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	net, err := nettopo.New(links, flows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	load := 0.0
+	observe := func(r *nettopo.StepResult) { load += r.LinkLoad[0] }
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Step()
+	if err := net.RunObserved(context.Background(), b.N, observe); err != nil {
+		b.Fatal(err)
+	}
+	if load <= 0 {
+		b.Fatalf("link 0 carried no load over %d steps", b.N)
 	}
 }
 

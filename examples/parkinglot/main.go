@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,32 +27,42 @@ func main() {
 	fmt.Println("parking lot: one k-hop Reno flow vs one 1-hop Reno flow per link")
 	fmt.Printf("%4s | %18s | %18s | %9s\n", "k", "long/short window", "long/short goodput", "link util")
 	for _, k := range []int{1, 2, 3, 4} {
-		net, err := axiomcc.TopoParkingLot(k, link, axiomcc.Reno(), 1, axiomcc.WithTopoStochasticLoss(7))
+		links, flows, err := axiomcc.TopoParkingLot(k, link, axiomcc.Reno(), 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := net.Run(6000)
+		sum, err := axiomcc.RunTopo(context.Background(), axiomcc.TopoRunSpec{
+			Links:      links,
+			Flows:      flows,
+			Steps:      6000,
+			TailFrac:   0.75,
+			Stochastic: true,
+			Seed:       7,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		shortW, shortG := 0.0, 0.0
 		for i := 1; i <= k; i++ {
-			shortW += res.AvgWindow(i, 0.75)
-			shortG += res.AvgGoodput(i, 0.75)
+			shortW += sum.AvgWindows[i]
+			shortG += sum.AvgGoodputs[i]
 		}
 		shortW /= float64(k)
 		shortG /= float64(k)
 		util := 0.0
 		for l := 0; l < k; l++ {
-			util += res.LinkUtilization(l, 0.75)
+			util += sum.LinkUtil[l]
 		}
 		fmt.Printf("%4d | %18.3f | %18.3f | %9.3f\n",
 			k,
-			res.AvgWindow(0, 0.75)/shortW,
-			res.AvgGoodput(0, 0.75)/shortG,
+			sum.AvgWindows[0]/shortW,
+			sum.AvgGoodputs[0]/shortG,
 			util/float64(k))
 	}
 
 	fmt.Println("\nthe long flow pays twice: it sees the union of all links' loss (window")
 	fmt.Println("ratio < 1, worsening with k) AND the sum of their delays (goodput ratio")
-	fmt.Println("falls even faster). Custom topologies: axiomcc.NewTopology with explicit")
+	fmt.Println("falls even faster). Custom topologies: axiomcc.RunTopo over explicit")
 	fmt.Println("TopoLinkSpec / TopoFlowSpec lists — any protocol mix, any paths.")
 }

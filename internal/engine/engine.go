@@ -5,8 +5,8 @@
 // entry point.
 //
 // A Spec pairs a Substrate (what to simulate) with how to consume it:
-// Record materializes the substrate's native result (a *trace.Trace, a
-// *packetsim.Result, a *nettopo.Result), while Observers stream every
+// Record materializes the substrate's native result (a *trace.Trace or a
+// *packetsim.Result; a network run has none), while Observers stream every
 // sample as it is produced, so axiom estimators can run online over a
 // fixed-size ring buffer instead of a full trace. The two are independent
 // — a sweep that only needs streaming statistics sets Record to false and
@@ -115,7 +115,8 @@ type Spec struct {
 	Substrate Substrate
 	// Record materializes the substrate's native result in Result. Sweeps
 	// that consume only streamed observers leave it false to avoid
-	// allocating full traces.
+	// allocating full traces. A TopoSpec has no native result and fails
+	// with Record set.
 	Record bool
 	// Observers receive every sample in order, except that a fluid or
 	// topology run whose observers all implement TailObserver skips the
@@ -133,14 +134,13 @@ type Spec struct {
 	ChaosSeed uint64
 }
 
-// Result is the outcome of a run. Exactly one of Trace/Packet/Topo
-// is populated per substrate kind when Record is set (Packet is populated
-// even without Record — delivery counters are always kept — but its Trace
-// field is then nil).
+// Result is the outcome of a run. Trace is populated for a fluid run
+// with Record set; Packet for every packet run (delivery counters are
+// always kept), its Trace field only with Record. A topology run fills
+// in only Steps.
 type Result struct {
 	Trace  *trace.Trace      // fluid (Record); also aliases Packet.Trace
 	Packet *packetsim.Result // packet substrate
-	Topo   *nettopo.Result   // nettopo substrate (Record)
 	Steps  int               // samples produced
 }
 

@@ -171,58 +171,29 @@ func TestPacketNoRecordSkipsTrace(t *testing.T) {
 }
 
 func parkingLotSpecs(k int) ([]nettopo.LinkSpec, []nettopo.FlowSpec) {
-	links, flows, err := nettopo.ParkingLotSpecs(k, nettopo.LinkSpec{Bandwidth: 1000, PropDelay: 0.02, Buffer: 25}, protocol.Reno(), 2)
+	links, flows, err := nettopo.ParkingLot(k, nettopo.LinkSpec{Bandwidth: 1000, PropDelay: 0.02, Buffer: 25}, protocol.Reno(), 2)
 	if err != nil {
 		panic(err)
 	}
 	return links, flows
 }
 
-// TestTopoGolden: the nettopo adapter with Record reproduces
-// Network.Run exactly.
-func TestTopoGolden(t *testing.T) {
-	const steps = 600
-	links, flows := parkingLotSpecs(3)
-	n, err := nettopo.New(links, flows, nettopo.WithStochasticLoss(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := n.Run(steps)
-
+// TestTopoRecordRejected: a network run has no recorded result, so a
+// TopoSpec with Record set fails, naming the streaming observer to use,
+// instead of running and returning nothing.
+func TestTopoRecordRejected(t *testing.T) {
+	links, flows := parkingLotSpecs(2)
 	res, err := Run(context.Background(), Spec{
-		Substrate: &TopoSpec{Links: links, Flows: flows, Opts: []nettopo.Option{nettopo.WithStochasticLoss(11)}, Steps: steps},
+		Substrate: &TopoSpec{Links: links, Flows: flows, Steps: 100},
 		Record:    true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Topo
-	if got.Steps != want.Steps {
-		t.Fatalf("Steps = %d, want %d", got.Steps, want.Steps)
-	}
-	for f := range want.Windows {
-		equalSeries(t, "windows", got.Windows[f], want.Windows[f])
-		equalSeries(t, "flow loss", got.FlowLoss[f], want.FlowLoss[f])
-		equalSeries(t, "flow rtt", got.FlowRTT[f], want.FlowRTT[f])
-	}
-	for l := range want.LinkLoss {
-		equalSeries(t, "link loss", got.LinkLoss[l], want.LinkLoss[l])
-		equalSeries(t, "link load", got.LinkLoad[l], want.LinkLoad[l])
-	}
-	for f := range want.Windows {
-		if got.AvgGoodput(f, 0.75) != want.AvgGoodput(f, 0.75) {
-			t.Fatalf("AvgGoodput(%d) mismatch", f)
-		}
-	}
-	for l := range want.LinkLoss {
-		if got.LinkUtilization(l, 0.75) != want.LinkUtilization(l, 0.75) {
-			t.Fatalf("LinkUtilization(%d) mismatch", l)
-		}
+	if err == nil || !strings.Contains(err.Error(), "metrics.TopoStream") {
+		t.Fatalf("Record on a TopoSpec: result %+v, err %v; want an error pointing to metrics.TopoStream", res, err)
 	}
 }
 
 // TestTopoObserver: observers receive the network step stream with
-// Topo populated, even without Record.
+// Topo populated.
 func TestTopoObserver(t *testing.T) {
 	const steps = 100
 	links, flows := parkingLotSpecs(2)
@@ -238,18 +209,14 @@ func TestTopoObserver(t *testing.T) {
 		lastLoad = s.Topo.LinkLoad[0]
 		seen++
 	})
-	res, err := Run(context.Background(), Spec{
+	if _, err := Run(context.Background(), Spec{
 		Substrate: &TopoSpec{Links: links, Flows: flows, Steps: steps},
 		Observers: []Observer{obs},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if seen != steps {
 		t.Fatalf("observed %d steps, want %d", seen, steps)
-	}
-	if res.Topo != nil {
-		t.Fatal("Topo result materialized despite Record=false")
 	}
 	if lastLoad <= 0 {
 		t.Fatalf("final link load %v, want > 0", lastLoad)

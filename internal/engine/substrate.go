@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -104,10 +105,10 @@ func (s *PacketSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 }
 
 // TopoSpec runs a conservation-law network over an arbitrary DAG
-// topology (internal/nettopo) for Steps synchronized steps. With Record
-// set, Result.Topo is identical to nettopo.New(Links, Flows,
-// Opts...).Run(Steps). Observers receive the full *nettopo.StepResult
-// via Step.Topo.
+// topology (internal/nettopo) for Steps synchronized steps. Observers
+// receive the full *nettopo.StepResult via Step.Topo; a network run
+// records nothing, so Record is an error (metrics.TopoStream reduces the
+// stream to a TopoSummary).
 type TopoSpec struct {
 	Links []nettopo.LinkSpec
 	Flows []nettopo.FlowSpec
@@ -125,6 +126,9 @@ func (s *TopoSpec) Meta() Meta {
 func (s *TopoSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 	if s.Steps < 0 {
 		return nil, fmt.Errorf("engine: topology run of %d steps: horizon must be non-negative", s.Steps)
+	}
+	if spec.Record {
+		return nil, errors.New("engine: a topology run records nothing; observe it with metrics.TopoStream instead of setting Record")
 	}
 	opts := s.Opts
 	inj, err := compileChaos(&spec, len(s.Flows), len(s.Links))
@@ -151,9 +155,8 @@ func (s *TopoSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 			emit(&spec, Step{Index: res.Step, Windows: res.Windows, Total: total, Topo: res})
 		}
 	}
-	res, err := n.RunObserved(ctx, s.Steps, spec.Record, obs)
-	if err != nil {
+	if err := n.RunObserved(ctx, s.Steps, obs); err != nil {
 		return nil, err
 	}
-	return &Result{Topo: res, Steps: s.Steps}, nil
+	return &Result{Steps: s.Steps}, nil
 }

@@ -233,16 +233,15 @@ func TestTailObserverDivergence(t *testing.T) {
 }
 
 // TestTailObserverTopo: a TopoSpec hands a TailObserver exactly its
-// last steps, Topo included, and records the same network either way.
+// last steps, Topo included.
 func TestTailObserverTopo(t *testing.T) {
 	const steps, tail = 300, 77
 	spec := func(observers ...Observer) Spec {
 		links, flows := parkingLotSpecs(2)
-		return Spec{Substrate: &TopoSpec{Links: links, Flows: flows, Steps: steps}, Record: true, Observers: observers}
+		return Spec{Substrate: &TopoSpec{Links: links, Flows: flows, Steps: steps}, Observers: observers}
 	}
 	ref := &stepCollector{}
-	want, err := Run(context.Background(), spec(ref))
-	if err != nil {
+	if _, err := Run(context.Background(), spec(ref)); err != nil {
 		t.Fatal(err)
 	}
 	tc := &tailCollector{tail: tail}
@@ -252,17 +251,10 @@ func TestTailObserverTopo(t *testing.T) {
 			badTopo++
 		}
 	})
-	res, err := Run(context.Background(), spec(tc))
-	if err != nil {
+	if _, err := Run(context.Background(), spec(tc)); err != nil {
 		t.Fatal(err)
 	}
 	checkSuffix(t, "topo tail", tc.steps, ref.steps, steps-tail)
-	for f := range want.Topo.Windows {
-		equalSeries(t, "recorded windows", res.Topo.Windows[f], want.Topo.Windows[f])
-	}
-	for l := range want.Topo.LinkLoad {
-		equalSeries(t, "recorded link load", res.Topo.LinkLoad[l], want.Topo.LinkLoad[l])
-	}
 
 	tc = &tailCollector{tail: tail}
 	if _, err := Run(context.Background(), spec(tc, check)); err != nil {

@@ -15,7 +15,8 @@ import (
 	"repro/internal/protocol"
 )
 
-// withDefaultsForSweep fills the horizon the sweep's lossy run uses.
+// optSteps returns the horizon the sweep's lossy run uses: o.Steps, or
+// 4000 when it is unset.
 func optSteps(o metrics.Options) int {
 	if o.Steps == 0 {
 		return 4000
@@ -217,7 +218,7 @@ func ParkingLotExperiment(hops []int, steps int, seed uint64) ([]ParkingLotEntry
 	return engine.Sweep(context.Background(), len(hops), engine.SweepConfig{},
 		func(ctx context.Context, i int, _ uint64) (ParkingLotEntry, error) {
 			k := hops[i]
-			links, flows, err := nettopo.ParkingLotSpecs(k, link, protocol.Reno(), 1)
+			links, flows, err := nettopo.ParkingLot(k, link, protocol.Reno(), 1)
 			if err != nil {
 				return ParkingLotEntry{}, err
 			}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nettopo"
 	"repro/internal/obs"
-	"repro/internal/protocol"
 )
 
 // TopoShape is one named multi-bottleneck topology: the links and the
@@ -40,77 +39,18 @@ func topoLink(mbps, bufferMSS float64) nettopo.LinkSpec {
 //   - a 2×2 fat-tree fan-in (leaf → agg → core), where fairness and
 //     friendliness are judged per shared link across three tiers.
 func TopoShapes() ([]TopoShape, error) {
-	link := topoLink(20, 20)
-	chain, err := nettopo.LinearChain(3, link)
+	chainLinks, chainFlows, err := nettopo.ParkingLot(3, topoLink(20, 20), nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	parking := TopoShape{
-		Name:  "parking-lot-3",
-		Links: chain,
-		Flows: []nettopo.FlowSpec{
-			{Path: []int{0, 1, 2}},
-			{Path: []int{0}},
-			{Path: []int{1}},
-			{Path: []int{2}},
-		},
-	}
-
-	leaf := topoLink(40, 20)
-	agg := topoLink(50, 30)
-	core := topoLink(60, 40)
-	ftNet, err := nettopo.FatTreeFanIn(2, 2, leaf, agg, core, protocol.Reno(), 1)
+	treeLinks, treeFlows, err := nettopo.FatTreeFanIn(2, 2, topoLink(40, 20), topoLink(50, 30), topoLink(60, 40), nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	fatTree := TopoShape{Name: "fat-tree-2x2", Links: ftNet.Links()}
-	for _, row := range ftNet.RoutingMatrix() {
-		path, err := pathFromRow(fatTree.Links, row)
-		if err != nil {
-			return nil, err
-		}
-		fatTree.Flows = append(fatTree.Flows, nettopo.FlowSpec{Path: path})
-	}
-	return []TopoShape{parking, fatTree}, nil
-}
-
-// pathFromRow orders a routing-matrix row into a contiguous path by
-// chaining link endpoints.
-func pathFromRow(links []nettopo.LinkSpec, row []bool) ([]int, error) {
-	bySrc := map[string]int{}
-	isDst := map[string]bool{}
-	var sel []int
-	for l, on := range row {
-		if !on {
-			continue
-		}
-		sel = append(sel, l)
-		bySrc[links[l].Src] = l
-		isDst[links[l].Dst] = true
-	}
-	start := -1
-	for _, l := range sel {
-		if !isDst[links[l].Src] {
-			start = l
-			break
-		}
-	}
-	if start < 0 {
-		return nil, fmt.Errorf("experiment: routing row is not a path")
-	}
-	path := []int{start}
-	for l := start; ; {
-		next, ok := bySrc[links[l].Dst]
-		if !ok {
-			break
-		}
-		path = append(path, next)
-		l = next
-	}
-	if len(path) != len(sel) {
-		return nil, fmt.Errorf("experiment: routing row is not a single path")
-	}
-	return path, nil
+	return []TopoShape{
+		{Name: "parking-lot-3", Links: chainLinks, Flows: chainFlows},
+		{Name: "fat-tree-2x2", Links: treeLinks, Flows: treeFlows},
+	}, nil
 }
 
 // TopoAxiomRow is one protocol's measured 8-tuple on one topology.

@@ -193,7 +193,7 @@ type TopoSummary struct {
 	LinkMeanLoss []float64 // per link: mean tail loss rate
 
 	AvgWindows    []float64 // per flow: mean tail window
-	AvgGoodputs   []float64 // per flow: mean tail goodput (MSS/s), as nettopo.Result.AvgGoodput
+	AvgGoodputs   []float64 // per flow: mean tail goodput (MSS/s), window·(1−loss)/RTT per step
 	RTTInflations []float64 // per flow: max tail RTT inflation over BaseRTT (see latencyInflation)
 
 	Convergence float64 // Metric V per flow (see convergence), worst flow

@@ -24,21 +24,11 @@ func LinearChain(k int, link LinkSpec) ([]LinkSpec, error) {
 	return links, nil
 }
 
-// ParkingLot builds the canonical k-hop parking-lot scenario on a named
-// chain: one "long" flow crosses all k links; each link also carries one
+// ParkingLot returns the canonical k-hop parking lot on a named chain:
+// one "long" flow crosses all k links; each link also carries one
 // dedicated "short" flow. Flow 0 is the long flow; flows 1..k are the
-// short flows in link order. All flows run clones of proto.
-func ParkingLot(k int, link LinkSpec, proto protocol.Protocol, init float64, opts ...Option) (*Network, error) {
-	links, flows, err := ParkingLotSpecs(k, link, proto, init)
-	if err != nil {
-		return nil, err
-	}
-	return New(links, flows, opts...)
-}
-
-// ParkingLotSpecs returns the links and flows ParkingLot wires together,
-// for callers that run the topology through the engine.
-func ParkingLotSpecs(k int, link LinkSpec, proto protocol.Protocol, init float64) ([]LinkSpec, []FlowSpec, error) {
+// short flows in link order. Every flow runs proto from init.
+func ParkingLot(k int, link LinkSpec, proto protocol.Protocol, init float64) ([]LinkSpec, []FlowSpec, error) {
 	links, err := LinearChain(k, link)
 	if err != nil {
 		return nil, nil, fmt.Errorf("nettopo: parking lot: %w", err)
@@ -54,35 +44,13 @@ func ParkingLotSpecs(k int, link LinkSpec, proto protocol.Protocol, init float64
 	return links, flows, nil
 }
 
-// Incast builds the many-to-one fan-in: n sender edges (edge link spec)
-// all converging on one shared core link. Flow i traverses [edge_i,
-// core]; the core is the last link (index n). All flows run clones of
-// proto.
-func Incast(n int, edge, core LinkSpec, proto protocol.Protocol, init float64, opts ...Option) (*Network, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("nettopo: incast needs ≥ 2 senders, got %d", n)
-	}
-	links := make([]LinkSpec, n+1)
-	flows := make([]FlowSpec, n)
-	for i := 0; i < n; i++ {
-		links[i] = edge
-		links[i].Src = nodeName("sender", i)
-		links[i].Dst = "switch"
-		flows[i] = FlowSpec{Proto: proto, Init: init, Path: []int{i, n}}
-	}
-	links[n] = core
-	links[n].Src = "switch"
-	links[n].Dst = "sink"
-	return New(links, flows, opts...)
-}
-
-// FatTreeFanIn builds a two-level fan-in: leaves·aggs leaf links feed
+// FatTreeFanIn returns a two-level fan-in: leaves·aggs leaf links feed
 // aggs aggregation links, which feed one core link; one flow per leaf
 // crosses leaf → agg → core. Link order is all leaves, then all aggs,
-// then the core (the last index). All flows run clones of proto.
-func FatTreeFanIn(leaves, aggs int, leaf, agg, core LinkSpec, proto protocol.Protocol, init float64, opts ...Option) (*Network, error) {
+// then the core (the last index). Every flow runs proto from init.
+func FatTreeFanIn(leaves, aggs int, leaf, agg, core LinkSpec, proto protocol.Protocol, init float64) ([]LinkSpec, []FlowSpec, error) {
 	if leaves < 1 || aggs < 1 {
-		return nil, fmt.Errorf("nettopo: fat tree needs ≥ 1 leaf per agg and ≥ 1 agg, got %d×%d", leaves, aggs)
+		return nil, nil, fmt.Errorf("nettopo: fat tree needs ≥ 1 leaf per agg and ≥ 1 agg, got %d×%d", leaves, aggs)
 	}
 	nLeaf := leaves * aggs
 	links := make([]LinkSpec, 0, nLeaf+aggs+1)
@@ -114,5 +82,5 @@ func FatTreeFanIn(leaves, aggs int, leaf, agg, core LinkSpec, proto protocol.Pro
 			})
 		}
 	}
-	return New(links, flows, opts...)
+	return links, flows, nil
 }

@@ -88,10 +88,9 @@ func checkConservation(t *testing.T, links []LinkSpec, flows []FlowSpec, steps i
 	if err != nil {
 		t.Fatal(err)
 	}
-	defaulted := n.Links()
 	for s := 0; s < steps; s++ {
 		res := n.Step()
-		for l, spec := range defaulted {
+		for l, spec := range n.links { // defaulted: TimeoutRTT filled in
 			c, tau := spec.Capacity(), spec.Buffer
 			load, loss, rtt := res.LinkLoad[l], res.LinkLoss[l], res.LinkRTT[l]
 			switch {

@@ -3,14 +3,14 @@
 // interaction") over arbitrary DAG topologies, following the modular
 // conservation-law construction of Briat et al. (arXiv:1303.3796,
 // 1208.1230): links, queues, and flows are independent building blocks
-// wired together by a routing matrix R, where R[f][l] says flow f
-// traverses link l.
+// wired together by each flow's path, the list of links it traverses
+// (row f of the model's routing matrix R).
 //
 // The per-link dynamics are exactly §2's synchronized, RTT-quantized
 // fluid model, applied per link and composed along each flow's path (a
 // one-link network reproduces the single-link fluid model):
 //
-//	X_l(t) = Σ_{f: R[f][l]} x_f(t)                    (aggregate load)
+//	X_l(t) = Σ_{f: l ∈ P_f} x_f(t)                    (aggregate load)
 //	L_l(t) = 1 − (C_l+τ_l)/X_l(t)  if X_l > C_l+τ_l   (conservation law:
 //	                                else 0             delivered ≤ C_l+τ_l)
 //	loss_f = 1 − Π_{l ∈ P_f} (1 − L_l)                (independent drops)
@@ -28,11 +28,13 @@
 //   - Heterogeneous per-flow RTTs: FlowSpec.ExtraRTT models access-path
 //     propagation outside the shared topology, so flows crossing the same
 //     bottleneck can disagree about their base RTT.
-//   - A routing-matrix constructor (NewFromRouting) and accessor
-//     (RoutingMatrix), the representation the conservation-law model is
-//     stated in.
 //   - Topology builders for the canonical multi-bottleneck shapes:
-//     LinearChain, ParkingLot, Incast, FatTreeFanIn.
+//     ParkingLot and FatTreeFanIn return the link and flow specs that
+//     New and engine.TopoSpec take; LinearChain returns a chain's links.
+//
+// A run is stepped here and observed through RunObserved; nothing is
+// recorded. metrics.TopoStream reduces the streamed steps to a
+// TopoSummary, and metrics.RunTopo is the one entry point that does both.
 package nettopo
 
 import (
@@ -42,7 +44,6 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/rand64"
-	"repro/internal/stats"
 )
 
 // LinkSpec describes one directed link, with the same quantities as the
@@ -104,15 +105,13 @@ type FlowSpec struct {
 	ExtraRTT float64
 }
 
-// Network is a conservation-law fluid network; create with New or
-// NewFromRouting.
+// Network is a conservation-law fluid network; create with New.
 type Network struct {
-	links     []LinkSpec
-	flows     []FlowSpec
-	protos    []protocol.Protocol
-	x         []float64 // current windows
-	step      int
-	maxWindow float64
+	links  []LinkSpec
+	flows  []FlowSpec
+	protos []protocol.Protocol
+	x      []float64 // current windows
+	step   int
 
 	// flowsOn[l] lists the flow indices routed over link l — the
 	// column-wise view of the routing matrix.
@@ -141,13 +140,11 @@ type Perturber interface {
 // chaos offset.
 const minPerturbedRTT = 1e-6
 
+// maxWindow caps every flow's window.
+const maxWindow = 1e9
+
 // Option tweaks network construction.
 type Option func(*Network)
-
-// WithMaxWindow caps every flow's window at m (default 1e9).
-func WithMaxWindow(m float64) Option {
-	return func(n *Network) { n.maxWindow = m }
-}
 
 // WithStochasticLoss switches loss observation from the deterministic
 // shared-rate model to per-flow sampling: at a step where flow f's
@@ -182,12 +179,11 @@ func New(links []LinkSpec, flows []FlowSpec, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("nettopo: at least one flow required")
 	}
 	n := &Network{
-		links:     make([]LinkSpec, len(links)),
-		flows:     flows,
-		protos:    make([]protocol.Protocol, len(flows)),
-		x:         make([]float64, len(flows)),
-		maxWindow: 1e9,
-		flowsOn:   make([][]int, len(links)),
+		links:   make([]LinkSpec, len(links)),
+		flows:   flows,
+		protos:  make([]protocol.Protocol, len(flows)),
+		x:       make([]float64, len(flows)),
+		flowsOn: make([][]int, len(links)),
 	}
 	named := 0
 	for i, l := range links {
@@ -239,7 +235,7 @@ func New(links []LinkSpec, flows []FlowSpec, opts ...Option) (*Network, error) {
 			n.flowsOn[l] = append(n.flowsOn[l], f)
 		}
 		n.protos[f] = spec.Proto.Clone()
-		n.x[f] = protocol.Clamp(spec.Init, n.maxWindow)
+		n.x[f] = protocol.Clamp(spec.Init, maxWindow)
 	}
 	if n.perturb != nil {
 		n.active = make([]bool, len(flows))
@@ -280,114 +276,6 @@ func checkDAG(links []LinkSpec) error {
 		return fmt.Errorf("nettopo: topology contains a cycle (%d of %d nodes unreachable from sources)", len(indeg)-removed, len(indeg))
 	}
 	return nil
-}
-
-// NewFromRouting builds a network from a routing matrix instead of
-// explicit paths: routing[f][l] marks flow f as traversing link l. Each
-// flow's hop order is recovered from the link endpoints when the links
-// name them (chaining Dst→Src), and is ascending link index otherwise.
-// flows[f].Path must be nil — the matrix is the single source of truth.
-func NewFromRouting(links []LinkSpec, flows []FlowSpec, routing [][]bool, opts ...Option) (*Network, error) {
-	if len(routing) != len(flows) {
-		return nil, fmt.Errorf("nettopo: routing matrix has %d rows for %d flows", len(routing), len(flows))
-	}
-	named := len(links) > 0 && links[0].Src != ""
-	built := make([]FlowSpec, len(flows))
-	for f, row := range routing {
-		if flows[f].Path != nil {
-			return nil, fmt.Errorf("nettopo: flow %d sets both Path and a routing row", f)
-		}
-		if len(row) != len(links) {
-			return nil, fmt.Errorf("nettopo: routing row %d has %d columns for %d links", f, len(row), len(links))
-		}
-		var sel []int
-		for l, on := range row {
-			if on {
-				sel = append(sel, l)
-			}
-		}
-		path := sel
-		if named && len(sel) > 1 {
-			var err error
-			if path, err = chainByEndpoints(links, sel, f); err != nil {
-				return nil, err
-			}
-		}
-		built[f] = flows[f]
-		built[f].Path = path
-	}
-	return New(links, built, opts...)
-}
-
-// chainByEndpoints orders the selected links so each hop starts where the
-// previous ended; New re-validates the result.
-func chainByEndpoints(links []LinkSpec, sel []int, flow int) ([]int, error) {
-	bySrc := map[string]int{}
-	isDst := map[string]bool{}
-	for _, l := range sel {
-		if _, dup := bySrc[links[l].Src]; dup {
-			return nil, fmt.Errorf("nettopo: routing row %d selects two links leaving node %q", flow, links[l].Src)
-		}
-		bySrc[links[l].Src] = l
-		isDst[links[l].Dst] = true
-	}
-	start := -1
-	for _, l := range sel {
-		if !isDst[links[l].Src] {
-			if start >= 0 {
-				return nil, fmt.Errorf("nettopo: routing row %d does not form a single path", flow)
-			}
-			start = l
-		}
-	}
-	if start < 0 {
-		return nil, fmt.Errorf("nettopo: routing row %d does not form a single path", flow)
-	}
-	path := make([]int, 0, len(sel))
-	for l, at := start, 0; ; at++ {
-		if at > len(sel) {
-			return nil, fmt.Errorf("nettopo: routing row %d does not form a single path", flow)
-		}
-		path = append(path, l)
-		next, ok := bySrc[links[l].Dst]
-		if !ok {
-			break
-		}
-		l = next
-	}
-	if len(path) != len(sel) {
-		return nil, fmt.Errorf("nettopo: routing row %d does not form a single path", flow)
-	}
-	return path, nil
-}
-
-// RoutingMatrix returns the network's routing matrix: rows are flows,
-// columns are links, true where the flow traverses the link.
-func (n *Network) RoutingMatrix() [][]bool {
-	r := make([][]bool, len(n.flows))
-	for f := range n.flows {
-		r[f] = make([]bool, len(n.links))
-		for _, l := range n.flows[f].Path {
-			r[f][l] = true
-		}
-	}
-	return r
-}
-
-// Links returns a copy of the network's defaulted link specs.
-func (n *Network) Links() []LinkSpec { return append([]LinkSpec(nil), n.links...) }
-
-// Windows returns a copy of the current window vector.
-func (n *Network) Windows() []float64 { return append([]float64(nil), n.x...) }
-
-// BaseRTT returns flow f's unloaded round-trip time: Σ 2Θ_l over its
-// path plus its ExtraRTT.
-func (n *Network) BaseRTT(f int) float64 {
-	rtt := n.flows[f].ExtraRTT
-	for _, l := range n.flows[f].Path {
-		rtt += 2 * n.links[l].PropDelay
-	}
-	return rtt
 }
 
 // StepResult reports one network step.
@@ -431,7 +319,7 @@ func (n *Network) stepInto(res *StepResult) {
 			on := p.FlowActive(n.step, f)
 			if on && !n.active[f] && n.step > 0 {
 				// (Re)arrival mid-run restarts from the initial window.
-				n.x[f] = protocol.Clamp(n.flows[f].Init, n.maxWindow)
+				n.x[f] = protocol.Clamp(n.flows[f].Init, maxWindow)
 			}
 			n.active[f] = on
 		}
@@ -515,102 +403,27 @@ func (n *Network) stepInto(res *StepResult) {
 		if math.IsNaN(next) {
 			next = protocol.MinWindow
 		}
-		n.x[f] = protocol.Clamp(next, n.maxWindow)
+		n.x[f] = protocol.Clamp(next, maxWindow)
 	}
 	n.step++
 }
 
-// Result is a recorded nettopo run, column-oriented per flow and link.
-type Result struct {
-	Steps    int
-	Windows  [][]float64 // [flow][step]
-	FlowLoss [][]float64 // [flow][step]
-	FlowRTT  [][]float64 // [flow][step]
-	LinkLoss [][]float64 // [link][step]
-	LinkLoad [][]float64 // [link][step] aggregate window over the link
-	links    []LinkSpec
-	paths    [][]int
-}
-
-// Run advances the network steps times, recording everything.
-func (n *Network) Run(steps int) *Result {
-	r, _ := n.RunObserved(context.Background(), steps, true, nil)
-	return r
-}
-
 // RunObserved advances the network steps times with cooperative
-// cancellation, calling obs after each step when non-nil. When record is
-// true the full Result is accumulated as in Run; when false the network
-// is only driven (observers see every step, nothing is retained) and the
-// returned Result is nil. The StepResult passed to obs is owned by the
-// callback for the duration of the call only.
-func (n *Network) RunObserved(ctx context.Context, steps int, record bool, obs func(*StepResult)) (*Result, error) {
-	var r *Result
-	if record {
-		r = &Result{
-			Steps:    steps,
-			Windows:  make([][]float64, len(n.flows)),
-			FlowLoss: make([][]float64, len(n.flows)),
-			FlowRTT:  make([][]float64, len(n.flows)),
-			LinkLoss: make([][]float64, len(n.links)),
-			LinkLoad: make([][]float64, len(n.links)),
-			links:    append([]LinkSpec(nil), n.links...),
-		}
-		for f := range n.flows {
-			r.paths = append(r.paths, append([]int(nil), n.flows[f].Path...))
-		}
-	}
+// cancellation, calling obs after each step when non-nil. One
+// StepResult serves the whole run: obs owns it for the duration of the
+// call only and must copy what it keeps.
+func (n *Network) RunObserved(ctx context.Context, steps int, obs func(*StepResult)) error {
 	res := n.newStepResult()
 	for s := 0; s < steps; s++ {
 		if s&0xff == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		n.stepInto(&res)
-		if record {
-			for f := range n.flows {
-				r.Windows[f] = append(r.Windows[f], res.Windows[f])
-				r.FlowLoss[f] = append(r.FlowLoss[f], res.FlowLoss[f])
-				r.FlowRTT[f] = append(r.FlowRTT[f], res.FlowRTT[f])
-			}
-			for l := range n.links {
-				r.LinkLoss[l] = append(r.LinkLoss[l], res.LinkLoss[l])
-				r.LinkLoad[l] = append(r.LinkLoad[l], res.LinkLoad[l])
-			}
-		}
 		if obs != nil {
 			obs(&res)
 		}
 	}
-	return r, nil
-}
-
-// AvgWindow returns flow f's mean window over the tail fraction.
-func (r *Result) AvgWindow(f int, tailFrac float64) float64 {
-	return stats.Mean(stats.Tail(r.Windows[f], tailFrac))
-}
-
-// AvgGoodput returns flow f's mean goodput (MSS/s) over the tail fraction.
-func (r *Result) AvgGoodput(f int, tailFrac float64) float64 {
-	w := stats.Tail(r.Windows[f], tailFrac)
-	loss := stats.Tail(r.FlowLoss[f], tailFrac)
-	rtt := stats.Tail(r.FlowRTT[f], tailFrac)
-	sum := 0.0
-	cnt := 0
-	for i := range w {
-		if rtt[i] > 0 {
-			sum += w[i] * (1 - loss[i]) / rtt[i]
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}
-
-// LinkUtilization returns link l's mean load/C over the tail fraction.
-func (r *Result) LinkUtilization(l int, tailFrac float64) float64 {
-	return stats.Mean(stats.Tail(r.LinkLoad[l], tailFrac)) / r.links[l].Capacity()
+	return nil
 }

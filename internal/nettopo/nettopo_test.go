@@ -1,11 +1,8 @@
 package nettopo
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/protocol"
@@ -73,48 +70,12 @@ func TestNamedTopologyAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := n.RoutingMatrix()
-	want := [][]bool{
-		{true, false, true, false},
-		{false, true, false, true},
-	}
-	for f := range want {
-		for l := range want[f] {
-			if r[f][l] != want[f][l] {
-				t.Errorf("routing[%d][%d] = %v, want %v", f, l, r[f][l], want[f][l])
-			}
+	// Each link carries exactly the flow whose path names it.
+	want := [][]int{{0}, {1}, {0}, {1}}
+	for l := range want {
+		if !slices.Equal(n.flowsOn[l], want[l]) {
+			t.Errorf("link %d carries flows %v, want %v", l, n.flowsOn[l], want[l])
 		}
-	}
-}
-
-func TestNewFromRouting(t *testing.T) {
-	// The routing matrix names the links out of order; chaining by
-	// endpoints must recover a→b→c→d regardless.
-	links := []LinkSpec{namedLink("b", "c"), namedLink("a", "b"), namedLink("c", "d")}
-	n, err := NewFromRouting(links,
-		[]FlowSpec{{Proto: protocol.Reno(), Init: 1}},
-		[][]bool{{true, true, true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := n.BaseRTT(0); math.Abs(got-3*2*0.021) > 1e-15 {
-		t.Errorf("BaseRTT = %v, want %v", got, 3*2*0.021)
-	}
-
-	// A row selecting two links leaving different sources with no chain
-	// is not a single path.
-	if _, err := NewFromRouting(
-		[]LinkSpec{namedLink("a", "b"), namedLink("c", "d")},
-		[]FlowSpec{{Proto: protocol.Reno(), Init: 1}},
-		[][]bool{{true, true}}); err == nil {
-		t.Error("disconnected routing row accepted")
-	}
-
-	// Path and routing row are mutually exclusive.
-	if _, err := NewFromRouting(links,
-		[]FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: []int{0}}},
-		[][]bool{{true, false, false}}); err == nil {
-		t.Error("flow with both Path and routing row accepted")
 	}
 }
 
@@ -127,9 +88,6 @@ func TestExtraRTTShiftsBaseRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := n.BaseRTT(1) - n.BaseRTT(0); math.Abs(d-0.1) > 1e-15 {
-		t.Errorf("ExtraRTT shifted base RTT by %v, want 0.1", d)
-	}
 	res := n.Step()
 	if d := res.FlowRTT[1] - res.FlowRTT[0]; math.Abs(d-0.1) > 1e-15 {
 		t.Errorf("ExtraRTT shifted step RTT by %v, want 0.1", d)
@@ -139,67 +97,6 @@ func TestExtraRTTShiftsBaseRTT(t *testing.T) {
 	// per-flow, not shared.
 	if res.FlowRTT[0] != 2*links[0].PropDelay {
 		t.Errorf("flow 0 RTT = %v, want unloaded %v", res.FlowRTT[0], 2*links[0].PropDelay)
-	}
-}
-
-// TestChainMatchesMultilink is the in-package half of the parity anchor:
-// an anonymous-link chain reproduces the trajectories the retired
-// multilink substrate produced for the same specs, bit for bit and step
-// for step, stochastic mode included (testdata/multilink_parity.json).
-func TestChainMatchesMultilink(t *testing.T) {
-	const hops, steps = 3, 800
-	fx := LoadParityFixture(t)
-	links := make([]LinkSpec, hops)
-	for i := range links {
-		links[i] = oneLink()
-	}
-	flows := []FlowSpec{{Proto: protocol.Reno(), Init: 1, Path: []int{0, 1, 2}}}
-	for i := 0; i < hops; i++ {
-		flows = append(flows, FlowSpec{Proto: protocol.NewAIMD(1, 0.7), Init: 30, Path: []int{i}})
-	}
-	for _, seed := range []uint64{0, 7} {
-		var opts []Option
-		name := "deterministic"
-		if seed != 0 {
-			opts = append(opts, WithStochasticLoss(seed))
-			name = "stochastic"
-		}
-		want, ok := fx.Chain[name]
-		if !ok {
-			t.Fatalf("fixture has no %s chain", name)
-		}
-		n, err := New(links, flows, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		var buf [8]byte
-		put := func(v float64) {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-		res, err := n.RunObserved(context.Background(), steps, true, func(r *StepResult) {
-			for f := range r.Windows {
-				put(r.Windows[f])
-				put(r.FlowLoss[f])
-				put(r.FlowRTT[f])
-			}
-			for l := range r.LinkLoss {
-				put(r.LinkLoss[l])
-				put(r.LinkRTT[l])
-				put(r.LinkLoad[l])
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want.Trajectory {
-			t.Errorf("%s: trajectory digest %s, fixture %s", name, got, want.Trajectory)
-		}
-		for f := range flows {
-			CheckBits(t, fmt.Sprintf("%s flow %d avg window", name, f), res.AvgWindow(f, 0.75), want.AvgWindow[f])
-			CheckBits(t, fmt.Sprintf("%s flow %d avg goodput", name, f), res.AvgGoodput(f, 0.75), want.AvgGoodput[f])
-		}
 	}
 }
 
@@ -216,44 +113,42 @@ func TestBuilders(t *testing.T) {
 		t.Errorf("chain endpoints %q→%q, want n0→n3", chain[0].Src, chain[2].Dst)
 	}
 
-	pl, err := ParkingLot(3, link, protocol.Reno(), 1)
+	links, flows, err := ParkingLot(3, link, protocol.Reno(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(pl.RoutingMatrix()); got != 4 {
-		t.Errorf("parking lot has %d flows, want 4", got)
+	wantPaths := [][]int{{0, 1, 2}, {0}, {1}, {2}}
+	if len(links) != 3 || len(flows) != len(wantPaths) {
+		t.Fatalf("parking lot has %d links and %d flows, want 3 and 4", len(links), len(flows))
+	}
+	for f, want := range wantPaths {
+		if !slices.Equal(flows[f].Path, want) {
+			t.Errorf("parking-lot flow %d path %v, want %v", f, flows[f].Path, want)
+		}
+	}
+	if _, err := New(links, flows); err != nil {
+		t.Errorf("parking lot rejected: %v", err)
 	}
 
-	inc, err := Incast(4, link, link, protocol.Reno(), 1)
+	links, flows, err = FatTreeFanIn(2, 2, link, link, link, protocol.Reno(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := inc.RoutingMatrix()
-	for f := range r {
-		if !r[f][4] {
-			t.Errorf("incast flow %d misses the core link", f)
+	if len(links) != 7 || len(flows) != 4 {
+		t.Fatalf("fat tree has %d links and %d flows, want 7 and 4", len(links), len(flows))
+	}
+	core := len(links) - 1
+	for f, fl := range flows {
+		if len(fl.Path) != 3 || fl.Path[2] != core {
+			t.Errorf("fat-tree flow %d path %v, want 3 hops ending at core link %d", f, fl.Path, core)
 		}
 	}
-
-	ft, err := FatTreeFanIn(2, 2, link, link, link, protocol.Reno(), 1)
-	if err != nil {
-		t.Fatal(err)
+	// New checks that every path chains leaf → agg → core.
+	if _, err := New(links, flows); err != nil {
+		t.Errorf("fat tree rejected: %v", err)
 	}
-	r = ft.RoutingMatrix()
-	if len(r) != 4 {
-		t.Fatalf("fat tree has %d flows, want 4", len(r))
-	}
-	core := len(ft.Links()) - 1
-	for f := range r {
-		hops := 0
-		for _, on := range r[f] {
-			if on {
-				hops++
-			}
-		}
-		if hops != 3 || !r[f][core] {
-			t.Errorf("fat-tree flow %d: %d hops (want 3), core=%v", f, hops, r[f][core])
-		}
+	if _, _, err := FatTreeFanIn(0, 2, link, link, link, protocol.Reno(), 1); err == nil {
+		t.Error("leafless fat tree accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package nettopo
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,60 @@ import (
 // small chains: composition of loss and delay along a path, the
 // parking-lot bias under stochastic loss, and agreement with the
 // single-link fluid model on one link.
+
+// parkingLot returns the k-hop parking lot on oneLink.
+func parkingLot(t *testing.T, k int, proto protocol.Protocol, init float64) ([]LinkSpec, []FlowSpec) {
+	t.Helper()
+	links, flows, err := ParkingLot(k, oneLink(), proto, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return links, flows
+}
+
+// tailMeans is one run's per-flow mean window and goodput and per-link
+// mean load over capacity across the tail of its steps, the quantities
+// metrics.TopoStream reduces a run to.
+type tailMeans struct{ window, goodput, util []float64 }
+
+// runTail runs the network steps steps through RunObserved and averages
+// the last tailFrac of them.
+func runTail(t *testing.T, links []LinkSpec, flows []FlowSpec, steps int, tailFrac float64, opts ...Option) tailMeans {
+	t.Helper()
+	n, err := New(links, flows, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tailMeans{
+		window:  make([]float64, len(flows)),
+		goodput: make([]float64, len(flows)),
+		util:    make([]float64, len(links)),
+	}
+	from := steps - stats.TailLen(steps, tailFrac)
+	if err := n.RunObserved(context.Background(), steps, func(r *StepResult) {
+		if r.Step < from {
+			return
+		}
+		for f, w := range r.Windows {
+			m.window[f] += w
+			m.goodput[f] += w * (1 - r.FlowLoss[f]) / r.FlowRTT[f]
+		}
+		for l, load := range r.LinkLoad {
+			m.util[l] += load
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cnt := float64(steps - from)
+	for f := range flows {
+		m.window[f] /= cnt
+		m.goodput[f] /= cnt
+	}
+	for l := range links {
+		m.util[l] /= cnt * links[l].Capacity()
+	}
+	return m
+}
 
 // TestNetworkValidation rejects the index-only (unnamed) networks that
 // the §6 model cannot run: no links, no flows, a zero-bandwidth link,
@@ -83,18 +138,15 @@ func TestSingleLinkMatchesFluid(t *testing.T) {
 // identical steps, the long flow's WINDOW matches the short flows' —
 // path length shows up in goodput (double RTT), not in the window.
 func TestParkingLotDeterministicSymmetry(t *testing.T) {
-	net, err := ParkingLot(2, oneLink(), protocol.Reno(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := net.Run(4000)
-	long := res.AvgWindow(0, 0.75)
-	short := res.AvgWindow(1, 0.75)
+	links, flows := parkingLot(t, 2, protocol.Reno(), 1)
+	res := runTail(t, links, flows, 4000, 0.75)
+	long := res.window[0]
+	short := res.window[1]
 	if r := long / short; math.Abs(r-1) > 0.05 {
 		t.Fatalf("deterministic parking lot window ratio = %v, want ≈ 1", r)
 	}
 	// Goodput halves with the doubled path RTT.
-	gr := res.AvgGoodput(0, 0.75) / res.AvgGoodput(1, 0.75)
+	gr := res.goodput[0] / res.goodput[1]
 	if gr > 0.6 || gr < 0.4 {
 		t.Fatalf("goodput ratio = %v, want ≈ 0.5 (double RTT)", gr)
 	}
@@ -105,15 +157,12 @@ func TestParkingLotDeterministicSymmetry(t *testing.T) {
 // is beaten below the short flows' share, and the bias grows with k.
 func TestParkingLotBias(t *testing.T) {
 	shareAt := func(k int) float64 {
-		net, err := ParkingLot(k, oneLink(), protocol.Reno(), 1, WithStochasticLoss(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := net.Run(6000)
-		long := res.AvgWindow(0, 0.75)
+		links, flows := parkingLot(t, k, protocol.Reno(), 1)
+		res := runTail(t, links, flows, 6000, 0.75, WithStochasticLoss(7))
+		long := res.window[0]
 		short := 0.0
 		for i := 1; i <= k; i++ {
-			short += res.AvgWindow(i, 0.75)
+			short += res.window[i]
 		}
 		return long / (short / float64(k))
 	}
@@ -130,11 +179,8 @@ func TestParkingLotBias(t *testing.T) {
 // TestStochasticDeterministicPerSeed ensures stochastic mode replays.
 func TestStochasticDeterministicPerSeed(t *testing.T) {
 	run := func() float64 {
-		net, err := ParkingLot(2, oneLink(), protocol.Reno(), 1, WithStochasticLoss(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net.Run(1000).AvgWindow(0, 0.5)
+		links, flows := parkingLot(t, 2, protocol.Reno(), 1)
+		return runTail(t, links, flows, 1000, 0.5, WithStochasticLoss(3)).window[0]
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed stochastic runs diverged: %v vs %v", a, b)
@@ -142,20 +188,17 @@ func TestStochasticDeterministicPerSeed(t *testing.T) {
 }
 
 func TestParkingLotUtilization(t *testing.T) {
-	net, err := ParkingLot(3, oneLink(), protocol.Reno(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := net.Run(3000)
+	links, flows := parkingLot(t, 3, protocol.Reno(), 1)
+	res := runTail(t, links, flows, 3000, 0.75)
 	for l := 0; l < 3; l++ {
-		if u := res.LinkUtilization(l, 0.75); u < 0.6 || u > 1.3 {
+		if u := res.util[l]; u < 0.6 || u > 1.3 {
 			t.Errorf("link %d utilization = %v", l, u)
 		}
 	}
 }
 
 func TestParkingLotValidation(t *testing.T) {
-	if _, err := ParkingLot(0, oneLink(), protocol.Reno(), 1); err == nil {
+	if _, _, err := ParkingLot(0, oneLink(), protocol.Reno(), 1); err == nil {
 		t.Fatal("0-hop parking lot accepted")
 	}
 }
@@ -164,14 +207,15 @@ func TestParkingLotValidation(t *testing.T) {
 // is at least each of its links' and at most their sum.
 func TestLossComposition(t *testing.T) {
 	// Overload two links with MIMD to force simultaneous loss.
-	net, err := ParkingLot(2, oneLink(), protocol.Scalable(), 50)
+	links, flows := parkingLot(t, 2, protocol.Scalable(), 50)
+	net, err := New(links, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := net.Run(500)
-	for s := 0; s < res.Steps; s++ {
-		l0, l1 := res.LinkLoss[0][s], res.LinkLoss[1][s]
-		fl := res.FlowLoss[0][s] // long flow crosses both
+	for s := 0; s < 500; s++ {
+		res := net.Step()
+		l0, l1 := res.LinkLoss[0], res.LinkLoss[1]
+		fl := res.FlowLoss[0] // long flow crosses both
 		if fl < math.Max(l0, l1)-1e-12 {
 			t.Fatalf("step %d: composed loss %v below max(link)=%v", s, fl, math.Max(l0, l1))
 		}
@@ -201,33 +245,26 @@ func TestHeterogeneousProtocolsAcrossNetwork(t *testing.T) {
 	// A Scalable flow and a Reno flow share link 0; Scalable wins there
 	// while an unrelated Reno pair shares link 1 fairly.
 	spec := oneLink()
-	net, err := New([]LinkSpec{spec, spec}, []FlowSpec{
+	res := runTail(t, []LinkSpec{spec, spec}, []FlowSpec{
 		{Proto: protocol.Scalable(), Init: 10, Path: []int{0}},
 		{Proto: protocol.Reno(), Init: 10, Path: []int{0}},
 		{Proto: protocol.Reno(), Init: 1, Path: []int{1}},
 		{Proto: protocol.Reno(), Init: 80, Path: []int{1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := net.Run(3000)
-	if res.AvgWindow(0, 0.75) <= res.AvgWindow(1, 0.75) {
+	}, 3000, 0.75)
+	if res.window[0] <= res.window[1] {
 		t.Error("Scalable did not beat Reno on link 0")
 	}
-	a, b := res.AvgWindow(2, 0.75), res.AvgWindow(3, 0.75)
+	a, b := res.window[2], res.window[3]
 	if r := math.Min(a, b) / math.Max(a, b); r < 0.85 {
 		t.Errorf("link 1 Reno pair unfair: %v", r)
 	}
 }
 
 func TestGoodputAccountsForLossAndRTT(t *testing.T) {
-	net, err := ParkingLot(2, oneLink(), protocol.Reno(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := net.Run(2000)
-	long := res.AvgGoodput(0, 0.75)
-	short := res.AvgGoodput(1, 0.75)
+	links, flows := parkingLot(t, 2, protocol.Reno(), 1)
+	res := runTail(t, links, flows, 2000, 0.75)
+	long := res.goodput[0]
+	short := res.goodput[1]
 	if long <= 0 || short <= 0 {
 		t.Fatalf("non-positive goodputs: %v %v", long, short)
 	}
@@ -242,7 +279,11 @@ func TestQuickStepBounds(t *testing.T) {
 	f := func(kRaw, initRaw uint8) bool {
 		k := int(kRaw%4) + 1
 		init := float64(initRaw%200) + 1
-		net, err := ParkingLot(k, oneLink(), protocol.Reno(), init)
+		links, flows, err := ParkingLot(k, oneLink(), protocol.Reno(), init)
+		if err != nil {
+			return false
+		}
+		net, err := New(links, flows)
 		if err != nil {
 			return false
 		}
@@ -266,23 +307,30 @@ func TestQuickStepBounds(t *testing.T) {
 	}
 }
 
-// TestTailStats sanity-checks the Result helpers on a known trace.
+// TestTailStats sanity-checks a one-hop parking lot's tail: a positive
+// mean window, a well-used link and a link loss that stays below 1.
 func TestTailStats(t *testing.T) {
-	net, err := ParkingLot(1, oneLink(), protocol.Reno(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := net.Run(1000)
-	if got := res.AvgWindow(0, 0.75); got <= 0 {
-		t.Fatalf("AvgWindow = %v", got)
+	links, flows := parkingLot(t, 1, protocol.Reno(), 1)
+	res := runTail(t, links, flows, 1000, 0.75)
+	if got := res.window[0]; got <= 0 {
+		t.Fatalf("mean tail window = %v", got)
 	}
 	// Tail utilization of the single link ≈ the fluid single-link case
 	// with two senders (the parking lot adds one short flow): ≥ 0.6.
-	if u := res.LinkUtilization(0, 0.75); u < 0.6 {
+	if u := res.util[0]; u < 0.6 {
 		t.Fatalf("utilization = %v", u)
 	}
-	// Loss series bounded.
-	if mx := stats.Max(res.LinkLoss[0]); mx >= 1 {
-		t.Fatalf("max link loss = %v", mx)
+	net, err := New(links, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxLoss := 0.0
+	if err := net.RunObserved(context.Background(), 1000, func(r *StepResult) {
+		maxLoss = math.Max(maxLoss, r.LinkLoss[0])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if maxLoss >= 1 {
+		t.Fatalf("max link loss = %v", maxLoss)
 	}
 }
