@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -318,6 +319,8 @@ func writeSurfaceSVG(path string, pts []axiomcc.SurfacePoint, alphaN, betaN int)
 	return os.WriteFile(path, []byte(svg), 0o644)
 }
 
+// parseTriple reads a -point "fast,eff,friendly" triple of finite
+// coordinates.
 func parseTriple(s string) ([3]float64, error) {
 	var out [3]float64
 	fs := strings.Split(s, ",")
@@ -328,6 +331,9 @@ func parseTriple(s string) ([3]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
 			return out, fmt.Errorf("bad coordinate %q", f)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return out, fmt.Errorf("coordinate %q must be finite", f)
 		}
 		out[i] = v
 	}

@@ -33,6 +33,31 @@ func runMain(t *testing.T, args ...string) (stdout, stderr string, ok bool) {
 	return out.String(), errOut.String(), err == nil
 }
 
+// TestPointRejectsNonFiniteCoordinates: -point scores only finite
+// coordinates; a NaN or infinite one prints no ceiling and no verdict
+// and fails.
+func TestPointRejectsNonFiniteCoordinates(t *testing.T) {
+	for _, c := range []struct {
+		point string
+		want  string
+	}{
+		{"NaN,0.5,0.01", "paretoexplore: coordinate \"NaN\" must be finite\n"},
+		{"1,+Inf,0.01", "paretoexplore: coordinate \"+Inf\" must be finite\n"},
+		{"1,0.5,-Inf", "paretoexplore: coordinate \"-Inf\" must be finite\n"},
+	} {
+		stdout, stderr, ok := runMain(t, "-point", c.point)
+		if ok {
+			t.Errorf("-point %s: exit 0, want an error", c.point)
+		}
+		if stderr != c.want {
+			t.Errorf("-point %s: stderr %q, want %q", c.point, stderr, c.want)
+		}
+		if stdout != "" {
+			t.Errorf("-point %s: printed output:\n%s", c.point, stdout)
+		}
+	}
+}
+
 // TestPointRejectsInvalidTheorem3Link: the -point … -eps test scores
 // Theorem 3 only on a link with a positive, finite capacity, a
 // non-negative, finite buffer, ε < 1 and C+τ > α/2; otherwise it prints

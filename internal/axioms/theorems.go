@@ -30,10 +30,6 @@ func Theorem2Bound(alphaFast, betaEff float64) float64 {
 	return 3 * (1 - betaEff) / (alphaFast * (1 + betaEff))
 }
 
-// AIMDFriendliness returns the exact TCP-friendliness of AIMD(a,b) from
-// Table 1 — the point protocol showing Theorem 2's bound is tight.
-func AIMDFriendliness(a, b float64) float64 { return Theorem2Bound(a, b) }
-
 // Theorem3Bound returns the TCP-friendliness ceiling of Theorem 3: any
 // loss-based protocol that is α-fast-utilizing, β-efficient and ε-robust
 // (ε > 0) is at most

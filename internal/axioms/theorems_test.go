@@ -61,12 +61,6 @@ func TestTheorem2Panics(t *testing.T) {
 	}
 }
 
-func TestAIMDFriendlinessMatchesTheorem2(t *testing.T) {
-	if AIMDFriendliness(1.5, 0.7) != Theorem2Bound(1.5, 0.7) {
-		t.Fatal("AIMD friendliness must equal Theorem 2's tight bound")
-	}
-}
-
 func TestTheorem3Bound(t *testing.T) {
 	// At ε = 0, Theorem 3's denominator term 4(C+τ) replaces Theorem 2's
 	// α·(C+τ)-free form; the bound is strictly below Theorem 2's for any

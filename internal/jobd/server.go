@@ -125,9 +125,6 @@ func New(cfg Config) *Server {
 // plus the obs exposition endpoints (/metrics, /snapshot, /trace).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops admitting new jobs, waits for in-flight ones to finish
 // streaming (bounded by ctx), then stops the shard pool. Because every
 // completed cell was written to the store under its canonical key,

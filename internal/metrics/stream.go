@@ -141,9 +141,6 @@ func (s *Stream) TailFrac() float64 { return s.tailFrac }
 // stats.Tail of the full series.
 func (s *Stream) TailWindow(i int) []float64 { return s.windows[i].LastTail(s.tailFrac) }
 
-// TailTotal returns the retained tail of the aggregate window series X(t).
-func (s *Stream) TailTotal() []float64 { return s.total.LastTail(s.tailFrac) }
-
 // TailRTT returns the retained tail of the RTT series.
 func (s *Stream) TailRTT() []float64 { return s.rtt.LastTail(s.tailFrac) }
 

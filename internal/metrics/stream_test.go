@@ -216,7 +216,7 @@ func TestStreamBatchedMatchesPerCell(t *testing.T) {
 		same(c, "mean loss", bs.MeanLoss, ps.MeanLoss)
 		same(c, "mean rtt", bs.MeanRTT, ps.MeanRTT)
 		tails := [][2][]float64{
-			{b.TailTotal(), p.TailTotal()},
+			{b.total.LastTail(b.tailFrac), p.total.LastTail(p.tailFrac)},
 			{b.TailRTT(), p.TailRTT()},
 			{b.TailLoss(), p.TailLoss()},
 		}

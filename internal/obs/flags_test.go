@@ -152,7 +152,7 @@ func TestFlagsObsListenAndTimeline(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("obs not enabled by -obs-listen")
 	}
-	if !TimelineEnabled() {
+	if !tlEnabled.Load() {
 		t.Fatal("timeline not engaged by -exectimeline")
 	}
 	if f.server == nil || f.server.Addr() == "" {
@@ -162,7 +162,7 @@ func TestFlagsObsListenAndTimeline(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	if Enabled() || TimelineEnabled() {
+	if Enabled() || tlEnabled.Load() {
 		t.Fatal("stop left obs or timeline enabled")
 	}
 	raw, err := os.ReadFile(tl)

@@ -54,9 +54,6 @@ func EnableTimeline() {
 // WriteTimeline until the next EnableTimeline.
 func DisableTimeline() { tlEnabled.Store(false) }
 
-// TimelineEnabled reports whether spans are being collected.
-func TimelineEnabled() bool { return tlEnabled.Load() }
-
 // timelineAdd is called by Span.End for every completed span while the
 // collector is engaged.
 func timelineAdd(s *Span, end time.Time) {
