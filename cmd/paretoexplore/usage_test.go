@@ -94,3 +94,38 @@ func TestPointRejectsInvalidTheorem3Link(t *testing.T) {
 		t.Errorf("default link: ok=%v stderr %q stdout:\n%s", ok, stderr, stdout)
 	}
 }
+
+// TestCheckRejectsInvalidPairs: -check runs AIMD(a, b) only for finite
+// a > 0 and 0 < b < 1; any other pair is named in the error before
+// anything is simulated or printed, and the run fails.
+func TestCheckRejectsInvalidPairs(t *testing.T) {
+	const rangeErr = `AIMD(a, b) needs a > 0 and 0 < b < 1`
+	for _, c := range []struct {
+		check string
+		want  string
+	}{
+		{"NaN,0.5", `paretoexplore: bad -check pair "NaN,0.5": coordinate "NaN" must be finite` + "\n"},
+		{"1,Inf", `paretoexplore: bad -check pair "1,Inf": coordinate "Inf" must be finite` + "\n"},
+		{"-1,0.5", `paretoexplore: bad -check pair "-1,0.5": ` + rangeErr + "\n"},
+		{"1,1.5", `paretoexplore: bad -check pair "1,1.5": ` + rangeErr + "\n"},
+		{"0,0.5", `paretoexplore: bad -check pair "0,0.5": ` + rangeErr + "\n"},
+		{"1,0", `paretoexplore: bad -check pair "1,0": ` + rangeErr + "\n"},
+		{"1,0.5;2,1", `paretoexplore: bad -check pair "2,1": ` + rangeErr + "\n"},
+		{"1,0.5,3", `paretoexplore: bad -check pair "1,0.5,3": want a,b — got "1,0.5,3"` + "\n"},
+	} {
+		stdout, stderr, ok := runMain(t, "-check", c.check, "-steps", "50")
+		if ok {
+			t.Errorf("-check %s: exit 0, want an error", c.check)
+		}
+		if stderr != c.want {
+			t.Errorf("-check %s: stderr %q, want %q", c.check, stderr, c.want)
+		}
+		if stdout != "" {
+			t.Errorf("-check %s: printed output:\n%s", c.check, stdout)
+		}
+	}
+	// A bad -check pair fails before -point prints anything.
+	if stdout, _, ok := runMain(t, "-point", "1,0.5,1", "-check", "0,0.5"); ok || stdout != "" {
+		t.Errorf("-point with a bad -check: ok=%v printed output:\n%s", ok, stdout)
+	}
+}

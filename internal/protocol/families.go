@@ -1,6 +1,9 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // AIMD is the additive-increase multiplicative-decrease family AIMD(a,b):
 // on a loss-free step the window grows by A segments; on a lossy step it is
@@ -12,9 +15,10 @@ type AIMD struct {
 }
 
 // NewAIMD returns AIMD(a,b). It panics on parameters outside the paper's
-// ranges (a > 0, 0 < b < 1).
+// ranges (finite a > 0, 0 < b < 1). The comparisons are written so that
+// NaN fails them.
 func NewAIMD(a, b float64) *AIMD {
-	if a <= 0 || b <= 0 || b >= 1 {
+	if !(a > 0) || math.IsInf(a, 1) || !(b > 0 && b < 1) {
 		panic(fmt.Sprintf("protocol: invalid AIMD(%v,%v)", a, b))
 	}
 	return &AIMD{A: a, B: b}

@@ -30,7 +30,11 @@ func TestRenoIsAIMD1Half(t *testing.T) {
 }
 
 func TestAIMDConstructorPanics(t *testing.T) {
-	for _, c := range []struct{ a, b float64 }{{0, 0.5}, {-1, 0.5}, {1, 0}, {1, 1}, {1, 1.5}} {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ a, b float64 }{
+		{0, 0.5}, {-1, 0.5}, {1, 0}, {1, 1}, {1, 1.5},
+		{nan, 0.5}, {1, nan}, {inf, 0.5}, {1, inf},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
