@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/svgplot"
-	"repro/internal/trace"
 )
 
 // obsStop flushes profiles and the run manifest; fatal invokes it so
@@ -129,28 +128,26 @@ func main() {
 			cfg.Loss = axiomcc.NewConstantLoss(*lossRate)
 		}
 		// Even a single run goes through the sweep orchestrator as a
-		// 1-cell grid: the trace is bit-identical to RunMixed, and with
-		// observability engaged the run record picks up the cell latency
-		// histogram and worker-pool stats. The recorded trace feeds -tsv,
-		// -svg and its own summary line; every tail score comes from the
-		// Stream's summary, as the estimators score.
+		// 1-cell grid: with observability engaged the run record picks up
+		// the cell latency histogram and worker-pool stats. The recorded
+		// trace feeds -tsv, -svg and its own summary line; every tail
+		// score comes from the Stream's summary, as the estimators score.
 		var sum *metrics.StreamSummary
 		trs, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{},
-			func(ctx context.Context, _ int, _ uint64) (*trace.Trace, error) {
+			func(ctx context.Context, _ int, _ uint64) (*axiomcc.Trace, error) {
 				sub := &axiomcc.EngineFluidSpec{Cfg: cfg, Senders: axiomcc.MixedSenders(protos, inits), Steps: *steps}
 				st := metrics.NewStream(sub.Meta(), tail)
-				res, err := axiomcc.EngineRun(ctx, axiomcc.EngineSpec{
+				rec := axiomcc.NewEngineRecorder(sub.Meta())
+				if _, err := axiomcc.EngineRun(ctx, axiomcc.EngineSpec{
 					Substrate: sub,
-					Record:    true,
-					Observers: []axiomcc.EngineObserver{st},
+					Observers: []axiomcc.EngineObserver{st, rec},
 					Chaos:     chaosSched,
 					ChaosSeed: *seed,
-				})
-				if err != nil {
+				}); err != nil {
 					return nil, err
 				}
 				sum = st.Summary()
-				return res.Trace, nil
+				return rec.Trace(), nil
 			})
 		if err != nil {
 			fatal(err)
@@ -199,11 +196,19 @@ func main() {
 			}
 			flows[i] = axiomcc.PacketFlow{Proto: p, Init: init}
 		}
+		// Only -tsv and -svg read the per-tick trace.
+		sub := &axiomcc.EnginePacketSpec{Cfg: cfg, Flows: flows, Duration: *duration}
+		var rec *axiomcc.EngineRecorder
+		var observers []axiomcc.EngineObserver
+		if *tsv || *svgPath != "" {
+			rec = axiomcc.NewEngineRecorder(sub.Meta())
+			observers = []axiomcc.EngineObserver{rec}
+		}
 		ress, err := axiomcc.EngineSweep(context.Background(), 1, axiomcc.SweepConfig{},
 			func(ctx context.Context, _ int, _ uint64) (*axiomcc.PacketResult, error) {
 				eres, err := axiomcc.EngineRun(ctx, axiomcc.EngineSpec{
-					Substrate: &axiomcc.EnginePacketSpec{Cfg: cfg, Flows: flows, Duration: *duration},
-					Record:    true,
+					Substrate: sub,
+					Observers: observers,
 					Chaos:     chaosSched,
 					ChaosSeed: *seed,
 				})
@@ -217,13 +222,13 @@ func main() {
 		}
 		res := ress[0]
 		if *tsv {
-			if err := res.Trace.WriteTSV(os.Stdout); err != nil {
+			if err := rec.Trace().WriteTSV(os.Stdout); err != nil {
 				fatal(err)
 			}
 			return
 		}
 		if *svgPath != "" {
-			if err := writeWindowSVG(*svgPath, res.Trace, protos); err != nil {
+			if err := writeWindowSVG(*svgPath, rec.Trace(), protos); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("wrote %s\n", *svgPath)
@@ -355,7 +360,7 @@ func runScenarios(paths []string, jsonOut bool, workers int) {
 }
 
 // writeWindowSVG renders every sender's window series as a line chart.
-func writeWindowSVG(path string, tr *trace.Trace, protos []axiomcc.Protocol) error {
+func writeWindowSVG(path string, tr *axiomcc.Trace, protos []axiomcc.Protocol) error {
 	series := make([]svgplot.Series, len(protos))
 	for i, p := range protos {
 		series[i] = svgplot.Series{

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fluid"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/trace"
 )
 
 // This file holds the engine's one fluid run loop, runFluid, and the
@@ -343,7 +342,6 @@ func runFluid(ctx context.Context, cells []*Spec, grouped bool) []batchOut {
 	type cellRun struct {
 		spec *Spec
 		out  *batchOut
-		tr   *trace.Trace
 		done bool
 		// Strip-mined emission buffers, nil when the cell has no
 		// observers (or only TailObservers that want no steps).
@@ -400,10 +398,6 @@ func runFluid(ctx context.Context, cells []*Spec, grouped bool) []batchOut {
 	for j := range runs {
 		r := &runs[j]
 		f := len(batchCells[j].Senders)
-		if r.spec.Record {
-			cfg := b.Config(j)
-			r.tr = trace.New(f, cfg.Capacity(), cfg.BaseRTT(), steps)
-		}
 		if from := firstObserved(r.spec.Observers, steps); from < steps {
 			r.flows = f
 			r.base = from
@@ -480,9 +474,9 @@ func runFluid(ctx context.Context, cells []*Spec, grouped bool) []batchOut {
 				continue
 			}
 			if err := b.Err(j); err != nil {
-				// Divergence: the failing step is neither recorded nor
-				// emitted, and the cell stops (after flushing the steps
-				// buffered before the failure).
+				// Divergence: the failing step is not emitted, and the
+				// cell stops (after flushing the steps buffered before
+				// the failure).
 				r.out.err = err
 				r.done = true
 				live--
@@ -492,9 +486,6 @@ func runFluid(ctx context.Context, cells []*Spec, grouped bool) []batchOut {
 				continue
 			}
 			w := b.Windows(j)
-			if r.tr != nil {
-				r.tr.Append(w, b.RTT(j), b.CongLoss(j))
-			}
 			// Before the first observed step, base is still ahead of s.
 			if r.windows != nil && s >= r.base {
 				total := 0.0
@@ -525,7 +516,7 @@ func runFluid(ctx context.Context, cells []*Spec, grouped bool) []batchOut {
 
 	for j := range runs {
 		if r := &runs[j]; r.out.err == nil {
-			r.out.res = &Result{Trace: r.tr, Steps: steps}
+			r.out.res = &Result{Steps: steps}
 		}
 	}
 	return outs

@@ -34,8 +34,7 @@ var (
 )
 
 // batchGrid builds one self-describing spec per (family, init) pair:
-// fluid cells with one sender per init value, recorded, with per-cell
-// seeds. mutate lets a scenario attach chaos schedules or loss processes
+// fluid cells with one sender per init value, with per-cell seeds. mutate lets a scenario attach chaos schedules or loss processes
 // per cell.
 func batchGrid(t *testing.T, steps int, inits [][]float64, mutate func(i int, spec *Spec)) []Spec {
 	t.Helper()
@@ -49,10 +48,7 @@ func batchGrid(t *testing.T, steps int, inits [][]float64, mutate func(i int, sp
 			}
 			cfg := fluidCfg()
 			cfg.Seed = uint64(1000 + i)
-			spec := Spec{
-				Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps},
-				Record:    true,
-			}
+			spec := Spec{Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps}}
 			if mutate != nil {
 				mutate(i, &spec)
 			}
@@ -84,20 +80,22 @@ func runPerCell(t *testing.T, specs []Spec) []*Result {
 var splitWorkers = []int{1, 2, 3, 8}
 
 // runBothPaths evaluates the same grid through SweepSpecs and through
-// Run on each spec and asserts bit-identical traces. The grid is
-// regenerated per run because substrates are single-use.
+// Run on each spec, each spec recorded, and asserts bit-identical traces.
+// The grid is regenerated per run because substrates are single-use.
 func runBothPaths(t *testing.T, grid func() []Spec, cfg SweepConfig) []*Result {
 	t.Helper()
-	batched, err := SweepSpecs(context.Background(), grid(), cfg)
+	batchedSpecs, batchedTraces := withRecorders(grid())
+	batched, err := SweepSpecs(context.Background(), batchedSpecs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar := runPerCell(t, grid())
+	scalarSpecs, scalarTraces := withRecorders(grid())
+	scalar := runPerCell(t, scalarSpecs)
 	for i := range batched {
 		if batched[i].Steps != scalar[i].Steps {
 			t.Fatalf("cell %d: steps %d != %d", i, batched[i].Steps, scalar[i].Steps)
 		}
-		equalTraces(t, batched[i].Trace, scalar[i].Trace)
+		equalTraces(t, batchedTraces[i], scalarTraces[i])
 	}
 	return batched
 }
@@ -377,7 +375,6 @@ func TestSweepSpecsFallbackCoverage(t *testing.T) {
 					Senders: []fluid.Sender{mk(), {Proto: protocol.Reno(), Init: 1}},
 					Steps:   300,
 				},
-				Record: true,
 			})
 		}
 		// Per-cell: a perturber of the cell's own, and a step count no
@@ -423,10 +420,11 @@ func TestSweepSpecsRejectedCellFailsAlone(t *testing.T) {
 	if chunks := planBatches(specs, cfg.Workers); len(chunks) != 2 || len(chunks[0])+len(chunks[1]) != len(specs) {
 		t.Fatalf("chunks %v, want the whole grid in two", chunks)
 	}
+	specs, batchedTraces := withRecorders(specs)
 	outs := runBatches(context.Background(), specs, &cfg)
-	perCell := grid()
+	perCell, perCellTraces := withRecorders(grid())
 	for i, out := range outs {
-		res, err := Run(context.Background(), perCell[i])
+		_, err := Run(context.Background(), perCell[i])
 		if want, ok := bad[i]; ok {
 			if out == nil || out.err == nil || out.err.Error() != want || err == nil || err.Error() != want {
 				t.Errorf("cell %d: batched %+v, Run error %v; want %q from both", i, out, err, want)
@@ -436,7 +434,7 @@ func TestSweepSpecsRejectedCellFailsAlone(t *testing.T) {
 		if err != nil || out == nil || out.err != nil {
 			t.Fatalf("cell %d: batched %+v, Run error %v", i, out, err)
 		}
-		equalTraces(t, out.res.Trace, res.Trace)
+		equalTraces(t, batchedTraces[i], perCellTraces[i])
 	}
 	_, err := SweepSpecs(context.Background(), grid(), SweepConfig{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), bad[4]) {
@@ -600,7 +598,6 @@ func TestSweepSpecsStripObserverEquivalence(t *testing.T) {
 		collectors := make([]*stripCollector, len(specs))
 		for i := range specs {
 			collectors[i] = &stripCollector{t: t}
-			specs[i].Record = false
 			if strip {
 				specs[i].Observers = []Observer{collectors[i]}
 			} else {

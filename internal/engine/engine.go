@@ -4,14 +4,12 @@
 // topology (internal/nettopo) — behind a single Spec → Run(ctx, spec)
 // entry point.
 //
-// A Spec pairs a Substrate (what to simulate) with how to consume it:
-// Record materializes the substrate's native result (a *trace.Trace or a
-// *packetsim.Result; a network run has none), while Observers stream every
-// sample as it is produced, so axiom estimators can run online over a
-// fixed-size ring buffer instead of a full trace. The two are independent
-// — a sweep that only needs streaming statistics sets Record to false and
-// allocates O(tail) instead of O(steps) per cell. Observers that read
-// only that tail (TailObserver) are handed only the tail's steps.
+// A Spec pairs a Substrate (what to simulate) with its Observers, which
+// stream every sample as it is produced: axiom estimators run online over
+// a fixed-size ring buffer, and a Recorder records the whole run into a
+// *trace.Trace when a caller wants one. Observers are a run's one output
+// besides the packet delivery counters in Result. Observers that read
+// only a run's tail (TailObserver) are handed only the tail's steps.
 //
 // Sweep is the companion orchestrator: it shards any cell grid across a
 // worker pool with context cancellation, deterministic per-cell seeds,
@@ -28,7 +26,6 @@ import (
 	"repro/internal/nettopo"
 	"repro/internal/obs"
 	"repro/internal/packetsim"
-	"repro/internal/trace"
 )
 
 // Step is one streamed sample: the per-sender windows in effect, their
@@ -62,8 +59,8 @@ func (f ObserverFunc) Observe(s Step) { f(s) }
 // nothing but the last TailSteps() steps of a run, such as the
 // tail-window estimators, whose rings hold a fixed number of samples.
 // When every observer of a FluidSpec or TopoSpec run (per-cell or on the
-// grid-batch path) implements it, the engine still simulates, checks and
-// records every step but builds and emits only the last
+// grid-batch path) implements it, the engine still simulates and checks
+// every step but builds and emits only the last
 // max(TailSteps()) of them, so an observer's first Step.Index (or
 // Strip.Start) may be greater than zero. Implementations must count
 // such a forward jump past the steps they have seen as that many
@@ -113,11 +110,6 @@ type Substrate interface {
 // Spec is a complete run description.
 type Spec struct {
 	Substrate Substrate
-	// Record materializes the substrate's native result in Result. Sweeps
-	// that consume only streamed observers leave it false to avoid
-	// allocating full traces. A TopoSpec has no native result and fails
-	// with Record set.
-	Record bool
 	// Observers receive every sample in order, except that a fluid or
 	// topology run whose observers all implement TailObserver skips the
 	// samples before the longest tail they read. All observers see the
@@ -134,12 +126,10 @@ type Spec struct {
 	ChaosSeed uint64
 }
 
-// Result is the outcome of a run. Trace is populated for a fluid run
-// with Record set; Packet for every packet run (delivery counters are
-// always kept), its Trace field only with Record. A topology run fills
-// in only Steps.
+// Result is the outcome of a run: the number of samples it produced and,
+// for a packet run, the delivery counters. Everything else a run yields
+// reaches its observers.
 type Result struct {
-	Trace  *trace.Trace      // fluid (Record); also aliases Packet.Trace
 	Packet *packetsim.Result // packet substrate
 	Steps  int               // samples produced
 }

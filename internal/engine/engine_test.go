@@ -49,30 +49,70 @@ func equalTraces(t *testing.T, got, want *trace.Trace) {
 	equalSeries(t, "total", got.Total(), want.Total())
 }
 
-// TestFluidGolden: engine.Run over the fluid adapter is bit-identical to
-// calling internal/fluid directly.
+// withRecorders returns specs with a Recorder appended to each one's
+// observers, and the traces the Recorders fill.
+func withRecorders(specs []Spec) ([]Spec, []*trace.Trace) {
+	traces := make([]*trace.Trace, len(specs))
+	for i := range specs {
+		rec := NewRecorder(specs[i].Substrate.Meta())
+		specs[i].Observers = append(specs[i].Observers[:len(specs[i].Observers):len(specs[i].Observers)], rec)
+		traces[i] = rec.Trace()
+	}
+	return specs, traces
+}
+
+// record runs spec with a Recorder after its own observers and returns
+// the result and the recorded trace.
+func record(t *testing.T, spec Spec) (*Result, *trace.Trace) {
+	t.Helper()
+	specs, traces := withRecorders([]Spec{spec})
+	res, err := Run(context.Background(), specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, traces[0]
+}
+
+// TestFluidGolden: engine.Run over the fluid adapter, recorded, holds
+// bit for bit the steps internal/fluid reports when stepped directly.
 func TestFluidGolden(t *testing.T) {
 	const steps = 800
 	cfg := fluidCfg()
-	want, err := fluid.Homogeneous(cfg, protocol.Reno(), 3, nil, steps)
+	senders := func() []fluid.Sender {
+		s, err := fluid.HomogeneousSenders(protocol.Reno(), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	l, err := fluid.New(cfg, senders()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
+	windows := make([][]float64, 3)
+	var totals, rtts, losses []float64
+	for range steps {
+		st := l.Step()
+		total := 0.0
+		for i, w := range st.Windows {
+			windows[i] = append(windows[i], w)
+			total += w
+		}
+		totals, rtts, losses = append(totals, total), append(rtts, st.RTT), append(losses, st.CongLoss)
 	}
-	res, err := Run(context.Background(), Spec{
-		Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps},
-		Record:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tr := record(t, Spec{Substrate: &FluidSpec{Cfg: cfg, Senders: senders(), Steps: steps}})
 	if res.Steps != steps {
 		t.Fatalf("Steps = %d, want %d", res.Steps, steps)
 	}
-	equalTraces(t, res.Trace, want)
+	if tr.Capacity() != cfg.Capacity() || tr.BaseRTT() != cfg.BaseRTT() {
+		t.Fatalf("trace link (C=%v, base=%v), want (C=%v, base=%v)", tr.Capacity(), tr.BaseRTT(), cfg.Capacity(), cfg.BaseRTT())
+	}
+	for i := range windows {
+		equalSeries(t, "window", tr.Window(i), windows[i])
+	}
+	equalSeries(t, "total", tr.Total(), totals)
+	equalSeries(t, "rtt", tr.RTT(), rtts)
+	equalSeries(t, "loss", tr.Loss(), losses)
 }
 
 // TestFluidObserversSeeTrace: streamed steps carry exactly the values the
@@ -102,21 +142,17 @@ func TestFluidObserversSeeTrace(t *testing.T) {
 			t.Fatalf("Total %v != window sum %v", s.Total, sum)
 		}
 	})
-	res, err := Run(context.Background(), Spec{
+	_, tr := record(t, Spec{
 		Substrate: &FluidSpec{Cfg: cfg, Senders: senders, Steps: steps},
-		Record:    true,
 		Observers: []Observer{obs},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalSeries(t, "total", totals, res.Trace.Total())
-	equalSeries(t, "rtt", rtts, res.Trace.RTT())
-	equalSeries(t, "loss", losses, res.Trace.Loss())
+	equalSeries(t, "total", totals, tr.Total())
+	equalSeries(t, "rtt", rtts, tr.RTT())
+	equalSeries(t, "loss", losses, tr.Loss())
 }
 
-// TestPacketGolden: the packet adapter with Record reproduces
-// packetsim.Run exactly, including delivery counters.
+// TestPacketGolden: the packet adapter, recorded, reproduces packetsim's
+// per-tick samples and delivery counters exactly.
 func TestPacketGolden(t *testing.T) {
 	cfg := packetsim.Config{Bandwidth: 500, PropDelay: 0.02, Buffer: 25, Seed: 7, RandomLoss: 0.001}
 	flows := func() []packetsim.Flow {
@@ -125,18 +161,26 @@ func TestPacketGolden(t *testing.T) {
 			{Proto: protocol.NewAIMD(2, 0.5), Start: 1.5},
 		}
 	}
-	want, err := packetsim.Run(cfg, flows(), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), Spec{
-		Substrate: &PacketSpec{Cfg: cfg, Flows: flows(), Duration: 20},
-		Record:    true,
+	windows := make([][]float64, 2)
+	var rtts, losses []float64
+	want, err := packetsim.RunObserved(context.Background(), cfg, flows(), 20, func(s packetsim.TickSample) {
+		for i, w := range s.Windows {
+			windows[i] = append(windows[i], w)
+		}
+		rtts, losses = append(rtts, s.RTT), append(losses, s.Loss)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTraces(t, res.Packet.Trace, want.Trace)
+	res, tr := record(t, Spec{Substrate: &PacketSpec{Cfg: cfg, Flows: flows(), Duration: 20}})
+	if tr.Capacity() != cfg.Capacity() || tr.BaseRTT() != 2*cfg.PropDelay {
+		t.Fatalf("trace link (C=%v, base=%v), want (C=%v, base=%v)", tr.Capacity(), tr.BaseRTT(), cfg.Capacity(), 2*cfg.PropDelay)
+	}
+	for i := range windows {
+		equalSeries(t, "window", tr.Window(i), windows[i])
+	}
+	equalSeries(t, "rtt", tr.RTT(), rtts)
+	equalSeries(t, "loss", tr.Loss(), losses)
 	for i := range want.Delivered {
 		if res.Packet.Delivered[i] != want.Delivered[i] {
 			t.Fatalf("Delivered[%d] = %d, want %d", i, res.Packet.Delivered[i], want.Delivered[i])
@@ -145,27 +189,25 @@ func TestPacketGolden(t *testing.T) {
 	}
 }
 
-// TestPacketNoRecordSkipsTrace: without Record the packet result carries
-// no trace but identical delivery counters.
-func TestPacketNoRecordSkipsTrace(t *testing.T) {
+// TestPacketRecorderKeepsCounters: a packet run keeps the same delivery
+// counters whether or not a Recorder observes it.
+func TestPacketRecorderKeepsCounters(t *testing.T) {
 	cfg := packetsim.Config{Bandwidth: 500, PropDelay: 0.02, Buffer: 25}
-	want, err := packetsim.Run(cfg, []packetsim.Flow{{Proto: protocol.Reno()}}, 10)
+	spec := func() Spec {
+		return Spec{Substrate: &PacketSpec{Cfg: cfg, Flows: []packetsim.Flow{{Proto: protocol.Reno()}}, Duration: 10}}
+	}
+	want, err := Run(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Spec{
-		Substrate: &PacketSpec{Cfg: cfg, Flows: []packetsim.Flow{{Proto: protocol.Reno()}}, Duration: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
+	res, tr := record(t, spec())
+	if tr.Len() != res.Steps || res.Steps != want.Steps {
+		t.Fatalf("recorded %d ticks of %d, unrecorded run %d", tr.Len(), res.Steps, want.Steps)
 	}
-	if res.Trace != nil || res.Packet.Trace != nil {
-		t.Fatal("trace materialized despite Record=false")
+	if res.Packet.Delivered[0] != want.Packet.Delivered[0] {
+		t.Fatalf("Delivered = %d, want %d", res.Packet.Delivered[0], want.Packet.Delivered[0])
 	}
-	if res.Packet.Delivered[0] != want.Delivered[0] {
-		t.Fatalf("Delivered = %d, want %d", res.Packet.Delivered[0], want.Delivered[0])
-	}
-	if got, want := res.Packet.Throughput(0, 0.75), want.Throughput(0, 0.75); got != want {
+	if got, want := res.Packet.Throughput(0, 0.75), want.Packet.Throughput(0, 0.75); got != want {
 		t.Fatalf("Throughput = %v, want %v", got, want)
 	}
 }
@@ -178,17 +220,29 @@ func parkingLotSpecs(k int) ([]nettopo.LinkSpec, []nettopo.FlowSpec) {
 	return links, flows
 }
 
-// TestTopoRecordRejected: a network run has no recorded result, so a
-// TopoSpec with Record set fails, naming the streaming observer to use,
-// instead of running and returning nothing.
-func TestTopoRecordRejected(t *testing.T) {
+// TestTopoRecorder: a Recorder on a network run records every step's
+// windows and their sum; a network has no single RTT or loss, so those
+// are zero.
+func TestTopoRecorder(t *testing.T) {
+	const steps = 100
 	links, flows := parkingLotSpecs(2)
-	res, err := Run(context.Background(), Spec{
-		Substrate: &TopoSpec{Links: links, Flows: flows, Steps: 100},
-		Record:    true,
+	seen := &stepCollector{}
+	_, tr := record(t, Spec{
+		Substrate: &TopoSpec{Links: links, Flows: flows, Steps: steps},
+		Observers: []Observer{seen},
 	})
-	if err == nil || !strings.Contains(err.Error(), "metrics.TopoStream") {
-		t.Fatalf("Record on a TopoSpec: result %+v, err %v; want an error pointing to metrics.TopoStream", res, err)
+	if tr.Len() != steps || tr.Senders() != len(flows) || len(seen.steps) != steps {
+		t.Fatalf("recorded %d steps of %d senders, observed %d; want %d of %d", tr.Len(), tr.Senders(), len(seen.steps), steps, len(flows))
+	}
+	for s, st := range seen.steps {
+		for i, w := range st.Windows {
+			if tr.Window(i)[s] != w {
+				t.Fatalf("step %d sender %d: recorded %v, observed %v", s, i, tr.Window(i)[s], w)
+			}
+		}
+		if tr.Total()[s] != st.Total || tr.RTT()[s] != 0 || tr.Loss()[s] != 0 {
+			t.Fatalf("step %d: recorded total %v rtt %v loss %v, want %v, 0, 0", s, tr.Total()[s], tr.RTT()[s], tr.Loss()[s], st.Total)
+		}
 	}
 }
 
@@ -257,14 +311,10 @@ func TestRunRejectsNegativeHorizon(t *testing.T) {
 		&FluidSpec{Cfg: fluidCfg(), Senders: senders, Steps: -5},
 		&TopoSpec{Links: nl, Flows: nf, Steps: -5},
 	} {
-		for _, record := range []bool{true, false} {
-			spec := Spec{Substrate: sub, Record: record}
-			if !record {
-				spec.Observers = []Observer{ObserverFunc(func(Step) {})}
-			}
-			res, err := Run(context.Background(), spec)
+		for _, o := range []Observer{NewRecorder(sub.Meta()), ObserverFunc(func(Step) {})} {
+			res, err := Run(context.Background(), Spec{Substrate: sub, Observers: []Observer{o}})
 			if err == nil || !strings.Contains(err.Error(), "non-negative") {
-				t.Errorf("%T record=%v: result %+v, err %v; want a horizon error", sub, record, res, err)
+				t.Errorf("%T observed by %T: result %+v, err %v; want a horizon error", sub, o, res, err)
 			}
 		}
 	}

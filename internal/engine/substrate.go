@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -21,8 +20,8 @@ func compileChaos(spec *Spec, flows, links int) (*chaos.Injector, error) {
 }
 
 // FluidSpec runs the §2 fluid-flow link for Steps synchronized steps.
-// With Record set, the resulting trace is bit-identical to
-// fluid.New(Cfg, Senders...).Run(Steps).
+// Observers see, step by step, the windows, RTT and congestion loss that
+// fluid.New(Cfg, Senders...).Step() returns.
 type FluidSpec struct {
 	Cfg     fluid.Config
 	Senders []fluid.Sender
@@ -50,10 +49,9 @@ func (s *FluidSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 	return outs[0].res, outs[0].err
 }
 
-// PacketSpec runs the packet-level testbed for Duration seconds. Without
-// Record the per-tick trace is skipped entirely (Result.Packet.Trace is
-// nil); delivery counters are always recorded, so Result.Packet.Throughput
-// works either way.
+// PacketSpec runs the packet-level testbed for Duration seconds.
+// Observers see one step per sampling tick; the delivery counters are
+// always kept, so Result.Packet.Throughput needs no observer.
 type PacketSpec struct {
 	Cfg      packetsim.Config
 	Flows    []packetsim.Flow
@@ -73,9 +71,6 @@ func (s *PacketSpec) Meta() Meta {
 
 func (s *PacketSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 	cfg := s.Cfg
-	if !spec.Record {
-		cfg.DisableTrace = true
-	}
 	inj, err := compileChaos(&spec, len(s.Flows), 1)
 	if err != nil {
 		return nil, err
@@ -101,14 +96,13 @@ func (s *PacketSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 	if len(res.DeliveredSeries) > 0 {
 		steps = len(res.DeliveredSeries[0])
 	}
-	return &Result{Trace: res.Trace, Packet: res, Steps: steps}, nil
+	return &Result{Packet: res, Steps: steps}, nil
 }
 
 // TopoSpec runs a conservation-law network over an arbitrary DAG
 // topology (internal/nettopo) for Steps synchronized steps. Observers
-// receive the full *nettopo.StepResult via Step.Topo; a network run
-// records nothing, so Record is an error (metrics.TopoStream reduces the
-// stream to a TopoSummary).
+// receive the full *nettopo.StepResult via Step.Topo (metrics.TopoStream
+// reduces the stream to a TopoSummary).
 type TopoSpec struct {
 	Links []nettopo.LinkSpec
 	Flows []nettopo.FlowSpec
@@ -126,9 +120,6 @@ func (s *TopoSpec) Meta() Meta {
 func (s *TopoSpec) run(ctx context.Context, spec Spec) (*Result, error) {
 	if s.Steps < 0 {
 		return nil, fmt.Errorf("engine: topology run of %d steps: horizon must be non-negative", s.Steps)
-	}
-	if spec.Record {
-		return nil, errors.New("engine: a topology run records nothing; observe it with metrics.TopoStream instead of setting Record")
 	}
 	opts := s.Opts
 	inj, err := compileChaos(&spec, len(s.Flows), len(s.Links))

@@ -6,9 +6,11 @@ package experiment
 // scenarios both can express.
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/packetsim"
 	"repro/internal/protocol"
@@ -162,15 +164,15 @@ func TestExtraDelayValidation(t *testing.T) {
 // entry 1−(C+τ)/(C+τ+na) should bound the packet-level measured mean loss
 // within an order of magnitude.
 func TestCrossValLossScale(t *testing.T) {
-	pk := EmulabLink(20, 100)
-	res, err := packetsim.Run(pk, []packetsim.Flow{
+	sub := &engine.PacketSpec{Cfg: EmulabLink(20, 100), Flows: []packetsim.Flow{
 		{Proto: protocol.Reno(), Init: 1},
 		{Proto: protocol.Reno(), Init: 1},
-	}, 60)
-	if err != nil {
+	}, Duration: 60}
+	rec := engine.NewRecorder(sub.Meta())
+	if _, err := engine.Run(context.Background(), engine.Spec{Substrate: sub, Observers: []engine.Observer{rec}}); err != nil {
 		t.Fatal(err)
 	}
-	measured := stats.Mean(stats.Tail(res.Trace.Loss(), 0.5))
+	measured := stats.Mean(stats.Tail(rec.Trace().Loss(), 0.5))
 	theory := 1 - 170.0/(170+2) // C≈70, τ=100, n=2, a=1
 	if measured > theory*10 {
 		t.Errorf("packet loss %v far above theory scale %v", measured, theory)

@@ -161,7 +161,7 @@ func hierarchyCell(ctx context.Context, hc HierarchyConfig, n int, mbps float64,
 			flows[i] = packetsim.Flow{Proto: p, Init: float64(1 + i*20)}
 		}
 		// Tail windows and losses stream through an observer; no full
-		// trace is materialized for the grid (Record=false).
+		// trace is recorded for the grid.
 		sub := &engine.PacketSpec{Cfg: cfg, Flows: flows, Duration: hc.Duration}
 		st := metrics.NewStream(sub.Meta(), 0.5)
 		eres, err := engine.Run(ctx, engine.Spec{Substrate: sub, Observers: []engine.Observer{st}})

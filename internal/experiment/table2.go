@@ -86,8 +86,8 @@ func friendlinessOnPacketLink(ctx context.Context, cfg packetsim.Config, p proto
 		})
 	}
 	flows = append(flows, packetsim.Flow{Proto: protocol.Reno(), Init: 1, Start: float64(variant) * 0.011})
-	// Only tail throughput is consumed here, so the engine skips the trace
-	// entirely (Record=false) — the cheap path for the Table 2 grid.
+	// Only tail throughput is consumed here, which the delivery counters
+	// give without any observer — the cheap path for the Table 2 grid.
 	eres, err := engine.Run(ctx, engine.Spec{
 		Substrate: &engine.PacketSpec{Cfg: cfg, Flows: flows, Duration: duration},
 	})

@@ -165,9 +165,6 @@ func newBatch(cells []BatchCell) *Batch {
 	return b
 }
 
-// Config returns cell c's (defaulted) configuration.
-func (b *Batch) Config(c int) Config { return b.cells[c].cfg }
-
 // Err returns cell c's first divergence (nil if none). A diverged cell
 // keeps stepping, with each non-finite window replaced by
 // protocol.MinWindow, but its results are meaningless from the failing

@@ -15,12 +15,23 @@ func Example() {
 		PropDelay: 0.021,                 // Θ: C = B·2Θ = 70 MSS
 		Buffer:    100,                   // τ
 	}
-	tr, err := fluid.Homogeneous(cfg, protocol.Reno(), 2, []float64{170, 1}, 4000)
+	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 2, []float64{170, 1})
 	if err != nil {
 		panic(err)
 	}
-	a := tr.AvgWindow(0, 0.75)
-	b := tr.AvgWindow(1, 0.75)
+	l, err := fluid.New(cfg, senders...)
+	if err != nil {
+		panic(err)
+	}
+	// Sum each sender's window over the last quarter of 4000 steps.
+	var a, b float64
+	for s := 0; s < 4000; s++ {
+		res := l.Step()
+		if s >= 3000 {
+			a += res.Windows[0]
+			b += res.Windows[1]
+		}
+	}
 	fmt.Printf("fair split: %v\n", a == b)
 	// Output:
 	// fair split: true

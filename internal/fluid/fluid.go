@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"repro/internal/protocol"
-	"repro/internal/trace"
 )
 
 // MSSBytes is the segment size used when converting real-world bandwidths
@@ -169,9 +168,6 @@ func MustNew(cfg Config, senders ...Sender) *Link {
 	return l
 }
 
-// Config returns the link's (defaulted) configuration.
-func (l *Link) Config() Config { return l.b.Config(0) }
-
 // Windows returns a copy of the current window vector.
 func (l *Link) Windows() []float64 {
 	return append([]float64(nil), l.b.win...)
@@ -181,8 +177,8 @@ func (l *Link) Windows() []float64 {
 //
 // Windows and Loss are BORROWED: they alias per-link buffers that the
 // next Step call overwrites, keeping the hot loop allocation-free.
-// Callers that retain them across steps must copy (trace.Append and the
-// engine's streaming observers already do, or consume them in place).
+// Callers that retain them across steps must copy (the engine's
+// observers already do, or consume them in place).
 type StepResult struct {
 	Step     int       // the step index that was just executed
 	Windows  []float64 // windows during the step (before updates); borrowed
@@ -239,69 +235,23 @@ func (l *Link) Step() StepResult {
 	return StepResult{Step: step, Windows: l.b.cur, RTT: c.rtt, CongLoss: c.congLoss, Loss: l.b.loss}
 }
 
-// Run advances the model for steps time steps and returns the recorded
-// trace. The trace stores, per step, the windows in effect during the
-// step, the step's RTT and the congestion loss rate (per-sender random
-// loss is a sender-local observation, not a link property, and is not
-// recorded).
-func (l *Link) Run(steps int) *trace.Trace {
-	cfg := l.Config()
-	tr := trace.New(len(l.b.win), cfg.Capacity(), cfg.BaseRTT(), steps)
-	for i := 0; i < steps; i++ {
-		res := l.Step()
-		tr.Append(res.Windows, res.RTT, res.CongLoss)
-	}
-	return tr
-}
-
-// Homogeneous builds and runs a link where all n senders use clones of
-// proto, starting from the given initial windows (init is cycled if
-// shorter than n). It is the workhorse for the all-senders-run-P axioms.
-func Homogeneous(cfg Config, proto protocol.Protocol, n int, init []float64, steps int) (*trace.Trace, error) {
-	senders, err := HomogeneousSenders(proto, n, init)
-	if err != nil {
-		return nil, err
-	}
-	l, err := New(cfg, senders...)
-	if err != nil {
-		return nil, err
-	}
-	return l.Run(steps), nil
-}
-
-// HomogeneousSenders builds the sender slice Homogeneous runs: n clones
-// of proto with init (cycled; default protocol.MinWindow) as initial
-// windows. Exposed so callers driving a link through another layer (the
-// engine adapters) construct senders identically.
+// HomogeneousSenders builds n clones of proto with init (cycled; default
+// protocol.MinWindow) as initial windows: the senders of the
+// all-senders-run-P axioms.
 func HomogeneousSenders(proto protocol.Protocol, n int, init []float64) ([]Sender, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("fluid: need at least one sender, got %d", n)
 	}
-	senders := make([]Sender, n)
-	for i := range senders {
-		w := protocol.MinWindow
-		if len(init) > 0 {
-			w = init[i%len(init)]
-		}
-		senders[i] = Sender{Proto: proto.Clone(), Init: w}
+	protos := make([]protocol.Protocol, n)
+	for i := range protos {
+		protos[i] = proto
 	}
-	return senders, nil
+	return MixedSenders(protos, init), nil
 }
 
-// Mixed builds and runs a link with one sender per protocol in protos,
-// using the matching entry of init (cycled) as initial window. It is the
-// workhorse for the friendliness axioms.
-func Mixed(cfg Config, protos []protocol.Protocol, init []float64, steps int) (*trace.Trace, error) {
-	l, err := New(cfg, MixedSenders(protos, init)...)
-	if err != nil {
-		return nil, err
-	}
-	return l.Run(steps), nil
-}
-
-// MixedSenders builds the sender slice Mixed runs: one clone per
-// protocol with init (cycled; default protocol.MinWindow) as initial
-// windows.
+// MixedSenders builds one clone per protocol in protos, with the
+// matching entry of init (cycled; default protocol.MinWindow) as initial
+// window: the senders of the friendliness axioms.
 func MixedSenders(protos []protocol.Protocol, init []float64) []Sender {
 	senders := make([]Sender, len(protos))
 	for i, p := range protos {

@@ -19,6 +19,53 @@ func testCfg() Config {
 	}
 }
 
+// series is what a test reads of a run: per step, each sender's window
+// and the link's RTT, congestion loss and aggregate window.
+type series struct {
+	windows          [][]float64 // windows[i][t] is sender i's window at step t
+	rtt, loss, total []float64
+}
+
+// runLink steps l steps times and returns the series its steps report.
+func runLink(l *Link, steps int) series {
+	s := series{windows: make([][]float64, len(l.b.win))}
+	for range steps {
+		res := l.Step()
+		total := 0.0
+		for i, w := range res.Windows {
+			s.windows[i] = append(s.windows[i], w)
+			total += w
+		}
+		s.rtt = append(s.rtt, res.RTT)
+		s.loss = append(s.loss, res.CongLoss)
+		s.total = append(s.total, total)
+	}
+	return s
+}
+
+// runSenders runs senders on cfg for steps steps.
+func runSenders(t *testing.T, cfg Config, senders []Sender, steps int) series {
+	t.Helper()
+	l, err := New(cfg, senders...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runLink(l, steps)
+}
+
+// runHomogeneous runs n clones of proto from init on cfg for steps steps.
+func runHomogeneous(t *testing.T, cfg Config, proto protocol.Protocol, n int, init []float64, steps int) series {
+	t.Helper()
+	senders, err := HomogeneousSenders(proto, n, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runSenders(t, cfg, senders, steps)
+}
+
+// tailMean is sender i's mean window over the last quarter of the run.
+func (s series) tailMean(i int) float64 { return stats.Mean(stats.Tail(s.windows[i], 0.75)) }
+
 func TestCapacity(t *testing.T) {
 	cfg := testCfg()
 	if got := cfg.Capacity(); math.Abs(got-100) > 1e-9 {
@@ -73,7 +120,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRTTRegimes(t *testing.T) {
 	l := MustNew(testCfg(), Sender{Proto: protocol.Reno(), Init: 1})
-	base := l.Config().BaseRTT()
+	base := l.config().BaseRTT()
 
 	// Under capacity: RTT = 2Θ.
 	rtt, loss := l.congestion(50)
@@ -82,20 +129,20 @@ func TestRTTRegimes(t *testing.T) {
 	}
 	// Queue building: C < X < C+τ ⇒ RTT = (X−C)/B + 2Θ.
 	rtt, loss = l.congestion(110)
-	want := 10/l.Config().Bandwidth + base
+	want := 10/l.config().Bandwidth + base
 	if math.Abs(rtt-want) > 1e-12 || loss != 0 {
 		t.Fatalf("X=110: rtt=%v loss=%v, want (%v, 0)", rtt, loss, want)
 	}
 	// Exactly at C+τ: still the queueing branch per eq. 1 (X < C+τ is
 	// false at equality, so the timeout branch applies).
 	rtt, loss = l.congestion(120)
-	if rtt != l.Config().TimeoutRTT || loss != 0 {
-		t.Fatalf("X=C+τ: rtt=%v loss=%v, want (Δ=%v, 0)", rtt, loss, l.Config().TimeoutRTT)
+	if rtt != l.config().TimeoutRTT || loss != 0 {
+		t.Fatalf("X=C+τ: rtt=%v loss=%v, want (Δ=%v, 0)", rtt, loss, l.config().TimeoutRTT)
 	}
 	// Overflow: loss = 1 − (C+τ)/X and RTT = Δ.
 	rtt, loss = l.congestion(240)
-	if rtt != l.Config().TimeoutRTT {
-		t.Fatalf("X=240: rtt=%v, want Δ=%v", rtt, l.Config().TimeoutRTT)
+	if rtt != l.config().TimeoutRTT {
+		t.Fatalf("X=240: rtt=%v, want Δ=%v", rtt, l.config().TimeoutRTT)
 	}
 	if math.Abs(loss-0.5) > 1e-12 {
 		t.Fatalf("X=240: loss=%v, want 0.5", loss)
@@ -111,13 +158,10 @@ func TestTimeoutRTTDefault(t *testing.T) {
 }
 
 func TestSingleRenoSawtooth(t *testing.T) {
-	tr, err := Homogeneous(testCfg(), protocol.Reno(), 1, []float64{1}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runHomogeneous(t, testCfg(), protocol.Reno(), 1, []float64{1}, 2000)
 	// From some point onwards, a single Reno flow oscillates between
 	// roughly (C+τ)/2 and C+τ: tail utilization ≥ b(1+τ/C) = 0.6·C.
-	tail := stats.Tail(tr.Total(), 0.5)
+	tail := stats.Tail(tr.total, 0.5)
 	if mn := stats.Min(tail); mn < 0.59*100 {
 		t.Fatalf("tail min X = %v, want ≥ 59", mn)
 	}
@@ -125,19 +169,16 @@ func TestSingleRenoSawtooth(t *testing.T) {
 		t.Fatalf("tail max X = %v, want ≤ C+τ+a", mx)
 	}
 	// Loss recurs forever (AIMD keeps probing).
-	if lossSum := stats.Sum(stats.Tail(tr.Loss(), 0.5)); lossSum == 0 {
+	if lossSum := stats.Sum(stats.Tail(tr.loss, 0.5)); lossSum == 0 {
 		t.Fatal("AIMD stopped probing: no loss in tail")
 	}
 }
 
 func TestTwoRenosConverge(t *testing.T) {
 	// Start maximally unfair: windows 1 and 100.
-	tr, err := Homogeneous(testCfg(), protocol.Reno(), 2, []float64{1, 100}, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := tr.AvgWindow(0, 0.75)
-	b := tr.AvgWindow(1, 0.75)
+	tr := runHomogeneous(t, testCfg(), protocol.Reno(), 2, []float64{1, 100}, 4000)
+	a := tr.tailMean(0)
+	b := tr.tailMean(1)
 	ratio := math.Min(a, b) / math.Max(a, b)
 	if ratio < 0.9 {
 		t.Fatalf("Reno fairness ratio = %v, want ≥ 0.9", ratio)
@@ -147,12 +188,9 @@ func TestTwoRenosConverge(t *testing.T) {
 func TestMIMDPreservesRatios(t *testing.T) {
 	// Both MIMD senders multiply by the same factor every step (shared
 	// feedback), so the window ratio never changes: MIMD is 0-fair.
-	tr, err := Homogeneous(testCfg(), protocol.Scalable(), 2, []float64{5, 50}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := tr.Window(0)[0] / tr.Window(1)[0]
-	last := tr.Window(0)[tr.Len()-1] / tr.Window(1)[tr.Len()-1]
+	tr := runHomogeneous(t, testCfg(), protocol.Scalable(), 2, []float64{5, 50}, 1000)
+	first := tr.windows[0][0] / tr.windows[1][0]
+	last := tr.windows[0][len(tr.total)-1] / tr.windows[1][len(tr.total)-1]
 	if math.Abs(first-last)/first > 0.01 {
 		t.Fatalf("MIMD ratio drifted: %v -> %v", first, last)
 	}
@@ -160,18 +198,15 @@ func TestMIMDPreservesRatios(t *testing.T) {
 
 func TestInfiniteLinkNoCongestion(t *testing.T) {
 	cfg := Config{Infinite: true, PropDelay: 0.021, MaxWindow: 1e6}
-	tr, err := Homogeneous(cfg, protocol.Reno(), 1, []float64{1}, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx := stats.Max(tr.Loss()); mx != 0 {
+	tr := runHomogeneous(t, cfg, protocol.Reno(), 1, []float64{1}, 500)
+	if mx := stats.Max(tr.loss); mx != 0 {
 		t.Fatalf("infinite link produced loss %v", mx)
 	}
 	// AIMD grows by 1 per step unimpeded.
-	if got := tr.Window(0)[499]; got != 500 {
+	if got := tr.windows[0][499]; got != 500 {
 		t.Fatalf("window after 500 steps = %v, want 500", got)
 	}
-	for _, rtt := range tr.RTT() {
+	for _, rtt := range tr.rtt {
 		if rtt != cfg.BaseRTT() {
 			t.Fatalf("infinite link RTT = %v, want %v", rtt, cfg.BaseRTT())
 		}
@@ -182,11 +217,8 @@ func TestAIMDNotRobustToConstantLoss(t *testing.T) {
 	// Metric VI scenario: infinite link, constant 1% loss. Reno sees loss
 	// every step and pins at the window floor — AIMD is 0-robust.
 	cfg := Config{Infinite: true, PropDelay: 0.021, Loss: NewConstantLoss(0.01)}
-	tr, err := Homogeneous(cfg, protocol.Reno(), 1, []float64{1000}, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Window(0)[tr.Len()-1]; got > 2 {
+	tr := runHomogeneous(t, cfg, protocol.Reno(), 1, []float64{1000}, 300)
+	if got := tr.windows[0][len(tr.total)-1]; got > 2 {
 		t.Fatalf("Reno window under constant loss = %v, want collapse to floor", got)
 	}
 }
@@ -195,11 +227,8 @@ func TestRobustAIMDSurvivesConstantLoss(t *testing.T) {
 	// Robust-AIMD(1, 0.8, 0.02) tolerates 1% constant loss and keeps
 	// growing without bound — it is 0.02-robust.
 	cfg := Config{Infinite: true, PropDelay: 0.021, Loss: NewConstantLoss(0.01), MaxWindow: 1e6}
-	tr, err := Homogeneous(cfg, protocol.NewRobustAIMD(1, 0.8, 0.02), 1, []float64{1}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Window(0)[tr.Len()-1]; got < 1900 {
+	tr := runHomogeneous(t, cfg, protocol.NewRobustAIMD(1, 0.8, 0.02), 1, []float64{1}, 2000)
+	if got := tr.windows[0][len(tr.total)-1]; got < 1900 {
 		t.Fatalf("Robust-AIMD window = %v, want ≈2000 (unimpeded growth)", got)
 	}
 }
@@ -209,10 +238,10 @@ func TestDeterministicRuns(t *testing.T) {
 		cfg := Config{Infinite: true, PropDelay: 0.021, Loss: NewPacketLoss(0.05), Seed: 99}
 		return MustNew(cfg, Sender{Proto: protocol.Reno(), Init: 50})
 	}
-	tr1 := mk().Run(300)
-	tr2 := mk().Run(300)
-	for i := 0; i < tr1.Len(); i++ {
-		if tr1.Window(0)[i] != tr2.Window(0)[i] {
+	tr1 := runLink(mk(), 300)
+	tr2 := runLink(mk(), 300)
+	for i := range tr1.windows[0] {
+		if tr1.windows[0][i] != tr2.windows[0][i] {
 			t.Fatalf("same-seed runs diverged at step %d", i)
 		}
 	}
@@ -280,13 +309,10 @@ func TestLossProcessConstructorsPanic(t *testing.T) {
 }
 
 func TestMixedLink(t *testing.T) {
-	tr, err := Mixed(testCfg(), []protocol.Protocol{protocol.Reno(), protocol.Scalable()}, []float64{10, 10}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runSenders(t, testCfg(), MixedSenders([]protocol.Protocol{protocol.Reno(), protocol.Scalable()}, []float64{10, 10}), 2000)
 	// Scalable (MIMD) outcompetes Reno on a shared link.
-	reno := tr.AvgWindow(0, 0.75)
-	scal := tr.AvgWindow(1, 0.75)
+	reno := tr.tailMean(0)
+	scal := tr.tailMean(1)
 	if scal <= reno {
 		t.Fatalf("Scalable (%v) did not beat Reno (%v)", scal, reno)
 	}
@@ -296,14 +322,11 @@ func TestWindowClamping(t *testing.T) {
 	cfg := testCfg()
 	cfg.MaxWindow = 50
 	// An MIMD sender would blow past 50 quickly; the link must clamp.
-	tr, err := Homogeneous(cfg, protocol.NewMIMD(2, 0.5), 1, []float64{1}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx := stats.Max(tr.Window(0)); mx > 50 {
+	tr := runHomogeneous(t, cfg, protocol.NewMIMD(2, 0.5), 1, []float64{1}, 100)
+	if mx := stats.Max(tr.windows[0]); mx > 50 {
 		t.Fatalf("window exceeded M: %v", mx)
 	}
-	if mn := stats.Min(tr.Window(0)); mn < protocol.MinWindow {
+	if mn := stats.Min(tr.windows[0]); mn < protocol.MinWindow {
 		t.Fatalf("window below floor: %v", mn)
 	}
 }
@@ -339,7 +362,7 @@ func TestQuickCongestionBounds(t *testing.T) {
 			return true
 		}
 		rtt, loss := l.congestion(x)
-		return loss >= 0 && loss < 1 && rtt >= l.Config().BaseRTT()-1e-12
+		return loss >= 0 && loss < 1 && rtt >= l.config().BaseRTT()-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -352,14 +375,11 @@ func TestQuickSenderAnonymity(t *testing.T) {
 	f := func(seed uint8) bool {
 		w1 := float64(seed%50) + 1
 		w2 := float64(seed%31) + 10
-		tr1, err1 := Homogeneous(testCfg(), protocol.Reno(), 2, []float64{w1, w2}, 200)
-		tr2, err2 := Homogeneous(testCfg(), protocol.Reno(), 2, []float64{w2, w1}, 200)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		last := tr1.Len() - 1
-		a1, b1 := tr1.Window(0)[last], tr1.Window(1)[last]
-		a2, b2 := tr2.Window(0)[last], tr2.Window(1)[last]
+		tr1 := runHomogeneous(t, testCfg(), protocol.Reno(), 2, []float64{w1, w2}, 200)
+		tr2 := runHomogeneous(t, testCfg(), protocol.Reno(), 2, []float64{w2, w1}, 200)
+		last := len(tr1.total) - 1
+		a1, b1 := tr1.windows[0][last], tr1.windows[1][last]
+		a2, b2 := tr2.windows[0][last], tr2.windows[1][last]
 		return math.Min(a1, b1) == math.Min(a2, b2) && math.Max(a1, b1) == math.Max(a2, b2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

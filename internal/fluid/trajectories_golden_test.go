@@ -190,14 +190,16 @@ func (c goldenCase) linkCfg(t *testing.T, flows int) fluid.Config {
 	return cfg
 }
 
-// spec is the case as an engine Spec with Record set.
-func (c goldenCase) spec() engine.Spec {
+// spec is the case as an engine Spec observed by the Recorder it returns.
+func (c goldenCase) spec() (engine.Spec, *engine.Recorder) {
+	sub := &engine.FluidSpec{Cfg: c.cfg, Senders: c.senders(), Steps: goldenSteps}
+	rec := engine.NewRecorder(sub.Meta())
 	return engine.Spec{
-		Substrate: &engine.FluidSpec{Cfg: c.cfg, Senders: c.senders(), Steps: goldenSteps},
-		Record:    true,
+		Substrate: sub,
+		Observers: []engine.Observer{rec},
 		Chaos:     c.sched,
 		ChaosSeed: c.seed,
-	}
+	}, rec
 }
 
 // goldenTrajectory is one case's outputs as hex IEEE-754 bit patterns.
@@ -257,7 +259,8 @@ func measureTrajectory(t *testing.T, c goldenCase) goldenTrajectory {
 		g.Steps = append(g.Steps, stepLine(res.Windows, res.RTT, res.CongLoss, res.Loss))
 	}
 	g.Err = errString(l.Err())
-	_, err = engine.Run(context.Background(), c.spec())
+	spec, _ := c.spec()
+	_, err = engine.Run(context.Background(), spec)
 	g.EngineErr = errString(err)
 	return g
 }
@@ -280,8 +283,8 @@ func checkTrace(t *testing.T, what string, tr *trace.Trace, want goldenTrajector
 // TestTrajectoriesGolden pins the fluid model's trajectories bit for bit:
 // every protocol family, unsynchronized senders, each loss process, a
 // bandwidth schedule, chaos with churn, an infinite link and runaway
-// windows, through Link.Step, Link.Run, engine.Run and the lockstep
-// engine.SweepSpecs path.
+// windows, through Link.Step, and recorded by an engine.Recorder through
+// engine.Run and the lockstep engine.SweepSpecs path.
 func TestTrajectoriesGolden(t *testing.T) {
 	cases := goldenCases()
 	got := make([]goldenTrajectory, len(cases))
@@ -332,41 +335,38 @@ func TestTrajectoriesGolden(t *testing.T) {
 		t.Fatal("golden bytes differ from a re-encoding of equal trajectories")
 	}
 
-	// Link.Run and engine.Run record the same steps.
+	// engine.Run records the steps Link.Step reports.
 	for i, c := range cases {
-		senders := c.senders()
-		l, err := fluid.New(c.linkCfg(t, len(senders)), senders...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTrace(t, "Link.Run", l.Run(goldenSteps), want[i])
 		if want[i].EngineErr != "" {
 			continue
 		}
-		res, err := engine.Run(context.Background(), c.spec())
-		if err != nil {
+		spec, rec := c.spec()
+		if _, err := engine.Run(context.Background(), spec); err != nil {
 			t.Fatalf("%s: engine.Run: %v", c.name, err)
 		}
-		checkTrace(t, "engine.Run", res.Trace, want[i])
+		checkTrace(t, "engine.Run", rec.Trace(), want[i])
 	}
 
 	// Every case that runs to the end, twice in one grid, so each forms a
 	// lockstep group.
 	for _, workers := range []int{1, 3} {
 		var specs []engine.Spec
+		var recs []*engine.Recorder
 		var specWant []goldenTrajectory
 		for i, c := range cases {
 			if want[i].EngineErr == "" {
-				specs = append(specs, c.spec(), c.spec())
-				specWant = append(specWant, want[i], want[i])
+				for range 2 {
+					spec, rec := c.spec()
+					specs, recs = append(specs, spec), append(recs, rec)
+					specWant = append(specWant, want[i])
+				}
 			}
 		}
-		res, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: workers})
-		if err != nil {
+		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range res {
-			checkTrace(t, fmt.Sprintf("SweepSpecs(workers=%d)", workers), r.Trace, specWant[i])
+		for i, rec := range recs {
+			checkTrace(t, fmt.Sprintf("SweepSpecs(workers=%d)", workers), rec.Trace(), specWant[i])
 		}
 	}
 }

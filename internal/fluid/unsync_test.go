@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/protocol"
-	"repro/internal/stats"
 )
 
 func TestPeriodOneMatchesSynchronized(t *testing.T) {
@@ -16,8 +15,8 @@ func TestPeriodOneMatchesSynchronized(t *testing.T) {
 			Sender{Proto: protocol.Reno(), Init: 1, Period: period},
 			Sender{Proto: protocol.Reno(), Init: 50, Period: period},
 		)
-		tr := l.Run(500)
-		return tr.Window(0)
+		tr := runLink(l, 500)
+		return tr.windows[0]
 	}
 	w0 := mk(0)
 	w1 := mk(1)
@@ -30,8 +29,8 @@ func TestPeriodOneMatchesSynchronized(t *testing.T) {
 
 func TestWindowHeldBetweenUpdates(t *testing.T) {
 	l := MustNew(testCfg(), Sender{Proto: protocol.Reno(), Init: 10, Period: 4, Phase: 0})
-	tr := l.Run(40)
-	w := tr.Window(0)
+	tr := runLink(l, 40)
+	w := tr.windows[0]
 	// Updates land on steps ≡ 0 (mod 4); the recorded window (in effect
 	// during the step) therefore changes only at steps 1, 5, 9, ...
 	for s := 1; s < len(w); s++ {
@@ -50,8 +49,8 @@ func TestEpochAggregatesLoss(t *testing.T) {
 	cfg := Config{Infinite: true, PropDelay: 0.021, Loss: NewOnOffLoss(0.5, 1, 1000)}
 	// OnOff with period 1000, on-steps 1: loss only at steps 0..0 (step%1000 < 1).
 	l := MustNew(cfg, Sender{Proto: protocol.Reno(), Init: 100, Period: 4, Phase: 3})
-	tr := l.Run(8)
-	w := tr.Window(0)
+	tr := runLink(l, 8)
+	w := tr.windows[0]
 	// The loss happened at step 0; the first update is at step 3, and
 	// the epoch-aggregated loss must trigger a halving, visible at step 4.
 	if w[4] >= 100 {
@@ -70,9 +69,8 @@ func TestSlowUpdaterLosesToFastUpdater(t *testing.T) {
 		Sender{Proto: protocol.Reno(), Init: 1, Period: 1},
 		Sender{Proto: protocol.Reno(), Init: 1, Period: 4},
 	)
-	tr := l.Run(4000)
-	fast := stats.Mean(stats.Tail(tr.Window(0), 0.75))
-	slow := stats.Mean(stats.Tail(tr.Window(1), 0.75))
+	tr := runLink(l, 4000)
+	fast, slow := tr.tailMean(0), tr.tailMean(1)
 	if slow >= fast {
 		t.Fatalf("slow updater (%v) beat fast updater (%v)", slow, fast)
 	}
@@ -97,9 +95,8 @@ func TestDesynchronizedPhasesStillFairish(t *testing.T) {
 		Sender{Proto: protocol.Reno(), Init: 1, Period: 2, Phase: 0},
 		Sender{Proto: protocol.Reno(), Init: 80, Period: 2, Phase: 1},
 	)
-	tr := l.Run(4000)
-	a := stats.Mean(stats.Tail(tr.Window(0), 0.75))
-	b := stats.Mean(stats.Tail(tr.Window(1), 0.75))
+	tr := runLink(l, 4000)
+	a, b := tr.tailMean(0), tr.tailMean(1)
 	if r := math.Min(a, b) / math.Max(a, b); r < 0.7 {
 		t.Fatalf("desynchronized Renos too unfair: ratio %v", r)
 	}

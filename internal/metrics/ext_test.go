@@ -256,7 +256,7 @@ func TestBandwidthScheduleDrop(t *testing.T) {
 		}
 		return cfg.Bandwidth
 	}
-	tr, err := fluid.Homogeneous(cfg, protocol.Reno(), 1, []float64{1}, steps)
+	tr, err := simulateRecorded(cfg, protocol.Reno(), 1, []float64{1}, Options{Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}

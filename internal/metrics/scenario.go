@@ -274,23 +274,24 @@ func probeRecorded[T any](cfg fluid.Config, p protocol.Protocol, o Options, kind
 	return resolveOne(o.Session, key, cacheable, o.Steps, c, exec)
 }
 
-// simulateRecorded runs n homogeneous senders through the engine with
-// trace recording, uncached.
+// simulateRecorded runs n homogeneous senders through the engine with a
+// Recorder, uncached, and returns its trace.
 func simulateRecorded(cfg fluid.Config, p protocol.Protocol, n int, init []float64, o Options) (*trace.Trace, error) {
 	senders, err := fluid.HomogeneousSenders(p, n, init)
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.Run(context.Background(), engine.Spec{
-		Substrate: &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: o.Steps},
-		Record:    true,
+	sub := &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: o.Steps}
+	rec := engine.NewRecorder(sub.Meta())
+	if _, err := engine.Run(context.Background(), engine.Spec{
+		Substrate: sub,
+		Observers: []engine.Observer{rec},
 		Chaos:     o.Chaos,
 		ChaosSeed: o.ChaosSeed,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return res.Trace, nil
+	return rec.Trace(), nil
 }
 
 // RobustTo reports whether p is robust to constant non-congestion loss of

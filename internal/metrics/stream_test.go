@@ -50,7 +50,7 @@ func checkSummaryMatchesTrace(t *testing.T, st *Stream, tr *trace.Trace, tailFra
 }
 
 // TestStreamMatchesTraceEstimatorsFluid runs one fluid simulation with both
-// a recording trace and a streaming observer and checks every summary
+// a Recorder and a streaming observer and checks every summary
 // field agrees with its trace estimator.
 func TestStreamMatchesTraceEstimatorsFluid(t *testing.T) {
 	const steps = 2000
@@ -58,15 +58,14 @@ func TestStreamMatchesTraceEstimatorsFluid(t *testing.T) {
 	protos := []protocol.Protocol{protocol.Reno(), protocol.Reno(), protocol.NewAIMD(2, 0.5)}
 	sub := &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, nil), Steps: steps}
 	st := NewStream(sub.Meta(), DefaultTailFrac)
-	res, err := engine.Run(context.Background(), engine.Spec{
+	rec := engine.NewRecorder(sub.Meta())
+	if _, err := engine.Run(context.Background(), engine.Spec{
 		Substrate: sub,
-		Record:    true,
-		Observers: []engine.Observer{st},
-	})
-	if err != nil {
+		Observers: []engine.Observer{st, rec},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Trace
+	tr := rec.Trace()
 	checkSummaryMatchesTrace(t, st, tr, DefaultTailFrac, []int{2}, []int{0, 1})
 
 	// The retained tails must equal stats.Tail of the recorded series.
@@ -93,15 +92,14 @@ func TestStreamMatchesTraceEstimatorsPacket(t *testing.T) {
 	flows := []packetsim.Flow{{Proto: protocol.Reno()}, {Proto: protocol.Reno(), Start: 2}}
 	sub := &engine.PacketSpec{Cfg: cfg, Flows: flows, Duration: 60}
 	st := NewStream(sub.Meta(), DefaultTailFrac)
-	res, err := engine.Run(context.Background(), engine.Spec{
+	rec := engine.NewRecorder(sub.Meta())
+	if _, err := engine.Run(context.Background(), engine.Spec{
 		Substrate: sub,
-		Record:    true,
-		Observers: []engine.Observer{st},
-	})
-	if err != nil {
+		Observers: []engine.Observer{st, rec},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Packet.Trace
+	tr := rec.Trace()
 	checkSummaryMatchesTrace(t, st, tr, DefaultTailFrac, []int{0}, []int{1})
 	if st.Steps() != tr.Len() {
 		t.Fatalf("Steps = %d, want %d", st.Steps(), tr.Len())
@@ -135,12 +133,11 @@ func TestStreamSummaryMatchesTraceEstimatorsRandom(t *testing.T) {
 		}
 		sub := &engine.FluidSpec{Cfg: cfg, Senders: fluid.MixedSenders(protos, init), Steps: steps}
 		st := NewStream(sub.Meta(), tailFrac)
-		res, err := engine.Run(context.Background(), engine.Spec{
+		rec := engine.NewRecorder(sub.Meta())
+		if _, err := engine.Run(context.Background(), engine.Spec{
 			Substrate: sub,
-			Record:    true,
-			Observers: []engine.Observer{st},
-		})
-		if err != nil {
+			Observers: []engine.Observer{st, rec},
+		}); err != nil {
 			t.Fatal(err)
 		}
 		split := (n + 1) / 2
@@ -152,7 +149,7 @@ func TestStreamSummaryMatchesTraceEstimatorsRandom(t *testing.T) {
 			qIdx[i] = split + i
 		}
 		t.Run(fmt.Sprintf("%d-%s-n%d", trial, fam.name, n), func(t *testing.T) {
-			checkSummaryMatchesTrace(t, st, res.Trace, tailFrac, pIdx, qIdx)
+			checkSummaryMatchesTrace(t, st, rec.Trace(), tailFrac, pIdx, qIdx)
 		})
 	}
 }

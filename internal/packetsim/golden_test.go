@@ -107,11 +107,11 @@ func hexBits(vs []float64) string {
 func measureGoldenRun(t *testing.T, c goldenCase) goldenRun {
 	t.Helper()
 	cfg, flows := c.setup(t)
-	res, err := Run(cfg, flows, goldenDuration)
+	res, tk, err := runTicks(cfg, flows, goldenDuration)
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	g := goldenRun{Name: c.name, RTT: hexBits(res.Trace.RTT()), Loss: hexBits(res.Trace.Loss())}
+	g := goldenRun{Name: c.name, RTT: hexBits(tk.rtt), Loss: hexBits(tk.loss)}
 	for i, d := range res.Delivered {
 		g.Delivered = append(g.Delivered, strconv.FormatInt(d, 16))
 		g.DeliveredSeries = append(g.DeliveredSeries, hexBits(res.DeliveredSeries[i]))
@@ -120,7 +120,7 @@ func measureGoldenRun(t *testing.T, c goldenCase) goldenRun {
 }
 
 // TestRunsGolden pins, bit for bit, the delivered counts, per-tick
-// delivery series and trace RTT/loss of packet runs covering droptail,
+// delivery series and per-tick RTT/loss of packet runs covering droptail,
 // RED with random loss, per-flow extra delay with a staggered start, four
 // staggered flows of which two share an extra delay, and chaos schedules that jitter the RTT, step it down, flap the link and
 // churn a flow (testdata/runs_golden.json). The event loop may be

@@ -87,20 +87,20 @@ func TestREDKeepsQueueShorterThanDroptail(t *testing.T) {
 	base.Seed = 5
 
 	dt := base // droptail 100
-	resDT, err := Run(dt, []Flow{{Proto: protocol.Reno(), Init: 1}}, 60)
+	_, tkDT, err := runTicks(dt, []Flow{{Proto: protocol.Reno(), Init: 1}}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	red := base
 	red.Queue = NewRED(10, 40, 0.1, 100)
-	resRED, err := Run(red, []Flow{{Proto: protocol.Reno(), Init: 1}}, 60)
+	resRED, tkRED, err := runTicks(red, []Flow{{Proto: protocol.Reno(), Init: 1}}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rttDT := stats.Mean(stats.Tail(resDT.Trace.RTT(), 0.5))
-	rttRED := stats.Mean(stats.Tail(resRED.Trace.RTT(), 0.5))
+	rttDT := stats.Mean(stats.Tail(tkDT.rtt, 0.5))
+	rttRED := stats.Mean(stats.Tail(tkRED.rtt, 0.5))
 	if rttRED >= rttDT {
 		t.Fatalf("RED RTT %v ≥ droptail RTT %v; AQM bought no latency", rttRED, rttDT)
 	}

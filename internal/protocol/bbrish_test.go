@@ -1,12 +1,15 @@
 package protocol_test
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func bbrLink() fluid.Config {
@@ -18,6 +21,18 @@ func bbrLink() fluid.Config {
 	}
 }
 
+// record runs senders on bbrLink for steps steps and returns the run's
+// trace.
+func record(t *testing.T, senders []fluid.Sender, steps int) *trace.Trace {
+	t.Helper()
+	sub := &engine.FluidSpec{Cfg: bbrLink(), Senders: senders, Steps: steps}
+	rec := engine.NewRecorder(sub.Meta())
+	if _, err := engine.Run(context.Background(), engine.Spec{Substrate: sub, Observers: []engine.Observer{rec}}); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Trace()
+}
+
 func TestBBRishNotLossBased(t *testing.T) {
 	if protocol.NewBBRish().LossBased() {
 		t.Fatal("BBRish must not be loss-based")
@@ -25,10 +40,7 @@ func TestBBRishNotLossBased(t *testing.T) {
 }
 
 func TestBBRishConvergesNearBDP(t *testing.T) {
-	tr, err := fluid.Homogeneous(bbrLink(), protocol.NewBBRish(), 1, []float64{1}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := record(t, fluid.MixedSenders([]protocol.Protocol{protocol.NewBBRish()}, []float64{1}), 2000)
 	avg := tr.AvgWindow(0, 0.75)
 	// The estimated BDP is C = 100 MSS; steady state hovers near it.
 	if avg < 80 || avg > 135 {
@@ -82,10 +94,7 @@ func TestBBRishCoexistsWithRenoUnlikeVegas(t *testing.T) {
 	// meaningful share — whereas the latency-threshold avoider (Vegas)
 	// is starved outright (Theorem 5's regime).
 	share := func(q protocol.Protocol) float64 {
-		tr, err := fluid.Mixed(bbrLink(), []protocol.Protocol{protocol.Reno(), q}, []float64{1, 1}, 3000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := record(t, fluid.MixedSenders([]protocol.Protocol{protocol.Reno(), q}, []float64{1, 1}), 3000)
 		return tr.AvgWindow(1, 0.75) / tr.AvgWindow(0, 0.75)
 	}
 	bbr := share(protocol.NewBBRish())
@@ -106,10 +115,11 @@ func TestBBRishRatioPreservation(t *testing.T) {
 	// (BBRv1's real-world inter-flow fairness problems are the pacing-
 	// level sibling of this property.) The link is still shared without
 	// collapse: the aggregate tracks the BDP.
-	tr, err := fluid.Homogeneous(bbrLink(), protocol.NewBBRish(), 2, []float64{1, 60}, 3000)
+	senders, err := fluid.HomogeneousSenders(protocol.NewBBRish(), 2, []float64{1, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := record(t, senders, 3000)
 	a, b := tr.AvgWindow(0, 0.75), tr.AvgWindow(1, 0.75)
 	if r := stats.MinOverMax([]float64{a, b}); r > 0.2 {
 		t.Fatalf("expected skew preservation, got fairness %v (windows %v, %v)", r, a, b)

@@ -8,12 +8,14 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/fluid"
 	"repro/internal/metrics"
@@ -208,10 +210,16 @@ func rendered[T any](v T, err error, render func(T) string) (string, error) {
 func aimdFairnessPlot(f Flags) (string, string, error) {
 	cfg := experiment.FluidLink(f.Mbps, f.Buffer)
 	hi := cfg.Capacity() + cfg.Buffer
-	tr, err := fluid.Homogeneous(cfg, protocol.Reno(), 2, []float64{hi, 1}, f.Opt.Steps)
+	senders, err := fluid.HomogeneousSenders(protocol.Reno(), 2, []float64{hi, 1})
 	if err != nil {
 		return "", "", err
 	}
+	sub := &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: f.Opt.Steps}
+	rec := engine.NewRecorder(sub.Meta())
+	if _, err := engine.Run(context.Background(), engine.Spec{Substrate: sub, Observers: []engine.Observer{rec}}); err != nil {
+		return "", "", err
+	}
+	tr := rec.Trace()
 	return "aimd-fairness.svg", svgplot.Lines([]svgplot.Series{
 		{Name: fmt.Sprintf("Reno (starts at %.0f)", hi), Y: tr.Window(0)},
 		{Name: "Reno (starts at 1)", Y: tr.Window(1)},

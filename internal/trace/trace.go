@@ -1,10 +1,10 @@
 // Package trace records the time evolution of a simulated link: per-sender
 // congestion windows, the shared RTT and loss-rate series, and derived
 // per-sender goodput, whether produced by the fluid-flow model or the
-// packet-level testbed. A trace is what a run records for drawing or
-// dumping its whole series (axiomsim's -tsv and -svg) and for the
-// estimators that scan a series whole; the tail-window axiom scores are
-// streamed by internal/metrics instead.
+// packet-level testbed. A run records one through an engine.Recorder,
+// for drawing or dumping its whole series (axiomsim's -tsv and -svg) and
+// for the estimators that scan a series whole; the tail-window axiom
+// scores are streamed by internal/metrics instead.
 package trace
 
 import (
@@ -58,6 +58,22 @@ func (tr *Trace) Append(windows []float64, rtt, loss float64) {
 	tr.rtt = append(tr.rtt, rtt)
 	tr.loss = append(tr.loss, loss)
 	tr.total = append(tr.total, sum)
+}
+
+// AppendColumns records count steps at once. windows holds them
+// flow-major: sender i's windows are windows[i*count : (i+1)*count].
+// total, rtt and loss hold count entries each, and total[t] must be the
+// sum of step t's windows taken in sender order, as Append computes it.
+func (tr *Trace) AppendColumns(count int, windows, total, rtt, loss []float64) {
+	if len(windows) != tr.n*count {
+		panic(fmt.Sprintf("trace: AppendColumns with %d windows, want %d×%d", len(windows), tr.n, count))
+	}
+	for i := range tr.windows {
+		tr.windows[i] = append(tr.windows[i], windows[i*count:(i+1)*count]...)
+	}
+	tr.rtt = append(tr.rtt, rtt[:count]...)
+	tr.loss = append(tr.loss, loss[:count]...)
+	tr.total = append(tr.total, total[:count]...)
 }
 
 // Len returns the number of recorded steps.

@@ -135,3 +135,23 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("empty Summary = %q", got)
 	}
 }
+
+// TestAppendColumnsMatchesAppend: recording flow-major columns leaves the
+// same trace as appending the steps one at a time.
+func TestAppendColumnsMatchesAppend(t *testing.T) {
+	want := buildTrace(t)
+	got := New(2, 100, 0.042, 0)
+	// Steps 0–2 as one strip, step 3 as another.
+	got.AppendColumns(3, []float64{10, 11, 12, 20, 21, 22}, []float64{30, 32, 34}, []float64{0.042, 0.042, 0.050}, []float64{0, 0, 0.1})
+	got.AppendColumns(1, []float64{6, 11}, []float64{17}, []float64{0.042}, []float64{0})
+	var a, b strings.Builder
+	if err := want.WriteTSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.WriteTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("AppendColumns trace:\n%s\nwant:\n%s", b.String(), a.String())
+	}
+}
