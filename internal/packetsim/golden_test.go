@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/fluid"
 	"repro/internal/protocol"
 )
 
@@ -25,6 +26,13 @@ const goldenDuration = 4
 // congests within the first second, so every run exercises drops.
 func goldenLink() Config {
 	return Config{Bandwidth: 500, PropDelay: 0.02, Buffer: 25, Tick: 0.08}
+}
+
+// dyadicLink is a 512 MSS/s bottleneck with Θ = 1/64 s and the default
+// tick: every delay is a power of two, so float sums stay exact and
+// events tie often.
+func dyadicLink(buffer int) Config {
+	return Config{Bandwidth: 512, PropDelay: 1.0 / 64, Buffer: buffer}
 }
 
 // goldenCase is one pinned run. setup builds a fresh config and flow set
@@ -71,6 +79,31 @@ func goldenCases() []goldenCase {
 				{Proto: protocol.CubicLinux(), Init: 2, ExtraDelay: 0.025, Start: 0.7},
 				{Proto: protocol.Scalable(), Init: 1, ExtraDelay: 0.01, Start: 1.1},
 				{Proto: protocol.NewRobustAIMD(1, 0.8, 0.01), Init: 3, Start: 1.9},
+			}
+		}},
+		{"dyadic-ties", func(*testing.T) (Config, []Flow) {
+			// Every time is a binary fraction: service 1/512 s, Θ = 1/64 s
+			// and the default tick 2Θ, which equals the ACK's return
+			// delay. Departures, arrivals and ACKs land on the same
+			// instants thousands of times.
+			return dyadicLink(25), []Flow{{Proto: protocol.Reno(), Init: 1}, {Proto: protocol.Scalable(), Init: 10}}
+		}},
+		{"shared-class-drops", func(*testing.T) (Config, []Flow) {
+			// Two senders in one delay class on a shallow dyadic buffer:
+			// most drops strike arrivals that tie a departure.
+			return dyadicLink(8), []Flow{
+				{Proto: protocol.Reno(), Init: 1, ExtraDelay: 1.0 / 256},
+				{Proto: protocol.CubicLinux(), Init: 4, ExtraDelay: 1.0 / 256},
+			}
+		}},
+		{"emulab-100-staggered", func(*testing.T) (Config, []Flow) {
+			// The paper's 100 Mbps Emulab link (42 ms RTT, 100-packet
+			// buffer) with three staggered flows.
+			cfg := Config{Bandwidth: fluid.MbpsToMSSps(100), PropDelay: 0.042 / 2, Buffer: 100}
+			return cfg, []Flow{
+				{Proto: protocol.Reno(), Init: 1},
+				{Proto: protocol.CubicLinux(), Init: 1, Start: 0.5},
+				{Proto: protocol.Scalable(), Init: 1, Start: 1},
 			}
 		}},
 		chaosCase("rtt-jitter", chaos.Event{Kind: chaos.KindRTTJitter, At: 5, Duration: 40, Amplitude: 0.01}),
@@ -122,7 +155,10 @@ func measureGoldenRun(t *testing.T, c goldenCase) goldenRun {
 // TestRunsGolden pins, bit for bit, the delivered counts, per-tick
 // delivery series and per-tick RTT/loss of packet runs covering droptail,
 // RED with random loss, per-flow extra delay with a staggered start, four
-// staggered flows of which two share an extra delay, and chaos schedules that jitter the RTT, step it down, flap the link and
+// staggered flows of which two share an extra delay, a dyadic link on
+// which events tie at equal times, drops on departure instants within one
+// delay class, the paper's 100 Mbps link with three staggered flows, and
+// chaos schedules that jitter the RTT, step it down, flap the link and
 // churn a flow (testdata/runs_golden.json). The event loop may be
 // restructured freely; any change in event order shows here. Regenerate
 // only for an intentional change: `go test ./internal/packetsim -run
