@@ -8,7 +8,6 @@ type evKind uint8
 const (
 	evFlowStart evKind = iota
 	evQueueArrive
-	evQueueDepart
 	evAck
 	evLossNotify
 	evMonitorEnd
@@ -20,7 +19,7 @@ const (
 type event struct {
 	eventKey
 	sentAt float64 // send timestamp for RTT measurement (evAck)
-	sender int32   // -1 for the departure and the tick
+	sender int32   // -1 for the tick
 	kind   evKind
 }
 
@@ -53,28 +52,27 @@ var idle = eventKey{at: math.Inf(1), id: math.MaxUint64}
 //     now + ExtraDelay, so their times never decrease;
 //   - fifos[k+c]: class c's ACKs and loss notifications, scheduled at
 //     now + 2Θ + ExtraDelay unless a Perturber shifts the RTT;
-//   - depart: the pending departure, of which there is at most one;
 //   - timers: a min-heap of the rare timers (flow starts, monitor ends,
-//     the tick) and of the pushes that would break another source's
-//     order — earlier than their FIFO's tail, or a second departure.
+//     the tick) and of the pushes that would break a FIFO's order by
+//     being earlier than its tail.
 //
 // Each source pops in (at, id) order and ids grow with every push, so
 // the least head is the least pending event: the pop sequence is the
 // one a single priority queue over all events gives, for any push
 // sequence. The invariants above only keep the FIFOs' pushes out of the
-// heap.
+// heap. The bottleneck's departure is not an event: the simulator holds
+// the pending one under a key from the same id sequence (stamp) and
+// completes it once it precedes the least head (sim.next).
 type eventQueue struct {
 	class []int32 // sender → delay class
 	fifos []ring[event]
-	// heads holds the head key of fifos[i] at i, of depart at len(fifos)
-	// and of timers at len(fifos)+1, idle when empty: one contiguous
-	// scan per pop.
+	// heads holds the head key of fifos[i] at i and of timers at
+	// len(fifos), idle when empty: one contiguous scan per pop.
 	heads  []eventKey
-	depart event
 	timers eventHeap
 	nextID uint64
-	// spilled counts pushes that break a FIFO's order or double the
-	// departure; timers do not count.
+	// spilled counts pushes that break a FIFO's order; timers do not
+	// count.
 	spilled int
 }
 
@@ -98,8 +96,8 @@ func newEventQueue(flows []Flow) eventQueue {
 	q := eventQueue{
 		class:  class,
 		fifos:  make([]ring[event], 2*k),
-		heads:  make([]eventKey, 2*k+2),
-		timers: make(eventHeap, 0, len(flows)+2),
+		heads:  make([]eventKey, 2*k+1),
+		timers: make(eventHeap, 0, len(flows)+1),
 	}
 	for i := range q.heads {
 		q.heads[i] = idle
@@ -107,13 +105,18 @@ func newEventQueue(flows []Flow) eventQueue {
 	return q
 }
 
-// push schedules an event, stamping it with the next insertion id.
-// sender is -1 for the departure and the tick.
-func (q *eventQueue) push(at float64, kind evKind, sender int, sentAt float64) {
+// stamp returns the key of an event at the given time with the next
+// insertion id, as push would, without queuing anything.
+func (q *eventQueue) stamp(at float64) eventKey {
 	q.nextID++
-	e := event{eventKey: eventKey{at: at, id: q.nextID}, sentAt: sentAt, sender: int32(sender), kind: kind}
-	switch kind {
-	case evQueueArrive, evAck, evLossNotify:
+	return eventKey{at: at, id: q.nextID}
+}
+
+// push schedules an event under the next insertion id and returns the
+// index of the head of the source it joined. sender is -1 for the tick.
+func (q *eventQueue) push(at float64, kind evKind, sender int, sentAt float64) int {
+	e := event{eventKey: q.stamp(at), sentAt: sentAt, sender: int32(sender), kind: kind}
+	if kind == evQueueArrive || kind == evAck || kind == evLossNotify {
 		src := int(q.class[sender])
 		if kind != evQueueArrive {
 			src += len(q.fifos) / 2
@@ -123,23 +126,18 @@ func (q *eventQueue) push(at float64, kind evKind, sender int, sentAt float64) {
 				q.heads[src] = e.eventKey
 			}
 			f.push(e)
-			return
-		}
-		q.spilled++
-	case evQueueDepart:
-		if h := &q.heads[len(q.fifos)]; *h == idle {
-			q.depart, *h = e, e.eventKey
-			return
+			return src
 		}
 		q.spilled++
 	}
 	q.timers.push(e)
-	q.heads[len(q.fifos)+1] = q.timers[0].eventKey
+	q.heads[len(q.fifos)] = q.timers[0].eventKey
+	return len(q.fifos)
 }
 
-// pop removes and returns the least pending event; ok is false when
-// nothing is pending.
-func (q *eventQueue) pop() (e event, ok bool) {
+// least returns the index of the least head, which is idle when nothing
+// is pending.
+func (q *eventQueue) least() int {
 	heads := q.heads
 	best := 0
 	for i := 1; i < len(heads); i++ {
@@ -147,29 +145,29 @@ func (q *eventQueue) pop() (e event, ok bool) {
 			best = i
 		}
 	}
-	switch nf := len(q.fifos); {
-	case heads[best] == idle:
-		return event{}, false
-	case best < nf:
-		f := &q.fifos[best]
-		e = f.pop()
+	return best
+}
+
+// take removes and returns the head event of source i, which must not
+// be idle.
+func (q *eventQueue) take(i int) event {
+	if i < len(q.fifos) {
+		f := &q.fifos[i]
+		e := f.pop()
 		if f.n > 0 {
-			heads[best] = f.front().eventKey
+			q.heads[i] = f.front().eventKey
 		} else {
-			heads[best] = idle
+			q.heads[i] = idle
 		}
-		return e, true
-	case best == nf:
-		heads[best] = idle
-		return q.depart, true
+		return e
 	}
-	e = q.timers.pop()
+	e := q.timers.pop()
 	if len(q.timers) > 0 {
-		heads[best] = q.timers[0].eventKey
+		q.heads[i] = q.timers[0].eventKey
 	} else {
-		heads[best] = idle
+		q.heads[i] = idle
 	}
-	return e, true
+	return e
 }
 
 // eventHeap is a binary min-heap of events under eventKey.before. It is
