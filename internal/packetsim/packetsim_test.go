@@ -77,6 +77,29 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(link20(), nan, 1); err == nil || err.Error() != "packetsim: flow 1 has a NaN initial window" {
 		t.Errorf("NaN initial window: error %v", err)
 	}
+	// Non-finite windows, starts and delays and a negative start are
+	// rejected by name before any event runs: newSim schedules the flow
+	// starts but handles nothing (an infinite window would send 1e9
+	// packets at its start).
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		flow Flow
+		want string
+	}{
+		{Flow{Init: inf}, "packetsim: flow 1 has an infinite initial window +Inf"},
+		{Flow{Init: -inf}, "packetsim: flow 1 has an infinite initial window -Inf"},
+		{Flow{Start: inf}, "packetsim: flow 1 start time must be non-negative and finite, got +Inf"},
+		{Flow{Start: -1}, "packetsim: flow 1 start time must be non-negative and finite, got -1"},
+		{Flow{Start: -inf}, "packetsim: flow 1 start time must be non-negative and finite, got -Inf"},
+		{Flow{ExtraDelay: inf}, "packetsim: flow 1 extra delay must be non-negative and finite, got +Inf"},
+		{Flow{ExtraDelay: -0.01}, "packetsim: flow 1 extra delay must be non-negative and finite, got -0.01"},
+	} {
+		c.flow.Proto = protocol.Reno()
+		flows := []Flow{{Proto: protocol.Reno(), Init: 1}, c.flow}
+		if s, err := newSim(link20(), flows, 1, nil); s != nil || err == nil || err.Error() != c.want {
+			t.Errorf("flow %+v: sim %v, error %v; want %q", c.flow, s != nil, err, c.want)
+		}
+	}
 	for _, d := range []float64{0, math.NaN(), math.Inf(1)} {
 		if _, err := Run(link20(), []Flow{{Proto: protocol.Reno()}}, d); err == nil {
 			t.Errorf("duration %v accepted", d)
