@@ -291,3 +291,39 @@ func TestOpenSeedsSizeFromDisk(t *testing.T) {
 		t.Fatalf("reopened store sees %d bytes, want >= 2048", got)
 	}
 }
+
+// TestGetRefreshesRecency pins the LRU contract on the read side: a hit
+// refreshes the entry's mtime, so an entry read after being aged
+// outlives one that was written later but never read.
+func TestGetRefreshesRecency(t *testing.T) {
+	s := openTest(t, Options{MaxBytes: 2500})
+	payload := bytes.Repeat([]byte("x"), 1024)
+	for i := 0; i < 2; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Age every entry, k0 the oldest, so without a refresh k0 is the
+	// first eviction.
+	for i, age := range []time.Duration{2 * time.Hour, time.Hour} {
+		old := time.Now().Add(-age)
+		if err := os.Chtimes(keyPath(s, fmt.Sprintf("k%d", i)), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Get("k0"); !ok {
+		t.Fatal("k0 missing before eviction")
+	}
+	if err := s.Put("k2", payload); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1 (stats %+v)", st.Evictions, st)
+	}
+	if _, ok := s.Get("k0"); !ok {
+		t.Fatal("k0 was read after aging but evicted: Get did not refresh its recency")
+	}
+	if _, ok := s.Get("k1"); ok {
+		t.Fatal("k1, the least recently used entry, survived eviction")
+	}
+}
