@@ -34,6 +34,15 @@ func TestLintJSON(t *testing.T) {
 		{"cyclic nettopo",
 			`{"name":"t","model":"nettopo","links":[{"mbps":20,"rtt_ms":42,"buffer_mss":20,"src":"a","dst":"b"},{"mbps":20,"rtt_ms":42,"buffer_mss":20,"src":"b","dst":"a"}],"flows":[{"protocol":"reno","path":[0]}]}`,
 			"scenario", false},
+		{"negative packet start",
+			`{"name":"x","model":"packet","link":{"mbps":20,"rtt_ms":42,"buffer_mss":20},"flows":[{"protocol":"reno","start":-1}]}`,
+			"scenario", false},
+		{"negative packet extra delay",
+			`{"name":"x","model":"packet","link":{"mbps":20,"rtt_ms":42,"buffer_mss":20},"flows":[{"protocol":"reno","extra_delay_ms":-5}]}`,
+			"scenario", false},
+		{"valid packet start and extra delay",
+			`{"name":"x","model":"packet","link":{"mbps":20,"rtt_ms":42,"buffer_mss":20},"flows":[{"protocol":"reno","start":2,"extra_delay_ms":20}]}`,
+			"scenario", true},
 		{"bad chaos event kind",
 			`{"events":[{"kind":"nonsense","at":0}]}`,
 			"chaos", false},

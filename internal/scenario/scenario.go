@@ -133,6 +133,11 @@ func (s *Spec) Validate() error {
 		if !topo && f.ExtraRTTms != 0 {
 			return fmt.Errorf("scenario %q: flow %d: \"extra_rtt_ms\" is for nettopo", s.Name, i)
 		}
+		if s.Model == "packet" {
+			if err := f.packetErr(); err != nil {
+				return fmt.Errorf("scenario %q: flow %d: %w", s.Name, i, err)
+			}
+		}
 	}
 	if topo {
 		// Dry-build the network with placeholder protocols so topology
@@ -154,6 +159,29 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// packetErr rejects the flow values packetsim refuses to run, so a spec
+// that validates (and lints) also starts.
+func (f Flow) packetErr() error {
+	switch {
+	case !(f.Start >= 0) || math.IsInf(f.Start, 1):
+		return fmt.Errorf("\"start\" must be non-negative and finite, got %v", f.Start)
+	case !(f.ExtraDelayMs >= 0) || math.IsInf(f.ExtraDelayMs, 1):
+		return fmt.Errorf("\"extra_delay_ms\" must be non-negative and finite, got %v", f.ExtraDelayMs)
+	case math.IsNaN(f.Init) || math.IsInf(f.Init, 0):
+		return fmt.Errorf("\"init\" must be finite, got %v", f.Init)
+	}
+	return nil
+}
+
+// packetFlow is f as packetsim runs it with protocol p.
+func (f Flow) packetFlow(p protocol.Protocol) packetsim.Flow {
+	init := f.Init
+	if init == 0 {
+		init = 1
+	}
+	return packetsim.Flow{Proto: p, Init: init, Start: f.Start, ExtraDelay: f.ExtraDelayMs / 1000}
 }
 
 // topoLinks converts the spec's links to nettopo units.
@@ -318,16 +346,7 @@ func (s *Spec) runPacket(ctx context.Context) (*Outcome, error) {
 	}
 	flows := make([]packetsim.Flow, len(s.Flows))
 	for i, f := range s.Flows {
-		init := f.Init
-		if init == 0 {
-			init = 1
-		}
-		flows[i] = packetsim.Flow{
-			Proto:      protos[i],
-			Init:       init,
-			Start:      f.Start,
-			ExtraDelay: f.ExtraDelayMs / 1000,
-		}
+		flows[i] = f.packetFlow(protos[i])
 	}
 	tail := s.tail()
 	sub := &engine.PacketSpec{Cfg: cfg, Flows: flows, Duration: s.duration()}

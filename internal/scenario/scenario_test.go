@@ -5,6 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/fluid"
+	"repro/internal/packetsim"
+	"repro/internal/protocol"
 )
 
 const fluidSpec = `{
@@ -257,5 +261,55 @@ func TestValidateRejectsNaNTailFrac(t *testing.T) {
 	s.TailFrac = math.NaN()
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "tail_frac") {
 		t.Fatalf("NaN tail_frac: err = %v", err)
+	}
+}
+
+// TestValidatePacketFlowsLikePacketsim maps each packet flow value
+// packetsim refuses onto a Validate error, so lint rejects what a run
+// would: JSON carries the negative values, a Spec built in code the
+// non-finite ones. The accepted edge values pass both.
+func TestValidatePacketFlowsLikePacketsim(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name  string
+		flow  Flow
+		field string // "" when the flow is valid
+	}{
+		{"negative start", Flow{Start: -1}, "start"},
+		{"-Inf start", Flow{Start: -inf}, "start"},
+		{"+Inf start", Flow{Start: inf}, "start"},
+		{"NaN start", Flow{Start: nan}, "start"},
+		{"negative extra delay", Flow{ExtraDelayMs: -5}, "extra_delay_ms"},
+		{"+Inf extra delay", Flow{ExtraDelayMs: inf}, "extra_delay_ms"},
+		{"NaN extra delay", Flow{ExtraDelayMs: nan}, "extra_delay_ms"},
+		{"+Inf init", Flow{Init: inf}, "init"},
+		{"-Inf init", Flow{Init: -inf}, "init"},
+		{"NaN init", Flow{Init: nan}, "init"},
+		{"zero start, delay and init", Flow{}, ""},
+		{"late start, long delay, large init", Flow{Start: 0.05, ExtraDelayMs: 1e3, Init: 1e6}, ""},
+	}
+	for _, c := range cases {
+		c.flow.Protocol = "reno"
+		s := &Spec{
+			Name: c.name, Model: "packet", Duration: 0.1,
+			Link:  &Link{Mbps: 20, RTTms: 42, BufferMSS: 20},
+			Flows: []Flow{{Protocol: "reno"}, c.flow},
+		}
+		verr := s.Validate()
+		cfg := packetsim.Config{Bandwidth: fluid.MbpsToMSSps(20), PropDelay: 0.021, Buffer: 20}
+		_, perr := packetsim.Run(cfg, []packetsim.Flow{c.flow.packetFlow(protocol.Reno())}, 0.1)
+		if (verr == nil) != (perr == nil) {
+			t.Errorf("%s: Validate err = %v, packetsim err = %v: want both or neither", c.name, verr, perr)
+			continue
+		}
+		if c.field == "" {
+			if verr != nil {
+				t.Errorf("%s: Validate err = %v, want nil", c.name, verr)
+			}
+			continue
+		}
+		if verr == nil || !strings.Contains(verr.Error(), `flow 1: "`+c.field+`"`) {
+			t.Errorf("%s: Validate err = %v, want it to name flow 1's %q", c.name, verr, c.field)
+		}
 	}
 }
