@@ -100,7 +100,7 @@ func extWorst(cfg fluid.Config, p protocol.Protocol, n int, band float64, o Opti
 		keys[i], cacheable[i] = runKey(cfg, protos, init, o, keyExt)
 		keys[i] += "band=" + strconv.FormatUint(math.Float64bits(band), 16)
 	}
-	sums, _, err := resolve(o.Session, keys, cacheable, o.Steps, extCodec, func(miss []int) ([]extSummary, error) {
+	sums, _, err := resolve(o.Session, keys, cacheable, o.Steps, o.Workers, extCodec, func(miss []int) ([]extSummary, error) {
 		out := make([]extSummary, len(miss))
 		for j, i := range miss {
 			tr, err := simulateRecorded(cfg, p, n, inits[i], o)

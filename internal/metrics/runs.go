@@ -53,7 +53,7 @@ func ResolveRuns(sets []RunSet, opt Options) (sums [][]*StreamSummary, simulated
 		}
 		end[si] = len(keys)
 	}
-	flat, flags, err := resolve(o.Session, keys, cacheable, o.Steps, streamCodec, func(miss []int) ([]*StreamSummary, error) {
+	flat, flags, err := resolve(o.Session, keys, cacheable, o.Steps, o.Workers, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 		specs := make([]engine.Spec, len(miss))
 		streams := make([]*Stream, len(miss))
 		for j, i := range miss {

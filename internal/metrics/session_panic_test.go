@@ -113,7 +113,7 @@ func TestSessionPanicReleasesWaiters(t *testing.T) {
 	t.Run("stream-batch", func(t *testing.T) {
 		s, gate := NewSession(), newPanicGate()
 		checkPanicReleasesWaiters(t, s, gate, func() error {
-			out, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func(miss []int) ([]*StreamSummary, error) {
+			out, _, err := resolve(s, []string{"k"}, []bool{true}, 10, 1, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 				gate.fire()
 				return []*StreamSummary{{}}, nil
 			})

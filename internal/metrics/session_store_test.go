@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -392,5 +395,114 @@ func TestStoreDecodeRejectsGarbage(t *testing.T) {
 	}
 	if s := o.Session.Stats(); s.Misses != 1 {
 		t.Fatalf("garbage entry was not re-simulated: %+v", s)
+	}
+}
+
+// TestWarmFanOutExact runs ResolveRuns on one warm store from several
+// goroutines at once, each through its own Session with four workers
+// reading the store: every summary must match the cold pass's bit for
+// bit, every key must count as one disk hit, no reader may take a
+// cross-process lock, and a single worker must start no goroutine.
+func TestWarmFanOutExact(t *testing.T) {
+	cfg := cap100()
+	var sets []RunSet
+	for _, a := range []float64{0.5, 1, 2} {
+		for _, b := range []float64{0.3, 0.5, 0.7, 0.9} {
+			p := protocol.NewAIMD(a, b)
+			sets = append(sets, RunSet{Cfg: cfg, Protos: []protocol.Protocol{p}},
+				RunSet{Cfg: cfg, Protos: []protocol.Protocol{p, protocol.Reno()}})
+		}
+	}
+	st := testStore(t)
+	opt := Options{Steps: 200, Workers: 4}
+	// A one-sender set's fair and skewed starts coincide, so the grid
+	// has fewer distinct keys than runs; repeats are memory hits.
+	runs, distinct := 0, map[string]bool{}
+	for _, set := range sets {
+		for _, init := range opt.initConfigs(set.Cfg.Capacity(), len(set.Protos)) {
+			k, _ := runKey(set.Cfg, set.Protos, init, opt.withDefaults(), keyStream)
+			runs++
+			distinct[k] = true
+		}
+	}
+	keys := len(distinct)
+	encode := func(sums [][]*StreamSummary) [][]byte {
+		var out [][]byte
+		for _, set := range sums {
+			for _, s := range set {
+				out = append(out, encodeStreamSummary(s))
+			}
+		}
+		return out
+	}
+	opt.Session = storeSession(t, st)
+	cold, _, err := ResolveRuns(sets, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := opt.Session.Stats().Misses; got != int64(keys) {
+		t.Fatalf("cold pass simulated %d runs, want %d distinct keys", got, keys)
+	}
+	want := encode(cold)
+	// The cold pass took a lock per key; a warm pass must take none.
+	locks := filepath.Join(st.Dir(), "locks")
+	if err := os.RemoveAll(locks); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(locks, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	readers := storeReaders.Load()
+	const callers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opt
+			o.Session = storeSession(t, st)
+			sums, sim, err := ResolveRuns(sets, o)
+			switch {
+			case err != nil:
+				errs[g] = err
+			case slices.Contains(sim, true):
+				errs[g] = fmt.Errorf("warm pass simulated a set: %v", sim)
+			case !slices.EqualFunc(encode(sums), want, bytes.Equal):
+				errs[g] = fmt.Errorf("warm summaries differ from the cold pass")
+			default:
+				if st := o.Session.Stats(); st.DiskHits != int64(keys) || st.Hits != int64(runs-keys) || st.Misses != 0 {
+					errs[g] = fmt.Errorf("warm stats %+v, want %d disk hits and %d memory hits", st, keys, runs-keys)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("caller %d: %v", g, err)
+		}
+	}
+	if started := storeReaders.Load() - readers; started == 0 {
+		t.Error("four workers started no store reader")
+	}
+	if ents, err := os.ReadDir(locks); err != nil || len(ents) != 0 {
+		t.Errorf("warm passes left %d lock files (err %v), want none", len(ents), err)
+	}
+
+	readers = storeReaders.Load()
+	o := opt
+	o.Workers = 1
+	o.Session = storeSession(t, st)
+	sums, _, err := ResolveRuns(sets, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(encode(sums), want, bytes.Equal) {
+		t.Error("one-worker warm summaries differ from the cold pass")
+	}
+	if started := storeReaders.Load() - readers; started != 0 {
+		t.Errorf("one worker started %d store readers, want none", started)
 	}
 }

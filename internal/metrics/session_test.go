@@ -221,7 +221,7 @@ func TestSessionResolveClassification(t *testing.T) {
 		}
 		return out, nil
 	}
-	out, sim, err := resolve(s, []string{"a", "a", "b", "c"}, []bool{true, true, true, false}, 100, streamCodec, exec)
+	out, sim, err := resolve(s, []string{"a", "a", "b", "c"}, []bool{true, true, true, false}, 100, 1, streamCodec, exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSessionResolveClassification(t *testing.T) {
 	}
 
 	// A second batch over the same cacheable keys is all hits.
-	out2, sim2, err := resolve(s, []string{"a", "b"}, []bool{true, true}, 100, streamCodec, func(miss []int) ([]*StreamSummary, error) {
+	out2, sim2, err := resolve(s, []string{"a", "b"}, []bool{true, true}, 100, 1, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 		t.Fatalf("warm batch simulated %v", miss)
 		return nil, nil
 	})
@@ -268,13 +268,13 @@ func TestSessionResolveErrorEvicts(t *testing.T) {
 	// so a retry re-simulates and succeeds.
 	s := NewSession()
 	boom := errors.New("boom")
-	if _, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func([]int) ([]*StreamSummary, error) {
+	if _, _, err := resolve(s, []string{"k"}, []bool{true}, 10, 1, streamCodec, func([]int) ([]*StreamSummary, error) {
 		return nil, boom
 	}); err != boom {
 		t.Fatalf("got %v, want the exec error", err)
 	}
 	want := &StreamSummary{}
-	out, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func(miss []int) ([]*StreamSummary, error) {
+	out, _, err := resolve(s, []string{"k"}, []bool{true}, 10, 1, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 		return []*StreamSummary{want}, nil
 	})
 	if err != nil || out[0] != want {
@@ -301,7 +301,7 @@ func TestSessionResolveErrorEvicts(t *testing.T) {
 			started, release := make(chan struct{}), make(chan struct{})
 			failed := make(chan error, 1)
 			go func() {
-				_, _, err := resolve(s, []string{"k"}, []bool{true}, 10, streamCodec, func([]int) ([]*StreamSummary, error) {
+				_, _, err := resolve(s, []string{"k"}, []bool{true}, 10, 1, streamCodec, func([]int) ([]*StreamSummary, error) {
 					close(started)
 					<-release
 					return nil, boom
@@ -321,7 +321,7 @@ func TestSessionResolveErrorEvicts(t *testing.T) {
 				for i := range cacheable {
 					cacheable[i] = true
 				}
-				out, sim, err = resolve(s, c.keys, cacheable, 10, streamCodec, func(miss []int) ([]*StreamSummary, error) {
+				out, sim, err = resolve(s, c.keys, cacheable, 10, 1, streamCodec, func(miss []int) ([]*StreamSummary, error) {
 					sums := make([]*StreamSummary, len(miss))
 					for j := range sums {
 						sums[j] = &StreamSummary{}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"strconv"
-	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
@@ -374,52 +373,52 @@ func (t *TopoRunSpec) withDefaults() {
 // topologies that differ only in labels share their runs. ok is false
 // when a protocol lacks a canonical fingerprint.
 func topoKey(t *TopoRunSpec) (string, bool) {
-	var sb strings.Builder
-	sb.WriteString("v1|topo|tf=")
-	hexBits(&sb, t.TailFrac)
-	sb.WriteString("|steps=")
-	sb.WriteString(strconv.Itoa(t.Steps))
-	sb.WriteString("|links=")
+	b := make([]byte, 0, 512) // the whole key, on the stack unless it outgrows this
+	b = append(b, "v1|topo|tf="...)
+	b = appendHexBits(b, t.TailFrac)
+	b = append(b, "|steps="...)
+	b = strconv.AppendInt(b, int64(t.Steps), 10)
+	b = append(b, "|links="...)
 	for _, l := range t.Links {
-		for _, v := range []float64{l.Bandwidth, l.PropDelay, l.Buffer, l.TimeoutRTT} {
-			hexBits(&sb, v)
-			sb.WriteByte(',')
+		for _, v := range [...]float64{l.Bandwidth, l.PropDelay, l.Buffer, l.TimeoutRTT} {
+			b = appendHexBits(b, v)
+			b = append(b, ',')
 		}
-		sb.WriteByte(';')
+		b = append(b, ';')
 	}
 	if t.Stochastic {
-		sb.WriteString("|sl=")
-		sb.WriteString(strconv.FormatUint(t.Seed, 16))
+		b = append(b, "|sl="...)
+		b = strconv.AppendUint(b, t.Seed, 16)
 	}
 	if t.Chaos != nil {
 		raw, err := json.Marshal(t.Chaos)
 		if err != nil {
 			return "", false
 		}
-		sb.WriteString("|chaos=")
-		sb.Write(raw)
-		sb.WriteString(";cs=")
-		sb.WriteString(strconv.FormatUint(t.ChaosSeed, 16))
+		b = append(b, "|chaos="...)
+		b = append(b, raw...)
+		b = append(b, ";cs="...)
+		b = strconv.AppendUint(b, t.ChaosSeed, 16)
 	}
-	sb.WriteString("|flows=")
+	b = append(b, "|flows="...)
 	for _, f := range t.Flows {
 		fp, ok := f.Proto.(protocol.Fingerprinter)
 		if !ok {
 			return "", false
 		}
-		sb.WriteString(fp.Fingerprint())
-		sb.WriteByte('@')
-		hexBits(&sb, f.Init)
-		sb.WriteByte('@')
-		hexBits(&sb, f.ExtraRTT)
-		sb.WriteByte('@')
+		b = append(b, fp.Fingerprint()...)
+		b = append(b, '@')
+		b = appendHexBits(b, f.Init)
+		b = append(b, '@')
+		b = appendHexBits(b, f.ExtraRTT)
+		b = append(b, '@')
 		for _, l := range f.Path {
-			sb.WriteString(strconv.Itoa(l))
-			sb.WriteByte('-')
+			b = strconv.AppendInt(b, int64(l), 10)
+			b = append(b, '-')
 		}
-		sb.WriteByte(';')
+		b = append(b, ';')
 	}
-	return sb.String(), true
+	return string(b), true
 }
 
 // RunTopo executes (or resolves from cache) one streaming-observed
