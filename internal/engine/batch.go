@@ -26,6 +26,17 @@ import (
 // fallback in the telemetry).
 const minBatchGroup = 2
 
+// A group large enough is cut finer than one chunk per worker: into up
+// to chunksPerWorker chunks per worker, each of at least minChunk cells.
+// The pool claims chunks as workers free up, so a chunk that runs slow
+// (a collection, a preempted thread) no longer leaves the other workers
+// idle at the end of the group, while each chunk stays wide enough to
+// step in lockstep.
+const (
+	chunksPerWorker = 4
+	minChunk        = 16
+)
+
 // emitStrip is how many lockstep steps of observer data each batched
 // cell buffers before flushing them to its observers in one consecutive
 // run (see runBatchGroup).
@@ -145,14 +156,17 @@ func batchKeyFor(spec *Spec) (batchKey, bool) {
 // planBatches is the pure planning step of runBatches. It groups the
 // batchable cells of specs by batchKey, drops groups smaller than
 // minBatchGroup, and cuts each remaining group of n cells into
-// k = min(workers, n/minBatchGroup) chunks (workers < 1 means
-// GOMAXPROCS, as in parallel.MapCtx), so a grid whose cells all share
-// one key still steps on every worker the sweep owns. Each chunk is a
-// contiguous run of its group in input order with at least
-// minBatchGroup cells, and the cuts fall where the running sender-lane
-// count is nearest each chunk's share of the group's total, which keeps
-// chunks of mixed 1- and 2-sender cells equally heavy. Chunks are
-// returned group by group, groups in order of their first cell.
+// k = max(min(workers, n/minBatchGroup), min(chunksPerWorker·workers,
+// n/minChunk)) chunks (workers < 1 means GOMAXPROCS, as in
+// parallel.MapCtx), so a grid whose cells all share one key steps on
+// every worker the sweep owns and a large one in several chunks per
+// worker. Each chunk is a contiguous run of its group in input order
+// with at least minChunk cells when the finer cut applies and
+// minBatchGroup otherwise, and the cuts fall where the running
+// sender-lane count is nearest each chunk's share of the group's total,
+// which keeps chunks of mixed 1- and 2-sender cells equally heavy.
+// Chunks are returned group by group, groups in order of their first
+// cell.
 func planBatches(specs []Spec, workers int) [][]int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -171,17 +185,24 @@ func planBatches(specs []Spec, workers int) [][]int {
 	}
 	var chunks [][]int
 	for _, key := range keys {
-		if idxs := groups[key]; len(idxs) >= minBatchGroup {
-			chunks = append(chunks, splitGroup(specs, idxs, min(workers, len(idxs)/minBatchGroup))...)
+		idxs := groups[key]
+		n := len(idxs)
+		if n < minBatchGroup {
+			continue
 		}
+		k, least := min(workers, n/minBatchGroup), minBatchGroup
+		if fine := min(chunksPerWorker*workers, n/minChunk); fine > k {
+			k, least = fine, minChunk
+		}
+		chunks = append(chunks, splitGroup(specs, idxs, k, least)...)
 	}
 	return chunks
 }
 
 // splitGroup cuts one batch group into k contiguous chunks of at least
-// minBatchGroup cells each, placing cut c where the lanes before it are
-// nearest c/k of the group's lanes (ties go to the earlier cut).
-func splitGroup(specs []Spec, idxs []int, k int) [][]int {
+// least cells each, placing cut c where the lanes before it are nearest
+// c/k of the group's lanes (ties go to the earlier cut).
+func splitGroup(specs []Spec, idxs []int, k, least int) [][]int {
 	if k <= 1 {
 		return [][]int{idxs}
 	}
@@ -203,9 +224,9 @@ func splitGroup(specs []Spec, idxs []int, k int) [][]int {
 	lo := 0
 	for c := 1; c < k; c++ {
 		// The cut must leave this chunk and each of the k-c after it
-		// minBatchGroup cells.
-		hi := lo + minBatchGroup
-		for j := hi + 1; j <= len(idxs)-(k-c)*minBatchGroup; j++ {
+		// least cells.
+		hi := lo + least
+		for j := hi + 1; j <= len(idxs)-(k-c)*least; j++ {
 			if dist(j, c) < dist(hi, c) {
 				hi = j
 			}
@@ -220,7 +241,8 @@ func splitGroup(specs []Spec, idxs []int, k int) [][]int {
 // returning per-cell precomputed outcomes (nil entries mean "run
 // per-cell"). Each chunk is one parallel.MapCtx item under cfg.Workers,
 // the budget the sweep already resolved, so a single large group keeps
-// every worker busy. Context cancellation aborts cleanly, leaving
+// every worker busy. The worker that stepped a chunk also finishes each
+// of its cells that succeeded. Context cancellation aborts cleanly, leaving
 // unfinished cells to the per-cell pass (which observes the cancellation
 // itself).
 func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut {
@@ -276,7 +298,9 @@ func runBatches(ctx context.Context, specs []Spec, cfg *SweepConfig) []*batchOut
 			outs[i] = &res[j]
 			if res[j].err != nil {
 				failed++
+				continue
 			}
+			finish(&specs[i])
 		}
 		if instrumented {
 			// Mirror Run's per-kind counters so dashboards see batched

@@ -79,6 +79,26 @@ func runPerCell(t *testing.T, specs []Spec) []*Result {
 // 18-cell group can use.
 var splitWorkers = []int{1, 2, 3, 8}
 
+// wantChunks is the chunk count planBatches must cut a one-key group of
+// n cells into for workers workers, written out with its numbers: as
+// many chunks as workers, capped at one per 2 cells, or up to 4 per
+// worker of at least 16 cells each when that cuts finer.
+func wantChunks(workers, n int) int {
+	return max(min(workers, n/2), min(4*workers, n/16))
+}
+
+// largeInits gives a 216-cell one-key grid with batchGrid, mixed 1- and
+// 2-sender cells, large enough that planBatches cuts it into more chunks
+// than workers at every worker count in splitWorkers.
+var largeInits = func() [][]float64 {
+	var inits [][]float64
+	for i := 0; i < 36; i++ {
+		init := []float64{float64(1 + i), float64(40 - i)}
+		inits = append(inits, init[:1+i%2])
+	}
+	return inits
+}()
+
 // runBothPaths evaluates the same grid through SweepSpecs and through
 // Run on each spec, each spec recorded, and asserts bit-identical traces.
 // The grid is regenerated per run because substrates are single-use.
@@ -183,10 +203,10 @@ func TestSweepSpecsBitIdentityRandomLoss(t *testing.T) {
 }
 
 // TestSweepSpecsBitIdentitySplit is the split column of the golden
-// matrix: one-key grids that planBatches cuts into per-worker chunks
-// (plain, one shared chaos schedule, per-cell seeded loss) must match Run
-// on each spec bit for bit at every worker count, with every cell still
-// counted as batched.
+// matrix: one-key grids that planBatches cuts into chunks (plain, one
+// shared chaos schedule, per-cell seeded loss, and a large grid cut into
+// more chunks than workers) must match Run on each spec bit for bit at
+// every worker count, with every cell still counted as batched.
 func TestSweepSpecsBitIdentitySplit(t *testing.T) {
 	sched := batchChaosSchedule()
 	cases := []struct {
@@ -208,6 +228,7 @@ func TestSweepSpecsBitIdentitySplit(t *testing.T) {
 				fs.Cfg.Seed = uint64(91 + i)
 			})
 		}},
+		{"large", func() []Spec { return batchGrid(t, 200, largeInits, nil) }},
 	}
 	obs.Enable()
 	defer obs.Disable()
@@ -215,8 +236,12 @@ func TestSweepSpecsBitIdentitySplit(t *testing.T) {
 		for _, w := range splitWorkers {
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(t *testing.T) {
 				n := len(c.grid())
-				if got, want := len(planBatches(c.grid(), w)), min(w, n/minBatchGroup); got != want {
+				got := len(planBatches(c.grid(), w))
+				if want := wantChunks(w, n); got != want {
 					t.Fatalf("planned %d chunks, want %d", got, want)
+				}
+				if c.name == "large" && got <= w {
+					t.Fatalf("planned %d chunks of %d cells for %d workers, want more chunks than workers", got, n, w)
 				}
 				b0, f0 := sweepCellsBatched.Value(), sweepCellsFallback.Value()
 				runBothPaths(t, c.grid, SweepConfig{Workers: w})
@@ -231,10 +256,11 @@ func TestSweepSpecsBitIdentitySplit(t *testing.T) {
 	}
 }
 
-// TestPlanBatches pins the chunking rule: k = min(workers, n/minBatchGroup)
-// contiguous chunks per group, each of at least minBatchGroup cells,
-// together exactly the group, with lanes balanced to within one cell's
-// lanes of the group's mean.
+// TestPlanBatches pins the chunking rule: k = wantChunks(workers, n)
+// contiguous chunks per group, each of at least 16 cells when the group
+// is cut finer than one chunk per worker and 2 otherwise, together
+// exactly the group, with lanes balanced to within one cell's lanes of
+// the group's mean.
 func TestPlanBatches(t *testing.T) {
 	// cells builds a one-key grid with the given sender count per cell.
 	cells := func(lanes ...int) []Spec {
@@ -251,6 +277,13 @@ func TestPlanBatches(t *testing.T) {
 			specs[i] = Spec{Substrate: &FluidSpec{Cfg: fluidCfg(), Senders: senders, Steps: 100}}
 		}
 		return specs
+	}
+	seq := func(lo, hi int) []int {
+		var out []int
+		for i := lo; i < hi; i++ {
+			out = append(out, i)
+		}
+		return out
 	}
 	repeat := func(n int, lanes ...int) []int {
 		var out []int
@@ -279,6 +312,16 @@ func TestPlanBatches(t *testing.T) {
 		{"mixed 1/2", repeat(24, 1, 2, 2), 3, nil},
 		{"mixed 2/1", repeat(23, 2, 1), 8, nil},
 		{"mixed odd", repeat(37, 1, 1, 2), 5, nil},
+		// From 32 cells a lone worker's group is cut into chunks of 16.
+		{"fine one worker", repeat(64, 2), 1, [][]int{seq(0, 16), seq(16, 32), seq(32, 48), seq(48, 64)}},
+		{"fine remainder", repeat(35, 2), 1, [][]int{seq(0, 17), seq(17, 35)}},
+		// 40 cells make 2 chunks of 16 or more: no finer than per worker.
+		{"coarse at 40", repeat(40, 2), 2, [][]int{seq(0, 20), seq(20, 40)}},
+		{"fine 48", repeat(48, 2), 2, [][]int{seq(0, 16), seq(16, 32), seq(32, 48)}},
+		{"fine capped per worker", repeat(300, 2), 2, nil},
+		{"fine mixed 1/2", repeat(180, 1, 2), 2, nil},
+		{"fine auto workers", repeat(200, 2, 1), 0, nil},
+		{"fine many workers", repeat(216, 1, 2, 2), 8, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -292,8 +335,12 @@ func TestPlanBatches(t *testing.T) {
 				w = runtime.GOMAXPROCS(0)
 			}
 			n := len(specs)
-			if len(chunks) != min(w, n/minBatchGroup) {
-				t.Fatalf("%d chunks, want min(%d, %d/%d)", len(chunks), w, n, minBatchGroup)
+			if len(chunks) != wantChunks(w, n) {
+				t.Fatalf("%d chunks of %d cells for %d workers, want %d", len(chunks), n, w, wantChunks(w, n))
+			}
+			least := 2
+			if len(chunks) > min(w, n/2) {
+				least = 16
 			}
 			next, total, maxLanes := 0, 0, 0
 			for _, l := range c.lanes {
@@ -301,8 +348,8 @@ func TestPlanBatches(t *testing.T) {
 				maxLanes = max(maxLanes, l)
 			}
 			for k, chunk := range chunks {
-				if len(chunk) < minBatchGroup {
-					t.Errorf("chunk %d has %d cells, want >= %d", k, len(chunk), minBatchGroup)
+				if len(chunk) < least {
+					t.Errorf("chunk %d has %d cells, want >= %d", k, len(chunk), least)
 				}
 				lanes := 0
 				for _, i := range chunk {

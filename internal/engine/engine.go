@@ -9,7 +9,9 @@
 // a fixed-size ring buffer, and a Recorder records the whole run into a
 // *trace.Trace when a caller wants one. Observers are a run's one output
 // besides the packet delivery counters in Result. Observers that read
-// only a run's tail (TailObserver) are handed only the tail's steps.
+// only a run's tail (TailObserver) are handed only the tail's steps, and
+// observers that reduce a finished run (Finisher) are finished on the
+// goroutine that ran it.
 //
 // Sweep is the companion orchestrator: it shards any cell grid across a
 // worker pool with context cancellation, deterministic per-cell seeds,
@@ -69,6 +71,27 @@ func (f ObserverFunc) Observe(s Step) { f(s) }
 type TailObserver interface {
 	Observer
 	TailSteps() int
+}
+
+// Finisher is an optional Observer upgrade for observers that reduce a
+// run once it has ended, such as the stream estimators freezing their
+// summary. The engine calls Finish once, after the last step of a run
+// that succeeded, on the goroutine that ran it, on the per-cell and the
+// grid-batch path alike, so a grid's reductions run on its workers. A
+// run that fails, by divergence or otherwise, is never finished.
+type Finisher interface {
+	Observer
+	Finish()
+}
+
+// finish calls Finish on every observer of a successful run that
+// implements Finisher.
+func finish(spec *Spec) {
+	for _, o := range spec.Observers {
+		if f, ok := o.(Finisher); ok {
+			f.Finish()
+		}
+	}
 }
 
 // firstObserved returns the index of the first of a run's steps steps
@@ -167,7 +190,8 @@ var runTelByKind = func() [numKinds]runTel {
 	return t
 }()
 
-// Run executes the spec. It returns ctx.Err() soon after ctx is done.
+// Run executes the spec and, once it has succeeded, finishes its
+// Finisher observers. It returns ctx.Err() soon after ctx is done.
 //
 // With observability enabled (internal/obs), Run wraps the substrate
 // execution in an "engine.run.<kind>" span and feeds per-kind run counts,
@@ -178,7 +202,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, errors.New("engine: spec has no substrate")
 	}
 	if !obs.Enabled() {
-		return spec.Substrate.run(ctx, spec)
+		res, err := spec.Substrate.run(ctx, spec)
+		if err == nil {
+			finish(&spec)
+		}
+		return res, err
 	}
 	tel := &runTelByKind[substrateKind(spec.Substrate)]
 	ctx, sp := obs.StartSpan(ctx, tel.span)
@@ -190,6 +218,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		tel.failed.Inc()
 		return res, err
 	}
+	finish(&spec)
 	tel.runs.Inc()
 	tel.steps.Add(uint64(res.Steps))
 	return res, nil

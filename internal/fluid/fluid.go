@@ -210,7 +210,7 @@ func congestionAt(cfg *Config, step int, x float64) (rtt, loss float64) {
 	tau := cfg.Buffer
 	if x < c+tau {
 		// eq. 1's queueing branch; loss needs X > C+τ, so none here.
-		rtt = math.Max(base, (x-c)/b+base)
+		rtt = max(base, (x-c)/b+base)
 		if cfg.Perturb != nil && rtt > cfg.TimeoutRTT {
 			// A flapped link's queueing delay explodes as 1/b; the
 			// timeout cap is the model's "sender gave up" bound.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -104,10 +105,14 @@ func TestTopoStreamObserveAllocFree(t *testing.T) {
 // TestTopoRunAllocFreePerStep pins the engine path of a streamed
 // topology run: engine.Run of a TopoSpec observed by a TopoStream makes
 // the same allocations at 400 and at 4000 steps, so nothing on it
-// allocates per step.
+// allocates per step. Rings that earlier runs released would serve some
+// of the stream's rings without an allocation, so each measurement
+// starts from an empty ring pool: two collections empty a sync.Pool.
 func TestTopoRunAllocFreePerStep(t *testing.T) {
 	links, flows := topoFixture()
 	allocs := func(steps int) float64 {
+		runtime.GC()
+		runtime.GC()
 		return testing.AllocsPerRun(20, func() {
 			st := NewTopoStream(links, flows, steps, DefaultTailFrac)
 			_, err := engine.Run(context.Background(), engine.Spec{

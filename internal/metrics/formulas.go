@@ -66,13 +66,13 @@ func convergence(n int, tail func(i int) []float64) float64 {
 		for _, x := range t {
 			r := x / star
 			// αx* ≤ x ⇒ α ≤ r; x ≤ (2−α)x* ⇒ α ≤ 2−r.
-			a := math.Min(r, 2-r)
+			a := min(r, 2-r)
 			if a < alpha {
 				alpha = a
 			}
 		}
 	}
-	return math.Max(alpha, 0)
+	return max(alpha, 0)
 }
 
 // friendliness is Metric VII (friendliness): with avg(i) sender i's
@@ -114,5 +114,5 @@ func latencyInflation(rtt []float64, base float64) float64 {
 	if base <= 0 {
 		return math.NaN()
 	}
-	return math.Max(0, stats.Max(rtt)/base-1)
+	return max(0, stats.Max(rtt)/base-1)
 }

@@ -68,9 +68,12 @@ func ResolveRuns(sets []RunSet, opt Options) (sums [][]*StreamSummary, simulated
 		if _, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: o.Workers}); err != nil {
 			return nil, err
 		}
+		// Each worker froze its cells' summaries (engine.Finisher), so
+		// reading them is free and the rings can serve the next grid.
 		out := make([]*StreamSummary, len(streams))
 		for j, st := range streams {
 			out[j] = st.Summary()
+			st.Release()
 		}
 		return out, nil
 	})

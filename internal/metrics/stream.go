@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"sync"
+
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -14,16 +17,25 @@ import (
 // is bit-identical to the same formulas applied to a recorded trace of
 // the run, because the retained tail and the summation order are the
 // same.
+//
+// A stream's life follows its run. The rings are taken at the first
+// observed step, on the goroutine running the cell. When the run has
+// succeeded, the engine calls Finish on that goroutine, which freezes the
+// summary. An owner that needs nothing but the summary then hands the
+// rings back with Release.
 type Stream struct {
 	tailFrac float64
 	capacity float64
 	baseRTT  float64
+	flows    int
+	retain   int // ring capacity
 	windows  []*stats.Ring
 	goodput  []*stats.Ring
-	total    *stats.Ring
+	total    *stats.Ring // nil until the first observed step
 	rtt      *stats.Ring
 	loss     *stats.Ring
-	scratch  []float64 // goodput staging for ObserveStrip, grown lazily
+	scratch  []float64      // goodput staging for ObserveStrip, grown lazily
+	frozen   *StreamSummary // set by Finish
 }
 
 // horizonSlack absorbs the packet substrate's ±1 tick-count ambiguity
@@ -31,41 +43,68 @@ type Stream struct {
 const horizonSlack = 8
 
 // NewStream sizes a streaming observer for a substrate described by meta.
-// tailFrac 0 selects DefaultTailFrac.
+// tailFrac 0 selects DefaultTailFrac. The rings are not taken until the
+// first observed step.
 func NewStream(meta engine.Meta, tailFrac float64) *Stream {
 	if tailFrac == 0 {
 		tailFrac = DefaultTailFrac
 	}
-	capGoal := stats.TailLen(meta.Horizon, tailFrac) + horizonSlack
-	s := &Stream{
+	return &Stream{
 		tailFrac: tailFrac,
 		capacity: meta.Capacity,
 		baseRTT:  meta.BaseRTT,
-		windows:  make([]*stats.Ring, meta.Flows),
-		goodput:  make([]*stats.Ring, meta.Flows),
-		total:    stats.NewRing(capGoal),
-		rtt:      stats.NewRing(capGoal),
-		loss:     stats.NewRing(capGoal),
+		flows:    meta.Flows,
+		retain:   stats.TailLen(meta.Horizon, tailFrac) + horizonSlack,
+	}
+}
+
+// rings takes the stream's rings from the pool if it has none yet.
+func (s *Stream) rings() {
+	if s.total != nil {
+		return
+	}
+	s.windows = make([]*stats.Ring, s.flows)
+	s.goodput = make([]*stats.Ring, s.flows)
+	for i := range s.windows {
+		s.windows[i] = stats.NewRing(s.retain)
+		s.goodput[i] = stats.NewRing(s.retain)
+	}
+	s.total = stats.NewRing(s.retain)
+	s.rtt = stats.NewRing(s.retain)
+	s.loss = stats.NewRing(s.retain)
+}
+
+// Release hands the stream's rings back to the pool stats.NewRing draws
+// from. Call it only when nothing will read the stream again but its
+// frozen Summary.
+func (s *Stream) Release() {
+	if s.total == nil {
+		return
 	}
 	for i := range s.windows {
-		s.windows[i] = stats.NewRing(capGoal)
-		s.goodput[i] = stats.NewRing(capGoal)
+		s.windows[i].Release()
+		s.goodput[i].Release()
 	}
-	return s
+	s.total.Release()
+	s.rtt.Release()
+	s.loss.Release()
+	s.windows, s.goodput, s.total, s.rtt, s.loss = nil, nil, nil, nil, nil
 }
 
 // TailSteps implements engine.TailObserver: nothing older than the
 // rings retain can reach a score, so the engine may withhold the steps
 // before them.
-func (s *Stream) TailSteps() int { return s.total.Cap() }
+func (s *Stream) TailSteps() int { return s.retain }
 
-// skipTo accounts for steps the engine withheld (see
-// engine.TailObserver). A step index past the samples seen so far means
-// the steps between were never emitted, so every ring skips them. A
-// withheld step is a push that later pushes overwrite, so the rings end
-// up retaining the same samples in the same order. An index at or behind
-// Count, as a replay that always sends index 0, pushes as before.
+// skipTo takes the rings at the first observed step and accounts for
+// steps the engine withheld (see engine.TailObserver). A step index past
+// the samples seen so far means the steps between were never emitted, so
+// every ring skips them. A withheld step is a push that later pushes
+// overwrite, so the rings end up retaining the same samples in the same
+// order. An index at or behind Count, as a replay that always sends
+// index 0, pushes as before.
 func (s *Stream) skipTo(index int) {
+	s.rings()
 	gap := index - s.total.Count()
 	if gap <= 0 {
 		return
@@ -132,41 +171,70 @@ func (s *Stream) ObserveStrip(st engine.Strip) {
 }
 
 // Steps returns the number of samples observed, withheld ones included.
-func (s *Stream) Steps() int { return s.total.Count() }
+func (s *Stream) Steps() int {
+	if s.total == nil {
+		return 0
+	}
+	return s.total.Count()
+}
 
 // TailFrac returns the tail fraction the stream scores over.
 func (s *Stream) TailFrac() float64 { return s.tailFrac }
 
 // TailWindow returns sender i's retained tail-window series, equal to
 // stats.Tail of the full series.
-func (s *Stream) TailWindow(i int) []float64 { return s.windows[i].LastTail(s.tailFrac) }
+func (s *Stream) TailWindow(i int) []float64 {
+	s.rings()
+	return s.windows[i].LastTail(s.tailFrac)
+}
 
 // TailRTT returns the retained tail of the RTT series.
-func (s *Stream) TailRTT() []float64 { return s.rtt.LastTail(s.tailFrac) }
+func (s *Stream) TailRTT() []float64 {
+	s.rings()
+	return s.rtt.LastTail(s.tailFrac)
+}
 
 // TailLoss returns the retained tail of the loss-rate series.
-func (s *Stream) TailLoss() []float64 { return s.loss.LastTail(s.tailFrac) }
+func (s *Stream) TailLoss() []float64 {
+	s.rings()
+	return s.loss.LastTail(s.tailFrac)
+}
 
-// Summary freezes the finished run into the handful of scalars the
-// axiom estimators need. Call it once the run has ended; the Session
-// caches, persists and folds over summaries, never over the rings. Every
-// field is computed by the same formula body, over the same retained
-// tail samples in the same order, as the trace-level score of a recorded
-// trace of the same run (the oracle of
-// TestStreamSummaryMatchesTraceEstimatorsRandom).
+// Finish implements engine.Finisher: it freezes the finished run's
+// summary on the goroutine that ran it, so Summary returns it without
+// reading the rings again.
+func (s *Stream) Finish() {
+	sp := obs.StartLeafSpan("metrics.stream.finish")
+	s.frozen = s.summarize()
+	sp.End()
+}
+
+// Summary reduces the finished run to the handful of scalars the axiom
+// estimators need: the value Finish froze, or, on a stream the engine
+// did not finish, the same reduction of the rings now. Call it once the
+// run has ended; the Session caches, persists and folds over summaries,
+// never over the rings.
 func (s *Stream) Summary() *StreamSummary {
+	if s.frozen != nil {
+		return s.frozen
+	}
+	return s.summarize()
+}
+
+// summarize computes the summary. Every field is computed by the same
+// formula body, over the same retained tail samples in the same order,
+// as the trace-level score of a recorded trace of the same run (the
+// oracle of TestStreamSummaryMatchesTraceEstimatorsRandom).
+func (s *Stream) summarize() *StreamSummary {
+	s.rings()
 	n := len(s.windows)
 	sum := &StreamSummary{
 		AvgWindows:  make([]float64, n),
 		AvgGoodputs: make([]float64, n),
 	}
-	// One buffer serves every tail in turn: each is fully consumed before
-	// the next is read.
-	var buf []float64
-	tail := func(r *stats.Ring) []float64 {
-		buf = r.AppendTail(buf[:0], s.tailFrac)
-		return buf
-	}
+	tails := newTailCopier(s.tailFrac)
+	defer tails.release()
+	tail := tails.tail
 	for i := 0; i < n; i++ {
 		sum.AvgWindows[i] = stats.Mean(tail(s.windows[i]))
 		sum.AvgGoodputs[i] = stats.Mean(tail(s.goodput[i]))
@@ -183,6 +251,31 @@ func (s *Stream) Summary() *StreamSummary {
 	sum.Convergence = convergence(n, func(i int) []float64 { return tail(s.windows[i]) })
 	return sum
 }
+
+// tailBufs recycles the buffers summaries copy retained tails into, so
+// freezing a grid's summaries does not allocate a tail copy per run.
+var tailBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// tailCopier copies ring tails into one pooled buffer. Each tail it
+// returns is valid until the next call, so every tail must be fully
+// consumed before the next is read.
+type tailCopier struct {
+	frac float64
+	buf  *[]float64
+}
+
+func newTailCopier(frac float64) tailCopier {
+	return tailCopier{frac: frac, buf: tailBufs.Get().(*[]float64)}
+}
+
+// tail returns r's retained tail at the copier's fraction.
+func (c tailCopier) tail(r *stats.Ring) []float64 {
+	*c.buf = r.AppendTail((*c.buf)[:0], c.frac)
+	return *c.buf
+}
+
+// release hands the buffer back to the pool.
+func (c tailCopier) release() { tailBufs.Put(c.buf) }
 
 // StreamSummary is one finished single-link run reduced to what its
 // scores read: seven tail scalars and each sender's tail means. It

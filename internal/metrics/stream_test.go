@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -232,6 +234,133 @@ func TestStreamBatchedMatchesPerCell(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// summaryDiff names the first field of StreamSummary, every one of them
+// by reflection, where got and want differ in their bits, or returns "".
+func summaryDiff(got, want *StreamSummary) string {
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for f := 0; f < g.NumField(); f++ {
+		name := g.Type().Field(f).Name
+		switch gf, wf := g.Field(f), w.Field(f); gf.Kind() {
+		case reflect.Float64:
+			if math.Float64bits(gf.Float()) != math.Float64bits(wf.Float()) {
+				return fmt.Sprintf("%s: %v, want %v", name, gf.Float(), wf.Float())
+			}
+		case reflect.Slice:
+			if gf.Len() != wf.Len() {
+				return fmt.Sprintf("%s: %d values, want %d", name, gf.Len(), wf.Len())
+			}
+			for i := 0; i < gf.Len(); i++ {
+				if math.Float64bits(gf.Index(i).Float()) != math.Float64bits(wf.Index(i).Float()) {
+					return fmt.Sprintf("%s[%d]: %v, want %v", name, i, gf.Index(i).Float(), wf.Index(i).Float())
+				}
+			}
+		default:
+			return fmt.Sprintf("%s: unchecked kind %v", name, gf.Kind())
+		}
+	}
+	return ""
+}
+
+// unfinished forwards every step to a Stream but hides its Finish, so
+// the engine leaves that stream unfinished.
+type unfinished struct{ s *Stream }
+
+func (u unfinished) Observe(st engine.Step)       { u.s.Observe(st) }
+func (u unfinished) ObserveStrip(st engine.Strip) { u.s.ObserveStrip(st) }
+func (u unfinished) TailSteps() int               { return u.s.TailSteps() }
+
+// TestStreamFinishFreezesSummary runs every cell of a grid into two
+// streams, one the engine finishes and one it cannot, on the batched and
+// on the per-cell path. The summary Finish froze is what Summary returns,
+// and it equals the unfinished stream's Summary in every field, bit for
+// bit; Steps and the tails still read the rings afterwards. A cell that
+// diverges is never finished.
+func TestStreamFinishFreezesSummary(t *testing.T) {
+	const steps = 300
+	build := func() ([]engine.Spec, []*Stream, []*Stream) {
+		cfg := fluid.Config{Bandwidth: 1200, PropDelay: 0.05, Buffer: 60}
+		protos := []protocol.Protocol{protocol.Reno(), protocol.Scalable(), protocol.IIAD(), protocol.SQRT()}
+		var specs []engine.Spec
+		var fin, unfin []*Stream
+		add := func(cfg fluid.Config, senders []fluid.Sender) {
+			sub := &engine.FluidSpec{Cfg: cfg, Senders: senders, Steps: steps}
+			f, u := NewStream(sub.Meta(), DefaultTailFrac), NewStream(sub.Meta(), DefaultTailFrac)
+			specs = append(specs, engine.Spec{Substrate: sub, Observers: []engine.Observer{f, unfinished{u}}})
+			fin, unfin = append(fin, f), append(unfin, u)
+		}
+		for _, p := range protos {
+			for _, n := range []int{1, 2, 3} {
+				senders, err := fluid.HomogeneousSenders(p, n, []float64{1, 40, 10}[:n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				add(cfg, senders)
+			}
+		}
+		// The last cell diverges: its windows overflow to +Inf.
+		add(fluid.Config{Infinite: true, PropDelay: 0.021, MaxWindow: math.Inf(1)}, []fluid.Sender{
+			{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+			{Proto: protocol.NewMIMD(10, 0.5), Init: 1e300},
+		})
+		return specs, fin, unfin
+	}
+	paths := []struct {
+		name string
+		run  func(specs []engine.Spec) error
+	}{
+		{"batched", func(specs []engine.Spec) error {
+			_, err := engine.SweepSpecs(context.Background(), specs, engine.SweepConfig{Workers: 2})
+			return err
+		}},
+		{"per-cell", func(specs []engine.Spec) error {
+			var errs []error
+			for i := range specs {
+				if _, err := engine.Run(context.Background(), specs[i]); err != nil {
+					errs = append(errs, err)
+				}
+			}
+			return errors.Join(errs...)
+		}},
+	}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			specs, fin, unfin := build()
+			var de *fluid.DivergedError
+			if err := path.run(specs); !errors.As(err, &de) {
+				t.Fatalf("error %v, want the last cell's divergence", err)
+			}
+			last := len(specs) - 1
+			if fin[last].frozen != nil {
+				t.Errorf("the diverged cell was finished")
+			}
+			for c := 0; c < last; c++ {
+				f, u := fin[c], unfin[c]
+				if f.frozen == nil || u.frozen != nil {
+					t.Fatalf("cell %d: finished %v and %v, want true and false", c, f.frozen != nil, u.frozen != nil)
+				}
+				if got := f.Summary(); got != f.frozen {
+					t.Fatalf("cell %d: Summary did not return the frozen summary", c)
+				}
+				if d := summaryDiff(f.Summary(), u.Summary()); d != "" {
+					t.Errorf("cell %d: frozen summary %s", c, d)
+				}
+				if f.Steps() != steps || u.Steps() != steps {
+					t.Errorf("cell %d: Steps %d and %d, want %d", c, f.Steps(), u.Steps(), steps)
+				}
+				tails := [][2][]float64{{f.TailRTT(), u.TailRTT()}, {f.TailLoss(), u.TailLoss()}}
+				for i := range f.frozen.AvgWindows {
+					tails = append(tails, [2][]float64{f.TailWindow(i), u.TailWindow(i)})
+				}
+				for j, pair := range tails {
+					if len(pair[0]) == 0 || !reflect.DeepEqual(pair[0], pair[1]) {
+						t.Errorf("cell %d tail %d after Finish: %d samples, want the unfinished stream's %d", c, j, len(pair[0]), len(pair[1]))
+					}
+				}
+			}
+		})
 	}
 }
 

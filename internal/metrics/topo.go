@@ -121,6 +121,21 @@ func (s *TopoStream) Observe(st engine.Step) {
 	}
 }
 
+// Release hands the stream's rings back to the pool stats.NewRing draws
+// from. Call it only when nothing will read the stream again.
+func (s *TopoStream) Release() {
+	for f := range s.windows {
+		s.windows[f].Release()
+		s.goodput[f].Release()
+		s.flowRTT[f].Release()
+	}
+	for l := range s.linkLoad {
+		s.linkLoad[l].Release()
+		s.linkLoss[l].Release()
+	}
+	s.windows, s.goodput, s.flowRTT, s.linkLoad, s.linkLoss = nil, nil, nil, nil, nil
+}
+
 // Steps returns the number of samples observed, withheld ones included.
 func (s *TopoStream) Steps() int { return s.steps }
 
@@ -132,13 +147,9 @@ func (s *TopoStream) TailFrac() float64 { return s.tailFrac }
 // bodies over the same retained tail samples the estimators always
 // used, so scores derived from the summary are bit-identical.
 func (s *TopoStream) Summary() *TopoSummary {
-	// One buffer serves every tail in turn: each is fully consumed before
-	// the next is read.
-	var buf []float64
-	tail := func(r *stats.Ring) []float64 {
-		buf = r.AppendTail(buf[:0], s.tailFrac)
-		return buf
-	}
+	tails := newTailCopier(s.tailFrac)
+	defer tails.release()
+	tail := tails.tail
 	sum := &TopoSummary{
 		Paths:         s.paths,
 		BaseRTT:       s.baseRTT,
@@ -444,7 +455,9 @@ func RunTopo(ctx context.Context, t TopoRunSpec) (*TopoSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		return st.Summary(), nil
+		sum := st.Summary()
+		st.Release()
+		return sum, nil
 	}
 	key, cacheable := topoKey(&t)
 	return resolveOne(t.Session, key, cacheable, t.Steps, topoCodec, exec)

@@ -347,7 +347,7 @@ func (n *Network) stepInto(res *StepResult) {
 		}
 		switch {
 		case load < c+tau:
-			res.LinkRTT[l] = math.Max(2*spec.PropDelay, (load-c)/b+2*spec.PropDelay)
+			res.LinkRTT[l] = max(2*spec.PropDelay, (load-c)/b+2*spec.PropDelay)
 		case load > c+tau:
 			res.LinkLoss[l] = 1 - (c+tau)/load
 			res.LinkRTT[l] = spec.TimeoutRTT

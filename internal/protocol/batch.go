@@ -79,7 +79,7 @@ func (k *Kernel) Step(w, loss float64) float64 {
 	case OpRobustAIMD:
 		return k.robustAIMD(w, loss)
 	case OpHighSpeed:
-		w = math.Max(w, MinWindow)
+		w = max(w, MinWindow)
 		if w <= k.A {
 			// Standard TCP regime.
 			if loss > 0 {
@@ -100,12 +100,12 @@ func (k *Kernel) Step(w, loss float64) float64 {
 		// which mirrors Cubic's convex probing phase. A loss re-anchors
 		// the curve; otherwise the window follows it.
 		if !k.Primed {
-			k.X = math.Max(w, MinWindow)
+			k.X = max(w, MinWindow)
 			k.T = math.Cbrt(k.X * (1 - k.B) / k.A)
 			k.Primed = true
 		}
 		if loss > 0 {
-			k.X = math.Max(w, MinWindow)
+			k.X = max(w, MinWindow)
 			k.T = 0
 			return k.X * k.B
 		}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // ErrEmpty is returned (or causes NaN) when a statistic of an empty series
@@ -206,13 +207,31 @@ type Ring struct {
 	valid int // most recent samples genuinely pushed and still retained
 }
 
-// NewRing returns a ring retaining the last capacity samples.
+// ringPool holds released rings for NewRing to hand out again, so a
+// grid of streamed runs reuses its predecessor's buffers instead of
+// allocating them afresh. It holds only what owners released, at most
+// the rings of the largest grid they had live at once, and the garbage
+// collector may empty it.
+var ringPool sync.Pool
+
+// NewRing returns an empty ring retaining the last capacity samples. It
+// may reuse a released ring's buffer without clearing it: the ring only
+// ever reads back samples pushed since, which valid tracks.
 func NewRing(capacity int) *Ring {
 	if capacity < 0 {
 		capacity = 0
 	}
+	if r, ok := ringPool.Get().(*Ring); ok && cap(r.buf) >= capacity {
+		*r = Ring{buf: r.buf[:capacity]}
+		return r
+	}
 	return &Ring{buf: make([]float64, capacity)}
 }
+
+// Release returns r to the pool NewRing draws from. The caller must not
+// use r afterwards; an owner that keeps reading tails after a run simply
+// never releases its rings.
+func (r *Ring) Release() { ringPool.Put(r) }
 
 // Cap returns the number of samples the ring retains.
 func (r *Ring) Cap() int { return len(r.buf) }

@@ -328,15 +328,73 @@ func tailOf(r *Ring, f float64) (tail []float64, ok bool) {
 	return r.LastTail(f), true
 }
 
-// ringSkipMismatch replays ops on a ring that skips and on a reference
-// ring that pushes instead, then pushes capacity+extra real samples to
-// both and describes the first difference in Count, write position or
-// any tail, or returns "". Each op byte is a Push (b%3 == 0), a
+// pooledRing returns NewRing(capacity) after a ring dirtied by prev was
+// released to the pool, so the ring may reuse a buffer full of other
+// samples, at another capacity, with skips. prev[0] picks the released
+// ring's capacity and the rest are its ops, encoded as in
+// ringSkipMismatch; its samples are negative, so none equals a sample
+// the caller pushes. An empty prev releases nothing.
+func pooledRing(capacity int, prev []byte) *Ring {
+	if len(prev) > 0 {
+		old := NewRing(int(prev[0] % 65))
+		v := 0.0
+		for _, b := range prev[1:] {
+			switch n := int(b / 3); b % 3 {
+			case 0:
+				v--
+				old.Push(v)
+			case 1:
+				vals := make([]float64, n)
+				for i := range vals {
+					v--
+					vals[i] = v
+				}
+				old.PushSlice(vals)
+			case 2:
+				old.Skip(n)
+			}
+		}
+		old.Release()
+	}
+	return NewRing(capacity)
+}
+
+// ringDiff describes the first difference between a and b in Count,
+// write position, genuine samples retained or any tail (a panic
+// included), or returns "".
+func ringDiff(a, b *Ring) string {
+	if a.Count() != b.Count() {
+		return fmt.Sprintf("count %d, want %d", a.Count(), b.Count())
+	}
+	if a.next != b.next {
+		return fmt.Sprintf("write position %d, want %d", a.next, b.next)
+	}
+	if got, want := retained(a, a.Cap()), retained(b, b.Cap()); !slices.Equal(got, want) {
+		return fmt.Sprintf("retained(%d) %v, want %v", a.Cap(), got, want)
+	}
+	for _, f := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		got, gotOK := tailOf(a, f)
+		want, wantOK := tailOf(b, f)
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			return fmt.Sprintf("LastTail(%v) %v (ok %v), want %v (ok %v)", f, got, gotOK, want, wantOK)
+		}
+	}
+	return ""
+}
+
+// ringSkipMismatch replays ops on a ring that skips, drawn from the pool
+// after prev dirtied it (see pooledRing), on a fresh ring that does the
+// same, and on a fresh reference ring that pushes instead. The pooled
+// ring must match the fresh one after the ops; then capacity+extra real
+// samples go to all three, and it must match both. It describes the
+// first difference, or returns "". Each op byte is a Push (b%3 == 0), a
 // PushSlice of b/3 samples (b%3 == 1) or a Skip of b/3 samples
 // (b%3 == 2); the reference pushes those skipped samples with values
 // that never appear otherwise.
-func ringSkipMismatch(capacity, extra int, ops []byte) string {
-	r, ref := NewRing(capacity), NewRing(capacity)
+func ringSkipMismatch(capacity, extra int, ops, prev []byte) string {
+	r := pooledRing(capacity, prev)
+	fresh := &Ring{buf: make([]float64, capacity)}
+	ref := &Ring{buf: make([]float64, capacity)}
 	v := 0.0
 	next := func() float64 { v++; return v }
 	for _, b := range ops {
@@ -345,6 +403,7 @@ func ringSkipMismatch(capacity, extra int, ops []byte) string {
 		case 0:
 			x := next()
 			r.Push(x)
+			fresh.Push(x)
 			ref.Push(x)
 		case 1:
 			vals := make([]float64, n)
@@ -352,47 +411,40 @@ func ringSkipMismatch(capacity, extra int, ops []byte) string {
 				vals[i] = next()
 			}
 			r.PushSlice(vals)
+			fresh.PushSlice(vals)
 			for _, x := range vals {
 				ref.Push(x)
 			}
 		case 2:
 			r.Skip(n)
+			fresh.Skip(n)
 			for i := 0; i < n; i++ {
 				ref.Push(-next())
 			}
 		}
 	}
+	if d := ringDiff(r, fresh); d != "" {
+		return "pooled ring against a fresh one: " + d
+	}
 	for i := 0; i < capacity+extra; i++ {
 		x := next()
 		r.Push(x)
+		fresh.Push(x)
 		ref.Push(x)
 	}
-	if r.Count() != ref.Count() {
-		return fmt.Sprintf("count %d, want %d", r.Count(), ref.Count())
+	if d := ringDiff(r, fresh); d != "" {
+		return "pooled ring against a fresh one, refilled: " + d
 	}
-	if r.next != ref.next {
-		return fmt.Sprintf("write position %d, want %d", r.next, ref.next)
-	}
-	if got, want := retained(r, capacity), retained(ref, capacity); !slices.Equal(got, want) {
-		return fmt.Sprintf("retained(%d) %v, want %v", capacity, got, want)
-	}
-	for _, f := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		got, gotOK := tailOf(r, f)
-		want, wantOK := tailOf(ref, f)
-		if gotOK != wantOK || !slices.Equal(got, want) {
-			return fmt.Sprintf("LastTail(%v) %v (ok %v), want %v (ok %v)", f, got, gotOK, want, wantOK)
-		}
-	}
-	return ""
+	return ringDiff(r, ref)
 }
 
 // Property: skipping samples instead of pushing them is invisible once
 // a full ring of real samples follows — same Count, write position and
 // tails as pushing everything — for any interleaving of Push, PushSlice
-// and Skip.
+// and Skip, and a ring reused from the pool behaves as a fresh one.
 func TestRingSkipMatchesPush(t *testing.T) {
-	f := func(capRaw, extraRaw uint8, ops []byte) bool {
-		if d := ringSkipMismatch(int(capRaw%37), int(extraRaw%5), ops); d != "" {
+	f := func(capRaw, extraRaw uint8, ops, prev []byte) bool {
+		if d := ringSkipMismatch(int(capRaw%37), int(extraRaw%5), ops, prev); d != "" {
 			t.Log(d)
 			return false
 		}
@@ -404,12 +456,17 @@ func TestRingSkipMatchesPush(t *testing.T) {
 }
 
 func FuzzRingSkip(f *testing.F) {
-	f.Add(uint8(8), uint8(0), []byte{0, 2 + 3*20, 1 + 3*5})
-	f.Add(uint8(1), uint8(3), []byte{2 + 3*1, 0, 2 + 3*7})
-	f.Add(uint8(0), uint8(1), []byte{1 + 3*4, 2 + 3*9})
-	f.Add(uint8(16), uint8(2), []byte{1 + 3*40, 2 + 3*3, 1 + 3*2, 2 + 3*16})
-	f.Fuzz(func(t *testing.T, capRaw, extraRaw uint8, ops []byte) {
-		if d := ringSkipMismatch(int(capRaw%65), int(extraRaw%9), ops); d != "" {
+	f.Add(uint8(8), uint8(0), []byte{0, 2 + 3*20, 1 + 3*5}, []byte{})
+	f.Add(uint8(1), uint8(3), []byte{2 + 3*1, 0, 2 + 3*7}, []byte{})
+	f.Add(uint8(0), uint8(1), []byte{1 + 3*4, 2 + 3*9}, []byte{})
+	f.Add(uint8(16), uint8(2), []byte{1 + 3*40, 2 + 3*3, 1 + 3*2, 2 + 3*16}, []byte{})
+	// Reused rings: a larger ring left full, one left mid-skip, and one
+	// too small to reuse.
+	f.Add(uint8(8), uint8(0), []byte{0, 0, 2 + 3*3, 0}, []byte{32, 1 + 3*50})
+	f.Add(uint8(16), uint8(1), []byte{1 + 3*5}, []byte{20, 1 + 3*7, 2 + 3*4, 0})
+	f.Add(uint8(16), uint8(2), []byte{0, 1 + 3*20}, []byte{4, 1 + 3*9})
+	f.Fuzz(func(t *testing.T, capRaw, extraRaw uint8, ops, prev []byte) {
+		if d := ringSkipMismatch(int(capRaw%65), int(extraRaw%9), ops, prev); d != "" {
 			t.Fatal(d)
 		}
 	})
